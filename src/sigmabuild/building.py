@@ -18,6 +18,7 @@ sits at the point x with kappa(x, alpha_i) = a_{i+1} - a_i.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .chevalley import is_prime, valuation
 from .complexes import CellComplex
 from .coxeter import AlcoveGeometry
 from .homology import ChainComplexF2, F2Chain
@@ -27,32 +28,6 @@ from .root_system import build_root_system
 
 class BuildingError(ValueError):
     pass
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _vp(x, p):
-    x = Fraction(x)
-    if x == 0:
-        return None
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
 
 
 def echelon_basis(columns, p):
@@ -70,8 +45,10 @@ def echelon_basis(columns, p):
         limit = i + (m - n)  # columns 0..limit are still available
         piv, piv_v = None, None
         for j in range(limit + 1):
-            v = _vp(work[i][j], p)
-            if v is not None and (piv_v is None or v < piv_v):
+            if work[i][j] == 0:
+                continue
+            v = valuation(work[i][j], p)
+            if piv_v is None or v < piv_v:
                 piv, piv_v = j, v
         if piv is None:
             raise BuildingError("columns do not span a full lattice")
@@ -97,8 +74,10 @@ def _canonical_residue(t, a, p):
     Residues are m / p^s with s = max(0, -v_p(t)) and 0 <= m < p^(a+s); the
     difference (t - r) is divisible by p^a in the local ring.
     """
-    v = _vp(t, p)
-    if v is None or v >= a:
+    if t == 0:
+        return Fraction(0)
+    v = valuation(t, p)
+    if v >= a:
         return Fraction(0)
     s = max(0, -v)
     scaled = t * Fraction(p) ** s  # now p-integral
@@ -118,7 +97,7 @@ def lattice_canonical_form(columns, p):
     """
     n = len(columns)
     mat = [list(row) for row in echelon_basis(columns, p)]
-    exps = [_vp(mat[i][i], p) for i in range(n)]
+    exps = [valuation(mat[i][i], p) for i in range(n)]
     shift = min(exps)
     scale = Fraction(p) ** (-shift)
     mat = [[e * scale for e in row] for row in mat]
@@ -137,10 +116,7 @@ def lattice_canonical_form(columns, p):
 def diagonal_exponents(key, p):
     """The diagonal p-exponents of a canonical form, or None if not diagonal."""
     n = len(key)
-    exps = []
-    for i in range(n):
-        e = _vp(key[i][i], p)
-        exps.append(e)
+    exps = [valuation(key[i][i], p) for i in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j and key[i][j] != 0:
@@ -163,8 +139,10 @@ def smith_adapted_basis(b_mat, a_mat, p):
         piv_i = piv_j = piv_v = None
         for i in range(k, n):
             for j in range(k, n):
-                v = _vp(c[i][j], p)
-                if v is not None and (piv_v is None or v < piv_v):
+                if c[i][j] == 0:
+                    continue
+                v = valuation(c[i][j], p)
+                if piv_v is None or v < piv_v:
                     piv_i, piv_j, piv_v = i, j, v
         if piv_v is None:
             raise BuildingError("sublattice is degenerate")
@@ -219,7 +197,7 @@ class Truncation:
     def __init__(self, n, p, radius, max_chambers=10**6):
         if n not in (2, 3):
             raise BuildingError("only n in {2, 3} is supported")
-        if not _is_prime(p):
+        if not is_prime(p):
             raise BuildingError("p must be prime")
         self.n = n
         self.p = p
@@ -335,7 +313,7 @@ class Truncation:
 
     def vertex_retraction_point(self, vertex_key):
         """Apartment point of the retraction image of a vertex (root coordinates)."""
-        exps = [_vp(vertex_key[i][i], self.p) for i in range(self.n)]
+        exps = [valuation(vertex_key[i][i], self.p) for i in range(self.n)]
         datum = self.datum
         x = [Q0] * datum.rank
         for i in range(datum.rank):
@@ -538,8 +516,3 @@ def cone_chain(trunc, sector_elements, spec, r):
 def grow_truncation(n, p, radius, max_chambers=10**6):
     """BFS ball of chambers around the standard base chamber."""
     return Truncation(n, p, radius, max_chambers)
-
-
-def retract_from_infinity(trunc, cell_key):
-    """The alcove cell of the standard apartment carrying the cell's image."""
-    return trunc.retract_cell(cell_key)

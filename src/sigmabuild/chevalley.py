@@ -173,6 +173,18 @@ def torus_projection(g):
 # --- valuations and S-arithmetic predicates -----------------------------------
 
 
+def is_prime(p):
+    """Trial-division primality test for a (small) integer."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def valuation(x, p):
     """The p-adic valuation of a non-zero rational; raises on zero."""
     x = Fraction(x)

@@ -409,13 +409,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--skip-sl3", action="store_true", help="skip the SL3 positive instance")
     p.add_argument("--timings", action="store_true", help="attach wall-clock timings")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface compatibility; the run is single-threaded "
-        "and deterministic regardless",
-    )
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_certify)
 

@@ -2,7 +2,9 @@
 
 Chains are sets of cell keys; linear algebra over F2 uses Python integers as
 bit rows (bit i = coefficient of the i-th cell in a fixed sorted order), so
-Gaussian elimination is a handful of xors.  Betti numbers are reduced: the
+Gaussian elimination is a handful of xors.  Each boundary map is
+column-reduced at most once, on first use; ranks, Betti numbers, cycle bases
+and bounding chains all read that reduction.  Betti numbers are reduced: the
 degree-0 boundary is augmented by the empty cell.
 """
 
@@ -71,6 +73,7 @@ class ChainComplexF2:
                     acc ^= self.bnd[k - 1][idx[f]]
                 if acc:
                     raise AssertionError(f"boundary of boundary non-zero at {c!r}")
+        self._reductions = {}
 
     # --- chain plumbing ---------------------------------------------------
 
@@ -97,49 +100,47 @@ class ChainComplexF2:
 
     # --- F2 linear algebra ------------------------------------------------
 
-    def _column_space(self, k):
-        """Pivot-reduced basis of im(bnd_k) as {pivot_bit: row}."""
-        if k < 0 or k > self.top:
-            return {}
-        pivots = {}
-        for col in self.bnd[k]:
-            col = self._reduce(col, pivots)
-            if col:
-                pivots[col.bit_length() - 1] = col
-        return pivots
-
     @staticmethod
-    def _reduce(row, pivots):
+    def _eliminate(row, combo, pivots):
+        """Clear the leading bits of `row` that are pivots, xoring their combos into `combo`."""
         while row:
-            p = row.bit_length() - 1
-            if p not in pivots:
-                return row
-            row ^= pivots[p]
-        return 0
+            hit = pivots.get(row.bit_length() - 1)
+            if hit is None:
+                break
+            row ^= hit[0]
+            combo ^= hit[1]
+        return row, combo
+
+    def _reduction(self, k):
+        """The column reduction of bnd_k, computed once per degree.
+
+        Returns (pivots, kernel): pivots maps the leading bit of each reduced
+        column to (row, combo), where combo is the set of k-cells (as bits)
+        whose boundaries sum to row; kernel lists, in column order, the
+        combos whose boundaries sum to zero.
+        """
+        red = self._reductions.get(k)
+        if red is None:
+            pivots, kernel = {}, []
+            for j, col in enumerate(self.bnd[k]):
+                row, combo = self._eliminate(col, 1 << j, pivots)
+                if row:
+                    pivots[row.bit_length() - 1] = (row, combo)
+                else:
+                    kernel.append(combo)
+            red = self._reductions[k] = (pivots, kernel)
+        return red
 
     def kernel_basis(self, k, augmented=True):
         """Basis of the k-cycles (reduced: degree 0 uses the augmentation)."""
         if k == 0 and not augmented:
             return [F2Chain(0, {c}) for c in self.cells[0]]
-        pivots = {}
-        kernel = []
-        for j, col in enumerate(self.bnd[k]):
-            row, combo = col, 1 << j
-            while row:
-                p = row.bit_length() - 1
-                if p not in pivots:
-                    break
-                prow, pcombo = pivots[p]
-                row ^= prow
-                combo ^= pcombo
-            if row:
-                pivots[row.bit_length() - 1] = (row, combo)
-            else:
-                kernel.append(self.from_bits(k, combo))
-        return kernel
+        return [self.from_bits(k, combo) for combo in self._reduction(k)[1]]
 
     def rank(self, k):
-        return len(self._column_space(k))
+        if k < 0 or k > self.top:
+            return 0
+        return len(self._reduction(k)[0])
 
     def betti(self, k):
         """Reduced F2 Betti number in degree k."""
@@ -147,36 +148,15 @@ class ChainComplexF2:
             return 0
         n_k = len(self.cells[k])
         z_k = n_k - self.rank(k)  # cycles (reduced in degree 0)
-        b_k = len(self._column_space(k + 1))
-        return z_k - b_k
+        return z_k - self.rank(k + 1)
 
     def solve_boundary(self, k, target):
         """One k-chain with the given boundary, or None.
 
         `target` is a (k-1)-chain (or an augmented 0-chain when k = 0).
         """
-        pivots = {}
-        for j, col in enumerate(self.bnd[k]):
-            row, combo = col, 1 << j
-            while row:
-                p = row.bit_length() - 1
-                if p not in pivots:
-                    break
-                prow, pcombo = pivots[p]
-                row ^= prow
-                combo ^= pcombo
-            if row:
-                pivots[row.bit_length() - 1] = (row, combo)
-        t = self.to_bits(target)
-        combo = 0
-        while t:
-            p = t.bit_length() - 1
-            if p not in pivots:
-                return None
-            prow, pcombo = pivots[p]
-            t ^= prow
-            combo ^= pcombo
-        return self.from_bits(k, combo)
+        t, combo = self._eliminate(self.to_bits(target), 0, self._reduction(k)[0])
+        return None if t else self.from_bits(k, combo)
 
     def bounds(self, chain):
         """Whether the cycle bounds (is in the image of the next boundary map)."""

@@ -1,7 +1,9 @@
-"""Exact rational linear algebra: small dense solves and linear feasibility.
+"""Exact rational linear algebra: one elimination kernel and linear feasibility.
 
 Everything works over `fractions.Fraction`; vectors are tuples, matrices are
-tuples of row tuples.  The feasibility routine is a plain Fourier-Motzkin
+tuples of row tuples.  `rank`, `det`, `inverse` and `affine_solve` are thin
+readers of a single Gauss-Jordan elimination (`_gauss_jordan`); `inverse`
+reduces [m | I] once.  The feasibility routine is a plain Fourier-Motzkin
 elimination with witness extraction, which is enough for the low-dimensional
 polyhedral questions asked by the alcove and sector predicates.
 """
@@ -50,69 +52,60 @@ def identity(n):
     return tuple(tuple(Q1 if i == j else Q0 for j in range(n)) for i in range(n))
 
 
-def transpose(m):
-    return tuple(zip(*m))
+def _gauss_jordan(rows, n_cols):
+    """Gauss-Jordan elimination over Q, pivoting only in the first n_cols columns.
 
-
-def solve(m, rhs):
-    """Solve m x = rhs exactly; returns a tuple or None if singular/inconsistent."""
-    n = len(m)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(m)]
-    cols = len(m[0])
-    piv_rows = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
+    Returns (work, pivots, swaps, values).  Row i < len(pivots) of `work` has
+    the non-zero entry values[i] in column pivots[i], and every other row is
+    zero in that column; the remaining rows are zero in the first n_cols
+    columns.  `swaps` counts row exchanges.  Pivot rows are left unscaled, so
+    the values are the diagonal of plain forward elimination and callers
+    divide only the entries they read.  Columns from n_cols on (a right-hand
+    side, an identity block) ride along but never pivot.
+    """
+    work = [list(row) for row in rows]
+    n_rows = len(work)
+    pivots, values = [], []
+    swaps = 0
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        piv = next((i for i in range(r, n_rows) if work[i][c] != 0), None)
         if piv is None:
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [e / pv for e in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [e - f * ar for e, ar in zip(aug[i], aug[r])]
-        piv_rows.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][cols] != 0:
-            return None
-    if len(piv_rows) < cols:
-        return None
-    x = [Q0] * cols
-    for i, c in enumerate(piv_rows):
-        x[c] = aug[i][cols]
-    return tuple(x)
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            swaps += 1
+        prow = work[r]
+        pv = prow[c]
+        for i, row in enumerate(work):
+            if i != r and row[c] != 0:
+                f = row[c] / pv
+                work[i] = [e - f * a if a else e for e, a in zip(row, prow)]
+        pivots.append(c)
+        values.append(pv)
+    return work, pivots, swaps, values
 
 
 def inverse(m):
     n = len(m)
-    cols = tuple(solve(m, tuple(Q1 if i == j else Q0 for i in range(n))) for j in range(n))
-    if any(c is None for c in cols):
+    n_cols = len(m[0]) if m else 0
+    aug = [list(row) + list(e) for row, e in zip(m, identity(n))]
+    work, pivots, _, values = _gauss_jordan(aug, n_cols)
+    if n_cols != n or len(pivots) < n:
         raise ValueError("singular matrix")
-    return transpose(cols)
+    return tuple(tuple(e / pv for e in row[n:]) for row, pv in zip(work, values))
 
 
 def det(m):
     n = len(m)
-    a = [list(row) for row in m]
-    d = Q1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return Q0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            d = -d
-        d *= a[c][c]
-        inv = Q1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                for j in range(c, n):
-                    a[i][j] -= f * a[c][j]
+    _, pivots, swaps, values = _gauss_jordan(m, n)
+    if len(pivots) < n:
+        return Q0
+    d = -Q1 if swaps % 2 else Q1
+    for v in values:
+        d *= v
     return d
 
 
@@ -248,55 +241,27 @@ def affine_solve(rows, rhs):
         raise ValueError("empty system")
     n = len(rows[0])
     aug = [list(r) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [e / pv for e in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [e - f * ar for e, ar in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][n] != 0:
-            return None
+    work, piv_cols, _, values = _gauss_jordan(aug, n)
+    if any(row[n] != 0 for row in work[len(piv_cols):]):
+        return None
     part = [Q0] * n
-    for i, c in enumerate(piv_cols):
-        part[c] = aug[i][n]
-    free = [c for c in range(n) if c not in piv_cols]
+    for row, c, pv in zip(work, piv_cols, values):
+        part[c] = row[n] / pv
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in piv_cols:
+            continue
         v = [Q0] * n
         v[fc] = Q1
-        for i, c in enumerate(piv_cols):
-            v[c] = -aug[i][fc]
+        for row, c, pv in zip(work, piv_cols, values):
+            v[c] = -row[fc] / pv
         basis.append(tuple(v))
     return tuple(part), tuple(basis)
 
 
 def rank(rows):
     """Rank of a list of rational vectors."""
-    work = [list(r) for r in rows]
-    n_cols = len(work[0]) if work else 0
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][c]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c] / pv
-                work[i] = [e - f * w for e, w in zip(work[i], work[r])]
-        r += 1
-    return r
+    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
 
 
 def fraction_str(x):

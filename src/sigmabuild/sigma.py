@@ -12,6 +12,7 @@ conjectural.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .chevalley import is_prime
 from .linalg import Q0, Q1, feasible_point
 
 
@@ -51,6 +52,9 @@ class SigmaContext:
             raise SigmaError("rank must be positive")
         if not self.primes:
             raise SigmaError("need at least one prime")
+        for p in self.primes:
+            if not is_prime(p):
+                raise SigmaError(f"{p} is not a prime")
 
     @property
     def basis(self):

@@ -9,22 +9,12 @@ each member is a direct complement of the C-member of complementary dimension.
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
+from .chevalley import is_prime
 from .complexes import CellComplex
 
 
 class SphericalError(ValueError):
     pass
-
-
-def _is_prime(q):
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # --- F_q row echelon forms ---------------------------------------------------
@@ -100,7 +90,7 @@ class FlagComplex:
     """The flag complex of F_q^n with its chamber structure."""
 
     def __init__(self, n, q, max_chambers=10**7):
-        if not _is_prime(q):
+        if not is_prime(q):
             raise SphericalError("q must be prime in this realization")
         if n < 2:
             raise SphericalError("n must be at least 2")

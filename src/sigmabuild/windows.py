@@ -503,6 +503,10 @@ class ReducedCoxeterData:
     height_coeffs: tuple  # restricted height coefficients
     horizontal_dim: int  # dimension of the horizontal face of the reduced chamber
 
+    @property
+    def rank(self):
+        return len(self.simple_indices)
+
 
 def horizontal_dimension(h):
     """dim of the horizontal face of sigma for h: #zero coefficients - 1."""
@@ -544,20 +548,9 @@ def horizontal_reduction(datum, h):
 def iterate_reduction(datum, h):
     """Reduce until the restricted height is strictly decreasing; returns the chain."""
     chain = []
-    current_datum = datum
     current = h
     while any(c == 0 for c in current.coeffs):
-        red = horizontal_reduction(current_datum, current)
-        chain.append(red)
-        current_datum = _datum_view(red)
-        current = HeightForm(red.height_coeffs)
+        datum = horizontal_reduction(datum, current)
+        chain.append(datum)
+        current = HeightForm(datum.height_coeffs)
     return chain
-
-
-class _datum_view:
-    """Just enough of the RootDatum surface for iterated reduction."""
-
-    def __init__(self, red):
-        self.rank = len(red.simple_indices)
-        self.gram = red.gram
-        self.positive_roots = red.positive_roots

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from sigmabuild.cli import main
 
 
@@ -150,3 +152,19 @@ def test_certify_relations_suite(capsys):
         "steinberg-relations",
         "character-machinery",
     ]
+
+
+def test_certify_rejects_threads_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_sigma_verdict_rejects_non_prime(capsys):
+    code, _, err = run(
+        capsys, ["sigma", "verdict", "--n", "3", "--primes", "4", "--chi", "1,-1", "--k", "1"]
+    )
+    assert code != 0
+    assert err.startswith("error:")
+    assert "Traceback" not in err

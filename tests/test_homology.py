@@ -1,9 +1,16 @@
 """F2 chain complexes: boundary formula, reduced Betti numbers, induced maps."""
 
 import random
+from functools import cache
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sigmabuild.building import HeightSpec, grow_truncation, height_eval, superlevel_complex
 from sigmabuild.complexes import CellComplex
 from sigmabuild.homology import ChainComplexF2, F2Chain, betti, betti_vector, induced_map_trivial
+from sigmabuild.root_system import build_root_system
+from sigmabuild.windows import Window
 
 
 def path_graph(n):
@@ -166,3 +173,61 @@ def test_solve_boundary_no_solution():
     cx.freeze()
     cc = ChainComplexF2(cx)
     assert cc.solve_boundary(1, F2Chain(0, {"a", "c"})) is None
+
+
+# --- laws of the cached column reduction on truncation and window complexes ---
+
+TRUNCATIONS = ((2, 2, 3), (2, 3, 2), (3, 2, 2))
+WINDOWS = (("A", 2), ("C", 1))
+
+
+@cache
+def sample_complexes():
+    """Truncations, a mid-level superlevel complex of each, and two alcove windows."""
+    out = []
+    for n, p, radius in TRUNCATIONS:
+        trunc = grow_truncation(n, p, radius)
+        spec = HeightSpec(p, (1,) * (n - 1))
+        levels = sorted({height_eval(trunc, spec, v)[0] for v in trunc.complex.cells(0)})
+        out.append(ChainComplexF2(trunc.complex))
+        out.append(ChainComplexF2(superlevel_complex(trunc, spec, levels[len(levels) // 2])))
+    for family, radius in WINDOWS:
+        out.append(ChainComplexF2(Window.radius(build_root_system(family, 2), radius).complex()))
+    return out
+
+
+def test_sample_complexes_have_homology():
+    assert any(any(cc.betti(k) for k in range(cc.top + 1)) for cc in sample_complexes())
+
+
+def test_kernel_basis_size_and_cycles():
+    for cc in sample_complexes():
+        for k in range(cc.top + 1):
+            basis = cc.kernel_basis(k)
+            assert len(basis) == len(cc.cells[k]) - cc.rank(k)
+            for z in basis:
+                if k == 0:
+                    assert len(z.support) % 2 == 0  # reduced: the augmentation vanishes
+                else:
+                    assert not cc.boundary(z)
+
+
+def test_reduced_euler_characteristic():
+    for cc in sample_complexes():
+        chi = -1 + sum((-1) ** k * len(cc.cells[k]) for k in range(cc.top + 1))
+        assert chi == sum((-1) ** k * cc.betti(k) for k in range(cc.top + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_boundary_inverts_boundary(data):
+    cc = data.draw(st.sampled_from(sample_complexes()))
+    k = data.draw(st.integers(min_value=1, max_value=cc.top))
+    chain = F2Chain(k, data.draw(st.sets(st.sampled_from(cc.cells[k]), max_size=6)))
+    target = cc.boundary(chain)
+    pre = cc.solve_boundary(k, target)
+    assert pre is not None and cc.boundary(pre) == target
+    z = F2Chain(k - 1, data.draw(st.sets(st.sampled_from(cc.cells[k - 1]), max_size=4)))
+    pre = cc.solve_boundary(k, z)
+    if pre is not None:
+        assert cc.boundary(pre) == z

@@ -33,6 +33,9 @@ def test_context_basics():
         SigmaContext("A", 0, (2,))
     with pytest.raises(SigmaError):
         SigmaContext("A", 2, ())
+    for primes in ((4,), (1,)):
+        with pytest.raises(SigmaError, match="not a prime"):
+            ctx_sl(3, primes)
 
 
 def test_prime_threshold():
