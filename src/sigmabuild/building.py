@@ -199,6 +199,8 @@ class Truncation:
             raise BuildingError("only n in {2, 3} is supported")
         if not is_prime(p):
             raise BuildingError("p must be prime")
+        if radius < 0:
+            raise BuildingError(f"radius must be non-negative, got {radius}")
         self.n = n
         self.p = p
         self.radius = radius

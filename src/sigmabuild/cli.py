@@ -1,9 +1,11 @@
 """Command-line front door: one binary, one subcommand per module.
 
 Exit codes: 0 on success, 1 on a mathematical-precondition failure (the
-message carries the witness), 2 on usage errors.  Every subcommand supports
---format json; exact rationals are serialized as "p/q" strings.  Reports are
-deterministic for a fixed seed; timings are attached only on request.
+message carries the witness), 2 on usage errors: argparse's own, and bad
+option values found by a handler, reported as one `error:` line.  Every
+subcommand supports --format json; exact rationals are serialized as "p/q"
+strings.  Reports are deterministic for a fixed seed; timings are attached
+only on request.
 """
 
 import argparse
@@ -28,8 +30,22 @@ class PreconditionFailure(Exception):
     pass
 
 
+class UsageError(Exception):
+    """A bad option value found after parsing; exits 2 like argparse's errors."""
+
+
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _parse_fractions(text):
-    return tuple(Fraction(x.strip()) for x in text.split(",") if x.strip())
+    try:
+        return tuple(Fraction(x.strip()) for x in text.split(",") if x.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad rational list {text!r}: {exc}")
 
 
 def _parse_window(text, rank):
@@ -38,12 +54,15 @@ def _parse_window(text, rank):
     if len(parts) == 1:
         parts = parts * rank
     if len(parts) != rank:
-        raise argparse.ArgumentTypeError("window needs one lo:hi range per simple root")
+        raise UsageError("window needs one lo:hi range per simple root")
     lo, hi = [], []
     for part in parts:
-        a, b = part.split(":")
-        lo.append(int(a))
-        hi.append(int(b))
+        try:
+            a, b = part.split(":")
+            lo.append(int(a))
+            hi.append(int(b))
+        except ValueError:
+            raise UsageError(f"bad window range {part!r}, expected lo:hi")
     return lo, hi
 
 
@@ -141,6 +160,10 @@ def cmd_coxeter(args):
 
 def cmd_sphere(args):
     building = build_flag_building(args.n, args.q)
+    if not 0 <= args.chamber < len(building.chambers):
+        raise UsageError(
+            f"--chamber must be in 0..{len(building.chambers) - 1}, got {args.chamber}"
+        )
     chamber = building.chambers[args.chamber]
     if args.command2 == "opp":
         opp = building.opposition_complex(chamber)
@@ -261,12 +284,25 @@ def _tree_dot(trunc, radius):
 def cmd_homology(args):
     from .complexes import CellComplex
 
-    data = json.load(open(args.input) if args.input != "-" else sys.stdin)
+    try:
+        if args.input == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.input) as fh:
+                data = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.input}: {exc.strerror}")
+    except ValueError as exc:
+        raise UsageError(f"{args.input} is not JSON: {exc}")
     cx = CellComplex()
-    by_id = {c["id"]: c for c in data["cells"]}
-    for c in data["cells"]:
-        cx.add_cell(c["id"], c["dim"], c["faces"])
-    cx.freeze()
+    try:
+        for c in data["cells"]:
+            cx.add_cell(c["id"], c["dim"], c["faces"])
+        cx.freeze()
+    except KeyError as exc:
+        raise UsageError(f"malformed complex JSON: missing key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed complex JSON: {exc}")
     bv = betti_vector(cx)
     if args.format == "csv":
         print("dim,betti")
@@ -278,15 +314,18 @@ def cmd_homology(args):
 
 
 def cmd_sigma(args):
-    ctx = SigmaContext.for_sl(args.n, tuple(int(p) for p in args.primes.split(",")))
-    if args.command2 == "verdict":
-        chi = _parse_fractions(args.chi)
-        verdict = sigma_verdict(ctx, chi, args.k)
-        _emit(verdict_json(verdict), args.format)
-    elif args.command2 == "fintype":
-        gens = [_parse_fractions(g) for g in args.kernel_of.split(";")]
-        verdict = finiteness_type(ctx, gens, args.k)
-        _emit(verdict_json(verdict), args.format)
+    try:
+        ctx = SigmaContext.for_sl(args.n, tuple(int(p) for p in args.primes.split(",")))
+        if args.command2 == "verdict":
+            verdict = sigma_verdict(ctx, _parse_fractions(args.chi), args.k)
+        else:
+            gens = [_parse_fractions(g) for g in args.kernel_of.split(";")]
+            verdict = finiteness_type(ctx, gens, args.k)
+    except ValueError as exc:
+        # a bad integer in --primes, or a SigmaError, which here always means
+        # a bad option value: a non-prime, a wrong length, the zero character
+        raise UsageError(str(exc))
+    _emit(verdict_json(verdict), args.format)
     return 0
 
 
@@ -366,7 +405,7 @@ def build_parser():
         s = p2.add_parser(name)
         s.add_argument("--n", type=int, default=2)
         s.add_argument("--p", type=int, default=2)
-        s.add_argument("--radius", type=int, default=2)
+        s.add_argument("--radius", type=_non_negative_int, default=2)
         s.add_argument("--format", choices=("json", "text", "dot"), default="text")
         if name == "grow":
             s.add_argument(
@@ -420,6 +459,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except PreconditionFailure as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 1

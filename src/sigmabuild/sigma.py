@@ -7,13 +7,23 @@ avoiding the whole non-negative cone is unconditionally good, and the positive
 statement for small support is conditional on the prime threshold (the
 spherical-opposition thickness bound), below which the verdict is only
 conjectural.
+
+A subgroup cut out by the vanishing of a span W of characters is of type F_k
+iff W has no non-zero non-negative vector of support at most k.  The least
+such support is reached by an elementary vector of W (one of inclusion-minimal
+support; Rockafellar 1969), so `minimal_bad_support` enumerates those: one
+small exact elimination per choice of r-1 zero coordinates, C(d, r-1) in all
+for d = dim and r = dim W.  Among the non-negative ones it keeps the least
+support, ties going to the lexicographically first support, scaled so its
+first non-zero coordinate is 1.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .chevalley import is_prime
-from .linalg import Q0, Q1, feasible_point
+from .linalg import Q0, Q1, affine_solve, dot, rank as mat_rank
 
 
 class SigmaError(ValueError):
@@ -126,50 +136,55 @@ def sigma_verdict(ctx, chi, k):
     return Verdict(CONJECTURAL_IN, "support exceeds k; prime threshold not met")
 
 
-def _nonneg_vector_in_span(ctx, generators, max_support):
-    """A non-zero, non-negative vector in the span with support <= max_support.
+def _nonneg_vector_in_span(ctx, generators):
+    """The non-zero non-negative vector of the span with least support, or None.
 
-    Exact rational feasibility over each support subset, normalizing one
-    coordinate to 1; returns the vector or None.
+    Such a vector is elementary: no non-zero vector of the span W has its
+    support strictly inside that support (subtracting a multiple of one would
+    leave a non-negative vector of smaller support).  With r = dim W, every
+    elementary vector is, up to scale, the unique vector of W vanishing on
+    some r-1 coordinates whose columns have rank r-1, so it suffices to try
+    the C(d, r-1) sets of zeros.  Ties in support size go to the
+    lexicographically first support tuple; the vector is scaled so its first
+    non-zero coordinate is 1, which makes it unique.
     """
-    from itertools import combinations
-
-    gens = [_as_vector(ctx, g) for g in generators]
-    if not gens:
+    basis = []
+    for g in generators:
+        g = _as_vector(ctx, g)
+        if mat_rank(basis + [g]) > len(basis):
+            basis.append(g)
+    if not basis:
         return None
-    m = len(gens)
-    d = ctx.dim
-    for size in range(1, max_support + 1):
-        for subset in combinations(range(d), size):
-            inside = set(subset)
-            for pivot in subset:
-                cons = []
-                for i in range(d):
-                    row = tuple(g[i] for g in gens)
-                    if i == pivot:
-                        cons.append((row, "==", Q1))
-                    elif i in inside:
-                        cons.append((tuple(-x for x in row), "<=", Q0))
-                    else:
-                        cons.append((row, "==", Q0))
-                sol = feasible_point(m, cons)
-                if sol is not None:
-                    vec = tuple(
-                        sum((sol[j] * gens[j][i] for j in range(m)), Q0)
-                        for i in range(d)
-                    )
-                    return vec
-    return None
+    cols = tuple(zip(*basis))
+    best_key, best = None, None
+    for zeros in combinations(range(ctx.dim), len(basis) - 1):
+        if zeros:
+            _, null = affine_solve([cols[i] for i in zeros], (Q0,) * len(zeros))
+            if len(null) != 1:
+                continue
+            (lam,) = null
+        else:
+            lam = (Q1,)
+        x = tuple(dot(lam, col) for col in cols)
+        lead = next(c for c in x if c != 0)
+        x = tuple(c / lead for c in x)
+        if any(c < 0 for c in x):
+            continue
+        support = tuple(i for i, c in enumerate(x) if c != 0)
+        key = (len(support), support)
+        if best_key is None or key < best_key:
+            best_key, best = key, x
+    return best
 
 
 def minimal_bad_support(ctx, generators):
     """The least support of a non-negative non-zero vector in the span, or None."""
-    found = _nonneg_vector_in_span(ctx, generators, ctx.dim)
+    found = _nonneg_vector_in_span(ctx, generators)
     if found is None:
         return None, None
-    support = sum(1 for c in found if c != 0)
-    # the first hit of the ascending search already has minimal support
-    return support, found
+    # unique: two non-proportional non-negative vectors of least support
+    # would combine into a non-negative one of smaller support
+    return sum(1 for c in found if c != 0), found
 
 
 def finiteness_type(ctx, generators, k):

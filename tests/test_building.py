@@ -8,6 +8,7 @@ import pytest
 from sigmabuild.building import (
     BuildingError,
     HeightSpec,
+    Truncation,
     cone_chain,
     diagonal_exponents,
     echelon_basis,
@@ -183,6 +184,14 @@ def test_chamber_guard():
         grow_truncation(2, 4, 1)
     with pytest.raises(BuildingError):
         grow_truncation(4, 2, 1)
+
+
+def test_negative_radius_rejected():
+    # a negative radius used to grow toward the chamber guard instead
+    with pytest.raises(BuildingError, match="radius"):
+        Truncation(2, 2, -1)
+    with pytest.raises(BuildingError, match="radius"):
+        Truncation(3, 2, -1, max_chambers=10)
 
 
 # --- retraction -----------------------------------------------------------------

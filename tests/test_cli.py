@@ -165,6 +165,77 @@ def test_sigma_verdict_rejects_non_prime(capsys):
     code, _, err = run(
         capsys, ["sigma", "verdict", "--n", "3", "--primes", "4", "--chi", "1,-1", "--k", "1"]
     )
-    assert code != 0
+    assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def assert_usage_error(code, err, *fragments):
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["verdict", "--chi", "1,-1,3"], "length 3, expected 2"),
+        (["fintype", "--kernel-of", "1,1;1,-1,3"], "length 3, expected 2"),
+        (["verdict", "--chi", "1,x"], "'1,x'"),
+        (["verdict", "--chi", "1/0,1"], "'1/0,1'"),
+        (["verdict", "--primes", "2,y", "--chi", "1,1"], "'y'"),
+        (["verdict", "--chi", "0,0"], "zero vector"),
+        (["verdict", "--n", "1", "--chi", "1"], "rank"),
+    ],
+)
+def test_sigma_bad_input_is_usage_error(capsys, argv, fragment):
+    defaults = {"--n": "3", "--primes": "2", "--k": "1"}
+    for flag, value in defaults.items():
+        if flag not in argv:
+            argv = argv + [flag, value]
+    code, _, err = run(capsys, ["sigma"] + argv)
+    assert_usage_error(code, err, fragment)
+
+
+def test_building_grow_rejects_negative_radius(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["building", "grow", "--radius", "-1"])
+    assert exc.value.code == 2
+    assert "--radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chamber", ["999", "-1", "21"])
+def test_sphere_chamber_out_of_range(capsys, chamber):
+    # F_2^3 has 21 complete flags, indexed 0..20
+    code, _, err = run(capsys, ["sphere", "opp", "--n", "3", "--q", "2", "--chamber", chamber])
+    assert_usage_error(code, err, "--chamber", chamber)
+
+
+def test_homology_betti_missing_input(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    code, _, err = run(capsys, ["homology", "betti", "--input", str(missing)])
+    assert_usage_error(code, err, str(missing))
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ('{"cells": [{"id": "e", "dim": 1, "faces": ["a", "b"]}]}', "missing facet"),
+        ('{"complex": []}', "'cells'"),
+        ('{"cells": [{"id": "a", "dim": 0}]}', "'faces'"),
+        ("[1, 2]", "malformed"),
+        ("{", "not JSON"),
+    ],
+)
+def test_homology_betti_malformed_json(tmp_path, capsys, text, fragment):
+    path = tmp_path / "complex.json"
+    path.write_text(text)
+    code, _, err = run(capsys, ["homology", "betti", "--input", str(path)])
+    assert_usage_error(code, err, fragment)
+
+
+@pytest.mark.parametrize("window", ["1:2,3:4,5:6", "1", "a:b"])
+def test_coxeter_bad_window_is_usage_error(capsys, window):
+    code, _, err = run(capsys, ["coxeter", "deconstruct", "--rank", "2", f"--window={window}"])
+    assert_usage_error(code, err, "window")

@@ -1,16 +1,22 @@
 """Verdict logic: forbidden cones, prime thresholds, the worked subgroup examples."""
 
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sigmabuild.linalg import Q0, Q1, feasible_point, rank
 from sigmabuild.sigma import (
     CERTAIN_IN,
     CERTAIN_OUT,
     CONJECTURAL_IN,
     SigmaContext,
     SigmaError,
+    _as_vector,
     finiteness_type,
     in_delta_k,
     minimal_bad_support,
@@ -194,3 +200,135 @@ def test_degenerate_whole_space():
     gens = [(1, 0), (0, 1)]
     v = finiteness_type(ctx, gens, 1)
     assert v.kind == CERTAIN_OUT  # basis vectors themselves vanish
+
+
+# --- the elementary-vector search against the retired subset search ------------------
+
+
+def fm_subset_search(ctx, generators, max_support):
+    """A non-zero, non-negative vector in the span with support <= max_support.
+
+    Exact rational feasibility over each support subset, normalizing one
+    coordinate to 1; returns the vector or None.  This exponential search
+    (d * 2^(d-1) Fourier-Motzkin runs when nothing is found) is the reference
+    for the elementary-vector search.
+    """
+    gens = [_as_vector(ctx, g) for g in generators]
+    if not gens:
+        return None
+    m = len(gens)
+    d = ctx.dim
+    for size in range(1, max_support + 1):
+        for subset in combinations(range(d), size):
+            inside = set(subset)
+            for pivot in subset:
+                cons = []
+                for i in range(d):
+                    row = tuple(g[i] for g in gens)
+                    if i == pivot:
+                        cons.append((row, "==", Q1))
+                    elif i in inside:
+                        cons.append((tuple(-x for x in row), "<=", Q0))
+                    else:
+                        cons.append((row, "==", Q0))
+                sol = feasible_point(m, cons)
+                if sol is not None:
+                    vec = tuple(
+                        sum((sol[j] * gens[j][i] for j in range(m)), Q0)
+                        for i in range(d)
+                    )
+                    return vec
+    return None
+
+
+def oracle_minimal_bad_support(ctx, generators):
+    found = fm_subset_search(ctx, generators, ctx.dim)
+    if found is None:
+        return None, None
+    return sum(1 for c in found if c != 0), found
+
+
+@st.composite
+def spans(draw):
+    """(dim, generators): 1-4 generators mixing zero, dependent, planted
+    non-negative and mixed-sign vectors."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(("zero", "dependent", "planted", "mixed")))
+        if kind == "zero":
+            g = (0,) * dim
+        elif kind == "dependent" and gens:
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            u, v = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            g = tuple(a * x + b * y for x, y in zip(u, v))
+        elif kind == "planted":
+            g = draw(st.tuples(*[st.sampled_from((0, 0, 1, 2, 3))] * dim))
+        else:
+            g = draw(st.tuples(*[st.integers(-3, 3)] * dim))
+        gens.append(g)
+    return dim, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans())
+def test_minimal_bad_support_matches_subset_search(case):
+    dim, gens = case
+    ctx = ctx_sl(dim + 1, (2,))
+    support, witness = minimal_bad_support(ctx, gens)
+    assert (support, witness) == oracle_minimal_bad_support(ctx, gens)
+    if witness is None:
+        return
+    assert all(c >= 0 for c in witness)
+    # linalg divides with `/`, so integer rows must enter as Fractions
+    rows = [tuple(Fraction(c) for c in g) for g in gens]
+    assert rank(rows + [witness]) == rank(rows)
+    assert sum(1 for c in witness if c != 0) == support
+    assert next(c for c in witness if c != 0) == 1
+
+
+def _orthogonal(rng, u):
+    """A non-zero integer vector orthogonal to u, so of mixed signs when u > 0."""
+    while True:
+        w = [0] * len(u)
+        for _ in range(3):
+            i, j = rng.sample(range(len(u)), 2)
+            w[i] += u[j]
+            w[j] -= u[i]
+        if any(w):
+            return w
+
+
+def test_dim16_verdicts_within_a_second():
+    # SL_3 with 8 primes: dim 16, where the subset search makes 16 * 2^15
+    # Fourier-Motzkin runs for an F-infinity verdict
+    ctx = ctx_sl(3, (2, 3, 5, 7, 11, 13, 17, 19))
+    assert ctx.dim == 16
+    rng = random.Random(16)
+    u = [rng.randint(1, 5) for _ in range(16)]
+    for n_gens in (2, 3):
+        gens = [_orthogonal(rng, u) for _ in range(n_gens)]
+        start = time.perf_counter()
+        v = finiteness_type(ctx, gens, 16)
+        assert time.perf_counter() - start < 1.0
+        assert v.kind == CERTAIN_IN and v.witness is None
+    # a planted ray plus directions orthogonal to a positive vector on the
+    # other coordinates: the ray is the only non-negative direction.  The
+    # subset search scans every smaller support first, so support 12 is the
+    # case it cannot finish; support 2 it finds at once.
+    for support in (2, 12):
+        inside = sorted(rng.sample(range(16), support))
+        planted = [rng.randint(1, 5) if i in inside else 0 for i in range(16)]
+        rest = [i for i in range(16) if i not in inside]
+        others = []
+        for _ in range(2):
+            w = [0] * 16
+            for i, x in zip(rest, _orthogonal(rng, [u[i] for i in rest])):
+                w[i] = x
+            others.append(w)
+        gens = [[a + b for a, b in zip(planted, others[0])]] + others
+        start = time.perf_counter()
+        v = finiteness_type(ctx, gens, 2)
+        assert time.perf_counter() - start < 1.0
+        assert v.kind == (CERTAIN_OUT if support <= 2 else CERTAIN_IN)
+        assert v.witness == tuple(Fraction(c, planted[inside[0]]) for c in planted)
