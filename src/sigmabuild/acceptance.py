@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from .building import (
-    HeightSpec,
     cone_chain,
     grow_truncation,
     retraction_preimage,
@@ -28,7 +27,6 @@ from .chevalley import (
 )
 from .coxeter import AlcoveGeometry
 from .homology import ChainComplexF2, betti_vector, induced_map_trivial
-from .linalg import Q0
 from .root_system import build_root_system, cartan_pairing
 from .sigma import CERTAIN_IN, CERTAIN_OUT, SigmaContext, finiteness_type
 from .spherical import build_flag_building, find_opposite_apartment
@@ -173,12 +171,7 @@ def criterion_coxeter(seed=42):
             interval_ok = False
 
     # (ii) gate identity on a radius-3 ball
-    base = g.cell_of_point(
-        tuple(
-            sum((Fraction(1, 3) * w[j] for w in datum.coweight_dirs), Q0)
-            for j in range(datum.rank)
-        )
-    )
+    base = g.cell_of_point(datum.point((Fraction(1, 3),) * datum.rank))
     ball = [c for c in chambers if g.wall_distance(c, base) <= 3]
     ball_cells = set()
     for c in ball:
@@ -202,10 +195,7 @@ def criterion_coxeter(seed=42):
     instances = []
     for i in range(12):
         a, b = rng.randint(-1, 2), rng.randint(-1, 2)
-        tip = tuple(
-            Fraction(a) * datum.coweight_dirs[0][j] + Fraction(b) * datum.coweight_dirs[1][j]
-            for j in range(datum.rank)
-        )
+        tip = datum.point((a, b))
         depth = rng.randint(2, 4)
         sector = closed_sector_cells(window, tip, sigma.opposite())
         anchor = g.project_toward(g.cell_of_point(tip), sigma.opposite())
@@ -223,10 +213,7 @@ def criterion_coxeter(seed=42):
         r = Fraction(rng.randint(-3, -1))
         _, low, _ = upper_lower_certified(window, h, r)
         a, b = rng.randint(1, 2), rng.randint(1, 2)
-        tip = tuple(
-            Fraction(a) * datum.coweight_dirs[0][j] + Fraction(b) * datum.coweight_dirs[1][j]
-            for j in range(datum.rank)
-        )
+        tip = datum.point((a, b))
         sector = closed_sector_cells(window, tip, sigma.opposite())
         instances.append(frozenset(low) & sector)
     for z in instances:
@@ -352,8 +339,8 @@ def criterion_building(seed=42):
 
     p = 3
     trunc3 = grow_truncation(2, p, 4)
-    spec = HeightSpec(p, (Fraction(2),))
-    chi = spec.equivariant_character(2)
+    h = HeightForm((Fraction(-2),))
+    chi = h.equivariant_character(2, p)
     equi_ok = True
     cells0 = trunc3.complex.cells(0)
     for _ in range(20):
@@ -361,7 +348,7 @@ def criterion_building(seed=42):
         value = character_eval(chi, gamma)
         (v,) = rng.choice(cells0)
         moved = trunc3.act_on_vertex(gamma, v)
-        if spec.vertex_value(trunc3, moved) != spec.vertex_value(trunc3, v) + value:
+        if h(trunc3.root_values(moved)) != h(trunc3.root_values(v)) + value:
             equi_ok = False
 
     passed = sphere_ok and idem_ok and bij_ok and equi_ok
@@ -381,18 +368,18 @@ def criterion_negative_direction():
     """The cone-chain certificate on the p = 2 tree at radius 6."""
     p = 2
     trunc = grow_truncation(2, p, 6)
-    spec = HeightSpec(p, (Fraction(1),))
+    h = HeightForm((Fraction(-1),))
     r = 4
-    cc = cone_chain(trunc, [identity_element(2), x_elem(2, (1,), 1)], spec, r)
+    cc = cone_chain(trunc, [identity_element(2), x_elem(2, (1,), 1)], h, r)
     nonzero_ok = bool(cc.boundary)
     band_ok = True
     for v in cc.boundary.support:
-        val = spec.vertex_value(trunc, v[0])
+        val = h(trunc.root_values(v[0]))
         if not (cc.band[0] <= val <= cc.band[1]):
             band_ok = False
     s, t = 1, 2
-    small = superlevel_complex(trunc, spec, s + t)
-    big = superlevel_complex(trunc, spec, s)
+    small = superlevel_complex(trunc, h, s + t)
+    big = superlevel_complex(trunc, h, s)
     in_small = all(v in small for v in cc.boundary.support)
     big_cc = ChainComplexF2(big)
     nonbounding_ok = not big_cc.bounds(cc.boundary)

@@ -13,6 +13,12 @@ Apartment coordinates follow the convention that the chamber at infinity
 stabilized by the upper-triangular subgroup is the all-plus chamber of the
 A_{n-1} alcove geometry: the diagonal class with exponents (a_1, ..., a_n)
 sits at the point x with kappa(x, alpha_i) = a_{i+1} - a_i.
+
+Heights are `windows.HeightForm`s composed with the retraction: a vertex's
+simple-root values are the exponent differences a_{i+1} - a_i of its Hermite
+form, and the form reads them directly.  The height sum_i c_i kappa(., alpha_i)
+satisfies h(g x) = chi(g) + h(x) for the character chi with the same
+coefficients c_i over the basis chi_{i,p} (`HeightForm.equivariant_character`).
 """
 
 from dataclasses import dataclass
@@ -24,6 +30,7 @@ from .coxeter import AlcoveGeometry
 from .homology import ChainComplexF2, F2Chain
 from .linalg import Q0, inverse, matmul
 from .root_system import build_root_system
+from .windows import HeightForm
 
 
 class BuildingError(ValueError):
@@ -109,7 +116,8 @@ def lattice_canonical_form(columns, p):
             f = (mat[i][j] - r) / Fraction(p) ** exps[i]
             for rr in range(i + 1):
                 mat[rr][j] -= f * mat[rr][i]
-            assert mat[i][j] == r
+            if mat[i][j] != r:
+                raise BuildingError(f"entry {mat[i][j]} did not reduce to its residue {r}")
     return tuple(tuple(row) for row in mat)
 
 
@@ -313,16 +321,14 @@ class Truncation:
 
     # --- retraction from infinity ----------------------------------------
 
+    def root_values(self, vertex_key):
+        """Simple-root values of the retraction image: exponent differences a_{i+1} - a_i."""
+        exps = [valuation(vertex_key[i][i], self.p) for i in range(self.n)]
+        return tuple(b - a for a, b in zip(exps, exps[1:]))
+
     def vertex_retraction_point(self, vertex_key):
         """Apartment point of the retraction image of a vertex (root coordinates)."""
-        exps = [valuation(vertex_key[i][i], self.p) for i in range(self.n)]
-        datum = self.datum
-        x = [Q0] * datum.rank
-        for i in range(datum.rank):
-            c = Fraction(exps[i + 1] - exps[i])
-            for j in range(datum.rank):
-                x[j] += c * datum.coweight_dirs[i][j]
-        return tuple(x)
+        return self.datum.point(self.root_values(vertex_key))
 
     def retract_cell(self, cell_key):
         """The alcove cell of the standard apartment carrying the retraction image."""
@@ -357,64 +363,27 @@ class Truncation:
 # --- heights -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeightSpec:
-    """Height h = sum of coeffs[i] * (-kappa(alpha_i, .)) composed with the retraction.
+def HeightSpec(p, coeffs):
+    """HeightForm(-coeffs), the retired positive-coefficient spelling; p is unused.
 
-    With all coefficients positive the height strictly decreases toward the
-    chamber at infinity fixed by the upper-triangular subgroup, which is the
-    genericity needed by the superlevel machinery.
+    Kept only because perfbench's tree workload builds its heights this way;
+    it goes with the next benchmark change, like `grow_truncation`.
     """
-
-    p: int
-    coeffs: tuple  # one rational per simple root, index i = 1..n-1
-
-    def apartment_value(self, trunc, x):
-        total = Q0
-        for i, lam in enumerate(self.coeffs):
-            total += Fraction(lam) * (-trunc.geometry.root_value(x, trunc.geometry._simple_idx[i]))
-        return total
-
-    def vertex_value(self, trunc, vertex_key):
-        return self.apartment_value(trunc, trunc.vertex_retraction_point(vertex_key))
-
-    def equivariant_character(self, n):
-        """The character paired with this height by h(g x) = chi(g) + h(x).
-
-        Over the basis chi_{k,p}((a_ij)) = v_p(a_{k+1,k+1}) - v_p(a_{k,k}) the
-        coefficients are the negatives of the height coefficients.
-        """
-        from .chevalley import CharacterVec
-
-        return CharacterVec(
-            n, (self.p,), {(i + 1, self.p): -Fraction(c) for i, c in enumerate(self.coeffs)}
-        )
-
-    def is_generic(self):
-        return all(Fraction(c) > 0 for c in self.coeffs)
+    return HeightForm(tuple(-Fraction(c) for c in coeffs))
 
 
-def height_eval(trunc, spec, cell_key):
-    """Exact [min, max] of the height over the closed cell (attained at vertices)."""
-    vals = [spec.vertex_value(trunc, v) for v in cell_key]
+def height_eval(trunc, h, cell_key):
+    """Exact [min, max] of the height h over the closed cell (attained at vertices)."""
+    vals = [h(trunc.root_values(v)) for v in cell_key]
     return min(vals), max(vals)
 
 
-def superlevel_complex(trunc, spec, r):
+def superlevel_complex(trunc, h, r):
     """Supported subcomplex on the cells with min height >= r."""
     keep = [
-        c for c in trunc.complex.cells() if height_eval(trunc, spec, c)[0] >= Fraction(r)
+        c for c in trunc.complex.cells() if height_eval(trunc, h, c)[0] >= Fraction(r)
     ]
     return trunc.complex.restrict(keep)
-
-
-def sublevel_chambers(trunc, spec, r):
-    top = trunc.complex.dim
-    return [
-        c
-        for c in trunc.complex.cells(top)
-        if height_eval(trunc, spec, c)[1] <= Fraction(r)
-    ]
 
 
 def retraction_preimage(trunc, apartment_cells):
@@ -456,7 +425,7 @@ def standard_opposite_sector_cells(trunc):
     return frozenset(out)
 
 
-def cone_chain(trunc, sector_elements, spec, r):
+def cone_chain(trunc, sector_elements, h, r):
     """The top chain of the branching cone below level r, with its certificates.
 
     `sector_elements` are group elements fixing the base vertex; each carries
@@ -473,7 +442,7 @@ def cone_chain(trunc, sector_elements, spec, r):
             if img not in trunc.complex:
                 # cells of the infinite sector beyond the truncation are only
                 # needed up to the requested level
-                img_max = max(spec.vertex_value(trunc, v) for v in img)
+                img_max = max(h(trunc.root_values(v)) for v in img)
                 if img_max <= Fraction(r):
                     raise BuildingError(
                         "sector not realizable inside the truncation radius"
@@ -494,7 +463,7 @@ def cone_chain(trunc, sector_elements, spec, r):
             continue
         if b % 2 == 0:
             continue
-        if height_eval(trunc, spec, cell)[1] <= Fraction(r):
+        if height_eval(trunc, h, cell)[1] <= Fraction(r):
             support.add(cell)
     chain = F2Chain(top, support)
     cc = ChainComplexF2(trunc.complex)
@@ -503,7 +472,7 @@ def cone_chain(trunc, sector_elements, spec, r):
     for sec in sectors:
         for cell in sec:
             if len(cell) - 1 == top:
-                mn, mx = height_eval(trunc, spec, cell)
+                mn, mx = height_eval(trunc, h, cell)
                 eps = max(eps, mx - mn)
     return ConeChain(
         chain=chain,

@@ -77,11 +77,6 @@ class GroupElement:
     def is_unipotent_upper(self):
         return self.is_upper_triangular() and all(self.rows[i][i] == 1 for i in range(self.n))
 
-    def is_diagonal(self):
-        return all(
-            self.rows[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j
-        )
-
     def diagonal(self):
         return tuple(self.rows[i][i] for i in range(self.n))
 
@@ -287,9 +282,6 @@ class CharacterVec:
 
     def support(self):
         return sorted(self.coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
 
 
 def character_eval(chi, g):

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .acceptance import SUITES, certify
-from .building import HeightSpec, cone_chain, grow_truncation, superlevel_complex
+from .building import cone_chain, grow_truncation, superlevel_complex
 from .chevalley import identity_element, x_elem
 from .complexes import dumps_json
 from .coxeter import AlcoveGeometry, GeometryError
@@ -23,7 +23,7 @@ from .linalg import fraction_str
 from .root_system import build_root_system, rootsys_json
 from .sigma import SigmaContext, finiteness_type, sigma_verdict, verdict_json
 from .spherical import build_flag_building, find_opposite_apartment
-from .windows import Window, closed_sector_cells, deconstruct
+from .windows import HeightForm, Window, closed_sector_cells, deconstruct
 
 
 class PreconditionFailure(Exception):
@@ -46,6 +46,14 @@ def _parse_fractions(text):
         return tuple(Fraction(x.strip()) for x in text.split(",") if x.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational list {text!r}: {exc}")
+
+
+def _parse_height(text, n):
+    """HeightForm coefficients, one per simple root of SL_n."""
+    coeffs = _parse_fractions(text)
+    if len(coeffs) != n - 1:
+        raise UsageError(f"--height needs {n - 1} coefficient(s) for n = {n}, got {text!r}")
+    return HeightForm(coeffs)
 
 
 def _parse_window(text, rank):
@@ -222,19 +230,19 @@ def cmd_building(args):
             table[str(v)] = [fraction_str(x) for x in pt]
         _emit({"vertices": len(table), "retraction": table}, args.format)
     elif args.command2 == "superlevel":
-        spec = HeightSpec(args.p, _parse_fractions(args.height))
-        sub = superlevel_complex(trunc, spec, Fraction(args.r))
+        h = _parse_height(args.height, args.n)
+        sub = superlevel_complex(trunc, h, Fraction(args.r))
         _emit(
             {"cells": len(sub.cells()), "betti": betti_vector(sub) if len(sub.cells()) else []},
             args.format,
         )
     elif args.command2 == "cone-chain":
-        spec = HeightSpec(args.p, _parse_fractions(args.height))
+        h = _parse_height(args.height, args.n)
         try:
             cc = cone_chain(
                 trunc,
                 [identity_element(args.n), x_elem(args.n, (1,) + (0,) * (args.n - 2), 1)],
-                spec,
+                h,
                 Fraction(args.r),
             )
         except Exception as exc:
@@ -343,6 +351,11 @@ def cmd_certify(args):
 # --- parser ---------------------------------------------------------------------
 
 
+def _formats(draws):
+    """--format choices: dot only where the subcommand draws a graph."""
+    return ("json", "text", "dot") if draws else ("json", "text")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sigmabuild",
@@ -366,7 +379,7 @@ def build_parser():
         s.add_argument("--family", choices=("A", "C", "D"), default="A")
         s.add_argument("--rank", type=int, default=2)
         s.add_argument("--window", default="-3:2")
-        s.add_argument("--format", choices=("json", "text", "dot"), default="text")
+        s.add_argument("--format", choices=_formats(name == "export"), default="text")
         if name == "deconstruct":
             s.add_argument(
                 "--full-window",
@@ -387,14 +400,13 @@ def build_parser():
         s.add_argument("--n", type=int, required=True)
         s.add_argument("--q", type=int, required=True)
         s.add_argument("--chamber", type=int, default=0)
-        s.add_argument("--format", choices=("json", "text", "dot"), default="text")
+        s.add_argument("--format", choices=_formats(name == "opp"), default="text")
     p.set_defaults(func=cmd_sphere)
 
     p = sub.add_parser("chevalley", help="Steinberg relation checks")
     p2 = p.add_subparsers(dest="command2", required=True)
     s = p2.add_parser("check-relations")
-    s.add_argument("--n", type=int, default=3)
-    s.add_argument("--trials", type=int, default=200)
+    s.add_argument("--trials", type=_non_negative_int, default=200)
     s.add_argument("--seed", type=int, default=42)
     s.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_chevalley)
@@ -406,7 +418,7 @@ def build_parser():
         s.add_argument("--n", type=int, default=2)
         s.add_argument("--p", type=int, default=2)
         s.add_argument("--radius", type=_non_negative_int, default=2)
-        s.add_argument("--format", choices=("json", "text", "dot"), default="text")
+        s.add_argument("--format", choices=_formats(name == "grow"), default="text")
         if name == "grow":
             s.add_argument(
                 "--export-cells",
@@ -414,7 +426,12 @@ def build_parser():
                 help="emit the full cell complex in the shared JSON schema",
             )
         if name in ("superlevel", "cone-chain"):
-            s.add_argument("--height", default="1", help="comma-separated coefficients")
+            s.add_argument(
+                "--height",
+                default="-1",
+                help="HeightForm coefficients c_i of sum c_i kappa(., alpha_i), comma-separated; "
+                "negative is generic; write --height=-1,-2",
+            )
             s.add_argument("--r", default="0")
     p.set_defaults(func=cmd_building)
 
@@ -428,18 +445,16 @@ def build_parser():
     p = sub.add_parser("sigma", help="finiteness-type verdicts")
     p2 = p.add_subparsers(dest="command2", required=True)
     s = p2.add_parser("verdict")
-    s.add_argument("--family", choices=("A",), default="A")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--primes", required=True)
     s.add_argument("--chi", required=True)
-    s.add_argument("--k", type=int, required=True)
+    s.add_argument("--k", type=_non_negative_int, required=True)
     s.add_argument("--format", choices=("json", "text"), default="text")
     s = p2.add_parser("fintype")
-    s.add_argument("--family", choices=("A",), default="A")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--primes", required=True)
     s.add_argument("--kernel-of", required=True, help="semicolon-separated coefficient vectors")
-    s.add_argument("--k", type=int, required=True)
+    s.add_argument("--k", type=_non_negative_int, required=True)
     s.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_sigma)
 

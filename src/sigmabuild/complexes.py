@@ -95,10 +95,6 @@ class CellComplex:
             stack.extend(self._cofacets[k])
         return seen
 
-    def faces_of(self, key):
-        """Proper faces of one cell."""
-        return self.closure([key]) - {key}
-
     def is_face_closed(self, keys):
         keys = set(keys)
         return all(f in keys for k in keys for f in self._facets[k])
@@ -112,21 +108,6 @@ class CellComplex:
         for k in keys:
             sub.add_cell(k, self._dim[k], self._facets[k])
         return sub.freeze()
-
-    def supported_on(self, keys):
-        """Largest subcomplex whose cells all lie in the given set."""
-        keys = set(keys)
-        good = {k for k in keys if all(f in keys for f in self._facets[k])}
-        # a cell is kept iff its entire closure consists of kept cells;
-        # iterate until stable (closure chains are short).
-        changed = True
-        while changed:
-            changed = False
-            for k in list(good):
-                if any(f not in good for f in self._facets[k]):
-                    good.discard(k)
-                    changed = True
-        return good
 
     def chamber_adjacency(self, chamber_dim=None):
         """Map chamber -> sorted list of (panel, neighbor) pairs."""

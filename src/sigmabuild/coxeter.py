@@ -82,29 +82,9 @@ class AlcoveGeometry:
         signs = tuple(_sign(self.datum.kappa(u, a)) for a in self.datum.positive_roots)
         return InfinitySimplex(signs, u)
 
-    def infinity_from_signs(self, signs):
-        signs = tuple(signs)
-        if len(signs) != self.npos:
-            raise GeometryError("sign vector has wrong length")
-        cons = []
-        for s, g in zip(signs, self._functionals):
-            if s == 0:
-                cons.append((g, "==", 0))
-            elif s > 0:
-                cons.append((tuple(-x for x in g), "<", 0))
-            else:
-                cons.append((g, "<", 0))
-        u = feasible_point(self.datum.rank, cons)
-        if u is None:
-            raise GeometryError("sign vector is not realizable by a direction")
-        return InfinitySimplex(signs, u)
-
     def base_chamber_at_infinity(self):
         """The all-plus chamber at infinity."""
-        u = tuple(
-            sum(col, Q0) for col in zip(*self.datum.coweight_dirs)
-        )
-        return self.infinity_from_direction(u)
+        return self.infinity_from_direction(self.datum.point((1,) * self.datum.rank))
 
     # --- cells ------------------------------------------------------------
 
@@ -153,7 +133,8 @@ class AlcoveGeometry:
         x = feasible_point(self.datum.rank, self.constraints(cell))
         if x is None:
             raise GeometryError(f"cell {cell} is infeasible")
-        assert self.cell_of_point(x) == cell
+        if self.cell_of_point(x) != cell:
+            raise GeometryError(f"witness {x} of cell {cell} lies in another cell")
         self._witness_cache[cell] = x
         return x
 

@@ -131,10 +131,8 @@ class ChainComplexF2:
             red = self._reductions[k] = (pivots, kernel)
         return red
 
-    def kernel_basis(self, k, augmented=True):
+    def kernel_basis(self, k):
         """Basis of the k-cycles (reduced: degree 0 uses the augmentation)."""
-        if k == 0 and not augmented:
-            return [F2Chain(0, {c}) for c in self.cells[0]]
         return [self.from_bits(k, combo) for combo in self._reduction(k)[1]]
 
     def rank(self, k):

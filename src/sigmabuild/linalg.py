@@ -18,19 +18,6 @@ def vec(entries):
     return tuple(Fraction(e) for e in entries)
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u):
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
 def dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Q0)
 
@@ -113,10 +100,6 @@ def det(m):
 #
 # A constraint is a triple (coeffs, rel, rhs) meaning  coeffs . x  REL  rhs,
 # with REL one of "==", "<=", "<".
-
-
-class Infeasible(Exception):
-    pass
 
 
 def _substitute(constraints, var, expr_coeffs, expr_const):
@@ -268,7 +251,3 @@ def fraction_str(x):
     """Serialize a Fraction as 'p/q' (or 'p' when integral)."""
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_fraction(s):
-    return Fraction(s)

@@ -153,8 +153,13 @@ class RootDatum:
         # G c = (kappa(alpha_i, v))_i, valid because v lies in the root span.
         rhs = tuple(dot(a, ambient_v) for a in self.ambient_simple_roots)
         c = matvec(self._gram_inv, rhs)
-        assert all(x.denominator == 1 for x in c), "root has non-integral coefficients"
-        return tuple(c)
+        if any(x.denominator != 1 for x in c):
+            raise RootSystemError(f"root {ambient_v} has non-integral coefficients {c}")
+        return c
+
+    def point(self, values):
+        """The point x with kappa(x, alpha_i) = values[i] for each simple root (G^-1 v)."""
+        return matvec(self.coweight_dirs, vec(values))
 
     def ambient(self, coords):
         """Ambient vector of a point given in simple-root coordinates."""

@@ -118,9 +118,6 @@ class FlagComplex:
             chains = nxt
         return sorted(chains)
 
-    def chamber_key(self, chain):
-        return tuple(chain)
-
     def complex(self):
         if self._complex is not None:
             return self._complex
@@ -297,7 +294,8 @@ def find_opposite_apartment(building, chamber):
     if frame is None:
         return None, guaranteed
     apartment = apartment_from_frame(building, list(frame))
-    assert frame_is_opposite_chamber(building, list(frame), chamber)
+    if not frame_is_opposite_chamber(building, list(frame), chamber):
+        raise SphericalError(f"frame {frame} is not opposite the chamber {chamber}")
     return apartment, guaranteed
 
 

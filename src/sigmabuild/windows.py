@@ -1,16 +1,24 @@
-"""Finite windows of the Coxeter complex and the deconstruction toolbox.
+"""Finite windows of the Coxeter complex, the deconstruction toolbox and heights.
 
 A window is a box of floor bounds on the simple-root functionals; the cells
 inside form a finite face-closed complex on which galleries, the residual
 boundary R(Z), sigma-convexity, the chamber-by-chamber deconstruction
 filtration and the upper/lower complexes of a generic height are computed
 with certificates.
+
+`HeightForm` is the package's one height, h = sum_i c_i kappa(., alpha_i).
+It reads only the simple-root values of a point, so the same form measures
+apartment points here and, through the retraction from infinity, vertices of
+the Bruhat-Tits truncations in `building`.  Its coefficients are those of the
+character it pairs with, and it is generic (strictly decreasing toward the
+base chamber at infinity) iff every coefficient is negative.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from .chevalley import CharacterVec
 from .complexes import CellComplex
 from .coxeter import FLOOR, AlcoveGeometry, GeometryError, WindowTooSmall
 from .linalg import Q0
@@ -22,11 +30,12 @@ class HeightForm:
 
     coeffs: tuple
 
+    def __call__(self, values):
+        """The height of the point whose simple-root values kappa(x, alpha_i) are given."""
+        return sum((c * v for c, v in zip(self.coeffs, values)), Q0)
+
     def value(self, geometry, x):
-        return sum(
-            (c * geometry.root_value(x, geometry._simple_idx[i]) for i, c in enumerate(self.coeffs)),
-            Q0,
-        )
+        return self(geometry.root_value(x, i) for i in geometry._simple_idx)
 
     def range_on_cell(self, geometry, cell):
         vals = [self.value(geometry, v) for v in geometry.vertices(cell)]
@@ -42,6 +51,14 @@ class HeightForm:
             if c >= 0:
                 return False, i
         return True, None
+
+    def equivariant_character(self, n, p):
+        """The character chi with h(g x) = chi(g) + h(x) on the SL_n(Q_p) building.
+
+        Over the basis chi_{k,p}(g) = v_p(g_{k+1,k+1}) - v_p(g_{k,k}) its
+        coefficients are the height's own.
+        """
+        return CharacterVec(n, (p,), {(i + 1, p): c for i, c in enumerate(self.coeffs)})
 
 
 class Window:
@@ -70,20 +87,10 @@ class Window:
     def contains_chamber(self, cell):
         for i, pi in enumerate(self.geometry._simple_idx):
             f, k = cell[pi]
-            assert f == FLOOR
+            if f != FLOOR:
+                raise GeometryError(f"{cell} is not a chamber")
             if not self.lo[i] <= k <= self.hi[i]:
                 return False
-        return True
-
-    def contains_cell(self, cell):
-        for i, pi in enumerate(self.geometry._simple_idx):
-            f, k = cell[pi]
-            if f == FLOOR:
-                if not self.lo[i] <= k <= self.hi[i]:
-                    return False
-            else:
-                if not self.lo[i] <= k <= self.hi[i] + 1:
-                    return False
         return True
 
     def interior_cell(self, cell, margin=1):
@@ -105,11 +112,7 @@ class Window:
                 Fraction(self.lo[i] + self.hi[i] + 1, 2) + Fraction(1, den + 7 * i)
                 for i in range(self.datum.rank)
             ]
-            x = tuple(
-                sum((target[i] * w[j] for i, w in enumerate(self.datum.coweight_dirs)), Q0)
-                for j in range(self.datum.rank)
-            )
-            cell = g.cell_of_point(x)
+            cell = g.cell_of_point(self.datum.point(target))
             if g.is_chamber(cell) and self.contains_chamber(cell):
                 return cell
         raise GeometryError("could not seed the window with a generic chamber")
@@ -151,17 +154,6 @@ class Window:
             cx.add_cell(c, g.dim(c), g.facets(c))
         self._complex = cx.freeze()
         return self._complex
-
-    def subcomplex(self, cells):
-        g = self.geometry
-        cx = CellComplex()
-        cells = set(cells)
-        for c in cells:
-            facets = g.facets(c)
-            if not facets <= cells:
-                raise GeometryError("cell set is not face-closed")
-            cx.add_cell(c, g.dim(c), facets)
-        return cx.freeze()
 
     # --- galleries -------------------------------------------------------
 
@@ -266,7 +258,7 @@ class Deconstruction:
     residual: frozenset
 
 
-def deconstruct(geometry, cells, sigma, check_convexity=True):
+def deconstruct(geometry, cells, sigma):
     """Filter a finite sigma-convex subcomplex chamber by chamber.
 
     Each step removes one chamber C of sigma-length 0 together with the open
@@ -275,10 +267,9 @@ def deconstruct(geometry, cells, sigma, check_convexity=True):
     is the boundary of that star, and R is unchanged.
     """
     cells = frozenset(cells)
-    if check_convexity:
-        ok, witness = sigma_convex_check(geometry, cells, sigma)
-        if not ok:
-            raise GeometryError(f"subcomplex is not sigma-convex; witness gallery {witness}")
+    ok, witness = sigma_convex_check(geometry, cells, sigma)
+    if not ok:
+        raise GeometryError(f"subcomplex is not sigma-convex; witness gallery {witness}")
     r_z = residual_r(geometry, cells, sigma)
     current = set(cells)
     filtration = [frozenset(current)]
@@ -324,11 +315,7 @@ def deconstruct(geometry, cells, sigma, check_convexity=True):
 
 def epsilon_for_height(geometry, h):
     """The uniform constant 2*d1 + 2*d2 controlling sector covers for h."""
-    datum = geometry.datum
-    e = tuple(
-        sum((w[j] for w in datum.coweight_dirs), Q0) for j in range(datum.rank)
-    )
-    d1 = abs(h.value(geometry, e))
+    d1 = abs(h((1,) * geometry.datum.rank))
     d2 = Q0
     for flags in product((-1, 0), repeat=geometry.npos):
         cand = tuple((FLOOR, k) for k in flags)
@@ -359,14 +346,8 @@ def special_vertices_above(window, h, r):
         hi_c = bound.numerator // bound.denominator
         ranges.append(range(window.lo[i], hi_c + 1))
     for c in product(*ranges):
-        val = sum((lam[i] * c[i] for i in range(datum.rank)), Q0)
-        if val < r:
-            continue
-        w = tuple(
-            sum((Fraction(c[i]) * datum.coweight_dirs[i][j] for i in range(datum.rank)), Q0)
-            for j in range(datum.rank)
-        )
-        out.append(w)
+        if h(c) >= r:
+            out.append(datum.point(c))
     return out
 
 
@@ -422,20 +403,14 @@ def _upper_lower(window, h, r, with_eps=False):
         raise GeometryError(
             f"height is not strictly decreasing toward the boundary vertex of sector ray {bad}"
         )
-    lam = h.coeffs
     upper = set()
     lower = set()
     r = Fraction(r)
     for cell in window.cells():
-        dominator = Q0
-        ceiling = Q0
-        for i, pi in enumerate(g._simple_idx):
-            f, k = cell[pi]
-            dominator += lam[i] * (k + 1)
-            ceiling += lam[i] * (k + 1 if f == FLOOR else k)
-        if ceiling >= r:
+        levels = [cell[pi] for pi in g._simple_idx]
+        if h(k + 1 if f == FLOOR else k for f, k in levels) >= r:  # the ceiling
             upper.add(cell)
-        if dominator < r:
+        if h(k + 1 for _, k in levels) < r:  # the extremal special dominator
             lower.add(cell)
     if with_eps:
         return frozenset(upper), frozenset(lower), epsilon_for_height(g, h)
@@ -482,12 +457,7 @@ def covering_special_vertex(geometry, h, x):
     if not special:
         raise GeometryError("chamber has no special vertex")
     u1 = special[0]
-    c = [geometry.root_value(u1, pi) + 2 for pi in geometry._simple_idx]
-    w = tuple(
-        sum((c[i] * datum.coweight_dirs[i][j] for i in range(datum.rank)), Q0)
-        for j in range(datum.rank)
-    )
-    return w
+    return datum.point(geometry.root_value(u1, pi) + 2 for pi in geometry._simple_idx)
 
 
 # --- horizontal (Coxeter-level) reduction ------------------------------------
@@ -532,17 +502,13 @@ def horizontal_reduction(datum, h):
     for root in datum.positive_roots:
         if root[i0] == 0:
             pos.append(tuple(root[i] for i in keep))
-    coeffs = tuple(h.coeffs[i] for i in keep)
-    reduced = ReducedCoxeterData(
+    return ReducedCoxeterData(
         simple_indices=tuple(keep),
         gram=gram,
         positive_roots=tuple(sorted(pos, key=lambda c: (sum(c), c))),
-        height_coeffs=coeffs,
-        horizontal_dim=sum(1 for c in coeffs if c == 0) - 1,
+        height_coeffs=tuple(h.coeffs[i] for i in keep),
+        horizontal_dim=horizontal_dimension(h) - 1,
     )
-    assert len(reduced.simple_indices) == datum.rank - 1
-    assert reduced.horizontal_dim == horizontal_dimension(h) - 1
-    return reduced
 
 
 def iterate_reduction(datum, h):

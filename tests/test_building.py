@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmabuild.building import (
     BuildingError,
@@ -19,9 +22,10 @@ from sigmabuild.building import (
     standard_opposite_sector_cells,
     superlevel_complex,
 )
-from sigmabuild.chevalley import GroupElement, h_elem, identity_element, x_elem
+from sigmabuild.chevalley import GroupElement, character_eval, h_elem, identity_element, x_elem
 from sigmabuild.homology import ChainComplexF2, induced_map_trivial
 from sigmabuild.linalg import matmul
+from sigmabuild.windows import HeightForm
 
 
 # --- canonical forms ----------------------------------------------------------
@@ -395,24 +399,28 @@ def test_fiber_counts_radius2():
 # --- heights --------------------------------------------------------------------
 
 
+def vertex_height(trunc, h, v):
+    return height_eval(trunc, h, (v,))[0]
+
+
 def test_height_zero_spec():
     trunc = grow_truncation(2, 2, 3)
-    spec = HeightSpec(2, (Fraction(0),))
+    h = HeightForm((Fraction(0),))
     for cell in trunc.complex.cells():
-        assert height_eval(trunc, spec, cell) == (0, 0)
+        assert height_eval(trunc, h, cell) == (0, 0)
 
 
 def test_height_on_tree_apartment():
     p = 2
     trunc = grow_truncation(2, p, 3)
-    spec = HeightSpec(p, (Fraction(1),))
+    h = HeightForm((Fraction(-1),))
     base = trunc.base_vertex
-    assert spec.vertex_value(trunc, base) == 0
+    assert vertex_height(trunc, h, base) == 0
     # apartment neighbours sit at heights -+ kappa-value of one edge step
     vals = set()
     for cell in trunc.apartment_cells():
         if len(cell) == 1:
-            vals.add(spec.vertex_value(trunc, cell[0]))
+            vals.add(vertex_height(trunc, h, cell[0]))
     assert {Fraction(-1), Fraction(0), Fraction(1)} <= vals
 
 
@@ -420,9 +428,8 @@ def test_height_equivariance_torus():
     rng = random.Random(41)
     p = 3
     trunc = grow_truncation(2, p, 4)
-    spec = HeightSpec(p, (Fraction(2),))
-    chi = spec.equivariant_character(2)
-    from sigmabuild.chevalley import character_eval
+    h = HeightForm((Fraction(-2),))
+    chi = h.equivariant_character(2, p)
 
     cells = trunc.complex.cells(0)
     for _ in range(20):
@@ -431,16 +438,15 @@ def test_height_equivariance_torus():
         value = character_eval(chi, gamma)
         (v,) = rng.choice(cells)
         moved = trunc.act_on_vertex(gamma, v)
-        assert spec.vertex_value(trunc, moved) == spec.vertex_value(trunc, v) + value
+        assert vertex_height(trunc, h, moved) == vertex_height(trunc, h, v) + value
 
 
 def test_height_equivariance_torus_sl3():
     rng = random.Random(43)
     p = 2
     trunc = grow_truncation(3, p, 1)
-    spec = HeightSpec(p, (Fraction(1), Fraction(3)))
-    chi = spec.equivariant_character(3)
-    from sigmabuild.chevalley import character_eval
+    h = HeightForm((Fraction(-1), Fraction(-3)))
+    chi = h.equivariant_character(3, p)
 
     cells = trunc.complex.cells(0)
     roots = [(1, 0), (0, 1)]
@@ -451,26 +457,89 @@ def test_height_equivariance_torus_sl3():
         value = character_eval(chi, gamma)
         (v,) = rng.choice(cells)
         moved = trunc.act_on_vertex(gamma, v)
-        assert spec.vertex_value(trunc, moved) == spec.vertex_value(trunc, v) + value
+        assert vertex_height(trunc, h, moved) == vertex_height(trunc, h, v) + value
 
 
 def test_superlevel_monotone_and_bruteforce():
     p = 2
     trunc = grow_truncation(2, p, 3)
-    spec = HeightSpec(p, (Fraction(1),))
+    h = HeightForm((Fraction(-1),))
     prev = None
     for r in (-2, -1, 0, 1):
-        sub = superlevel_complex(trunc, spec, r)
+        sub = superlevel_complex(trunc, h, r)
+        # oracle: the height of the retraction point in the alcove geometry
         brute = {
             c
             for c in trunc.complex.cells()
-            if min(spec.vertex_value(trunc, v) for v in c) >= r
+            if min(h.value(trunc.geometry, trunc.vertex_retraction_point(v)) for v in c) >= r
         }
         assert set(sub.cells()) == brute
         if prev is not None:
             assert set(sub.cells()) <= prev
         prev = set(sub.cells())
-    assert superlevel_complex(trunc, spec, 10**6).cells() == []
+    assert superlevel_complex(trunc, h, 10**6).cells() == []
+
+
+# --- height properties on SL2 p in {2, 3} and SL3 p = 2 --------------------------
+
+HEIGHT_TRUNCATIONS = ((2, 2, 4), (2, 3, 3), (3, 2, 2))
+
+
+@cache
+def height_truncation(n, p, radius):
+    return grow_truncation(n, p, radius)
+
+
+nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+@st.composite
+def truncation_and_height(draw):
+    n, p, radius = draw(st.sampled_from(HEIGHT_TRUNCATIONS))
+    coeffs = tuple(draw(nonzero_rationals) for _ in range(n - 1))
+    return height_truncation(n, p, radius), HeightForm(coeffs)
+
+
+@st.composite
+def borel_element(draw, n, p):
+    """A product of torus elements h_alpha(p^k) and root elements x_alpha(t), t in Z[1/p]."""
+    g = identity_element(n)
+    simple = [tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1)]
+    positive = simple + ([(1, 1)] if n == 3 else [])
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            g = g * h_elem(n, draw(st.sampled_from(simple)), Fraction(p) ** draw(st.integers(-2, 2)))
+        else:
+            t = Fraction(draw(st.integers(-8, 8)), p ** draw(st.integers(0, 2)))
+            g = g * x_elem(n, draw(st.sampled_from(positive)), t)
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_height_equivariance_property(data):
+    trunc, h = data.draw(truncation_and_height())
+    g = data.draw(borel_element(trunc.n, trunc.p))
+    chi = h.equivariant_character(trunc.n, trunc.p)
+    (v,) = data.draw(st.sampled_from(trunc.complex.cells(0)))
+    moved = trunc.act_on_vertex(g, v)
+    assert vertex_height(trunc, h, moved) == vertex_height(trunc, h, v) + character_eval(chi, g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(truncation_and_height())
+def test_height_of_root_values_is_height_of_retraction_point(case):
+    trunc, h = case
+    for (v,) in trunc.complex.cells(0):
+        assert vertex_height(trunc, h, v) == h.value(trunc.geometry, trunc.vertex_retraction_point(v))
+
+
+@settings(max_examples=15, deadline=None)
+@given(truncation_and_height(), st.integers(-3, 3))
+def test_height_spec_is_negated_height_form(case, r):
+    trunc, h = case
+    spec = HeightSpec(trunc.p, tuple(-c for c in h.coeffs))
+    assert superlevel_complex(trunc, spec, r).cells() == superlevel_complex(trunc, h, r).cells()
 
 
 def test_retraction_preimage_full_and_edge():
@@ -615,16 +684,16 @@ def test_standard_opposite_sector_is_ray():
     assert vert_vals == sorted(-k for k in range(0, 6))
 
 
-def tree_cone(trunc, spec, r):
+def tree_cone(trunc, h, r):
     sectors = [identity_element(2), x_elem(2, (1,), 1)]
-    return cone_chain(trunc, sectors, spec, r)
+    return cone_chain(trunc, sectors, h, r)
 
 
 def test_cone_chain_tree():
     p = 2
     trunc = grow_truncation(2, p, 6)
-    spec = HeightSpec(p, (Fraction(1),))
-    cc = tree_cone(trunc, spec, 3)
+    h = HeightForm((Fraction(-1),))
+    cc = tree_cone(trunc, h, 3)
     # branching: base vertex in both sectors, everything else in one
     base_cell = (trunc.base_vertex,)
     assert cc.branching[base_cell] == 2
@@ -636,54 +705,54 @@ def test_cone_chain_tree():
     # non-vanishing boundary: the two extremal vertices
     assert len(cc.boundary.support) == 2
     for v in cc.boundary.support:
-        val = spec.vertex_value(trunc, v[0])
+        val = vertex_height(trunc, h, v[0])
         assert cc.band[0] <= val <= cc.band[1]
 
 
 def test_cone_chain_band_certificate():
     p = 2
     trunc = grow_truncation(2, p, 6)
-    spec = HeightSpec(p, (Fraction(1),))
+    h = HeightForm((Fraction(-1),))
     for r in (2, 3, 4):
-        cc = tree_cone(trunc, spec, r)
+        cc = tree_cone(trunc, h, r)
         assert cc.boundary
         for v in cc.boundary.support:
-            val = spec.vertex_value(trunc, v[0])
+            val = vertex_height(trunc, h, v[0])
             assert cc.band[0] <= val <= cc.band[1]
 
 
 def test_cone_chain_p3():
     p = 3
     trunc = grow_truncation(2, p, 5)
-    spec = HeightSpec(p, (Fraction(1),))
-    cc = cone_chain(trunc, [identity_element(2), x_elem(2, (1,), 1)], spec, 3)
+    h = HeightForm((Fraction(-1),))
+    cc = cone_chain(trunc, [identity_element(2), x_elem(2, (1,), 1)], h, 3)
     assert len(cc.boundary.support) == 2
     base_cell = (trunc.base_vertex,)
     assert cc.branching[base_cell] == 2
     for v in cc.boundary.support:
-        val = spec.vertex_value(trunc, v[0])
+        val = vertex_height(trunc, h, v[0])
         assert cc.band[0] <= val <= cc.band[1]
 
 
 def test_cone_chain_not_realizable():
     trunc = grow_truncation(2, 2, 2)
-    spec = HeightSpec(2, (Fraction(1),))
+    h = HeightForm((Fraction(-1),))
     with pytest.raises(BuildingError):
         # radius too small to hold the sectors up to the requested level
-        cone_chain(trunc, [identity_element(2), x_elem(2, (1,), 1)], spec, 10)
+        cone_chain(trunc, [identity_element(2), x_elem(2, (1,), 1)], h, 10)
 
 
 def test_negative_direction_certificate():
     p = 2
     trunc = grow_truncation(2, p, 6)
-    spec = HeightSpec(p, (Fraction(1),))
+    h = HeightForm((Fraction(-1),))
     r = 4
-    cc = tree_cone(trunc, spec, r)
+    cc = tree_cone(trunc, h, r)
     # s is above the lowest chamber of the cone chain, s + t below the band
     s, t = 1, 2
     assert cc.band[0] >= s + t
-    small = superlevel_complex(trunc, spec, s + t)
-    big = superlevel_complex(trunc, spec, s)
+    small = superlevel_complex(trunc, h, s + t)
+    big = superlevel_complex(trunc, h, s)
     # the boundary cycle lives in the small superlevel complex
     for v in cc.boundary.support:
         assert v in small

@@ -112,7 +112,7 @@ def test_building_superlevel_and_cone_chain(capsys):
     code, out, _ = run(
         capsys,
         ["building", "superlevel", "--n", "2", "--p", "2", "--radius", "3",
-         "--height", "1", "--r", "0", "--format", "json"],
+         "--height", "-1", "--r", "0", "--format", "json"],
     )
     assert code == 0
     data = json.loads(out)
@@ -120,7 +120,7 @@ def test_building_superlevel_and_cone_chain(capsys):
     code, out, _ = run(
         capsys,
         ["building", "cone-chain", "--n", "2", "--p", "2", "--radius", "6",
-         "--height", "1", "--r", "3", "--format", "json"],
+         "--height", "-1", "--r", "3", "--format", "json"],
     )
     assert code == 0
     data = json.loads(out)
@@ -129,7 +129,7 @@ def test_building_superlevel_and_cone_chain(capsys):
     code, _, err = run(
         capsys,
         ["building", "cone-chain", "--n", "2", "--p", "2", "--radius", "2",
-         "--height", "1", "--r", "10"],
+         "--height", "-1", "--r", "10"],
     )
     assert code == 1
     assert "realizable" in err
@@ -239,3 +239,59 @@ def test_homology_betti_malformed_json(tmp_path, capsys, text, fragment):
 def test_coxeter_bad_window_is_usage_error(capsys, window):
     code, _, err = run(capsys, ["coxeter", "deconstruct", "--rank", "2", f"--window={window}"])
     assert_usage_error(code, err, "window")
+
+
+def test_building_superlevel_sl3_height(capsys):
+    # several coefficients need the = form: argparse reads -1,-2 as an option
+    code, out, _ = run(
+        capsys,
+        ["building", "superlevel", "--n", "3", "--p", "2", "--radius", "2",
+         "--height=-1,-2", "--r", "0", "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out) == {"betti": [0, 0, 0], "cells": 105}
+
+
+@pytest.mark.parametrize("height", ["-1,-2", "", "x"])
+def test_building_bad_height_is_usage_error(capsys, height):
+    code, _, err = run(capsys, ["building", "superlevel", "--radius", "1", f"--height={height}"])
+    assert_usage_error(code, err, repr(height))
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["chevalley", "check-relations", "--n", "3"], "--n"),
+        (["sigma", "verdict", "--family", "A", "--n", "3", "--primes", "2", "--chi", "1,1",
+          "--k", "1"], "--family"),
+        (["sigma", "fintype", "--family", "A", "--n", "3", "--primes", "2", "--kernel-of", "1,1",
+          "--k", "1"], "--family"),
+        (["building", "retract", "--format", "dot"], "--format"),
+        (["building", "superlevel", "--format", "dot"], "--format"),
+        (["building", "cone-chain", "--format", "dot"], "--format"),
+        (["coxeter", "deconstruct", "--format", "dot"], "--format"),
+        (["sphere", "apartment", "--n", "3", "--q", "2", "--format", "dot"], "--format"),
+    ],
+)
+def test_removed_options_are_rejected(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma", "verdict", "--n", "3", "--primes", "2", "--chi", "1,1", "--k", "-1"],
+        ["sigma", "fintype", "--n", "3", "--primes", "2", "--kernel-of", "1,1", "--k", "-1"],
+        ["chevalley", "check-relations", "--trials", "-5"],
+    ],
+)
+def test_negative_counts_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f"argument {argv[-2]}: must be non-negative, got {argv[-1]}" in err

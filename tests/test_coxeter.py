@@ -22,21 +22,11 @@ def a2():
     return datum, AlcoveGeometry(datum)
 
 
-def point_with_values(datum, values):
-    """The point x with kappa(x, alpha_i) = values[i] for the simple roots."""
-    from sigmabuild.linalg import Q0
-
-    return tuple(
-        sum((Fraction(values[i]) * datum.coweight_dirs[i][j] for i in range(datum.rank)), Q0)
-        for j in range(datum.rank)
-    )
-
-
 def test_cell_of_point_a1(a1):
     datum, g = a1
-    x = point_with_values(datum, [Fraction(1, 2)])
+    x = datum.point([Fraction(1, 2)])
     assert g.cell_of_point(x) == ((FLOOR, 0),)
-    x = point_with_values(datum, [1])
+    x = datum.point([1])
     assert g.cell_of_point(x) == ((WALL, 1),)
     assert g.dim(((WALL, 1),)) == 0
     assert g.dim(((FLOOR, 0),)) == 1
@@ -45,7 +35,7 @@ def test_cell_of_point_a1(a1):
 def test_cell_of_point_a2_fundamental(a2):
     datum, g = a2
     # (coweight_1 + coweight_2)/3 has simple values 1/3, 1/3 and highest-root value 2/3
-    x = point_with_values(datum, [Fraction(1, 3), Fraction(1, 3)])
+    x = datum.point([Fraction(1, 3), Fraction(1, 3)])
     cell = g.cell_of_point(x)
     assert g.is_chamber(cell)
     assert all(k == 0 for _, k in cell)  # the fundamental alcove
@@ -118,7 +108,7 @@ def test_upper_lower_faces_a1(a1):
 def test_upper_face_a2_fundamental(a2):
     datum, g = a2
     sigma = g.base_chamber_at_infinity()
-    e = g.cell_of_point(point_with_values(datum, [Fraction(1, 3), Fraction(1, 3)]))
+    e = g.cell_of_point(datum.point([Fraction(1, 3), Fraction(1, 3)]))
     up = g.upper_face(e, sigma)
     assert up == g.cell_of_point(datum.zero())
 
@@ -266,12 +256,8 @@ def test_sector_membership_predicate(a2):
     sigma = g.base_chamber_at_infinity()
     rng = random.Random(8)
     for _ in range(100):
-        x = point_with_values(
-            datum, [Fraction(rng.randint(-8, 8), 3) for _ in range(2)]
-        )
-        y = point_with_values(
-            datum, [Fraction(rng.randint(-8, 8), 3) for _ in range(2)]
-        )
+        x = datum.point([Fraction(rng.randint(-8, 8), 3) for _ in range(2)])
+        y = datum.point([Fraction(rng.randint(-8, 8), 3) for _ in range(2)])
         expected = all(
             g.root_value(y, pi) > g.root_value(x, pi) for pi in g._simple_idx
         )

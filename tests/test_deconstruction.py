@@ -285,9 +285,7 @@ def test_sector_covering_simplex_constant(a2):
     sigma_op = g.base_chamber_at_infinity().opposite()
     for _ in range(100):
         vals = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(2)]
-        from tests.test_coxeter import point_with_values
-
-        x = point_with_values(datum, vals)
+        x = datum.point(vals)
         w = covering_special_vertex(g, h, x)
         assert g.is_special_vertex(w)
         hx = h.value(g, x)

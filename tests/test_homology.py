@@ -6,11 +6,11 @@ from functools import cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmabuild.building import HeightSpec, grow_truncation, height_eval, superlevel_complex
+from sigmabuild.building import grow_truncation, height_eval, superlevel_complex
 from sigmabuild.complexes import CellComplex
 from sigmabuild.homology import ChainComplexF2, F2Chain, betti, betti_vector, induced_map_trivial
 from sigmabuild.root_system import build_root_system
-from sigmabuild.windows import Window
+from sigmabuild.windows import HeightForm, Window
 
 
 def path_graph(n):
@@ -187,10 +187,10 @@ def sample_complexes():
     out = []
     for n, p, radius in TRUNCATIONS:
         trunc = grow_truncation(n, p, radius)
-        spec = HeightSpec(p, (1,) * (n - 1))
-        levels = sorted({height_eval(trunc, spec, v)[0] for v in trunc.complex.cells(0)})
+        h = HeightForm((-1,) * (n - 1))
+        levels = sorted({height_eval(trunc, h, v)[0] for v in trunc.complex.cells(0)})
         out.append(ChainComplexF2(trunc.complex))
-        out.append(ChainComplexF2(superlevel_complex(trunc, spec, levels[len(levels) // 2])))
+        out.append(ChainComplexF2(superlevel_complex(trunc, h, levels[len(levels) // 2])))
     for family, radius in WINDOWS:
         out.append(ChainComplexF2(Window.radius(build_root_system(family, 2), radius).complex()))
     return out

@@ -51,6 +51,17 @@ def test_root_counts_and_closure(family, rank):
     assert negs | set(datum.positive_roots) == set(datum.all_roots)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("C", 2), ("D", 4)])
+def test_point_has_the_given_simple_root_values(family, rank):
+    datum = build_root_system(family, rank)
+    rng = random.Random(rank)
+    for _ in range(20):
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rank)]
+        x = datum.point(values)
+        assert [datum.root_value(x, s) for s in datum.simple_root_coeffs] == values
+    assert datum.point([0] * rank) == datum.zero()
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("D", 3)])
 def test_highest_root(family, rank):
     datum = build_root_system(family, rank)
