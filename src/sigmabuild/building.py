@@ -9,6 +9,14 @@ retraction from infinity onto the standard apartment: the off-diagonal part
 is an upper-unitriangular matrix, so the Hermite form is an exact Iwasawa
 factorization u * a with u unipotent and a a p-power diagonal.
 
+A truncation grows over these forms and then interns them: the forms of the
+ball are sorted once and numbered in that order, so a vertex is an int id
+(`Truncation.vertices[i]` is its form) and a cell is a sorted tuple of ids.
+Because the numbering preserves the order, every sorted list of cells, every
+homology basis and every witness is the one the form tuples would give.
+Images of vertices under the group action that fall outside the ball are
+numbered on demand after the ball's range.
+
 Apartment coordinates follow the convention that the chamber at infinity
 stabilized by the upper-triangular subgroup is the all-plus chamber of the
 A_{n-1} alcove geometry: the diagonal class with exponents (a_1, ..., a_n)
@@ -183,7 +191,7 @@ def smith_adapted_basis(b_mat, a_mat, p):
                     c[i][j] -= f * c[i][k]
         exps.append(piv_v)
     if exps != sorted(exps):
-        raise AssertionError("elementary divisors not ascending")
+        raise BuildingError("elementary divisors not ascending")
     return tuple(tuple(row) for row in w), tuple(exps)
 
 
@@ -192,7 +200,7 @@ class Chamber:
     """A maximal lattice chain L_0 > L_1 > ... > L_{n-1} > p L_0."""
 
     chain: tuple  # nested lattice basis matrices (rational rows)
-    keys: tuple  # canonical class keys, aligned with the chain
+    keys: tuple  # canonical forms of the classes, aligned with the chain
 
     @property
     def cell_key(self):
@@ -200,7 +208,12 @@ class Chamber:
 
 
 class Truncation:
-    """All chambers within a gallery radius of the standard base chamber."""
+    """All chambers within a gallery radius of the standard base chamber.
+
+    A vertex is an int id into `vertices`, the table of canonical forms; a
+    cell is a sorted tuple of ids.  `chambers` and `chamber_distance` are
+    keyed by chamber cells, `cell_distance` by every cell of `complex`.
+    """
 
     def __init__(self, n, p, radius, max_chambers=10**6):
         if n not in (2, 3):
@@ -249,7 +262,7 @@ class Truncation:
             lower = chain[k + 1]
         w, exps = smith_adapted_basis(upper, lower, p)
         if exps[-2:] != (1, 1) or any(e != 0 for e in exps[:-2]):
-            raise AssertionError("panel quotient is not (Z/p)^2")
+            raise BuildingError("panel quotient is not (Z/p)^2")
         cols = [[w[r][j] for r in range(n)] for j in range(n)]  # columns of W
         out = []
         for a, b in [(1, t) for t in range(p)] + [(0, 1)]:
@@ -272,15 +285,10 @@ class Truncation:
             out.append(Chamber(tuple(new_chain), tuple(new_keys)))
         return out
 
-    @staticmethod
-    def _key_matrix(key):
-        return tuple(tuple(Fraction(e) for e in row) for row in key)
-
     def _grow(self, max_chambers):
+        """Breadth-first growth over canonical forms, then interning in sorted order."""
         base = self._base_chamber()
-        self.base_chamber = base
-        self.base_vertex = base.keys[0]
-        chambers = {base.cell_key: base}
+        found = {base.cell_key: base}
         dist = {base.cell_key: 0}
         frontier = [base]
         while frontier:
@@ -291,25 +299,36 @@ class Truncation:
                     continue
                 for k in range(self.n):
                     for nb in self._panel_neighbors(ch, k):
-                        if nb.cell_key not in chambers:
-                            if len(chambers) >= max_chambers:
+                        if nb.cell_key not in found:
+                            if len(found) >= max_chambers:
                                 raise BuildingError("chamber guard exceeded")
-                            chambers[nb.cell_key] = nb
+                            found[nb.cell_key] = nb
                             dist[nb.cell_key] = d + 1
                             nxt.append(nb)
             frontier = nxt
-        self.chambers = chambers
-        self.chamber_distance = dist
+        # ids follow the sorted order of the forms, so sorted id tuples sort
+        # exactly like the form tuples they stand for
+        self.vertices = []
+        self._vertex_ids = {}
+        self._root_values = []
+        for form in sorted({form for ck in found for form in ck}):
+            self.vertex_id(form)
+        self.base_chamber = base
+        self.base_vertex = self._vertex_ids[base.keys[0]]
+        self.chambers = {self._cell_ids(ck): ch for ck, ch in found.items()}
+        self.chamber_distance = {self._cell_ids(ck): d for ck, d in dist.items()}
+
+    def _cell_ids(self, forms):
+        return tuple(self._vertex_ids[f] for f in forms)
 
     def _build_complex(self):
         cx = CellComplex()
         self.cell_distance = {}
         for ck in self.chambers:
-            members = list(ck)
-            m = len(members)
+            m = len(ck)
             d = self.chamber_distance[ck]
             for mask in range(1, 1 << m):
-                cell = tuple(sorted(members[i] for i in range(m) if mask >> i & 1))
+                cell = tuple(ck[i] for i in range(m) if mask >> i & 1)
                 facets = []
                 if len(cell) > 1:
                     facets = [cell[:i] + cell[i + 1:] for i in range(len(cell))]
@@ -319,16 +338,32 @@ class Truncation:
                     self.cell_distance[cell] = d
         self.complex = cx.freeze()
 
+    # --- vertex table --------------------------------------------------------
+
+    def vertex_id(self, form):
+        """The id of the vertex with this canonical form.
+
+        Vertices of the ball have the ids 0..k-1 in the sorted order of their
+        forms; a vertex outside the ball (an image under the group action) is
+        numbered on first sight, after them.
+        """
+        vid = self._vertex_ids.get(form)
+        if vid is None:
+            vid = self._vertex_ids[form] = len(self.vertices)
+            self.vertices.append(form)
+            exps = [valuation(form[i][i], self.p) for i in range(self.n)]
+            self._root_values.append(tuple(b - a for a, b in zip(exps, exps[1:])))
+        return vid
+
     # --- retraction from infinity ----------------------------------------
 
-    def root_values(self, vertex_key):
+    def root_values(self, v):
         """Simple-root values of the retraction image: exponent differences a_{i+1} - a_i."""
-        exps = [valuation(vertex_key[i][i], self.p) for i in range(self.n)]
-        return tuple(b - a for a, b in zip(exps, exps[1:]))
+        return self._root_values[v]
 
-    def vertex_retraction_point(self, vertex_key):
+    def vertex_retraction_point(self, v):
         """Apartment point of the retraction image of a vertex (root coordinates)."""
-        return self.datum.point(self.root_values(vertex_key))
+        return self.datum.point(self._root_values[v])
 
     def retract_cell(self, cell_key):
         """The alcove cell of the standard apartment carrying the retraction image."""
@@ -341,8 +376,8 @@ class Truncation:
         self._retraction_cache[cell_key] = cell
         return cell
 
-    def in_standard_apartment(self, vertex_key):
-        return diagonal_exponents(vertex_key, self.p) is not None
+    def in_standard_apartment(self, v):
+        return diagonal_exponents(self.vertices[v], self.p) is not None
 
     def apartment_cells(self):
         """Cells all of whose vertices are diagonal classes."""
@@ -352,9 +387,9 @@ class Truncation:
 
     # --- group action ------------------------------------------------------
 
-    def act_on_vertex(self, g, vertex_key):
-        rows = matmul(g.rows, self._key_matrix(vertex_key))
-        return lattice_canonical_form(rows, self.p)
+    def act_on_vertex(self, g, v):
+        rows = matmul(g.rows, self.vertices[v])
+        return self.vertex_id(lattice_canonical_form(rows, self.p))
 
     def act_on_cell(self, g, cell_key):
         return tuple(sorted(self.act_on_vertex(g, v) for v in cell_key))
@@ -380,9 +415,9 @@ def height_eval(trunc, h, cell_key):
 
 def superlevel_complex(trunc, h, r):
     """Supported subcomplex on the cells with min height >= r."""
-    keep = [
-        c for c in trunc.complex.cells() if height_eval(trunc, h, c)[0] >= Fraction(r)
-    ]
+    r = Fraction(r)
+    above = [h(values) >= r for values in trunc._root_values]
+    keep = [c for c in trunc.complex.cells() if all(above[v] for v in c)]
     return trunc.complex.restrict(keep)
 
 
@@ -416,7 +451,7 @@ def standard_opposite_sector_cells(trunc):
     for cell in trunc.apartment_cells():
         ok = True
         for v in cell:
-            exps = diagonal_exponents(v, trunc.p)
+            exps = diagonal_exponents(trunc.vertices[v], trunc.p)
             if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
                 ok = False
                 break

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .acceptance import SUITES, certify
 from .building import cone_chain, grow_truncation, superlevel_complex
-from .chevalley import identity_element, x_elem
+from .chevalley import identity_element, is_prime, x_elem
 from .complexes import dumps_json
 from .coxeter import AlcoveGeometry, GeometryError
 from .homology import betti_vector
@@ -34,11 +34,33 @@ class UsageError(Exception):
     """A bad option value found after parsing; exits 2 like argparse's errors."""
 
 
-def _non_negative_int(text):
+def _int_at_least(low, what):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" for non-integers
+    return parse
+
+
+_non_negative_int = _int_at_least(0, "non-negative")
+_positive_int = _int_at_least(1, "positive")
+
+
+def _prime(text):
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError(f"must be a prime, got {value}")
     return value
+
+
+def _fraction(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
 def _parse_fractions(text):
@@ -205,14 +227,18 @@ def cmd_chevalley(args):
 
 def cmd_building(args):
     trunc = grow_truncation(args.n, args.p, args.radius)
+
+    def forms(cell):
+        return str(tuple(trunc.vertices[v] for v in cell))
+
     if args.command2 == "grow":
         if args.format == "dot":
             if args.n == 2:
                 print(_tree_dot(trunc, args.radius))
             else:
-                print(trunc.complex.to_dot())
+                print(trunc.complex.to_dot(label=forms))
         elif args.export_cells:
-            _emit(trunc.complex.to_json(), "json")
+            _emit(trunc.complex.to_json(label=forms), "json")
         else:
             payload = {
                 "n": args.n,
@@ -227,11 +253,11 @@ def cmd_building(args):
         for cell in trunc.complex.cells(0):
             (v,) = cell
             pt = trunc.vertex_retraction_point(v)
-            table[str(v)] = [fraction_str(x) for x in pt]
+            table[str(trunc.vertices[v])] = [fraction_str(x) for x in pt]
         _emit({"vertices": len(table), "retraction": table}, args.format)
     elif args.command2 == "superlevel":
         h = _parse_height(args.height, args.n)
-        sub = superlevel_complex(trunc, h, Fraction(args.r))
+        sub = superlevel_complex(trunc, h, args.r)
         _emit(
             {"cells": len(sub.cells()), "betti": betti_vector(sub) if len(sub.cells()) else []},
             args.format,
@@ -243,7 +269,7 @@ def cmd_building(args):
                 trunc,
                 [identity_element(args.n), x_elem(args.n, (1,) + (0,) * (args.n - 2), 1)],
                 h,
-                Fraction(args.r),
+                args.r,
             )
         except Exception as exc:
             raise PreconditionFailure(str(exc))
@@ -258,14 +284,19 @@ def cmd_building(args):
 
 
 def _tree_dot(trunc, radius):
-    """The vertex ball of the tree: nodes within edge distance `radius` of the base."""
+    """The vertex ball of the tree: nodes within edge distance `radius` of the base.
+
+    Nodes are canonical forms, and the edge lines follow the iteration order
+    of their neighbour sets.
+    """
     adj = {}
     for edge in trunc.complex.cells(1):
-        a, b = edge
+        a, b = (trunc.vertices[v] for v in edge)
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    dist = {trunc.base_vertex: 0}
-    frontier = [trunc.base_vertex]
+    base = trunc.vertices[trunc.base_vertex]
+    dist = {base: 0}
+    frontier = [base]
     while frontier:
         nxt = []
         for v in frontier:
@@ -307,11 +338,11 @@ def cmd_homology(args):
         for c in data["cells"]:
             cx.add_cell(c["id"], c["dim"], c["faces"])
         cx.freeze()
+        bv = betti_vector(cx)
     except KeyError as exc:
         raise UsageError(f"malformed complex JSON: missing key {exc}")
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed complex JSON: {exc}")
-    bv = betti_vector(cx)
     if args.format == "csv":
         print("dim,betti")
         for d, b in enumerate(bv):
@@ -368,7 +399,7 @@ def build_parser():
     p2 = p.add_subparsers(dest="command2", required=True)
     s = p2.add_parser("show")
     s.add_argument("--family", choices=("A", "C", "D"), required=True)
-    s.add_argument("--rank", type=int, required=True)
+    s.add_argument("--rank", type=_positive_int, required=True)
     s.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_rootsys)
 
@@ -377,7 +408,7 @@ def build_parser():
     for name in ("deconstruct", "export"):
         s = p2.add_parser(name)
         s.add_argument("--family", choices=("A", "C", "D"), default="A")
-        s.add_argument("--rank", type=int, default=2)
+        s.add_argument("--rank", type=_positive_int, default=2)
         s.add_argument("--window", default="-3:2")
         s.add_argument("--format", choices=_formats(name == "export"), default="text")
         if name == "deconstruct":
@@ -397,8 +428,8 @@ def build_parser():
     p2 = p.add_subparsers(dest="command2", required=True)
     for name in ("opp", "apartment"):
         s = p2.add_parser(name)
-        s.add_argument("--n", type=int, required=True)
-        s.add_argument("--q", type=int, required=True)
+        s.add_argument("--n", type=_int_at_least(2, "at least 2"), required=True)
+        s.add_argument("--q", type=_prime, required=True)
         s.add_argument("--chamber", type=int, default=0)
         s.add_argument("--format", choices=_formats(name == "opp"), default="text")
     p.set_defaults(func=cmd_sphere)
@@ -415,8 +446,8 @@ def build_parser():
     p2 = p.add_subparsers(dest="command2", required=True)
     for name in ("grow", "retract", "superlevel", "cone-chain"):
         s = p2.add_parser(name)
-        s.add_argument("--n", type=int, default=2)
-        s.add_argument("--p", type=int, default=2)
+        s.add_argument("--n", type=int, choices=(2, 3), default=2)
+        s.add_argument("--p", type=_prime, default=2)
         s.add_argument("--radius", type=_non_negative_int, default=2)
         s.add_argument("--format", choices=_formats(name == "grow"), default="text")
         if name == "grow":
@@ -432,7 +463,7 @@ def build_parser():
                 help="HeightForm coefficients c_i of sum c_i kappa(., alpha_i), comma-separated; "
                 "negative is generic; write --height=-1,-2",
             )
-            s.add_argument("--r", default="0")
+            s.add_argument("--r", type=_fraction, default=Fraction(0))
     p.set_defaults(func=cmd_building)
 
     p = sub.add_parser("homology", help="Betti numbers of an exported complex")

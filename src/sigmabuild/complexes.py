@@ -3,7 +3,8 @@
 The one carrier shared by Coxeter windows, flag buildings and Bruhat-Tits
 truncations.  Cells are indexed by caller-supplied canonical keys (hashable,
 totally ordered within one complex); faces are recorded one codimension down,
-which determines the whole face lattice since cells are polytopes.
+which determines the whole face lattice since cells are polytopes.  The
+exports print a cell as `label(key)`, `str` by default.
 """
 
 import json
@@ -123,14 +124,14 @@ class CellComplex:
 
     # --- export ---------------------------------------------------------
 
-    def to_json(self, constraints=None):
+    def to_json(self, constraints=None, label=str):
         keys = self.cells()
         ids = {k: i for i, k in enumerate(keys)}
         cells = []
         for k in keys:
             entry = {
                 "id": ids[k],
-                "key": str(k),
+                "key": label(k),
                 "dim": self._dim[k],
                 "faces": sorted(ids[f] for f in self._facets[k]),
             }
@@ -139,13 +140,13 @@ class CellComplex:
             cells.append(entry)
         return {"cells": cells}
 
-    def to_dot(self, chamber_dim=None, name="chambers"):
+    def to_dot(self, chamber_dim=None, name="chambers", label=str):
         d = self.dim if chamber_dim is None else chamber_dim
         keys = self.cells(d)
         ids = {k: i for i, k in enumerate(keys)}
         lines = [f"graph {name} {{"]
         for k in keys:
-            lines.append(f'  n{ids[k]} [label="{k}"];')
+            lines.append(f'  n{ids[k]} [label="{label(k)}"];')
         seen = set()
         for panel in self.cells(d - 1):
             cs = sorted(self._cofacets[panel])

@@ -304,7 +304,7 @@ class AlcoveGeometry:
         floors = {i: k for i, (f, k) in enumerate(chamber) if i not in walls}
         face = self.cell_from_constraints(walls, floors)
         if face is None:
-            raise AssertionError("upper face must be a non-empty face")
+            raise GeometryError("upper face must be a non-empty face")
         return face
 
     def lower_face(self, chamber, sigma):

@@ -9,6 +9,10 @@ degree-0 boundary is augmented by the empty cell.
 """
 
 
+class HomologyError(ValueError):
+    pass
+
+
 class F2Chain:
     """A k-chain over F2: the set of cells with coefficient 1."""
 
@@ -27,7 +31,7 @@ class F2Chain:
 
     def __add__(self, other):
         if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+            raise HomologyError("dimension mismatch")
         return F2Chain(self.dim, self.support ^ other.support)
 
     def __repr__(self):
@@ -39,12 +43,12 @@ class ChainComplexF2:
 
     The boundary of a k-cell is the sum of its codimension-1 faces; for a
     general chain the coefficient of a face is the parity of its cofaces in
-    the support.  d o d = 0 is asserted on construction.
+    the support.  d o d = 0 is checked on construction (HomologyError).
     """
 
     def __init__(self, complex_):
         if not complex_.frozen:
-            raise ValueError("freeze the complex first")
+            raise HomologyError("freeze the complex first")
         self.complex = complex_
         self.top = complex_.dim
         self.cells = {k: complex_.cells(k) for k in range(self.top + 1)}
@@ -72,7 +76,7 @@ class ChainComplexF2:
                 for f in self.complex.facets(c):
                     acc ^= self.bnd[k - 1][idx[f]]
                 if acc:
-                    raise AssertionError(f"boundary of boundary non-zero at {c!r}")
+                    raise HomologyError(f"boundary of boundary non-zero at {c!r}")
         self._reductions = {}
 
     # --- chain plumbing ---------------------------------------------------
@@ -182,7 +186,7 @@ def induced_map_trivial(small, big, k):
     """
     for c in small.cells():
         if c not in big:
-            raise ValueError(f"cell {c!r} of the small complex missing from the big one")
+            raise HomologyError(f"cell {c!r} of the small complex missing from the big one")
     small_cc = ChainComplexF2(small)
     if k > small_cc.top:
         return True, None

@@ -14,6 +14,10 @@ Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
+class LinalgError(ValueError):
+    pass
+
+
 def vec(entries):
     return tuple(Fraction(e) for e in entries)
 
@@ -81,7 +85,7 @@ def inverse(m):
     aug = [list(row) + list(e) for row, e in zip(m, identity(n))]
     work, pivots, _, values = _gauss_jordan(aug, n_cols)
     if n_cols != n or len(pivots) < n:
-        raise ValueError("singular matrix")
+        raise LinalgError("singular matrix")
     return tuple(tuple(e / pv for e in row[n:]) for row, pv in zip(work, values))
 
 
@@ -180,7 +184,7 @@ def feasible_point(n_vars, constraints):
 
     for coeffs, rel, rhs in constraints:
         if any(c != 0 for c in coeffs):
-            raise AssertionError("variable survived elimination")
+            raise LinalgError("variable survived elimination")
         if rel == "<" and not rhs > 0:
             return None
         if rel == "<=" and not rhs >= 0:
@@ -221,7 +225,7 @@ def affine_solve(rows, rhs):
     to zero, or None if inconsistent.
     """
     if not rows:
-        raise ValueError("empty system")
+        raise LinalgError("empty system")
     n = len(rows[0])
     aug = [list(r) + [Fraction(b)] for r, b in zip(rows, rhs)]
     work, piv_cols, _, values = _gauss_jordan(aug, n)

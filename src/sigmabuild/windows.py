@@ -328,29 +328,6 @@ def epsilon_for_height(geometry, h):
     return 2 * d1 + 2 * d2
 
 
-def special_vertices_above(window, h, r):
-    """Special vertices w with h(w) >= r whose opposite sector meets the window.
-
-    Special vertices are exactly the points with integral simple-root values,
-    so the enumeration runs over an explicit integer box.
-    """
-    g = window.geometry
-    datum = window.datum
-    lam = h.coeffs
-    lo_vals = [Fraction(b) for b in window.lo]
-    out = []
-    ranges = []
-    for i in range(datum.rank):
-        rest = sum((lam[j] * lo_vals[j] for j in range(datum.rank) if j != i), Q0)
-        bound = (Fraction(r) - rest) / lam[i]  # lam[i] < 0 flips the inequality
-        hi_c = bound.numerator // bound.denominator
-        ranges.append(range(window.lo[i], hi_c + 1))
-    for c in product(*ranges):
-        if h(c) >= r:
-            out.append(datum.point(c))
-    return out
-
-
 def upper_complex(window, h, r):
     """U_h(r): the union of closed opposite sectors at special vertices above r."""
     return _upper_lower(window, h, r)[0]
@@ -414,26 +391,6 @@ def _upper_lower(window, h, r, with_eps=False):
             lower.add(cell)
     if with_eps:
         return frozenset(upper), frozenset(lower), epsilon_for_height(g, h)
-    return frozenset(upper), frozenset(lower)
-
-
-def upper_lower_by_sectors(window, h, r):
-    """Reference route: explicit sector membership tests over enumerated tips."""
-    g = window.geometry
-    ok, bad = h.is_generic_decreasing(g)
-    if not ok:
-        raise GeometryError(
-            f"height is not strictly decreasing toward the boundary vertex of sector ray {bad}"
-        )
-    sigma_op = g.base_chamber_at_infinity().opposite()
-    tips = special_vertices_above(window, h, r)
-    upper = set()
-    lower = set()
-    for cell in window.cells():
-        if any(g.cell_in_closed_sector(w, sigma_op, cell) for w in tips):
-            upper.add(cell)
-        if not any(g.cell_meets_open_sector(w, sigma_op, cell) for w in tips):
-            lower.add(cell)
     return frozenset(upper), frozenset(lower)
 
 

@@ -78,7 +78,7 @@ def test_criterion_6_negative_direction():
 
 
 def test_criterion_7_positive_direction():
-    entry, dt, budget = _timed(lambda: criterion_positive_direction(run_sl3=RUN_SL3), 600)
+    entry, dt, budget = _timed(lambda: criterion_positive_direction(run_sl3=RUN_SL3), 60)
     if not RUN_SL3:
         assert entry["details"]["sl3_preimages_connected_with_margin"] == "not run"
         print("[NOT RUN] positive-direction: SL3 instance skipped by flag")

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sigmabuild.building import (
@@ -24,7 +24,7 @@ from sigmabuild.building import (
 )
 from sigmabuild.chevalley import GroupElement, character_eval, h_elem, identity_element, x_elem
 from sigmabuild.homology import ChainComplexF2, induced_map_trivial
-from sigmabuild.linalg import matmul
+from sigmabuild.linalg import det, matmul
 from sigmabuild.windows import HeightForm
 
 
@@ -93,6 +93,53 @@ def test_canonical_form_shape():
                 assert x == 1  # diagonal entries are pure p-powers
                 exps[i] = v
             assert min(exps) == 0
+
+
+def p_local(p, nonzero=False, unit=False):
+    """Rationals in the local ring at p: denominators prime to p."""
+    dens = [d for d in range(1, 10) if d % p]
+    nums = st.integers(-6, 6)
+    if unit:
+        nums = nums.filter(lambda m: m % p)
+    elif nonzero:
+        nums = nums.filter(bool)
+    return st.builds(Fraction, nums, st.sampled_from(dens))
+
+
+@st.composite
+def lattice_and_column_operations(draw):
+    """(n, p, a full-rank rational basis, the same basis after GL_n(Z_(p)) column operations)."""
+    n = draw(st.sampled_from((2, 3)))
+    p = draw(st.sampled_from((2, 3)))
+    entry = st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 3, 4, 9)))
+    base = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    assume(det(base) != 0)
+    cols = [list(col) for col in zip(*base)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        kind = draw(st.sampled_from(("add", "swap", "scale")))
+        if kind == "add":  # col_i += c col_j, c in the local ring
+            c = draw(p_local(p))
+            cols[i] = [a + c * b for a, b in zip(cols[i], cols[j])]
+        elif kind == "swap":
+            cols[i], cols[j] = cols[j], cols[i]
+        else:  # col_i *= u, u a unit of the local ring
+            u = draw(p_local(p, unit=True))
+            cols[i] = [u * a for a in cols[i]]
+    moved = tuple(tuple(row) for row in zip(*cols))
+    return n, p, base, moved
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_and_column_operations(), st.integers(-3, 3))
+def test_canonical_form_invariance_property(case, k):
+    # the interned vertex table relies on one form per lattice class
+    n, p, base, moved = case
+    key = lattice_canonical_form(base, p)
+    assert lattice_canonical_form(moved, p) == key
+    scale = Fraction(p) ** k
+    scaled = tuple(tuple(scale * e for e in row) for row in moved)
+    assert lattice_canonical_form(scaled, p) == key
 
 
 def test_echelon_preserves_lattice_scale():
@@ -198,6 +245,61 @@ def test_negative_radius_rejected():
         Truncation(3, 2, -1, max_chambers=10)
 
 
+# --- the interned vertex table -------------------------------------------------
+
+INTERNING_TRUNCATIONS = ((2, 2, 4), (2, 3, 3), (3, 2, 2))
+
+
+def form_cells(trunc):
+    """Every cell as a sorted tuple of canonical forms, built from the chambers' own keys."""
+    cells = set()
+    for chamber in trunc.chambers.values():
+        forms = sorted(chamber.keys)
+        for mask in range(1, 1 << len(forms)):
+            cells.add(tuple(f for i, f in enumerate(forms) if mask >> i & 1))
+    return sorted(cells)
+
+
+@pytest.mark.parametrize("n, p, radius", INTERNING_TRUNCATIONS)
+def test_interned_cells_sort_like_their_forms(n, p, radius):
+    trunc = grow_truncation(n, p, radius)
+    as_forms = [tuple(trunc.vertices[v] for v in c) for c in trunc.complex.cells()]
+    assert as_forms == form_cells(trunc)
+    for d in range(n):
+        assert trunc.complex.cells(d) == sorted(c for c in trunc.complex.cells() if len(c) == d + 1)
+    assert len(trunc.vertices) == len(trunc.complex.cells(0))
+    for i, form in enumerate(trunc.vertices):
+        assert trunc.vertex_id(form) == i
+        assert (i,) in trunc.complex
+    assert trunc.vertices[trunc.base_vertex] == trunc.base_chamber.keys[0]
+    assert set(trunc.chambers) == set(trunc.complex.cells(n - 1))
+
+
+@pytest.mark.parametrize("n, p, radius", INTERNING_TRUNCATIONS)
+def test_act_on_vertex_is_the_form_of_the_product(n, p, radius):
+    trunc = grow_truncation(n, p, radius)
+    ball = len(trunc.vertices)
+    simple = [tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1)]
+    elements = [h_elem(n, r, Fraction(p) ** k) for r in simple for k in (-1, 1)]
+    elements += [x_elem(n, r, Fraction(1, p)) for r in simple]
+    inside = outside = 0
+    for g in elements:
+        for (v,) in trunc.complex.cells(0):
+            moved = trunc.act_on_vertex(g, v)
+            form = lattice_canonical_form(matmul(g.rows, trunc.vertices[v]), p)
+            assert trunc.vertices[moved] == form
+            assert trunc.act_on_vertex(g, v) == moved
+            if moved < ball:
+                inside += 1
+            else:
+                outside += 1
+                assert (moved,) not in trunc.complex
+    assert inside and outside
+    # ids handed out beyond the ball leave the complex alone
+    assert len(trunc.complex.cells(0)) == ball
+    assert [tuple(trunc.vertices[v] for v in c) for c in trunc.complex.cells()] == form_cells(trunc)
+
+
 # --- retraction -----------------------------------------------------------------
 
 
@@ -216,8 +318,8 @@ def test_retraction_spec_example():
     g_el = GroupElement(((1, 0), (Fraction(1, p), 1)))
     v = trunc.act_on_vertex(g_el, trunc.base_vertex)
     exps = [None, None]
-    key = lattice_canonical_form(tuple(tuple(Fraction(e) for e in row) for row in v), p)
-    point = trunc.vertex_retraction_point(key)
+    key = lattice_canonical_form(tuple(tuple(Fraction(e) for e in row) for row in trunc.vertices[v]), p)
+    point = trunc.vertex_retraction_point(trunc.vertex_id(key))
     # image is the apartment vertex of diag(p^2, 1): kappa-value -2 (away from sigma)
     assert trunc.geometry.root_value(point, 0) == -2
 
@@ -355,7 +457,8 @@ def test_retraction_against_iwasawa_oracle(n):
     trunc = grow_truncation(n, p, 2)
     rng = random.Random(23)
     for cell in trunc.complex.cells(0):
-        (vkey,) = cell
+        (v,) = cell
+        vkey = trunc.vertices[v]
         mat = tuple(tuple(Fraction(e) for e in row) for row in vkey)
         scramble = rand_unimodular(rng, n, p)
         scrambled = matmul(mat, scramble)
@@ -606,7 +709,7 @@ def test_common_subsector_of_translated_tips():
         for cell in trunc.apartment_cells():
             if len(cell) != 1:
                 continue
-            exps = diagonal_exponents(cell[0], p)
+            exps = diagonal_exponents(trunc.vertices[cell[0]], p)
             if exps[0] - exps[1] >= tip_exp:
                 out.add(cell)
         return out
@@ -634,7 +737,7 @@ def test_retracted_star_galleries_stay_minimal_sl3():
     # the projection chamber: the apartment chamber over pr at the retracted vertex
     target_cox = g.project_toward(trunc.retract_cell(base_cell), sigma)
     targets = [c for c in star_chambers if trunc.retract_cell(c) == target_cox
-               and all(diagonal_exponents(v, p) is not None for v in c)]
+               and all(diagonal_exponents(trunc.vertices[v], p) is not None for v in c)]
     assert len(targets) == 1
     target = targets[0]
     adj = trunc.complex.chamber_adjacency(2)

@@ -1,9 +1,11 @@
 """The command-line surface: subcommands, exit codes, formats."""
 
 import json
+import re
 
 import pytest
 
+from sigmabuild.building import grow_truncation
 from sigmabuild.cli import main
 
 
@@ -106,6 +108,28 @@ def test_sigma_fintype_multiple_generators(capsys):
     )
     assert code == 0
     assert json.loads(out)["kind"] == "certain-out"
+
+
+def test_building_outputs_print_canonical_forms(capsys):
+    # cells are int tuples inside a truncation; the CLI prints their forms
+    trunc = grow_truncation(3, 2, 1)
+
+    def forms(cell):
+        return str(tuple(trunc.vertices[v] for v in cell))
+
+    argv = ["building", "grow", "--n", "3", "--p", "2", "--radius", "1"]
+    code, out, _ = run(capsys, argv + ["--export-cells"])
+    assert code == 0
+    assert [c["key"] for c in json.loads(out)["cells"]] == [forms(c) for c in trunc.complex.cells()]
+    code, out, _ = run(capsys, argv + ["--format", "dot"])
+    assert code == 0
+    labels = re.findall(r'label="(.*)"\]', out)
+    assert labels == [forms(c) for c in trunc.complex.cells(2)]
+    assert all("Fraction(" in label for label in labels)
+    code, out, _ = run(capsys, ["building", "retract", "--n", "3", "--p", "2", "--radius", "1",
+                                "--format", "json"])
+    assert code == 0
+    assert sorted(json.loads(out)["retraction"]) == sorted(str(f) for f in trunc.vertices)
 
 
 def test_building_superlevel_and_cone_chain(capsys):
@@ -226,6 +250,10 @@ def test_homology_betti_missing_input(tmp_path, capsys):
         ('{"cells": [{"id": "a", "dim": 0}]}', "'faces'"),
         ("[1, 2]", "malformed"),
         ("{", "not JSON"),
+        # a 2-cell whose facet's boundary does not cancel: d o d != 0
+        ('{"cells": [{"id": "a", "dim": 0, "faces": []}, {"id": "b", "dim": 0, "faces": []}, '
+         '{"id": "e", "dim": 1, "faces": ["a", "b"]}, {"id": "f", "dim": 2, "faces": ["e"]}]}',
+         "boundary of boundary"),
     ],
 )
 def test_homology_betti_malformed_json(tmp_path, capsys, text, fragment):
@@ -295,3 +323,24 @@ def test_negative_counts_are_rejected(capsys, argv):
     err = capsys.readouterr().err
     assert err.count("error:") == 1
     assert f"argument {argv[-2]}: must be non-negative, got {argv[-1]}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["building", "superlevel", "--r", "abc"], "argument --r: not a rational number: 'abc'"),
+        (["building", "superlevel", "--r", "1/0"], "argument --r: not a rational number: '1/0'"),
+        (["building", "grow", "--n", "5"], "argument --n: invalid choice: 5"),
+        (["building", "grow", "--p", "4"], "argument --p: must be a prime, got 4"),
+        (["sphere", "opp", "--n", "3", "--q", "4"], "argument --q: must be a prime, got 4"),
+        (["rootsys", "show", "--family", "A", "--rank", "-2"], "argument --rank: must be positive, got -2"),
+    ],
+)
+def test_bad_option_values_are_usage_errors(capsys, argv, message):
+    # checked at parse time, before any library call
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert message in err

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -227,10 +228,50 @@ def test_upper_lower_certificates_a2(a2):
     assert cert["epsilon"] > 0
 
 
+def special_vertices_above(window, h, r):
+    """Special vertices w with h(w) >= r whose opposite sector meets the window.
+
+    Special vertices are exactly the points with integral simple-root values,
+    so the enumeration runs over an explicit integer box.
+    """
+    datum = window.datum
+    lam = h.coeffs
+    lo_vals = [Fraction(b) for b in window.lo]
+    out = []
+    ranges = []
+    for i in range(datum.rank):
+        rest = sum((lam[j] * lo_vals[j] for j in range(datum.rank) if j != i), Fraction(0))
+        bound = (Fraction(r) - rest) / lam[i]  # lam[i] < 0 flips the inequality
+        hi_c = bound.numerator // bound.denominator
+        ranges.append(range(window.lo[i], hi_c + 1))
+    for c in product(*ranges):
+        if h(c) >= r:
+            out.append(datum.point(c))
+    return out
+
+
+def upper_lower_by_sectors(window, h, r):
+    """Oracle for upper_complex/lower_complex: sector membership over enumerated tips."""
+    g = window.geometry
+    ok, bad = h.is_generic_decreasing(g)
+    if not ok:
+        raise GeometryError(
+            f"height is not strictly decreasing toward the boundary vertex of sector ray {bad}"
+        )
+    sigma_op = g.base_chamber_at_infinity().opposite()
+    tips = special_vertices_above(window, h, r)
+    upper = set()
+    lower = set()
+    for cell in window.cells():
+        if any(g.cell_in_closed_sector(w, sigma_op, cell) for w in tips):
+            upper.add(cell)
+        if not any(g.cell_meets_open_sector(w, sigma_op, cell) for w in tips):
+            lower.add(cell)
+    return frozenset(upper), frozenset(lower)
+
+
 def test_upper_lower_fast_route_matches_sector_route(a2):
     datum, g = a2
-    from sigmabuild.windows import upper_lower_by_sectors
-
     window = Window.radius(datum, 3, g)
     for lam, r in [((-1, -1), -1), ((-1, -2), 0), ((-3, -1), -2)]:
         h = HeightForm(tuple(Fraction(x) for x in lam))
@@ -242,8 +283,6 @@ def test_upper_lower_fast_route_matches_sector_route(a2):
 
 
 def test_upper_lower_dual_route_c2():
-    from sigmabuild.windows import upper_lower_by_sectors
-
     datum = build_root_system("C", 2)
     g = AlcoveGeometry(datum)
     window = Window.radius(datum, 2, g)

@@ -16,3 +16,16 @@ def test_library_has_no_assert_statements():
     ]
     assert sorted(SRC.glob("*.py"))
     assert found == []
+
+
+def test_library_raises_its_own_errors():
+    # invariants raise the module's error class, not a bare AssertionError
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "AssertionError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    ]
+    assert found == []
