@@ -2,8 +2,13 @@
 
 Cells are canonical constraint vectors over the positive roots: for each
 positive root alpha either an open slab  k < kappa(x, alpha) < k+1  (a
-"floor") or a wall  kappa(x, alpha) = k.  Faces and projections are
-constraint edits backed by exact feasibility checks, so all predicates are
+"floor") or a wall  kappa(x, alpha) = k.  Every alcove is a simplex, and each
+chamber key carries its vertex tuple, a vertex being held as its root values
+scaled to integers.  The fundamental alcove's vertices are 0 and the coweights
+w_i / c_i (c the highest root); any other alcove's come from a gallery walk
+that reflects one vertex per step.  A cell's vertices are those of an alcove
+containing it that lie on its walls, its faces are vertex subsets and its key
+is that of its barycenter.  All arithmetic is exact, so every predicate is
 decided, never approximated.
 
 The chamber at infinity "sigma" is a sign vector over the positive roots; the
@@ -13,9 +18,10 @@ grows), opposition is sign negation.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .linalg import Q0, Q1, affine_solve, feasible_point, matvec, rank as mat_rank
-from .root_system import AffineHyperplane, affine_reflect
+from .linalg import Q1, dot, matvec, rank as mat_rank
+from .root_system import AffineHyperplane, affine_reflect, cartan_pairing
 
 FLOOR = 0
 WALL = 1
@@ -67,11 +73,29 @@ class AlcoveGeometry:
         self._simple_idx = tuple(
             datum.pos_index[s] for s in datum.simple_root_coeffs
         )
-        self._witness_cache = {}
         self._facet_cache = {}
-        self._vertex_cache = {}
+        self._face_cache = {}
         self._proj_cache = {}
         self._bary_cache = {}
+        # An alcove vertex is stored as its scaled root values: the integers
+        # den * kappa(v, alpha) over the positive roots.  The fundamental
+        # alcove's vertices are 0 and the coweights w_i / c_i (c the highest
+        # root), and reflections keep root values in Z / den, den = lcm(c).
+        top = [int(c) for c in datum.highest_root]
+        self._den = lcm(*top)
+        corners = [(0,) * self.npos] + [
+            tuple(self._den * int(beta[i]) // c for beta in datum.positive_roots)
+            for i, c in enumerate(top)
+        ]
+        # <beta, alpha^V> (row alpha): the reflection in a wall of alpha moves
+        # kappa(., beta) by this multiple of the distance to the wall
+        self._pairings = tuple(
+            tuple(int(cartan_pairing(datum, beta, alpha)) for beta in datum.positive_roots)
+            for alpha in datum.positive_roots
+        )
+        # chamber key -> its vertex tuple, or None when no alcove has the key
+        self._fundamental = ((FLOOR, 0),) * self.npos
+        self._chamber_cache = {self._fundamental: tuple(corners)}
 
     # --- simplices at infinity -----------------------------------------
 
@@ -79,8 +103,7 @@ class AlcoveGeometry:
         u = tuple(Fraction(x) for x in u)
         if all(x == 0 for x in u):
             raise GeometryError("zero direction")
-        signs = tuple(_sign(self.datum.kappa(u, a)) for a in self.datum.positive_roots)
-        return InfinitySimplex(signs, u)
+        return InfinitySimplex(tuple(_sign(v) for v in self._values(u)), u)
 
     def base_chamber_at_infinity(self):
         """The all-plus chamber at infinity."""
@@ -89,20 +112,15 @@ class AlcoveGeometry:
     # --- cells ------------------------------------------------------------
 
     def root_value(self, x, i):
-        from .linalg import dot
-
         return dot(self._functionals[i], x)
+
+    def _values(self, x):
+        """kappa(x, alpha) for every positive root alpha."""
+        return tuple(dot(g, x) for g in self._functionals)
 
     def cell_of_point(self, x):
         """The unique cell whose constraints x satisfies."""
-        entries = []
-        for i in range(self.npos):
-            v = self.root_value(x, i)
-            if v.denominator == 1:
-                entries.append((WALL, int(v)))
-            else:
-                entries.append((FLOOR, v.numerator // v.denominator))
-        return tuple(entries)
+        return tuple(_entry(v.numerator, v.denominator) for v in self._values(x))
 
     def dim(self, cell):
         wall_rows = [self._functionals[i] for i, (f, _) in enumerate(cell) if f == WALL]
@@ -126,85 +144,79 @@ class AlcoveGeometry:
                 cons.append((g, rel, k + 1))
         return cons
 
-    def witness(self, cell):
-        """An exact rational point in the (relative) interior of the cell."""
-        if cell in self._witness_cache:
-            return self._witness_cache[cell]
-        x = feasible_point(self.datum.rank, self.constraints(cell))
-        if x is None:
-            raise GeometryError(f"cell {cell} is infeasible")
-        if self.cell_of_point(x) != cell:
-            raise GeometryError(f"witness {x} of cell {cell} lies in another cell")
-        self._witness_cache[cell] = x
-        return x
+    def _chamber(self, chamber):
+        """Vertices (scaled root values) of the alcove with this key, or None.
 
-    def cell_from_constraints(self, walls, floors):
-        """Canonical cell for a mixed wall/floor constraint set, or None.
-
-        `walls` maps positive-root index -> integer level, `floors` likewise.
-        Extra walls implied by the affine span are detected exactly.
+        Walks a gallery to it, from a cached chamber one wall away if there is
+        one, else from the fundamental alcove: each step crosses a panel of the
+        current alcove whose wall separates it from the target, reflecting the
+        vertex opposite that panel.  Every alcove passed is cached.  When no
+        panel wall separates the current alcove from the key, no alcove has it.
         """
-        if not walls:
-            x = feasible_point(
-                self.datum.rank,
-                [c for i, k in floors.items() for c in self._floor_cons(i, k)],
-            )
-            return None if x is None else self.cell_of_point(x)
-        rows = [self._functionals[i] for i in sorted(walls)]
-        rhs = [Fraction(walls[i]) for i in sorted(walls)]
-        sol = affine_solve(rows, rhs)
-        if sol is None:
-            return None
-        part, null = sol
-        from .linalg import dot
+        cache = self._chamber_cache
+        if chamber in cache:
+            return cache[chamber]
+        cur = next(
+            (nb for nb in _neighbor_keys(chamber) if cache.get(nb) is not None),
+            self._fundamental,
+        )
+        verts = cache[cur]
+        while cur != chamber:
+            step = _separating_panel(cur, verts, chamber, self._den)
+            if step is None:
+                cache[chamber] = None
+                return None
+            i, level, j = step
+            # the affine reflection in the wall kappa(., alpha_i) = level
+            dist = verts[j][i] - self._den * level
+            y = tuple(v - dist * p for v, p in zip(verts[j], self._pairings[i]))
+            k = cur[i][1]
+            cur = cur[:i] + ((FLOOR, k + 1 if level > k else k - 1),) + cur[i + 1:]
+            verts = cache.setdefault(cur, verts[:j] + (y,) + verts[j + 1:])
+        return verts
 
-        full_walls = dict(walls)
-        for i, k in floors.items():
-            g = self._functionals[i]
-            if all(dot(g, u) == 0 for u in null):
-                # the value is forced by the wall system; it must stay inside
-                # the closed slab of the original floor constraint
-                v = dot(g, part)
-                if v.denominator == 1:
-                    if v < k or v > k + 1:
-                        return None
-                    full_walls[i] = int(v)
-                else:
-                    if not k < v < k + 1:
-                        return None
-                    # constant non-integral values keep their floor constraint
-        cons = []
-        for i, k in full_walls.items():
-            cons.append((self._functionals[i], "==", k))
-        for i, k in floors.items():
-            if i not in full_walls:
-                cons.extend(self._floor_cons(i, k))
-        x = feasible_point(self.datum.rank, cons)
-        if x is None:
-            return None
-        return self.cell_of_point(x)
+    def _face(self, cell):
+        """Vertices (scaled root values) of a cell.
 
-    def _floor_cons(self, i, k):
-        g = self._functionals[i]
-        return [(tuple(-x for x in g), "<", -k), (g, "<", k + 1)]
+        Every wall (WALL, k) of the key becomes the floor (FLOOR, k) to give an
+        alcove containing the cell (rho is positive on every positive root);
+        the cell's vertices are those of the alcove on all of the key's walls.
+        The key is a cell iff their barycenter lies in it.
+        """
+        if cell in self._face_cache:
+            return self._face_cache[cell]
+        walls = [(i, self._den * k) for i, (f, k) in enumerate(cell) if f == WALL]
+        chamber = tuple((FLOOR, k) for _, k in cell) if walls else cell
+        verts = self._chamber(chamber) or ()
+        face = tuple(v for v in verts if all(v[i] == k for i, k in walls))
+        if not face or self._key_of_mean(face) != cell:
+            raise GeometryError(f"cell {cell} is infeasible")
+        self._face_cache[cell] = face
+        return face
+
+    def _key_of_mean(self, verts):
+        """The key of the barycenter of some vertices."""
+        d = self._den * len(verts)
+        return tuple(_entry(sum(col), d) for col in zip(*verts))
+
+    def _panel_keys(self, face):
+        """The key of the face opposite each vertex of a simplex."""
+        return [self._key_of_mean(face[:j] + face[j + 1:]) for j in range(len(face))]
+
+    def _simple_values(self, cell):
+        """kappa(v, alpha_i) over the simple roots, for each vertex v of the cell."""
+        return [tuple(Fraction(v[i], self._den) for i in self._simple_idx) for v in self._face(cell)]
+
+    def witness(self, cell):
+        """An exact rational point in the (relative) interior of the cell: its barycenter."""
+        return self.barycenter(cell)
 
     def facets(self, cell):
-        """Codimension-1 faces, as canonical cells."""
+        """Codimension-1 faces, as canonical cells: drop one vertex at a time."""
         if cell in self._facet_cache:
             return self._facet_cache[cell]
-        d = self.dim(cell)
-        walls = {i: k for i, (f, k) in enumerate(cell) if f == WALL}
-        floors = {i: k for i, (f, k) in enumerate(cell) if f == FLOOR}
-        out = set()
-        for i, k in floors.items():
-            for level in (k, k + 1):
-                w = dict(walls)
-                w[i] = level
-                fl = {j: m for j, m in floors.items() if j != i}
-                cand = self.cell_from_constraints(w, fl)
-                if cand is not None and self.dim(cand) == d - 1:
-                    out.add(cand)
-        out = frozenset(out)
+        face = self._face(cell)
+        out = frozenset(self._panel_keys(face)) if len(face) > 1 else frozenset()
         self._facet_cache[cell] = out
         return out
 
@@ -221,29 +233,21 @@ class AlcoveGeometry:
         return seen
 
     def vertices(self, cell):
-        """The 0-faces of the closed cell, as coordinate tuples."""
-        if cell in self._vertex_cache:
-            return self._vertex_cache[cell]
-        verts = []
-        for c in self.closure(cell):
-            if self.dim(c) == 0:
-                verts.append(self.witness(c))
-        verts = tuple(sorted(verts))
-        self._vertex_cache[cell] = verts
-        return verts
+        """The 0-faces of the closed cell, as sorted coordinate tuples."""
+        return tuple(sorted(self.datum.point(v) for v in self._simple_values(cell)))
 
     def barycenter(self, cell):
         if cell in self._bary_cache:
             return self._bary_cache[cell]
-        vs = self.vertices(cell)
-        n = Fraction(len(vs))
-        out = tuple(sum(col, Q0) / n for col in zip(*vs))
+        face = self._face(cell)
+        d = self._den * len(face)
+        out = self.datum.point(Fraction(sum(v[i] for v in face), d) for i in self._simple_idx)
         self._bary_cache[cell] = out
         return out
 
     def is_special_vertex(self, x):
         """Special vertex: integral against every root (meets every wall class)."""
-        return all(self.root_value(x, i).denominator == 1 for i in range(self.npos))
+        return all(v.denominator == 1 for v in self._values(x))
 
     # --- projections ------------------------------------------------------
 
@@ -258,8 +262,6 @@ class AlcoveGeometry:
 
     def _project_dir(self, cell, u, limit=None):
         x0 = self.witness(cell)
-        from .linalg import dot
-
         eps = None
         for i in range(self.npos):
             r = dot(self._functionals[i], u)
@@ -290,22 +292,23 @@ class AlcoveGeometry:
         return self._project_dir(cell, u, limit=Q1)
 
     def upper_face(self, chamber, sigma):
-        """Intersection of the panels P of the chamber with pr_P(sigma) = chamber."""
+        """Intersection of the panels P of the chamber with pr_P(sigma) = chamber.
+
+        It is spanned by the vertices opposite the other panels.
+        """
         if not self.is_chamber(chamber):
             raise GeometryError("upper/lower faces are defined for chambers")
         if not sigma.is_chamber:
             raise GeometryError("sigma must be a chamber at infinity")
-        panels = [p for p in self.facets(chamber) if self.project_toward(p, sigma) == chamber]
-        walls = {}
-        for p in panels:
-            for i, (f, k) in enumerate(p):
-                if f == WALL:
-                    walls[i] = k
-        floors = {i: k for i, (f, k) in enumerate(chamber) if i not in walls}
-        face = self.cell_from_constraints(walls, floors)
-        if face is None:
+        face = self._face(chamber)
+        kept = [
+            v
+            for v, panel in zip(face, self._panel_keys(face))
+            if self.project_toward(panel, sigma) != chamber
+        ]
+        if not kept:
             raise GeometryError("upper face must be a non-empty face")
-        return face
+        return self._key_of_mean(kept)
 
     def lower_face(self, chamber, sigma):
         return self.upper_face(chamber, sigma.opposite())
@@ -366,37 +369,57 @@ class AlcoveGeometry:
 
     def sector_contains_point(self, tip, tau, y):
         """Whether y lies in the open cone K_tip(tau)."""
-        u = tuple(b - a for a, b in zip(tip, y))
-        if all(x == 0 for x in u):
+        if tuple(tip) == tuple(y):
             return False
         return all(
-            _sign(self.datum.kappa(u, a)) == s
-            for s, a in zip(tau.signs, self.datum.positive_roots)
+            _sign(v - t) == s for v, t, s in zip(self._values(y), self._values(tip), tau.signs)
         )
 
     def cell_in_closed_sector(self, tip, tau, cell):
         """Whether the closed cell lies in the closed cone from tip toward tau."""
-        for v in self.vertices(cell):
-            u = tuple(b - a for a, b in zip(tip, v))
-            for s, a in zip(tau.signs, self.datum.positive_roots):
-                val = self.datum.kappa(u, a)
-                if s > 0 and val < 0:
+        return self._in_closed_sector(self._values(tip), tau.signs, cell)
+
+    def _in_closed_sector(self, levels, signs, cell):
+        """cell_in_closed_sector for a tip given by its positive-root values."""
+        levels = [self._den * t for t in levels]
+        for vals in self._face(cell):
+            for v, t, s in zip(vals, levels, signs):
+                if s > 0 and v < t:
                     return False
-                if s < 0 and val > 0:
+                if s < 0 and v > t:
                     return False
-                if s == 0 and val != 0:
+                if s == 0 and v != t:
                     return False
         return True
 
-    def cell_meets_open_sector(self, tip, tau, cell):
-        """Whether the open cell meets the open cone K_tip(tau) (exact)."""
-        cons = self.constraints(cell)
-        for s, g, a in zip(tau.signs, self._functionals, self.datum.positive_roots):
-            level = self.datum.kappa(tip, a)
-            if s > 0:
-                cons.append((tuple(-x for x in g), "<", -level))
-            elif s < 0:
-                cons.append((g, "<", level))
-            else:
-                cons.append((g, "==", level))
-        return feasible_point(self.datum.rank, cons) is not None
+
+def _entry(num, den):
+    """The key entry of the root value num / den: a wall or the floor below it."""
+    k, rem = divmod(num, den)
+    entry = (FLOOR, k) if rem else (WALL, k)
+    return _SHARED_ENTRIES.get(entry, entry)
+
+
+# One shared object per key entry of a small level, as Python shares small
+# ints: the caches hold thousands of keys, most of them built from these.
+_SHARED_ENTRIES = {(f, k): (f, k) for f in (FLOOR, WALL) for k in range(-128, 128)}
+
+
+def _neighbor_keys(chamber):
+    """The chamber keys one floor step away in one coordinate."""
+    for i, (_, k) in enumerate(chamber):
+        for step in (-1, 1):
+            yield chamber[:i] + ((FLOOR, k + step),) + chamber[i + 1:]
+
+
+def _separating_panel(cur, verts, target, den):
+    """(root index, level, opposite vertex) of a panel wall of the alcove `cur`
+    separating it from the chamber key `target`, or None."""
+    for i, ((_, k), (_, t)) in enumerate(zip(cur, target)):
+        if t == k:
+            continue
+        level = k + 1 if t > k else k
+        off = [j for j, vals in enumerate(verts) if vals[i] != den * level]
+        if len(off) == 1:
+            return i, level, off[0]
+    return None

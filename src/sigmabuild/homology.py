@@ -43,7 +43,8 @@ class ChainComplexF2:
 
     The boundary of a k-cell is the sum of its codimension-1 faces; for a
     general chain the coefficient of a face is the parity of its cofaces in
-    the support.  d o d = 0 is checked on construction (HomologyError).
+    the support.  d o d = 0 is checked on construction (HomologyError),
+    including the augmentation composed with d_1.
     """
 
     def __init__(self, complex_):
@@ -69,6 +70,11 @@ class ChainComplexF2:
                     row = 1  # augmentation to the empty cell
                 cols.append(row)
             self.bnd[k] = cols
+        # the augmentation composed with d_1: every edge has an even number
+        # of vertices, i.e. an even number of bits in its boundary row
+        for c, row in zip(self.cells.get(1, ()), self.bnd.get(1, ())):
+            if row.bit_count() % 2:
+                raise HomologyError(f"boundary of boundary non-zero at {c!r}")
         for k in range(2, self.top + 1):
             for c, col in zip(self.cells[k], self.bnd[k]):
                 acc = 0

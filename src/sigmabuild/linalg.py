@@ -1,11 +1,10 @@
-"""Exact rational linear algebra: one elimination kernel and linear feasibility.
+"""Exact rational linear algebra: one elimination kernel and its readers.
 
 Everything works over `fractions.Fraction`; vectors are tuples, matrices are
 tuples of row tuples.  `rank`, `det`, `inverse` and `affine_solve` are thin
 readers of a single Gauss-Jordan elimination (`_gauss_jordan`); `inverse`
-reduces [m | I] once.  The feasibility routine is a plain Fourier-Motzkin
-elimination with witness extraction, which is enough for the low-dimensional
-polyhedral questions asked by the alcove and sector predicates.
+reduces [m | I] once.  There is no inequality solver: alcove cells are
+decided combinatorially in `coxeter`.
 """
 
 from fractions import Fraction
@@ -98,124 +97,6 @@ def det(m):
     for v in values:
         d *= v
     return d
-
-
-# --- linear feasibility -----------------------------------------------------
-#
-# A constraint is a triple (coeffs, rel, rhs) meaning  coeffs . x  REL  rhs,
-# with REL one of "==", "<=", "<".
-
-
-def _substitute(constraints, var, expr_coeffs, expr_const):
-    """Replace x_var by sum(expr_coeffs . x) + expr_const in every constraint."""
-    out = []
-    for coeffs, rel, rhs in constraints:
-        c = coeffs[var]
-        if c == 0:
-            out.append((coeffs, rel, rhs))
-            continue
-        new = list(coeffs)
-        new[var] = Q0
-        for j, e in enumerate(expr_coeffs):
-            new[j] += c * e
-        out.append((tuple(new), rel, rhs - c * expr_const))
-    return out
-
-
-def feasible_point(n_vars, constraints):
-    """Return an exact rational point satisfying all constraints, or None.
-
-    Equalities are eliminated by substitution, the remaining strict/weak
-    inequalities by Fourier-Motzkin.  The witness is reconstructed by
-    back-substitution, picking midpoints of the feasible intervals.
-    """
-    constraints = [(vec(c), rel, Fraction(r)) for c, rel, r in constraints]
-    subs = []  # (var, coeffs, const) in elimination order
-
-    # eliminate equalities first
-    changed = True
-    while changed:
-        changed = False
-        for k, (coeffs, rel, rhs) in enumerate(constraints):
-            if rel != "==":
-                continue
-            var = next((j for j, c in enumerate(coeffs) if c != 0), None)
-            if var is None:
-                if rhs != 0:
-                    return None
-                constraints.pop(k)
-                changed = True
-                break
-            c = coeffs[var]
-            expr_coeffs = [-e / c for e in coeffs]
-            expr_coeffs[var] = Q0
-            expr_const = rhs / c
-            constraints.pop(k)
-            constraints = _substitute(constraints, var, expr_coeffs, expr_const)
-            subs.append((var, tuple(expr_coeffs), expr_const))
-            changed = True
-            break
-
-    # Fourier-Motzkin on the inequalities
-    active = sorted({j for coeffs, _, _ in constraints for j, c in enumerate(coeffs) if c != 0})
-    elim_stack = []  # (var, lowers, uppers); bounds as (coeffs, const, strict)
-    for var in active:
-        lowers, uppers, keep = [], [], []
-        for coeffs, rel, rhs in constraints:
-            c = coeffs[var]
-            if c == 0:
-                keep.append((coeffs, rel, rhs))
-                continue
-            bound_coeffs = tuple(-e / c if j != var else Q0 for j, e in enumerate(coeffs))
-            bound_const = rhs / c
-            strict = rel == "<"
-            if c > 0:
-                uppers.append((bound_coeffs, bound_const, strict))
-            else:
-                lowers.append((bound_coeffs, bound_const, strict))
-        new = keep
-        for lo in lowers:
-            for hi in uppers:
-                coeffs = tuple(a - b for a, b in zip(lo[0], hi[0]))
-                rel = "<" if (lo[2] or hi[2]) else "<="
-                new.append((coeffs, rel, hi[1] - lo[1]))
-        elim_stack.append((var, lowers, uppers))
-        constraints = new
-
-    for coeffs, rel, rhs in constraints:
-        if any(c != 0 for c in coeffs):
-            raise LinalgError("variable survived elimination")
-        if rel == "<" and not rhs > 0:
-            return None
-        if rel == "<=" and not rhs >= 0:
-            return None
-
-    # back-substitute: first the FM variables, then the equality variables
-    x = [Q0] * n_vars
-    for var, lowers, uppers in reversed(elim_stack):
-        lo_val, lo_strict = None, False
-        for coeffs, const, strict in lowers:
-            v = dot(coeffs, x) + const
-            if lo_val is None or v > lo_val or (v == lo_val and strict):
-                lo_val, lo_strict = v, strict
-        hi_val, hi_strict = None, False
-        for coeffs, const, strict in uppers:
-            v = dot(coeffs, x) + const
-            if hi_val is None or v < hi_val or (v == hi_val and strict):
-                hi_val, hi_strict = v, strict
-        if lo_val is None and hi_val is None:
-            x[var] = Q0
-        elif lo_val is None:
-            x[var] = hi_val - 1 if hi_strict else hi_val
-        elif hi_val is None:
-            x[var] = lo_val + 1 if lo_strict else lo_val
-        elif lo_val == hi_val:
-            x[var] = lo_val
-        else:
-            x[var] = (lo_val + hi_val) / 2
-    for var, expr_coeffs, expr_const in reversed(subs):
-        x[var] = dot(expr_coeffs, x) + expr_const
-    return tuple(x)
 
 
 def affine_solve(rows, rhs):

@@ -38,8 +38,8 @@ class HeightForm:
         return self(geometry.root_value(x, i) for i in geometry._simple_idx)
 
     def range_on_cell(self, geometry, cell):
-        vals = [self.value(geometry, v) for v in geometry.vertices(cell)]
-        return min(vals), max(vals)
+        heights = [self(values) for values in geometry._simple_values(cell)]
+        return min(heights), max(heights)
 
     def is_generic_decreasing(self, geometry):
         """Strictly decreasing along every ray into the base chamber at infinity.
@@ -205,21 +205,25 @@ def sigma_length(geometry, cells, chamber, sigma):
     chambers = {c for c in cells if geometry.is_chamber(c)}
     if chamber not in chambers:
         raise GeometryError("chamber not in the subcomplex")
-    memo = {}
+    return _longest(geometry, chambers, sigma, chamber, {})
 
-    # sigma-minimal steps strictly increase the signed floor sum, so the
-    # step relation is acyclic and plain memoized recursion terminates.
-    def longest(c):
-        if c in memo:
-            return memo[c]
-        best = 0
-        for panel, nb in geometry.chamber_neighbors(c):
-            if nb in chambers and geometry.project_toward(panel, sigma) == nb:
-                best = max(best, 1 + longest(nb))
-        memo[c] = best
-        return best
 
-    return longest(chamber)
+def _longest(geometry, chambers, sigma, c, memo):
+    """sigma_length by memoized recursion.
+
+    sigma-minimal steps strictly increase the signed floor sum, so the step
+    relation is acyclic and the recursion terminates.  A module function, not
+    a closure: a recursive closure references itself, and the cycle would
+    keep the geometry and its caches alive until the cycle collector runs.
+    """
+    if c in memo:
+        return memo[c]
+    best = 0
+    for panel, nb in geometry.chamber_neighbors(c):
+        if nb in chambers and geometry.project_toward(panel, sigma) == nb:
+            best = max(best, 1 + _longest(geometry, chambers, sigma, nb, memo))
+    memo[c] = best
+    return best
 
 
 def sigma_convex_check(geometry, cells, sigma):
@@ -397,9 +401,8 @@ def _upper_lower(window, h, r, with_eps=False):
 def closed_sector_cells(window, tip, tau):
     """Cells of the window inside the closed cone from tip toward tau."""
     g = window.geometry
-    return frozenset(
-        c for c in window.cells() if g.cell_in_closed_sector(tip, tau, c)
-    )
+    levels = g._values(tip)
+    return frozenset(c for c in window.cells() if g._in_closed_sector(levels, tau.signs, c))
 
 
 def covering_special_vertex(geometry, h, x):

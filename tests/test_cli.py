@@ -254,6 +254,9 @@ def test_homology_betti_missing_input(tmp_path, capsys):
         ('{"cells": [{"id": "a", "dim": 0, "faces": []}, {"id": "b", "dim": 0, "faces": []}, '
          '{"id": "e", "dim": 1, "faces": ["a", "b"]}, {"id": "f", "dim": 2, "faces": ["e"]}]}',
          "boundary of boundary"),
+        # an edge with one vertex: the augmentation of its boundary is non-zero
+        ('{"cells": [{"id": "a", "dim": 0, "faces": []}, {"id": "e", "dim": 1, "faces": ["a"]}]}',
+         "boundary of boundary"),
     ],
 )
 def test_homology_betti_malformed_json(tmp_path, capsys, text, fragment):

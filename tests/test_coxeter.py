@@ -1,11 +1,13 @@
 """Cell decoding, projections, faces and galleries on small windows."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError
+from sigmabuild.homology import betti_vector
 from sigmabuild.root_system import build_root_system
 from sigmabuild.windows import Window
 
@@ -262,3 +264,57 @@ def test_sector_membership_predicate(a2):
             g.root_value(y, pi) > g.root_value(x, pi) for pi in g._simple_idx
         )
         assert g.sector_contains_point(x, sigma, y) == expected
+
+
+@pytest.mark.parametrize(
+    "family, radius, n_cells",
+    [("A", 2, 1977), ("D", 2, 1977), ("C", 1, 1045), ("C", 2, 7465)],
+)
+def test_rank3_windows_build_and_are_acyclic(family, radius, n_cells):
+    # a window is a convex box of alcoves, so every reduced Betti number is 0
+    datum = build_root_system(family, 3)
+    t0 = time.perf_counter()
+    window = Window.radius(datum, radius)
+    cx = window.complex()
+    elapsed = time.perf_counter() - t0
+    assert len(window.cells()) == n_cells
+    assert betti_vector(cx) == [0, 0, 0, 0]
+    assert elapsed <= 30, f"{family}3 radius {radius} window took {elapsed:.1f} s"
+
+
+def test_sector_predicates_match_their_definitions(a2):
+    # chambers at infinity of both signs and a face of one (a zero sign): the
+    # cone tests against kappa of the difference to the tip, vertex by vertex
+    datum, g = a2
+    window = Window.radius(datum, 2, g)
+    base = g.base_chamber_at_infinity()
+    other = g.infinity_from_direction(datum.point((1, -3)))
+    face = g.infinity_from_direction(datum.point((1, 0)))
+    assert not face.is_chamber
+    rng = random.Random(5)
+
+    def sign_ok(s, value, closed):
+        if s == 0:
+            return value == 0
+        return s * value >= 0 if closed else s * value > 0
+
+    def diff(a, b):
+        return tuple(y - x for x, y in zip(a, b))
+
+    for tau in (base, base.opposite(), other, other.opposite(), face, face.opposite()):
+        for _ in range(3):
+            tip = datum.point([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(2)])
+            for cell in window.cells():
+                expected = all(
+                    sign_ok(s, datum.kappa(diff(tip, v), root), closed=True)
+                    for v in g.vertices(cell)
+                    for s, root in zip(tau.signs, datum.positive_roots)
+                )
+                assert g.cell_in_closed_sector(tip, tau, cell) == expected
+            for _ in range(20):
+                y = datum.point([Fraction(rng.randint(-8, 8), 3) for _ in range(2)])
+                expected = y != tip and all(
+                    sign_ok(s, datum.kappa(diff(tip, y), root), closed=False)
+                    for s, root in zip(tau.signs, datum.positive_roots)
+                )
+                assert g.sector_contains_point(tip, tau, y) == expected

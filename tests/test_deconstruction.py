@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from fm_oracle import cell_meets_open_sector
 
 from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError
 from sigmabuild.root_system import build_root_system
@@ -265,7 +266,7 @@ def upper_lower_by_sectors(window, h, r):
     for cell in window.cells():
         if any(g.cell_in_closed_sector(w, sigma_op, cell) for w in tips):
             upper.add(cell)
-        if not any(g.cell_meets_open_sector(w, sigma_op, cell) for w in tips):
+        if not any(cell_meets_open_sector(g, w, sigma_op, cell) for w in tips):
             lower.add(cell)
     return frozenset(upper), frozenset(lower)
 

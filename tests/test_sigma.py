@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmabuild.linalg import Q0, Q1, feasible_point, rank
+from fm_oracle import feasible_point
+from sigmabuild.linalg import Q0, Q1, rank
 from sigmabuild.sigma import (
     CERTAIN_IN,
     CERTAIN_OUT,
