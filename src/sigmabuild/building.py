@@ -9,13 +9,22 @@ retraction from infinity onto the standard apartment: the off-diagonal part
 is an upper-unitriangular matrix, so the Hermite form is an exact Iwasawa
 factorization u * a with u unipotent and a a p-power diagonal.
 
-A truncation grows over these forms and then interns them: the forms of the
-ball are sorted once and numbered in that order, so a vertex is an int id
-(`Truncation.vertices[i]` is its form) and a cell is a sorted tuple of ids.
-Because the numbering preserves the order, every sorted list of cells, every
-homology basis and every witness is the one the form tuples would give.
-Images of vertices under the group action that fall outside the ball are
-numbered on demand after the ball's range.
+One integer kernel computes every form: a column Hermite reduction over the
+local ring at p with the minimal-valuation pivot and unit inverses, with every
+entry reduced modulo p^(N+1) for N = v_p(det) (Domich-Kannan-Trotter).
+`lattice_canonical_form` clears the denominators of a rational matrix first.
+
+A truncation grows in integers.  A chamber is one integer basis b_1..b_n over
+a denominator p^s, with chain L_i = span(p b_1, ..., p b_i, b_{i+1}, ..., b_n)
+/ p^s; its panels are fixed moves of that basis (the building is thick, every
+panel has p + 1 chambers), and each new vertex costs one form, keyed by
+integer tuples.  The forms of the ball are then sorted once and numbered in
+that order, so a vertex is an int id (`Truncation.vertices[i]` is its form)
+and a cell is a sorted tuple of ids.  Because the numbering preserves the
+order, every sorted list of cells, every homology basis and every witness is
+the one the form tuples would give.  Images of vertices under the group
+action that fall outside the ball are numbered on demand after the ball's
+range.
 
 Apartment coordinates follow the convention that the chamber at infinity
 stabilized by the upper-triangular subgroup is the all-plus chamber of the
@@ -31,12 +40,13 @@ coefficients c_i over the basis chi_{i,p} (`HeightForm.equivariant_character`).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .chevalley import is_prime, valuation
 from .complexes import CellComplex
 from .coxeter import AlcoveGeometry
 from .homology import ChainComplexF2, F2Chain
-from .linalg import Q0, inverse, matmul
+from .linalg import Q0, det, mat, matmul
 from .root_system import build_root_system
 from .windows import HeightForm
 
@@ -45,88 +55,77 @@ class BuildingError(ValueError):
     pass
 
 
-def echelon_basis(columns, p):
-    """Upper-triangular basis (same lattice, same scale) with p-power diagonal.
+def _hermite_form(cols, p, N):
+    """The canonical form of the lattice class spanned by integer columns, as (d, rows).
 
-    `columns` is a rational matrix given as rows (n x m with m >= n, full
-    rank over the p-local ring); column operations are restricted to the
-    local ring, so the span is preserved exactly.
+    The columns span a lattice M of Z_(p)^n with p^N Z_(p)^n inside M, which
+    holds for N = v_p(det).  The column Hermite reduction over the local ring
+    goes bottom-up: row i takes as pivot an available column of least
+    valuation there, scaled by its unit inverse, and clears the row in the
+    other columns; then every entry above the diagonal is reduced into
+    [0, p^e_i) of its row.  No diagonal exponent exceeds N, so every entry
+    may be reduced modulo p^(N+1) throughout (Domich-Kannan-Trotter 1987).
+    The form of the class is rows / p^d, with rows an integer matrix whose
+    entries are not all divisible by p.
     """
-    n = len(columns)
-    work = [list(Fraction(e) for e in row) for row in columns]
-    m = len(work[0])
-    # bottom-up column echelon over the local ring: pivot by minimal valuation
+    n = len(cols)
+    q = p ** (N + 1)
+    work = [[x % q for x in col] for col in cols]
+    exps = [0] * n
     for i in range(n - 1, -1, -1):
-        limit = i + (m - n)  # columns 0..limit are still available
-        piv, piv_v = None, None
-        for j in range(limit + 1):
-            if work[i][j] == 0:
-                continue
-            v = valuation(work[i][j], p)
-            if piv_v is None or v < piv_v:
-                piv, piv_v = j, v
-        if piv is None:
+        live = [(valuation(work[j][i], p), j) for j in range(i + 1) if work[j][i]]
+        if not live:
             raise BuildingError("columns do not span a full lattice")
-        tgt = limit
-        if piv != tgt:
-            for r in range(n):
-                work[r][piv], work[r][tgt] = work[r][tgt], work[r][piv]
-        unit = work[i][tgt] / Fraction(p) ** piv_v
-        for r in range(n):
-            work[r][tgt] /= unit
-        for j in range(limit):
-            if work[i][j] != 0:
-                f = work[i][j] / work[i][tgt]
-                for r in range(n):
-                    work[r][j] -= f * work[r][tgt]
-    keep = list(range(m - n, m))
-    return tuple(tuple(work[i][j] for j in keep) for i in range(n))
+        v, j = min(live)
+        work[i], work[j] = work[j], work[i]
+        pv = p**v
+        inv = pow(work[i][i] // pv, -1, q)
+        piv = work[i] = [x * inv % q for x in work[i]]
+        for j in range(i):
+            f = work[j][i] // pv
+            if f:
+                work[j] = [(a - f * b) % q for a, b in zip(work[j], piv)]
+        exps[i] = v
+    for j in range(1, n):
+        col = work[j]
+        for i in range(j - 1, -1, -1):
+            f = col[i] // p ** exps[i]
+            if f:
+                col = [a - f * b for a, b in zip(col, work[i])]
+        work[j] = col
+    # the homothety shift p^-min(exps), over the least power of p it needs
+    g = min(valuation(x, p) for col in work for x in col if x)
+    pg = p**g
+    return min(exps) - g, tuple(tuple(col[i] // pg for col in work) for i in range(n))
 
 
-def _canonical_residue(t, a, p):
-    """The canonical representative of t modulo p^a Z_(p).
-
-    Residues are m / p^s with s = max(0, -v_p(t)) and 0 <= m < p^(a+s); the
-    difference (t - r) is divisible by p^a in the local ring.
-    """
-    if t == 0:
-        return Fraction(0)
-    v = valuation(t, p)
-    if v >= a:
-        return Fraction(0)
-    s = max(0, -v)
-    scaled = t * Fraction(p) ** s  # now p-integral
-    mod = p ** (a + s)
-    num, den = scaled.numerator, scaled.denominator
-    r = (num * pow(den, -1, mod)) % mod
-    return Fraction(r, p**s)
+def _fraction_form(key, p):
+    d, rows = key
+    den = p**d
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 def lattice_canonical_form(columns, p):
     """Canonical Hermite form of the lattice class spanned by the given columns.
 
-    Upper triangular with p-power diagonal, minimal diagonal exponent zero
+    `columns` is a square rational matrix given as rows.  The form is upper
+    triangular with p-power diagonal, minimal diagonal exponent zero
     (homothety normalization) and each above-diagonal entry reduced to its
     canonical residue modulo the diagonal p-power of its row.  Two rational
     matrices generate the same lattice class iff their forms coincide.
+    Scaling by the least common denominator of the entries changes neither
+    the class nor the form, so the integer kernel computes it.
     """
-    n = len(columns)
-    mat = [list(row) for row in echelon_basis(columns, p)]
-    exps = [valuation(mat[i][i], p) for i in range(n)]
-    shift = min(exps)
-    scale = Fraction(p) ** (-shift)
-    mat = [[e * scale for e in row] for row in mat]
-    exps = [e - shift for e in exps]
-    # reduce the entries above each diagonal modulo its row's p-power
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            r = _canonical_residue(mat[i][j], exps[i], p)
-            f = (mat[i][j] - r) / Fraction(p) ** exps[i]
-            for rr in range(i + 1):
-                mat[rr][j] -= f * mat[rr][i]
-            if mat[i][j] != r:
-                raise BuildingError(f"entry {mat[i][j]} did not reduce to its residue {r}")
-    return tuple(tuple(row) for row in mat)
+    rows = mat(columns)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise BuildingError("the columns must form a square matrix")
+    scale = lcm(*(e.denominator for row in rows for e in row))
+    ints = [[e.numerator * (scale // e.denominator) for e in row] for row in rows]
+    d = det(mat(ints))
+    if d == 0:
+        raise BuildingError("columns do not span a full lattice")
+    return _fraction_form(_hermite_form(list(zip(*ints)), p, valuation(d, p)), p)
 
 
 def diagonal_exponents(key, p):
@@ -140,71 +139,17 @@ def diagonal_exponents(key, p):
     return tuple(exps)
 
 
-def smith_adapted_basis(b_mat, a_mat, p):
-    """Basis of lattice B adapted to a sublattice A with quotient (Z/p)^2.
-
-    Returns (W, exps): the columns of W are a basis of B and the columns of
-    W scaled by p^exps[i] are a basis of A; exps is ascending.
-    """
-    n = len(b_mat)
-    c = matmul(inverse(b_mat), a_mat)
-    c = [list(row) for row in c]
-    w = [list(row) for row in b_mat]
-    exps = []
-    for k in range(n):
-        piv_i = piv_j = piv_v = None
-        for i in range(k, n):
-            for j in range(k, n):
-                if c[i][j] == 0:
-                    continue
-                v = valuation(c[i][j], p)
-                if piv_v is None or v < piv_v:
-                    piv_i, piv_j, piv_v = i, j, v
-        if piv_v is None:
-            raise BuildingError("sublattice is degenerate")
-        # move pivot to (k, k): row swap mirrors on W columns, column swap free
-        if piv_i != k:
-            c[k], c[piv_i] = c[piv_i], c[k]
-            for r in range(n):
-                w[r][k], w[r][piv_i] = w[r][piv_i], w[r][k]
-        if piv_j != k:
-            for r in range(n):
-                c[r][k], c[r][piv_j] = c[r][piv_j], c[r][k]
-        unit = c[k][k] / Fraction(p) ** piv_v
-        # scale row k of C by 1/unit <-> scale col k of W by unit
-        for j in range(n):
-            c[k][j] /= unit
-        for r in range(n):
-            w[r][k] *= unit
-        for i in range(k + 1, n):
-            if c[i][k] != 0:
-                f = c[i][k] / c[k][k]
-                for j in range(n):
-                    c[i][j] -= f * c[k][j]
-                # row_i -= f row_k  <->  W col_k += f col_i
-                for r in range(n):
-                    w[r][k] += f * w[r][i]
-        for j in range(k + 1, n):
-            if c[k][j] != 0:
-                f = c[k][j] / c[k][k]
-                for i in range(n):
-                    c[i][j] -= f * c[i][k]
-        exps.append(piv_v)
-    if exps != sorted(exps):
-        raise BuildingError("elementary divisors not ascending")
-    return tuple(tuple(row) for row in w), tuple(exps)
-
-
 @dataclass
 class Chamber:
-    """A maximal lattice chain L_0 > L_1 > ... > L_{n-1} > p L_0."""
+    """The maximal lattice chain L_0 > L_1 > ... > L_{n-1} > p L_0 of one integer basis.
 
-    chain: tuple  # nested lattice basis matrices (rational rows)
-    keys: tuple  # canonical forms of the classes, aligned with the chain
+    With b_1, ..., b_n the columns of `basis`,
+    L_i = span(p b_1, ..., p b_i, b_{i+1}, ..., b_n) / p^s.
+    """
 
-    @property
-    def cell_key(self):
-        return tuple(sorted(self.keys))
+    basis: tuple  # integer columns b_1..b_n; det = +-p^(n s)
+    s: int
+    keys: tuple  # canonical forms of L_0..L_{n-1}
 
 
 class Truncation:
@@ -213,6 +158,14 @@ class Truncation:
     A vertex is an int id into `vertices`, the table of canonical forms; a
     cell is a sorted tuple of ids.  `chambers` and `chamber_distance` are
     keyed by chamber cells, `cell_distance` by every cell of `complex`.
+
+    Growth is breadth-first over chambers, each one integer basis (`Chamber`).
+    The chambers on a panel are fixed integer moves of that basis: panel
+    k >= 1 replaces (b_k, b_{k+1}) by (b_{k+1}, b_k + t b_{k+1}), and panel 0
+    replaces the basis by (p^-1 b_n + t b_1, b_2, ..., b_{n-1}, p b_1), for
+    t = 0..p-1.  A chamber does not enumerate the panel it was reached
+    across, and each neighbour costs the canonical form of its one new
+    vertex, computed by the modular integer kernel.
     """
 
     def __init__(self, n, p, radius, max_chambers=10**6):
@@ -233,93 +186,75 @@ class Truncation:
 
     # --- growth ---------------------------------------------------------
 
-    def _base_chamber(self):
-        n, p = self.n, self.p
-        chain = []
-        for i in range(n):
-            rows = tuple(
-                tuple(Fraction(p if (r == c and r < i) else (1 if r == c else 0)) for c in range(n))
-                for r in range(n)
-            )
-            chain.append(rows)
-        keys = tuple(lattice_canonical_form(m, p) for m in chain)
-        return Chamber(tuple(chain), keys)
+    def _vertex_key(self, basis, s, i):
+        """The integer form key of the chain member L_i of a basis."""
+        p = self.p
+        cols = [[p * x for x in b] for b in basis[:i]] + list(basis[i:])
+        return _hermite_form(cols, p, self.n * s + i)
 
-    def _panel_neighbors(self, chamber, k):
-        """The p other chambers across the panel dropping the k-th chain member."""
-        n, p = self.n, self.p
-        chain = chamber.chain
-        if k == 0:
-            upper = tuple(tuple(e / p for e in row) for row in chain[n - 1])
-            lower = chain[1] if n > 1 else tuple(
-                tuple(e * p for e in row) for row in chain[0]
-            )
-        elif k == n - 1:
-            upper = chain[n - 2]
-            lower = tuple(tuple(e * p for e in row) for row in chain[0])
-        else:
-            upper = chain[k - 1]
-            lower = chain[k + 1]
-        w, exps = smith_adapted_basis(upper, lower, p)
-        if exps[-2:] != (1, 1) or any(e != 0 for e in exps[:-2]):
-            raise BuildingError("panel quotient is not (Z/p)^2")
-        cols = [[w[r][j] for r in range(n)] for j in range(n)]  # columns of W
+    def _panel_neighbors(self, basis, s, keys, k):
+        """The p other chambers on the panel of the chain without L_k, as (basis, s, keys)."""
+        p = self.p
         out = []
-        for a, b in [(1, t) for t in range(p)] + [(0, 1)]:
-            mid = [a * cols[n - 2][r] + b * cols[n - 1][r] for r in range(n)]
-            gens = []
-            for j in range(n - 2):
-                gens.append(cols[j])
-            gens.append(mid)
-            gens.append([p * cols[n - 2][r] for r in range(n)])
-            gens.append([p * cols[n - 1][r] for r in range(n)])
-            rows = tuple(tuple(g[r] for g in gens) for r in range(n))
-            key = lattice_canonical_form(rows, p)
-            if key == chamber.keys[k]:
-                continue
-            # keep the literal intermediate lattice so the chain stays nested
-            new_chain = list(chamber.chain)
-            new_keys = list(chamber.keys)
-            new_chain[k] = echelon_basis(rows, p)
-            new_keys[k] = key
-            out.append(Chamber(tuple(new_chain), tuple(new_keys)))
+        for t in range(p):
+            if k:
+                b = list(basis)
+                b[k - 1], b[k] = basis[k], tuple(x + t * y for x, y in zip(basis[k - 1], basis[k]))
+                s2 = s
+            else:
+                # over p^(s+1): (b_n + t p b_1, p b_2, ..., p b_{n-1}, p^2 b_1)
+                b = [tuple(x + t * p * y for x, y in zip(basis[-1], basis[0]))]
+                b += [tuple(p * x for x in col) for col in basis[1:-1]]
+                b.append(tuple(p * p * x for x in basis[0]))
+                s2 = s + 1
+                while all(x % p == 0 for col in b for x in col):
+                    b = [tuple(x // p for x in col) for col in b]
+                    s2 -= 1
+            b = tuple(b)
+            out.append((b, s2, keys[:k] + (self._vertex_key(b, s2, k),) + keys[k + 1:]))
         return out
 
     def _grow(self, max_chambers):
-        """Breadth-first growth over canonical forms, then interning in sorted order."""
-        base = self._base_chamber()
-        found = {base.cell_key: base}
-        dist = {base.cell_key: 0}
-        frontier = [base]
-        while frontier:
+        """Breadth-first growth over integer form keys, then interning in sorted form order."""
+        n, p = self.n, self.p
+        eye = tuple(tuple(int(r == c) for r in range(n)) for c in range(n))
+        base = (eye, 0, tuple(self._vertex_key(eye, 0, i) for i in range(n)))
+        found = {tuple(sorted(base[2])): base}
+        dist = {tuple(sorted(base[2])): 0}
+        frontier = [(base, None)]
+        for d in range(1, self.radius + 1):
             nxt = []
-            for ch in frontier:
-                d = dist[ch.cell_key]
-                if d == self.radius:
-                    continue
-                for k in range(self.n):
-                    for nb in self._panel_neighbors(ch, k):
-                        if nb.cell_key not in found:
+            for ch, came_across in frontier:
+                for k in range(n):
+                    if k == came_across:
+                        continue
+                    for nb in self._panel_neighbors(*ch, k):
+                        ck = tuple(sorted(nb[2]))
+                        if ck not in found:
                             if len(found) >= max_chambers:
                                 raise BuildingError("chamber guard exceeded")
-                            found[nb.cell_key] = nb
-                            dist[nb.cell_key] = d + 1
-                            nxt.append(nb)
+                            found[ck] = nb
+                            dist[ck] = d
+                            nxt.append((nb, k))
             frontier = nxt
         # ids follow the sorted order of the forms, so sorted id tuples sort
-        # exactly like the form tuples they stand for
+        # exactly like the form tuples they stand for; over the common
+        # denominator p^top the forms sort like integer tuples
+        vertex_keys = {key for ck in found for key in ck}
+        top = max(d for d, _ in vertex_keys)
+        order = sorted(vertex_keys, key=lambda k: [x * p ** (top - k[0]) for r in k[1] for x in r])
         self.vertices = []
         self._vertex_ids = {}
         self._root_values = []
-        for form in sorted({form for ck in found for form in ck}):
-            self.vertex_id(form)
-        self.base_chamber = base
-        self.base_vertex = self._vertex_ids[base.keys[0]]
-        self.chambers = {self._cell_ids(ck): ch for ck, ch in found.items()}
-        self.chamber_distance = {self._cell_ids(ck): d for ck, d in dist.items()}
-
-    def _cell_ids(self, forms):
-        return tuple(self._vertex_ids[f] for f in forms)
+        ids = {key: self.vertex_id(_fraction_form(key, p)) for key in order}
+        self.chambers = {}
+        self.chamber_distance = {}
+        for ck, (basis, s, keys) in found.items():
+            cell = tuple(sorted(ids[key] for key in keys))
+            self.chambers[cell] = Chamber(basis, s, tuple(self.vertices[ids[key]] for key in keys))
+            self.chamber_distance[cell] = dist[ck]
+        self.base_chamber = next(iter(self.chambers.values()))
+        self.base_vertex = self._vertex_ids[self.base_chamber.keys[0]]
 
     def _build_complex(self):
         cx = CellComplex()

@@ -182,11 +182,14 @@ def is_prime(p):
 
 def valuation(x, p):
     """The p-adic valuation of a non-zero rational; raises on zero."""
-    x = Fraction(x)
-    if x == 0:
+    if isinstance(x, int):
+        num, den = x, 1
+    else:
+        x = Fraction(x)
+        num, den = x.numerator, x.denominator
+    if num == 0:
         raise ChevalleyError("valuation of zero is +infinity")
     v = 0
-    num, den = x.numerator, x.denominator
     while num % p == 0:
         num //= p
         v += 1

@@ -65,12 +65,12 @@ def test_criterion_4_spherical_suite():
 
 
 def test_criterion_5_building_suite():
-    entry, dt, budget = _timed(lambda: criterion_building(seed=42), 30)
+    entry, dt, budget = _timed(lambda: criterion_building(seed=42), 10)
     assert _report(entry, dt, budget)
 
 
 def test_criterion_6_negative_direction():
-    entry, dt, budget = _timed(criterion_negative_direction, 30)
+    entry, dt, budget = _timed(criterion_negative_direction, 10)
     assert entry["details"]["boundary_nonzero"]
     assert entry["details"]["boundary_in_band"]
     assert entry["details"]["induced_map_nontrivial"]

@@ -7,6 +7,8 @@ from functools import cache
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from lattice_oracle import ChainTruncation, echelon_basis
+from lattice_oracle import lattice_canonical_form as oracle_canonical_form
 
 from sigmabuild.building import (
     BuildingError,
@@ -14,7 +16,6 @@ from sigmabuild.building import (
     Truncation,
     cone_chain,
     diagonal_exponents,
-    echelon_basis,
     grow_truncation,
     height_eval,
     lattice_canonical_form,
@@ -23,6 +24,7 @@ from sigmabuild.building import (
     superlevel_complex,
 )
 from sigmabuild.chevalley import GroupElement, character_eval, h_elem, identity_element, x_elem
+from sigmabuild.coxeter import FLOOR
 from sigmabuild.homology import ChainComplexF2, induced_map_trivial
 from sigmabuild.linalg import det, matmul
 from sigmabuild.windows import HeightForm
@@ -111,7 +113,8 @@ def lattice_and_column_operations(draw):
     """(n, p, a full-rank rational basis, the same basis after GL_n(Z_(p)) column operations)."""
     n = draw(st.sampled_from((2, 3)))
     p = draw(st.sampled_from((2, 3)))
-    entry = st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 3, 4, 9)))
+    # denominators: powers of 2 and 3, 5 and 7 (prime to both), and a mixed 12
+    entry = st.builds(Fraction, st.integers(-8, 8), st.sampled_from((1, 2, 3, 4, 5, 7, 9, 12)))
     base = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
     assume(det(base) != 0)
     cols = [list(col) for col in zip(*base)]
@@ -140,6 +143,24 @@ def test_canonical_form_invariance_property(case, k):
     scale = Fraction(p) ** k
     scaled = tuple(tuple(scale * e for e in row) for row in moved)
     assert lattice_canonical_form(scaled, p) == key
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_and_column_operations(), st.integers(-3, 3))
+def test_canonical_form_matches_fraction_oracle(case, k):
+    # the modular integer kernel against the Fraction echelon route
+    n, p, base, moved = case
+    scale = Fraction(p) ** k
+    for m in (base, moved, tuple(tuple(scale * e for e in row) for row in moved)):
+        assert lattice_canonical_form(m, p) == oracle_canonical_form(m, p)
+
+
+def test_canonical_form_rejects_non_square_and_singular_input():
+    p = 2
+    with pytest.raises(BuildingError, match="square"):
+        lattice_canonical_form(((1, 0, 1), (0, 1, 1)), p)
+    with pytest.raises(BuildingError, match="full lattice"):
+        lattice_canonical_form(((1, 2), (2, 4)), p)
 
 
 def test_echelon_preserves_lattice_scale():
@@ -243,6 +264,55 @@ def test_negative_radius_rejected():
         Truncation(2, 2, -1)
     with pytest.raises(BuildingError, match="radius"):
         Truncation(3, 2, -1, max_chambers=10)
+
+
+# --- integer growth against the Fraction chain route and against counting -------
+
+GROWTH_TRUNCATIONS = ((2, 2, 4), (2, 3, 5), (2, 5, 3), (3, 2, 3), (3, 3, 2))
+
+
+@pytest.mark.parametrize("n, p, radius", GROWTH_TRUNCATIONS)
+def test_integer_growth_matches_chain_oracle(n, p, radius):
+    trunc = Truncation(n, p, radius)
+    oracle = ChainTruncation(n, p, radius)
+    assert trunc.vertices == oracle.vertices
+    assert trunc.base_vertex == oracle.base_vertex
+    assert {c: ch.keys for c, ch in trunc.chambers.items()} == {
+        c: ch.keys for c, ch in oracle.chambers.items()
+    }
+    assert trunc.chamber_distance == oracle.chamber_distance
+    assert trunc.cell_distance == oracle.cell_distance
+    assert trunc.complex.cells() == oracle.complex.cells()
+
+
+def alcove_sphere_sizes(geometry, radius):
+    """Alcoves at each gallery distance from the fundamental alcove, by breadth-first search."""
+    start = ((FLOOR, 0),) * geometry.npos
+    seen = {start}
+    sizes = [1]
+    frontier = [start]
+    for _ in range(radius):
+        nxt = []
+        for c in frontier:
+            for _, nb in geometry.chamber_neighbors(c):
+                if nb not in seen:
+                    seen.add(nb)
+                    nxt.append(nb)
+        sizes.append(len(nxt))
+        frontier = nxt
+    return sizes
+
+
+@pytest.mark.parametrize("n, p, radius", GROWTH_TRUNCATIONS)
+def test_chamber_sphere_is_p_power_times_alcove_sphere(n, p, radius):
+    # every panel has p + 1 chambers, so the chambers at gallery distance d
+    # from the base are p^d times the alcoves at distance d in the apartment
+    trunc = Truncation(n, p, radius)
+    counts = [0] * (radius + 1)
+    for d in trunc.chamber_distance.values():
+        counts[d] += 1
+    alcoves = alcove_sphere_sizes(trunc.geometry, radius)
+    assert counts == [p**d * a for d, a in enumerate(alcoves)]
 
 
 # --- the interned vertex table -------------------------------------------------
@@ -604,13 +674,13 @@ def truncation_and_height(draw):
 
 
 @st.composite
-def borel_element(draw, n, p):
-    """A product of torus elements h_alpha(p^k) and root elements x_alpha(t), t in Z[1/p]."""
+def borel_element(draw, n, p, torus=True):
+    """A product of root elements x_alpha(t), t in Z[1/p], and (with torus) of h_alpha(p^k)."""
     g = identity_element(n)
     simple = [tuple(int(i == j) for j in range(n - 1)) for i in range(n - 1)]
     positive = simple + ([(1, 1)] if n == 3 else [])
     for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
+        if torus and draw(st.booleans()):
             g = g * h_elem(n, draw(st.sampled_from(simple)), Fraction(p) ** draw(st.integers(-2, 2)))
         else:
             t = Fraction(draw(st.integers(-8, 8)), p ** draw(st.integers(0, 2)))
@@ -627,6 +697,19 @@ def test_height_equivariance_property(data):
     (v,) = data.draw(st.sampled_from(trunc.complex.cells(0)))
     moved = trunc.act_on_vertex(g, v)
     assert vertex_height(trunc, h, moved) == vertex_height(trunc, h, v) + character_eval(chi, g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_retraction_invariant_under_unipotents_property(data):
+    # the retraction from the chamber at infinity of the upper-triangular
+    # group is constant on orbits of its unipotent radical, also for images
+    # that leave the ball
+    n, p, radius = data.draw(st.sampled_from(HEIGHT_TRUNCATIONS))
+    trunc = height_truncation(n, p, radius)
+    u = data.draw(borel_element(n, p, torus=False))
+    for cell in trunc.complex.cells():
+        assert trunc.retract_cell(trunc.act_on_cell(u, cell)) == trunc.retract_cell(cell)
 
 
 @settings(max_examples=15, deadline=None)
