@@ -25,7 +25,7 @@ from .chevalley import (
     w_elem,
     x_elem,
 )
-from .coxeter import AlcoveGeometry
+from .coxeter import AlcoveGeometry, GeometryError
 from .homology import ChainComplexF2, betti_vector, induced_map_trivial
 from .root_system import build_root_system, cartan_pairing
 from .sigma import CERTAIN_IN, CERTAIN_OUT, SigmaContext, finiteness_type
@@ -221,7 +221,7 @@ def criterion_coxeter(seed=42):
             continue
         try:
             result = deconstruct(g, z, sigma)
-        except Exception:
+        except GeometryError:
             decon_ok = False
             continue
         decon_count += 1

@@ -301,13 +301,15 @@ class Truncation:
         return self.datum.point(self._root_values[v])
 
     def retract_cell(self, cell_key):
-        """The alcove cell of the standard apartment carrying the retraction image."""
+        """The alcove cell of the standard apartment carrying the retraction image.
+
+        It is the key of the mean of the vertices' images, read from their
+        integer root values.
+        """
         if cell_key in self._retraction_cache:
             return self._retraction_cache[cell_key]
-        pts = [self.vertex_retraction_point(v) for v in cell_key]
-        m = Fraction(len(pts))
-        bary = tuple(sum(col, Q0) / m for col in zip(*pts))
-        cell = self.geometry.cell_of_point(bary)
+        g = self.geometry
+        cell = g._key_of_mean([g._scaled_values(self._root_values[v]) for v in cell_key])
         self._retraction_cache[cell_key] = cell
         return cell
 

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .acceptance import SUITES, certify
-from .building import cone_chain, grow_truncation, superlevel_complex
+from .building import BuildingError, cone_chain, grow_truncation, superlevel_complex
 from .chevalley import identity_element, is_prime, x_elem
 from .complexes import dumps_json
 from .coxeter import AlcoveGeometry, GeometryError
@@ -271,7 +271,7 @@ def cmd_building(args):
                 h,
                 args.r,
             )
-        except Exception as exc:
+        except BuildingError as exc:
             raise PreconditionFailure(str(exc))
         payload = {
             "chain_size": len(cc.chain.support),
@@ -511,7 +511,7 @@ def main(argv=None):
     except PreconditionFailure as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 1
-    except (GeometryError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

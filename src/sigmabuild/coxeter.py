@@ -8,8 +8,11 @@ scaled to integers.  The fundamental alcove's vertices are 0 and the coweights
 w_i / c_i (c the highest root); any other alcove's come from a gallery walk
 that reflects one vertex per step.  A cell's vertices are those of an alcove
 containing it that lie on its walls, its faces are vertex subsets and its key
-is that of its barycenter.  All arithmetic is exact, so every predicate is
-decided, never approximated.
+is that of its barycenter.  Neighbours, projections and the keys of means
+(retraction images in `building` too) read these integer values; Fraction
+points appear only where a point goes in or comes out: `witness`,
+`barycenter`, `vertices` and `cell_of_point`.  All arithmetic is exact, so
+every predicate is decided, never approximated.
 
 The chamber at infinity "sigma" is a sign vector over the positive roots; the
 base chamber is all-plus (the sector where every positive root functional
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import Q1, dot, matvec, rank as mat_rank
-from .root_system import AffineHyperplane, affine_reflect, cartan_pairing
+from .linalg import Q1, dot, matvec
+from .root_system import cartan_pairing
 
 FLOOR = 0
 WALL = 1
@@ -76,15 +79,15 @@ class AlcoveGeometry:
         self._facet_cache = {}
         self._face_cache = {}
         self._proj_cache = {}
-        self._bary_cache = {}
         # An alcove vertex is stored as its scaled root values: the integers
         # den * kappa(v, alpha) over the positive roots.  The fundamental
         # alcove's vertices are 0 and the coweights w_i / c_i (c the highest
         # root), and reflections keep root values in Z / den, den = lcm(c).
+        self._root_coeffs = tuple(tuple(int(c) for c in beta) for beta in datum.positive_roots)
         top = [int(c) for c in datum.highest_root]
         self._den = lcm(*top)
         corners = [(0,) * self.npos] + [
-            tuple(self._den * int(beta[i]) // c for beta in datum.positive_roots)
+            tuple(self._den * beta[i] // c for beta in self._root_coeffs)
             for i, c in enumerate(top)
         ]
         # <beta, alpha^V> (row alpha): the reflection in a wall of alpha moves
@@ -123,26 +126,11 @@ class AlcoveGeometry:
         return tuple(_entry(v.numerator, v.denominator) for v in self._values(x))
 
     def dim(self, cell):
-        wall_rows = [self._functionals[i] for i, (f, _) in enumerate(cell) if f == WALL]
-        if not wall_rows:
-            return self.datum.rank
-        return self.datum.rank - mat_rank(wall_rows)
+        """Every cell is a simplex: one less than its number of vertices."""
+        return len(self._face(cell)) - 1
 
     def is_chamber(self, cell):
         return all(f == FLOOR for f, _ in cell)
-
-    def constraints(self, cell, *, closed=False):
-        """Linear constraints cutting the cell (open by default, else closure)."""
-        cons = []
-        for i, (f, k) in enumerate(cell):
-            g = self._functionals[i]
-            if f == WALL:
-                cons.append((g, "==", k))
-            else:
-                rel = "<=" if closed else "<"
-                cons.append((tuple(-x for x in g), rel, -k))
-                cons.append((g, rel, k + 1))
-        return cons
 
     def _chamber(self, chamber):
         """Vertices (scaled root values) of the alcove with this key, or None.
@@ -199,6 +187,19 @@ class AlcoveGeometry:
         d = self._den * len(verts)
         return tuple(_entry(sum(col), d) for col in zip(*verts))
 
+    def _scaled_values(self, simple_values):
+        """Scaled root values of the point with these integer simple-root values."""
+        return tuple(
+            self._den * sum(c * s for c, s in zip(beta, simple_values))
+            for beta in self._root_coeffs
+        )
+
+    def _bary_values(self, cell):
+        """kappa(b, alpha) over the positive roots, b the barycenter of the cell."""
+        face = self._face(cell)
+        d = self._den * len(face)
+        return tuple(Fraction(sum(col), d) for col in zip(*face))
+
     def _panel_keys(self, face):
         """The key of the face opposite each vertex of a simplex."""
         return [self._key_of_mean(face[:j] + face[j + 1:]) for j in range(len(face))]
@@ -237,13 +238,8 @@ class AlcoveGeometry:
         return tuple(sorted(self.datum.point(v) for v in self._simple_values(cell)))
 
     def barycenter(self, cell):
-        if cell in self._bary_cache:
-            return self._bary_cache[cell]
-        face = self._face(cell)
-        d = self._den * len(face)
-        out = self.datum.point(Fraction(sum(v[i] for v in face), d) for i in self._simple_idx)
-        self._bary_cache[cell] = out
-        return out
+        values = self._bary_values(cell)
+        return self.datum.point(values[i] for i in self._simple_idx)
 
     def is_special_vertex(self, x):
         """Special vertex: integral against every root (meets every wall class)."""
@@ -256,38 +252,30 @@ class AlcoveGeometry:
         key = (cell, tau.signs)
         if key in self._proj_cache:
             return self._proj_cache[key]
-        res = self._project_dir(cell, tau.direction)
+        res = self._project_dir(cell, self._values(tau.direction))
         self._proj_cache[key] = res
         return res
 
     def _project_dir(self, cell, u, limit=None):
-        x0 = self.witness(cell)
-        eps = None
-        for i in range(self.npos):
-            r = dot(self._functionals[i], u)
-            if r == 0:
-                continue
-            v = self.root_value(x0, i)
-            if r > 0:
-                gap = (v.numerator // v.denominator) + 1 - v if v.denominator != 1 else Q1
-            else:
-                gap = v - (v.numerator // v.denominator) if v.denominator != 1 else Q1
-            step = gap / abs(r)
-            eps = step if eps is None else min(eps, step)
-        if eps is None:
+        """The cell of the points just past the barycenter along a direction.
+
+        u gives the direction's positive-root values.  Each root's value moves
+        from v by r per unit; half the least step to a wall (a full unit from
+        a wall the barycenter lies on), capped by `limit`, stays inside the
+        projection.
+        """
+        x0 = self._bary_values(cell)
+        steps = [((-v if r > 0 else v) % 1 or Q1) / abs(r) for v, r in zip(x0, u) if r]
+        if not steps:
             return cell  # direction parallel to every wall through the cell
-        if limit is not None:
-            eps = min(eps, limit)
-        eps = eps / 2
-        y = tuple(a + eps * b for a, b in zip(x0, u))
-        return self.cell_of_point(y)
+        eps = (min(steps) if limit is None else min(*steps, limit)) / 2
+        ys = (v + eps * r for v, r in zip(x0, u))
+        return tuple(_entry(y.numerator, y.denominator) for y in ys)
 
     def project_to_cell(self, cell, target):
         """Gate projection pr_cell(target): project toward the barycenter of target."""
-        x0 = self.witness(cell)
-        y = self.barycenter(target)
-        u = tuple(b - a for a, b in zip(x0, y))
-        if all(x == 0 for x in u):
+        u = tuple(b - a for a, b in zip(self._bary_values(cell), self._bary_values(target)))
+        if not any(u):
             return cell
         return self._project_dir(cell, u, limit=Q1)
 
@@ -320,13 +308,16 @@ class AlcoveGeometry:
         return sum(abs(kc - kd) for (_, kc), (_, kd) in zip(c, d))
 
     def chamber_neighbors(self, chamber):
-        """Pairs (panel, neighbor) across each facet of a chamber."""
+        """Pairs (panel, neighbor) across each facet of a chamber.
+
+        A panel lies on one wall (WALL, k), and the alcove across it differs
+        from the chamber only there: its floor c becomes the mirror 2k - 1 - c.
+        """
         out = []
         for p in self.facets(chamber):
-            i, k = next((i, k) for i, (f, k) in enumerate(p) if chamber[i][0] == FLOOR and f == WALL)
-            h = AffineHyperplane.make(self.datum, self.datum.positive_roots[i], k)
-            y = affine_reflect(self.datum, h, self.witness(chamber))
-            out.append((p, self.cell_of_point(y)))
+            i, k = next((i, k) for i, (f, k) in enumerate(p) if f == WALL)
+            floor = (FLOOR, 2 * k - 1 - chamber[i][1])
+            out.append((p, chamber[:i] + (_SHARED_ENTRIES.get(floor, floor),) + chamber[i + 1:]))
         return sorted(out)
 
     def is_sigma_minimal(self, gallery, sigma):

@@ -41,7 +41,7 @@ class HeightForm:
         heights = [self(values) for values in geometry._simple_values(cell)]
         return min(heights), max(heights)
 
-    def is_generic_decreasing(self, geometry):
+    def is_generic_decreasing(self):
         """Strictly decreasing along every ray into the base chamber at infinity.
 
         Equivalent to all coefficients being negative; returns the index of an
@@ -324,11 +324,10 @@ def epsilon_for_height(geometry, h):
     for flags in product((-1, 0), repeat=geometry.npos):
         cand = tuple((FLOOR, k) for k in flags)
         try:
-            geometry.witness(cand)
+            lo, hi = h.range_on_cell(geometry, cand)
         except GeometryError:
             continue
-        for v in geometry.vertices(cand):
-            d2 = max(d2, abs(h.value(geometry, v)))
+        d2 = max(d2, -lo, hi)
     return 2 * d1 + 2 * d2
 
 
@@ -379,7 +378,7 @@ def _upper_lower(window, h, r, with_eps=False):
     cell is governed by its componentwise ceiling.
     """
     g = window.geometry
-    ok, bad = h.is_generic_decreasing(g)
+    ok, bad = h.is_generic_decreasing()
     if not ok:
         raise GeometryError(
             f"height is not strictly decreasing toward the boundary vertex of sector ray {bad}"

@@ -4,14 +4,17 @@ The library decides alcove cells combinatorially (vertex tuples from gallery
 walks).  The routines here decide the same questions by exact linear
 feasibility instead: `feasible_point` is a plain Fourier-Motzkin elimination
 with witness extraction, and `FMGeometry` is an `AlcoveGeometry` whose
-witnesses, faces, vertices and upper faces come from it.  Tests compare the
-two routes.
+witnesses, faces, vertices and upper faces come from it, and whose
+dimensions, neighbours and projections are the retired Fraction-point
+versions.  Tests compare the two routes.
 """
 
 from fractions import Fraction
 
 from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError
-from sigmabuild.linalg import Q0, LinalgError, affine_solve, dot, vec
+from sigmabuild.linalg import Q0, Q1, LinalgError, affine_solve, dot, vec
+from sigmabuild.linalg import rank as mat_rank
+from sigmabuild.root_system import AffineHyperplane, affine_reflect
 
 # A constraint is a triple (coeffs, rel, rhs) meaning  coeffs . x  REL  rhs,
 # with REL one of "==", "<=", "<".
@@ -129,9 +132,23 @@ def feasible_point(n_vars, constraints):
     return tuple(x)
 
 
+def constraints(g, cell, *, closed=False):
+    """Linear constraints cutting the cell (open by default, else closure)."""
+    cons = []
+    for i, (f, k) in enumerate(cell):
+        row = g._functionals[i]
+        if f == WALL:
+            cons.append((row, "==", k))
+        else:
+            rel = "<=" if closed else "<"
+            cons.append((tuple(-x for x in row), rel, -k))
+            cons.append((row, rel, k + 1))
+    return cons
+
+
 def cell_meets_open_sector(g, tip, tau, cell):
     """Whether the open cell meets the open cone K_tip(tau) (exact)."""
-    cons = g.constraints(cell)
+    cons = constraints(g, cell)
     for s, f, a in zip(tau.signs, g._functionals, g.datum.positive_roots):
         level = g.datum.kappa(tip, a)
         if s > 0:
@@ -149,20 +166,29 @@ class FMGeometry(AlcoveGeometry):
     Witnesses are FM midpoints, facets are the feasible wall/floor edits of
     the right dimension, vertices are the witnesses of the 0-dimensional faces
     of the closure, barycenters are their means, and the upper face
-    intersects the wall systems of its panels.  Projections, galleries and
-    everything else are inherited, so a `Window` built on this geometry is
-    the FM route to its cells.
+    intersects the wall systems of its panels.  The dimension is the rank
+    left by the wall rows, a neighbour is the affine reflection of the
+    witness and a projection steps from the witness along a point direction.
+    Galleries and everything else are inherited, so a `Window` built on this
+    geometry is the FM route to its cells.
     """
 
     def __init__(self, datum):
         super().__init__(datum)
         self._witness_cache = {}
         self._vertex_cache = {}
+        self._bary_cache = {}
+
+    def dim(self, cell):
+        wall_rows = [self._functionals[i] for i, (f, _) in enumerate(cell) if f == WALL]
+        if not wall_rows:
+            return self.datum.rank
+        return self.datum.rank - mat_rank(wall_rows)
 
     def witness(self, cell):
         if cell in self._witness_cache:
             return self._witness_cache[cell]
-        x = feasible_point(self.datum.rank, self.constraints(cell))
+        x = feasible_point(self.datum.rank, constraints(self, cell))
         if x is None:
             raise GeometryError(f"cell {cell} is infeasible")
         if self.cell_of_point(x) != cell:
@@ -273,3 +299,54 @@ class FMGeometry(AlcoveGeometry):
         if face is None:
             raise GeometryError("upper face must be a non-empty face")
         return face
+
+    # --- projections and neighbours through Fraction points ----------------
+
+    def project_toward(self, cell, tau):
+        key = (cell, tau.signs)
+        if key in self._proj_cache:
+            return self._proj_cache[key]
+        res = self._project_dir(cell, tau.direction)
+        self._proj_cache[key] = res
+        return res
+
+    def _project_dir(self, cell, u, limit=None):
+        x0 = self.witness(cell)
+        eps = None
+        for i in range(self.npos):
+            r = dot(self._functionals[i], u)
+            if r == 0:
+                continue
+            v = self.root_value(x0, i)
+            if r > 0:
+                gap = (v.numerator // v.denominator) + 1 - v if v.denominator != 1 else Q1
+            else:
+                gap = v - (v.numerator // v.denominator) if v.denominator != 1 else Q1
+            step = gap / abs(r)
+            eps = step if eps is None else min(eps, step)
+        if eps is None:
+            return cell  # direction parallel to every wall through the cell
+        if limit is not None:
+            eps = min(eps, limit)
+        eps = eps / 2
+        y = tuple(a + eps * b for a, b in zip(x0, u))
+        return self.cell_of_point(y)
+
+    def project_to_cell(self, cell, target):
+        """Gate projection pr_cell(target): project toward the barycenter of target."""
+        x0 = self.witness(cell)
+        y = self.barycenter(target)
+        u = tuple(b - a for a, b in zip(x0, y))
+        if all(x == 0 for x in u):
+            return cell
+        return self._project_dir(cell, u, limit=Q1)
+
+    def chamber_neighbors(self, chamber):
+        """Pairs (panel, neighbor) across each facet of a chamber."""
+        out = []
+        for p in self.facets(chamber):
+            i, k = next((i, k) for i, (f, k) in enumerate(p) if chamber[i][0] == FLOOR and f == WALL)
+            h = AffineHyperplane.make(self.datum, self.datum.positive_roots[i], k)
+            y = affine_reflect(self.datum, h, self.witness(chamber))
+            out.append((p, self.cell_of_point(y)))
+        return sorted(out)

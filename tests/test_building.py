@@ -283,6 +283,12 @@ def test_integer_growth_matches_chain_oracle(n, p, radius):
     assert trunc.chamber_distance == oracle.chamber_distance
     assert trunc.cell_distance == oracle.cell_distance
     assert trunc.complex.cells() == oracle.complex.cells()
+    # the retraction read from integer root values against the Fraction mean
+    # of the vertices' apartment points
+    for cell in trunc.complex.cells():
+        pts = [trunc.vertex_retraction_point(v) for v in cell]
+        mean = tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts))
+        assert trunc.retract_cell(cell) == trunc.geometry.cell_of_point(mean)
 
 
 def alcove_sphere_sizes(geometry, radius):

@@ -159,6 +159,18 @@ def test_building_superlevel_and_cone_chain(capsys):
     assert "realizable" in err
 
 
+def test_cone_chain_internal_error_is_not_a_precondition_failure(monkeypatch, capsys):
+    # only a BuildingError is a mathematical precondition; a bug must surface
+    def broken(*args):
+        raise RuntimeError("internal bug")
+
+    monkeypatch.setattr("sigmabuild.cli.cone_chain", broken)
+    with pytest.raises(RuntimeError, match="internal bug"):
+        main(["building", "cone-chain", "--n", "2", "--p", "2", "--radius", "2",
+              "--height", "-1", "--r", "1"])
+    assert "precondition failed" not in capsys.readouterr().err
+
+
 def test_certify_small_suite_deterministic(capsys):
     code1, out1, _ = run(capsys, ["certify", "--suite", "sigma", "--seed", "42"])
     code2, out2, _ = run(capsys, ["certify", "--suite", "sigma", "--seed", "42"])

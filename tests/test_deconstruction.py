@@ -254,7 +254,7 @@ def special_vertices_above(window, h, r):
 def upper_lower_by_sectors(window, h, r):
     """Oracle for upper_complex/lower_complex: sector membership over enumerated tips."""
     g = window.geometry
-    ok, bad = h.is_generic_decreasing(g)
+    ok, bad = h.is_generic_decreasing()
     if not ok:
         raise GeometryError(
             f"height is not strictly decreasing toward the boundary vertex of sector ray {bad}"

@@ -2,8 +2,8 @@
 
 Random cell keys near small A2, C2, A3 and C3 windows, many of them not cells
 at all, must get the same answer from both routes: whether a witness exists,
-and then the facets, vertices, dimension and upper faces.  Whole windows must
-have the same cells and face relation.
+and then the facets, vertices, dimension, projections, neighbours and upper
+faces.  Whole windows must have the same cells and face relation.
 """
 
 from fractions import Fraction
@@ -30,6 +30,12 @@ def cell_keys(draw):
     two entries replaced by a nearby floor or wall, which often gives a key
     that is not a cell."""
     name = draw(st.sampled_from(sorted(DATA)))
+    return name, draw(keys_of(name))
+
+
+@st.composite
+def keys_of(draw, name):
+    """A key of the given type, drawn as in `cell_keys`."""
     datum = DATA[name]
     g, _ = GEOMETRIES[name]
     values = [
@@ -41,7 +47,7 @@ def cell_keys(draw):
         i = draw(st.integers(0, g.npos - 1))
         flag = draw(st.sampled_from((FLOOR, WALL)))
         key[i] = (flag, key[i][1] + draw(st.integers(-1, 1)))
-    return name, tuple(key)
+    return tuple(key)
 
 
 def _fm_is_cell(fm, key):
@@ -52,13 +58,13 @@ def _fm_is_cell(fm, key):
     return True
 
 
-@given(cell_keys())
+@given(cell_keys(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_cells_agree_with_fm_route(case):
+def test_cells_agree_with_fm_route(case, data):
     name, key = case
     g, fm = GEOMETRIES[name]
     if not _fm_is_cell(fm, key):
-        for read in (g.witness, g.facets, g.vertices):
+        for read in (g.witness, g.facets, g.vertices, g.dim):
             with pytest.raises(GeometryError):
                 read(key)
         return
@@ -66,12 +72,19 @@ def test_cells_agree_with_fm_route(case):
     assert g.facets(key) == fm.facets(key)
     assert g.vertices(key) == fm.vertices(key)
     assert g.dim(key) == fm.dim(key) == len(g.vertices(key)) - 1
+    datum = DATA[name]
+    base = g.base_chamber_at_infinity()
+    other = g.infinity_from_direction(datum.point(GENERIC[: datum.rank]))
+    assert other.is_chamber
+    sigmas = (base, base.opposite(), other, other.opposite())
+    for sigma in sigmas:
+        assert g.project_toward(key, sigma) == fm.project_toward(key, sigma)
+    target = data.draw(keys_of(name))
+    if _fm_is_cell(fm, target):
+        assert g.project_to_cell(key, target) == fm.project_to_cell(key, target)
     if g.is_chamber(key):
-        datum = DATA[name]
-        base = g.base_chamber_at_infinity()
-        other = g.infinity_from_direction(datum.point(GENERIC[: datum.rank]))
-        assert other.is_chamber
-        for sigma in (base, base.opposite(), other, other.opposite()):
+        assert g.chamber_neighbors(key) == fm.chamber_neighbors(key)
+        for sigma in sigmas:
             assert g.upper_face(key, sigma) == fm.upper_face(key, sigma)
 
 

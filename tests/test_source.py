@@ -29,3 +29,22 @@ def test_library_raises_its_own_errors():
         and "AssertionError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
     ]
     assert found == []
+
+
+def test_library_catches_no_broad_exceptions():
+    # `except Exception` and bare `except:` would report internal bugs as
+    # mathematical failures
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ExceptHandler)
+        and (
+            node.type is None
+            or any(
+                isinstance(n, ast.Name) and n.id in ("Exception", "BaseException")
+                for n in ast.walk(node.type)
+            )
+        )
+    ]
+    assert found == []
