@@ -102,31 +102,31 @@ def criterion_characters(seed=42):
             if lhs != x_elem(2, (1,), s) ** (p * p - 1):
                 power_ok = False
     primes = (2, 5)
+    positive_roots = build_root_system("A", 2).positive_roots
 
-    def random_borel(n):
-        g = identity_element(n)
-        datum = build_root_system("A", n - 1)
-        for root in datum.positive_roots:
+    def random_borel():
+        """A random element of B(Z[1/10]) in SL_3: unipotent factors, then torus factors."""
+        g = identity_element(3)
+        for root in positive_roots:
             num = rng.randint(-20, 20)
             den = 1
             for p in primes:
                 den *= p ** rng.randint(0, 2)
-            g = g * x_elem(n, root, Fraction(num, den))
-        for k in range(1, n):
-            root = tuple(1 if i == k - 1 else 0 for i in range(n - 1))
-            g = g * h_elem(n, root, Fraction(rng.choice(primes)) ** rng.randint(-2, 2))
+            g = g * x_elem(3, root, Fraction(num, den))
+        for root in ((1, 0), (0, 1)):
+            g = g * h_elem(3, root, Fraction(rng.choice(primes)) ** rng.randint(-2, 2))
         return g
 
     delta_ok = True
     for _ in range(100):
-        g1, g2 = random_borel(3), random_borel(3)
+        g1, g2 = random_borel(), random_borel()
         if torus_projection(g1 * g2) != torus_projection(g1) * torus_projection(g2):
             delta_ok = False
     chi = CharacterVec(3, primes, {(1, 2): 1, (2, 5): Fraction(3, 2)})
     additive_ok = True
     unipotent_ok = True
     for _ in range(50):
-        g1, g2 = random_borel(3), random_borel(3)
+        g1, g2 = random_borel(), random_borel()
         if character_eval(chi, g1 * g2) != character_eval(chi, g1) + character_eval(chi, g2):
             additive_ok = False
         def s_rational():

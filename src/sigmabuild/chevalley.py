@@ -1,15 +1,21 @@
 """Exact SL_n matrices: Steinberg generators, Borel splitting, valuations, characters.
 
 Only the standard matrix representation is realized; a root of A_{n-1} is an
-off-diagonal position (i, j) and the elementary generator is I + t E_ij.  All
-entries are `fractions.Fraction`, so the Steinberg relations and the character
-formulas are checked as exact identities.
+off-diagonal position (i, j) and the elementary generator is I + t E_ij.  The
+Weyl and torus generators are written in closed form (Steinberg 1968,
+*Lectures on Chevalley groups*, §3): w_alpha(t) is the identity with the
+(i, j) block replaced by [[0, t], [-1/t, 0]], and h_alpha(t) is the diagonal
+matrix with t at (i, i) and 1/t at (j, j).  Their product definitions,
+x_alpha(t) x_{-alpha}(-1/t) x_alpha(t) and w_alpha(t) w_alpha(1)^-1, are the
+reference the tests compare against.  All entries are `fractions.Fraction`, so
+the Steinberg relations and the character formulas are checked as exact
+identities.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Q0, Q1, fraction_str
+from .linalg import Q0, Q1, det, fraction_str, identity, inverse, matmul
 
 
 class ChevalleyError(ValueError):
@@ -17,32 +23,44 @@ class ChevalleyError(ValueError):
 
 
 class GroupElement:
-    """An SL_n matrix over the rationals."""
+    """An SL_n matrix over the rationals.
+
+    The public constructor converts every entry to a Fraction and checks the
+    shape and the determinant; the group operations build their results with
+    `_of_rows`, which trusts rows that are already square tuples of Fractions.
+    """
 
     __slots__ = ("rows", "n")
 
     def __init__(self, rows, check_det=True):
         self.rows = tuple(tuple(Fraction(e) for e in row) for row in rows)
         self.n = len(self.rows)
+        if not self.n:
+            raise ChevalleyError("matrix is empty")
         if any(len(r) != self.n for r in self.rows):
             raise ChevalleyError("matrix is not square")
         if check_det and self.det() != 1:
             raise ChevalleyError("determinant must be 1")
 
-    def det(self):
-        from .linalg import det
+    @classmethod
+    def _of_rows(cls, rows):
+        g = object.__new__(cls)
+        g.rows = rows
+        g.n = len(rows)
+        return g
 
+    def det(self):
         return det(self.rows)
 
     def __mul__(self, other):
-        from .linalg import matmul
-
-        return GroupElement(matmul(self.rows, other.rows), check_det=False)
+        if self.n != other.n:
+            raise ChevalleyError(
+                f"cannot multiply a {self.n}x{self.n} by a {other.n}x{other.n} matrix"
+            )
+        return GroupElement._of_rows(matmul(self.rows, other.rows))
 
     def inv(self):
-        from .linalg import inverse
-
-        return GroupElement(inverse(self.rows), check_det=False)
+        return GroupElement._of_rows(inverse(self.rows))
 
     def __pow__(self, k):
         if k < 0:
@@ -85,10 +103,7 @@ class GroupElement:
 
 
 def identity_element(n):
-    return GroupElement(
-        tuple(tuple(Q1 if i == j else Q0 for j in range(n)) for i in range(n)),
-        check_det=False,
-    )
+    return GroupElement._of_rows(identity(n))
 
 
 def root_position(n, coeffs):
@@ -113,30 +128,42 @@ def root_position(n, coeffs):
     return j, i
 
 
+def _with_entries(n, entries):
+    """The n x n identity with the given {(row, col): Fraction} entries replaced."""
+    return GroupElement._of_rows(
+        tuple(
+            tuple(entries.get((a, b), Q1 if a == b else Q0) for b in range(n))
+            for a in range(n)
+        )
+    )
+
+
 def x_elem(n, root, t):
     """Elementary unipotent x_alpha(t) = I + t E_ij."""
     i, j = root_position(n, root)
-    rows = [[Q1 if a == b else Q0 for b in range(n)] for a in range(n)]
-    rows[i][j] = Fraction(t)
-    return GroupElement(rows, check_det=False)
+    return _with_entries(n, {(i, j): Fraction(t)})
 
 
 def w_elem(n, root, t):
-    """w_alpha(t) = x_alpha(t) x_{-alpha}(-1/t) x_alpha(t); t must be non-zero."""
+    """w_alpha(t) = x_alpha(t) x_{-alpha}(-1/t) x_alpha(t); t must be non-zero.
+
+    In closed form: the identity with zeros at (i, i) and (j, j), t at (i, j)
+    and -1/t at (j, i).
+    """
     t = Fraction(t)
     if t == 0:
         raise ChevalleyError("w_alpha(0) is undefined")
     i, j = root_position(n, root)
-    neg = tuple(-c for c in root)
-    return x_elem(n, root, t) * x_elem(n, neg, -1 / t) * x_elem(n, root, t)
+    return _with_entries(n, {(i, i): Q0, (j, j): Q0, (i, j): t, (j, i): -1 / t})
 
 
 def h_elem(n, root, t):
-    """h_alpha(t) = w_alpha(t) w_alpha(1)^-1; diagonal in the standard representation."""
+    """h_alpha(t) = w_alpha(t) w_alpha(1)^-1: the identity with t at (i, i) and 1/t at (j, j)."""
     t = Fraction(t)
     if t == 0:
         raise ChevalleyError("h_alpha(0) is undefined")
-    return w_elem(n, root, t) * w_elem(n, root, 1).inv()
+    i, j = root_position(n, root)
+    return _with_entries(n, {(i, i): t, (j, j): 1 / t})
 
 
 @dataclass(frozen=True)
@@ -152,10 +179,7 @@ def borel_decompose(g):
     d = g.diagonal()
     if any(x == 0 for x in d):
         raise ChevalleyError("singular diagonal")
-    t = GroupElement(
-        [[d[i] if i == j else Q0 for j in range(g.n)] for i in range(g.n)],
-        check_det=False,
-    )
+    t = _with_entries(g.n, {(i, i): x for i, x in enumerate(d)})
     u = t.inv() * g
     return BorelDecomposition(t, u)
 

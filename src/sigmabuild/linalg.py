@@ -34,8 +34,23 @@ def matvec(m, v):
 
 
 def matmul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    """The product a.b as a tuple of Fraction rows.
+
+    Only the non-zero products a_ik b_kj are added, row by row into Fraction
+    accumulators: the group elements multiplied here are mostly triangular or
+    unipotent, so most products would be zero.
+    """
+    n_cols = len(b[0]) if b else 0
+    b_nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = []
+    for row in a:
+        acc = [Q0] * n_cols
+        for aik, bk in zip(row, b_nonzero):
+            if aik:
+                for j, bkj in bk:
+                    acc[j] += aik * bkj
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def identity(n):

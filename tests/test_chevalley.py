@@ -93,6 +93,50 @@ def test_w_and_h_shape_sl2():
         w_elem(2, alpha, 0)
 
 
+CLOSED_FORM_TS = (Fraction(1), Fraction(-1), Fraction(5, 3), Fraction(-2, 7), Fraction(12))
+
+
+def test_closed_forms_match_product_definitions():
+    """w and h against x_a(t) x_-a(-1/t) x_a(t) and w(t) w(1)^-1, on A_1..A_3."""
+    for n in (2, 3, 4):
+        for alpha in all_roots(n):
+            neg = tuple(-c for c in alpha)
+            for t in CLOSED_FORM_TS:
+                w = x_elem(n, alpha, t) * x_elem(n, neg, -1 / t) * x_elem(n, alpha, t)
+                assert w_elem(n, alpha, t) == w
+                assert h_elem(n, alpha, t) == w * w_elem(n, alpha, 1).inv()
+
+
+def test_closed_forms_build_no_product_or_inverse(monkeypatch):
+    import sigmabuild.chevalley as chevalley
+
+    def forbidden(*args):
+        raise AssertionError("closed forms must not multiply or invert")
+
+    monkeypatch.setattr(chevalley, "matmul", forbidden)
+    monkeypatch.setattr(chevalley, "inverse", forbidden)
+    assert w_elem(3, (1, 1), 2).rows[0][2] == 2
+    assert h_elem(3, (0, -1), 2).diagonal() == (1, Fraction(1, 2), 2)
+
+
+def test_group_elements_are_square_nonempty_and_same_size():
+    with pytest.raises(ChevalleyError, match="2x2 by a 3x3"):
+        identity_element(2) * x_elem(3, (1, 0), 5)
+    with pytest.raises(ChevalleyError, match="empty"):
+        GroupElement([])
+    with pytest.raises(ChevalleyError, match="not square"):
+        GroupElement([[1, 0]])
+
+
+def test_public_constructor_converts_and_checks_det():
+    g = GroupElement([[1, 2], [0, 1]])
+    assert all(type(e) is Fraction for row in g.rows for e in row)
+    assert g == x_elem(2, (1,), 2)
+    with pytest.raises(ChevalleyError, match="determinant"):
+        GroupElement([[2, 0], [0, 1]])
+    assert GroupElement([[2, 0], [0, 1]], check_det=False).diagonal() == (2, 1)
+
+
 def test_h_at_prime():
     p = 7
     h = h_elem(2, (1,), p)

@@ -359,3 +359,24 @@ def test_bad_option_values_are_usage_errors(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.count("error:") == 1
     assert message in err
+
+
+def test_python_dash_m_sigmabuild_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sigmabuild
+
+    env = dict(os.environ)
+    src = str(Path(sigmabuild.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["certify", "--suite", "sigma"]
+    runs = [
+        subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, env=env)
+        for module in ("sigmabuild", "sigmabuild.cli")
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["passed"] is True

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmabuild.linalg import Q0, affine_solve, det, identity, inverse, mat, matmul, matvec, rank
+from sigmabuild.linalg import (
+    Q0,
+    affine_solve,
+    det,
+    dot,
+    identity,
+    inverse,
+    mat,
+    matmul,
+    matvec,
+    rank,
+)
 
 ENTRIES = st.builds(
     Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)
@@ -45,6 +56,33 @@ def systems(draw):
     else:
         rhs = draw(st.tuples(*[ENTRIES] * len(rows)))
     return rows, rhs
+
+
+SPARSE_ENTRIES = st.one_of(st.just(0), st.just(0), ENTRIES)
+
+
+@st.composite
+def sparse_products(draw):
+    """(a, b) with a n x k and b k x m, mostly zeros, sometimes all-zero rows."""
+    n, k, m = draw(SIZES), draw(SIZES), draw(SIZES)
+
+    def sparse(n_rows, n_cols):
+        zero_rows = draw(st.sets(st.integers(min_value=0, max_value=n_rows - 1)))
+        return tuple(
+            (0,) * n_cols if i in zero_rows else draw(st.tuples(*[SPARSE_ENTRIES] * n_cols))
+            for i in range(n_rows)
+        )
+
+    return sparse(n, k), sparse(k, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_products())
+def test_matmul_is_the_dense_product(pair):
+    a, b = pair
+    product = matmul(a, b)
+    assert product == tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
+    assert all(type(e) is Fraction for row in product for e in row)
 
 
 @settings(max_examples=150, deadline=None)
