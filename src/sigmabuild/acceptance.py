@@ -401,7 +401,7 @@ def criterion_negative_direction():
     }
 
 
-def criterion_positive_direction(run_sl3=True):
+def criterion_positive_direction():
     """Preimages of upper complexes: nonempty for the tree, connected for SL_3."""
     p = 2
     trunc = grow_truncation(2, p, 5)
@@ -416,66 +416,50 @@ def criterion_positive_direction(run_sl3=True):
             tree_checked += 1
             if len(pre.cells()) == 0:
                 tree_ok = False
-    details = {
-        "tree_preimages_nonempty": tree_ok,
-        "tree_cases": tree_checked,
-        "margins": {"tree_radius": 5, "window": [-5, 4]},
-    }
-    passed = tree_ok
-    if run_sl3:
-        radius3 = 3
-        margin = 1
-        trunc3 = grow_truncation(3, p, radius3)
-        window3 = Window(trunc3.datum, [-radius3 - 1] * 2, [radius3] * 2, trunc3.geometry)
-        reachable = frozenset(trunc3.retract_cell(c) for c in trunc3.complex.cells())
-        sl3_ok = True
-        sl3_checked = 0
-        heights = [(-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -2)]
-        for lam in heights:
-            h = HeightForm(tuple(Fraction(x) for x in lam))
-            for r in (-4, -3, -2):
-                up = upper_complex(window3, h, r)
-                pre = retraction_preimage(trunc3, up & reachable)
-                sl3_checked += 1
-                cells = set(pre.cells())
-                if not cells:
-                    sl3_ok = False
-                    continue
-                # connectivity away from the rim shell: every cell within the
-                # margin connects to the base-chamber component
-                parent = {c: c for c in cells}
-
-                def find(x):
-                    while parent[x] != x:
-                        parent[x] = parent[parent[x]]
-                        x = parent[x]
-                    return x
-
-                for c in cells:
-                    for f in pre.facets(c):
-                        ra, rb = find(c), find(f)
-                        if ra != rb:
-                            parent[ra] = rb
-                base_cell = (trunc3.base_vertex,)
-                if base_cell not in cells:
-                    sl3_ok = False
-                    continue
-                core = find(base_cell)
-                for c in cells:
-                    if trunc3.cell_distance[c] <= radius3 - margin and find(c) != core:
-                        sl3_ok = False
-        details["sl3_preimages_connected_with_margin"] = sl3_ok
-        details["sl3_cases"] = sl3_checked
-        details["margins"]["sl3_radius"] = radius3
-        details["margins"]["sl3_rim_margin"] = margin
-        passed = passed and sl3_ok
-    else:
-        details["sl3_preimages_connected_with_margin"] = "not run"
+    radius3 = 3
+    margin = 1
+    trunc3 = grow_truncation(3, p, radius3)
+    window3 = Window(trunc3.datum, [-radius3 - 1] * 2, [radius3] * 2, trunc3.geometry)
+    reachable = frozenset(trunc3.retract_cell(c) for c in trunc3.complex.cells())
+    sl3_ok = True
+    sl3_checked = 0
+    heights = [(-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -2)]
+    for lam in heights:
+        h = HeightForm(tuple(Fraction(x) for x in lam))
+        for r in (-4, -3, -2):
+            up = upper_complex(window3, h, r)
+            pre = retraction_preimage(trunc3, up & reachable)
+            sl3_checked += 1
+            if not core_connected(trunc3, pre, radius3 - margin):
+                sl3_ok = False
     return {
         "name": "positive-direction-certificate",
-        "passed": passed,
-        "details": details,
+        "passed": tree_ok and sl3_ok,
+        "details": {
+            "tree_preimages_nonempty": tree_ok,
+            "tree_cases": tree_checked,
+            "margins": {
+                "tree_radius": 5,
+                "window": [-5, 4],
+                "sl3_radius": radius3,
+                "sl3_rim_margin": margin,
+            },
+            "sl3_preimages_connected_with_margin": sl3_ok,
+            "sl3_cases": sl3_checked,
+        },
     }
+
+
+def core_connected(trunc, pre, depth):
+    """Are the cells of `pre` within `depth` of the base chamber in the base vertex's component?
+
+    Such a cell has its vertices within `depth` too, so it suffices that the
+    base vertex is in `pre` and H_0(core) -> H_0(pre) is trivial.
+    """
+    if (trunc.base_vertex,) not in pre:
+        return False
+    core = pre.restrict(v for v in pre.cells(0) if trunc.cell_distance[v] <= depth)
+    return induced_map_trivial(core, pre, 0)[0]
 
 
 def criterion_sigma():
@@ -517,7 +501,7 @@ SUITES = {
 SUITES["all"] = SUITES["relations"] + SUITES["coxeter"] + SUITES["spherical"] + SUITES["building"] + SUITES["sigma"]
 
 
-def certify(suite="all", seed=42, run_sl3=True, with_timings=False):
+def certify(suite="all", seed=42, with_timings=False):
     """Run a certification suite; deterministic report, optional timings."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
@@ -528,7 +512,7 @@ def certify(suite="all", seed=42, run_sl3=True, with_timings=False):
         "spherical": criterion_spherical,
         "building": lambda: criterion_building(seed),
         "negative": criterion_negative_direction,
-        "positive": lambda: criterion_positive_direction(run_sl3),
+        "positive": criterion_positive_direction,
     }
     runners["sigma"] = criterion_sigma
     report = {"suite": suite, "seed": seed, "criteria": []}

@@ -93,6 +93,8 @@ def _parse_window(text, rank):
             hi.append(int(b))
         except ValueError:
             raise UsageError(f"bad window range {part!r}, expected lo:hi")
+        if lo[-1] > hi[-1]:
+            raise UsageError(f"empty window range {part!r}, expected lo <= hi")
     return lo, hi
 
 
@@ -369,12 +371,7 @@ def cmd_sigma(args):
 
 
 def cmd_certify(args):
-    report = certify(
-        suite=args.suite,
-        seed=args.seed,
-        run_sl3=not args.skip_sl3,
-        with_timings=args.timings,
-    )
+    report = certify(suite=args.suite, seed=args.seed, with_timings=args.timings)
     _emit(report, args.format)
     return 0 if report["passed"] else 1
 
@@ -492,7 +489,6 @@ def build_parser():
     p = sub.add_parser("certify", help="run a certification suite")
     p.add_argument("--suite", choices=sorted(SUITES), default="all")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--skip-sl3", action="store_true", help="skip the SL3 positive instance")
     p.add_argument("--timings", action="store_true", help="attach wall-clock timings")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_certify)

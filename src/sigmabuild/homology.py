@@ -5,7 +5,10 @@ bit rows (bit i = coefficient of the i-th cell in a fixed sorted order), so
 Gaussian elimination is a handful of xors.  Each boundary map is
 column-reduced at most once, on first use; ranks, Betti numbers, cycle bases
 and bounding chains all read that reduction.  Betti numbers are reduced: the
-degree-0 boundary is augmented by the empty cell.
+degree-0 boundary is augmented by the empty cell.  An induced map
+H_k(small) -> H_k(big) is decided inside big's complex alone: small's k-cells
+go through the same pivot loop as big's columns, and each cycle is tested
+against big's degree-(k+1) reduction as soon as it appears.
 """
 
 
@@ -131,15 +134,21 @@ class ChainComplexF2:
         """
         red = self._reductions.get(k)
         if red is None:
-            pivots, kernel = {}, []
-            for j, col in enumerate(self.bnd[k]):
-                row, combo = self._eliminate(col, 1 << j, pivots)
-                if row:
-                    pivots[row.bit_length() - 1] = (row, combo)
-                else:
-                    kernel.append(combo)
+            pivots = {}
+            columns = ((col, 1 << j) for j, col in enumerate(self.bnd[k]))
+            kernel = list(self._reduce(columns, pivots))
             red = self._reductions[k] = (pivots, kernel)
         return red
+
+    @classmethod
+    def _reduce(cls, columns, pivots):
+        """Reduce (column, combo) pairs into `pivots`; yield each kernel combo as it appears."""
+        for col, combo in columns:
+            row, combo = cls._eliminate(col, combo, pivots)
+            if row:
+                pivots[row.bit_length() - 1] = (row, combo)
+            else:
+                yield combo
 
     def kernel_basis(self, k):
         """Basis of the k-cycles (reduced: degree 0 uses the augmentation)."""
@@ -187,17 +196,24 @@ def induced_map_trivial(small, big, k):
     """Does every k-cycle of `small` bound in `big`?
 
     Both are frozen CellComplexes sharing cell keys, small a subcomplex of
-    big.  Returns (True, None) or (False, witness_cycle).  Degree 0 is
-    reduced: 0-cycles are the even 0-chains.
+    big (every cell of small is a cell of big with the same facets).  Returns
+    (True, None) or (False, witness_cycle).  Degree 0 is reduced: 0-cycles
+    are the even 0-chains.
     """
-    for c in small.cells():
-        if c not in big:
-            raise HomologyError(f"cell {c!r} of the small complex missing from the big one")
-    small_cc = ChainComplexF2(small)
-    if k > small_cc.top:
-        return True, None
+    if not small.frozen:
+        raise HomologyError("freeze the complex first")
     big_cc = ChainComplexF2(big)
-    for cycle in small_cc.kernel_basis(k):
-        if not big_cc.bounds(cycle):
-            return False, cycle
+    for c in small.cells():
+        if c not in big or big.dim_of(c) != small.dim_of(c) or big.facets(c) != small.facets(c):
+            raise HomologyError(f"cell {c!r} of the small complex is not a cell of the big one")
+    if k > small.dim:
+        return True, None
+    # small's k-cells reduced as big's columns: sorted order survives the
+    # restriction, so pivots and kernel combos are those of small's own reduction
+    idx = big_cc.index[k]
+    columns = ((big_cc.bnd[k][idx[c]], 1 << idx[c]) for c in small.cells(k))
+    bounding = big_cc._reduction(k + 1)[0] if k < big_cc.top else {}
+    for combo in big_cc._reduce(columns, {}):
+        if big_cc._eliminate(combo, 0, bounding)[0]:
+            return False, big_cc.from_bits(k, combo)
     return True, None

@@ -1,17 +1,18 @@
 """The acceptance gate: every certification criterion at its stated tolerance.
 
 Each test runs one criterion and prints its pass/fail line; criterion 9 runs
-the full certification twice and compares the reports byte for byte.  The SL_3
-instance of the positive-direction certificate honors SIGMABUILD_SKIP_SL3 (it
-is then reported as "not run" rather than passed).
+the full certification twice and compares the reports byte for byte.  The
+positive-direction certificate always runs its SL_3 instance; its connectivity
+check is compared with a union-find oracle on the same preimages.
 """
 
 import json
-import os
 import time
+from fractions import Fraction
 
 from sigmabuild.acceptance import (
     certify,
+    core_connected,
     criterion_building,
     criterion_characters,
     criterion_coxeter,
@@ -21,8 +22,8 @@ from sigmabuild.acceptance import (
     criterion_spherical,
     criterion_steinberg,
 )
-
-RUN_SL3 = os.environ.get("SIGMABUILD_SKIP_SL3", "") == ""
+from sigmabuild.building import grow_truncation, retraction_preimage
+from sigmabuild.windows import HeightForm, Window, upper_complex
 
 
 def _report(entry, elapsed=None, budget=None):
@@ -78,11 +79,58 @@ def test_criterion_6_negative_direction():
 
 
 def test_criterion_7_positive_direction():
-    entry, dt, budget = _timed(lambda: criterion_positive_direction(run_sl3=RUN_SL3), 60)
-    if not RUN_SL3:
-        assert entry["details"]["sl3_preimages_connected_with_margin"] == "not run"
-        print("[NOT RUN] positive-direction: SL3 instance skipped by flag")
+    entry, dt, budget = _timed(criterion_positive_direction, 10)
+    assert entry["details"]["sl3_cases"] == 15
+    assert entry["details"]["sl3_preimages_connected_with_margin"] is True
     assert _report(entry, dt, budget)
+
+
+def union_find_core_connected(trunc, pre, depth):
+    """Every cell of `pre` within `depth` lies in the component of the base vertex."""
+    parent = {c: c for c in pre.cells()}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c in parent:
+        for f in pre.facets(c):
+            parent[find(c)] = find(f)
+    base = (trunc.base_vertex,)
+    if base not in parent:
+        return False
+    return all(find(c) == find(base) for c in parent if trunc.cell_distance[c] <= depth)
+
+
+def test_core_connected_matches_union_find():
+    # the 15 SL_3 preimages of the positive-direction certificate, depth 3 - 1
+    trunc = grow_truncation(3, 2, 3)
+    window = Window(trunc.datum, [-4, -4], [3, 3], trunc.geometry)
+    reachable = frozenset(trunc.retract_cell(c) for c in trunc.complex.cells())
+    cases = 0
+    for lam in [(-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -2)]:
+        h = HeightForm(tuple(Fraction(x) for x in lam))
+        for r in (-4, -3, -2):
+            pre = retraction_preimage(trunc, upper_complex(window, h, r) & reachable)
+            assert core_connected(trunc, pre, 2) == union_find_core_connected(trunc, pre, 2)
+            cases += 1
+    assert cases == 15
+    # planted: the closed base chamber plus one vertex off it, isolated
+    base_chamber = next(c for c in trunc.chambers if trunc.chamber_distance[c] == 0)
+    closed = trunc.complex.closure([base_chamber])
+    far = next(c for c in trunc.complex.cells(0) if trunc.cell_distance[c] == 2)
+    pre = trunc.complex.restrict(closed | {far})
+    # the vertex is in the depth-2 core, but outside the depth-1 one
+    for depth, expected in ((2, False), (1, True)):
+        assert union_find_core_connected(trunc, pre, depth) is expected
+        assert core_connected(trunc, pre, depth) is expected
+    # planted: a connected chamber without the base vertex
+    other = next(c for c in trunc.chambers if trunc.base_vertex not in c)
+    pre = trunc.complex.restrict(trunc.complex.closure([other]))
+    assert union_find_core_connected(trunc, pre, 2) is False
+    assert core_connected(trunc, pre, 2) is False
 
 
 def test_criterion_8_sigma_reproduction():
@@ -91,8 +139,8 @@ def test_criterion_8_sigma_reproduction():
 
 
 def test_criterion_9_certify_determinism():
-    first = certify(suite="all", seed=42, run_sl3=RUN_SL3, with_timings=False)
-    second = certify(suite="all", seed=42, run_sl3=RUN_SL3, with_timings=False)
+    first = certify(suite="all", seed=42, with_timings=False)
+    second = certify(suite="all", seed=42, with_timings=False)
     b1 = json.dumps(first, sort_keys=True).encode()
     b2 = json.dumps(second, sort_keys=True).encode()
     assert b1 == b2

@@ -278,7 +278,7 @@ def test_homology_betti_malformed_json(tmp_path, capsys, text, fragment):
     assert_usage_error(code, err, fragment)
 
 
-@pytest.mark.parametrize("window", ["1:2,3:4,5:6", "1", "a:b"])
+@pytest.mark.parametrize("window", ["1:2,3:4,5:6", "1", "a:b", "3:2"])
 def test_coxeter_bad_window_is_usage_error(capsys, window):
     code, _, err = run(capsys, ["coxeter", "deconstruct", "--rank", "2", f"--window={window}"])
     assert_usage_error(code, err, "window")
@@ -314,6 +314,7 @@ def test_building_bad_height_is_usage_error(capsys, height):
         (["building", "cone-chain", "--format", "dot"], "--format"),
         (["coxeter", "deconstruct", "--format", "dot"], "--format"),
         (["sphere", "apartment", "--n", "3", "--q", "2", "--format", "dot"], "--format"),
+        (["certify", "--skip-sl3"], "--skip-sl3"),
     ],
 )
 def test_removed_options_are_rejected(capsys, argv, flag):

@@ -3,12 +3,20 @@
 import random
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmabuild.building import grow_truncation, height_eval, superlevel_complex
 from sigmabuild.complexes import CellComplex
-from sigmabuild.homology import ChainComplexF2, F2Chain, betti, betti_vector, induced_map_trivial
+from sigmabuild.homology import (
+    ChainComplexF2,
+    F2Chain,
+    HomologyError,
+    betti,
+    betti_vector,
+    induced_map_trivial,
+)
 from sigmabuild.root_system import build_root_system
 from sigmabuild.windows import HeightForm, Window
 
@@ -152,6 +160,22 @@ def test_induced_map_monotone_under_enlargement():
     assert (not t_mid) or t_big  # enlarging can only turn false into true
 
 
+def other_edge():
+    # the edge key ("e", 0) joins v0 and v2 here, but v0 and v1 in path_graph(2)
+    cx = CellComplex()
+    cx.add_cell(("v", 0), 0)
+    cx.add_cell(("v", 2), 0)
+    cx.add_cell(("e", 0), 1, [("v", 0), ("v", 2)])
+    return cx.freeze()
+
+
+@pytest.mark.parametrize("small", [other_edge, lambda: path_graph(3)], ids=["other-facets", "missing-cell"])
+def test_induced_map_rejects_a_small_complex_that_is_not_a_subcomplex(small):
+    for k in range(2):
+        with pytest.raises(HomologyError, match="not a cell of the big one"):
+            induced_map_trivial(small(), path_graph(2), k)
+
+
 def test_unique_bounding_chain():
     # contractible 1-complex with no 2-cells: preimages under the boundary are unique
     cx = path_graph(6)
@@ -231,3 +255,56 @@ def test_solve_boundary_inverts_boundary(data):
     pre = cc.solve_boundary(k, z)
     if pre is not None:
         assert cc.boundary(pre) == z
+
+
+# --- induced maps against the two-complex reference ------------------------------
+
+
+def reference_induced_map(small, big, k):
+    """Reduce small's own chain complex, then test each of its cycles in big's."""
+    small_cc = ChainComplexF2(small)
+    if k > small_cc.top:
+        return True, None
+    big_cc = ChainComplexF2(big)
+    for cycle in small_cc.kernel_basis(k):
+        if not big_cc.bounds(cycle):
+            return False, cycle
+    return True, None
+
+
+SUPERLEVEL_TRUNCATIONS = ((2, 2, 6, (-1,)), (2, 3, 4, (-1,)), (3, 2, 3, (-1, -2)), (3, 2, 3, (-1, -1)))
+
+
+def superlevel_pairs(n, p, radius, coeffs):
+    """(small, big) = (X >= s', X >= s) for every pair of vertex heights s <= s'."""
+    trunc = grow_truncation(n, p, radius)
+    h = HeightForm(coeffs)
+    levels = sorted({height_eval(trunc, h, v)[0] for v in trunc.complex.cells(0)})
+    complexes = [superlevel_complex(trunc, h, r) for r in levels]
+    for i, big in enumerate(complexes):
+        for small in complexes[i:]:
+            yield small, big
+
+
+@pytest.mark.parametrize("n, p, radius, coeffs", SUPERLEVEL_TRUNCATIONS)
+def test_induced_map_matches_reference_on_superlevel_pairs(monkeypatch, n, p, radius, coeffs):
+    builds = []
+    init = ChainComplexF2.__init__
+
+    def counting_init(self, complex_):
+        builds.append(complex_)
+        init(self, complex_)
+
+    verdicts = set()
+    for small, big in superlevel_pairs(n, p, radius, coeffs):
+        for k in range(n):
+            expected = reference_induced_map(small, big, k)
+            builds.clear()
+            with monkeypatch.context() as m:
+                m.setattr(ChainComplexF2, "__init__", counting_init)
+                got = induced_map_trivial(small, big, k)
+            assert builds == [big]
+            assert got == expected
+            verdicts.add(got[0])
+    # both verdicts occur, so witnesses were compared too
+    assert verdicts == {True, False}
