@@ -92,9 +92,6 @@ class GroupElement:
     def is_upper_triangular(self):
         return all(self.rows[i][j] == 0 for i in range(self.n) for j in range(i))
 
-    def is_unipotent_upper(self):
-        return self.is_upper_triangular() and all(self.rows[i][i] == 1 for i in range(self.n))
-
     def diagonal(self):
         return tuple(self.rows[i][i] for i in range(self.n))
 
@@ -285,14 +282,6 @@ class CharacterVec:
             isinstance(other, CharacterVec)
             and (self.n, self.primes) == (other.n, other.primes)
             and self.coeffs == other.coeffs
-        )
-
-    def vector(self):
-        """Dense coefficient tuple ordered by (p, k)."""
-        return tuple(
-            self.coeffs.get((k, p), Q0)
-            for p in self.primes
-            for k in range(1, self.n)
         )
 
     def scale(self, lam):

@@ -84,18 +84,6 @@ class CellComplex:
             stack.extend(self._facets[k])
         return seen
 
-    def star(self, key):
-        """Open star: all iterated cofaces (including the cell itself)."""
-        seen = set()
-        stack = [key]
-        while stack:
-            k = stack.pop()
-            if k in seen:
-                continue
-            seen.add(k)
-            stack.extend(self._cofacets[k])
-        return seen
-
     def is_face_closed(self, keys):
         keys = set(keys)
         return all(f in keys for k in keys for f in self._facets[k])
@@ -109,18 +97,6 @@ class CellComplex:
         for k in keys:
             sub.add_cell(k, self._dim[k], self._facets[k])
         return sub.freeze()
-
-    def chamber_adjacency(self, chamber_dim=None):
-        """Map chamber -> sorted list of (panel, neighbor) pairs."""
-        d = self.dim if chamber_dim is None else chamber_dim
-        adj = {c: [] for c in self.cells(d)}
-        for panel in self.cells(d - 1):
-            cs = sorted(self._cofacets[panel])
-            for c in cs:
-                for e in cs:
-                    if e != c:
-                        adj[c].append((panel, e))
-        return {c: sorted(v) for c, v in adj.items()}
 
     # --- export ---------------------------------------------------------
 

@@ -34,10 +34,6 @@ class GeometryError(ValueError):
     pass
 
 
-class WindowTooSmall(GeometryError):
-    """An operation needed cells outside the window bounds."""
-
-
 @dataclass(frozen=True)
 class InfinitySimplex:
     """A simplex of the sphere at infinity: sign of kappa(., alpha) per positive root."""
@@ -241,10 +237,6 @@ class AlcoveGeometry:
         values = self._bary_values(cell)
         return self.datum.point(values[i] for i in self._simple_idx)
 
-    def is_special_vertex(self, x):
-        """Special vertex: integral against every root (meets every wall class)."""
-        return all(v.denominator == 1 for v in self._values(x))
-
     # --- projections ------------------------------------------------------
 
     def project_toward(self, cell, tau):
@@ -320,22 +312,6 @@ class AlcoveGeometry:
             out.append((p, chamber[:i] + (_SHARED_ENTRIES.get(floor, floor),) + chamber[i + 1:]))
         return sorted(out)
 
-    def is_sigma_minimal(self, gallery, sigma):
-        """Each step must cross its panel toward sigma."""
-        for c, d in zip(gallery, gallery[1:]):
-            panel = self._common_panel(c, d)
-            if panel is None:
-                raise GeometryError("consecutive chambers are not panel-adjacent")
-            if self.project_toward(panel, sigma) != d:
-                return False
-        return True
-
-    def _common_panel(self, c, d):
-        common = self.facets(c) & self.facets(d)
-        if len(common) != 1:
-            return None
-        return next(iter(common))
-
     def sigma_minimal_galleries(self, start, end, sigma):
         """All sigma-minimal galleries from start to end.
 
@@ -358,20 +334,11 @@ class AlcoveGeometry:
                 stack.append((nb, path + [nb]))
         return out
 
-    def sector_contains_point(self, tip, tau, y):
-        """Whether y lies in the open cone K_tip(tau)."""
-        if tuple(tip) == tuple(y):
-            return False
-        return all(
-            _sign(v - t) == s for v, t, s in zip(self._values(y), self._values(tip), tau.signs)
-        )
-
-    def cell_in_closed_sector(self, tip, tau, cell):
-        """Whether the closed cell lies in the closed cone from tip toward tau."""
-        return self._in_closed_sector(self._values(tip), tau.signs, cell)
-
     def _in_closed_sector(self, levels, signs, cell):
-        """cell_in_closed_sector for a tip given by its positive-root values."""
+        """Whether the closed cell lies in the closed cone from a tip toward signs.
+
+        `levels` are the tip's positive-root values kappa(tip, alpha).
+        """
         levels = [self._den * t for t in levels]
         for vals in self._face(cell):
             for v, t, s in zip(vals, levels, signs):

@@ -182,11 +182,6 @@ class ChainComplexF2:
         return self.solve_boundary(chain.dim + 1, chain) is not None
 
 
-def betti(complex_, k):
-    """Reduced F2 Betti number of a frozen CellComplex."""
-    return ChainComplexF2(complex_).betti(k)
-
-
 def betti_vector(complex_):
     cc = ChainComplexF2(complex_)
     return [cc.betti(k) for k in range(cc.top + 1)]

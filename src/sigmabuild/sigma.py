@@ -38,9 +38,13 @@ CONJECTURAL_IN = "conjectural-in"
 def prime_threshold(family, rank):
     """Smallest prime size for which the positive direction is unconditional.
 
-    Type A_l needs p >= 2^(l-1) (equivalently 2^(n-2) for SL_n), types C_l and
-    D_l need p >= 2^(2l-1).
+    It is the thickness bound for the spherical opposition complexes at every
+    link, q + 1 >= 2^(l-1) + 1 in type A_l: p >= 2^(l-1), equivalently
+    2^(n-2) for SL_n.  Types C_l and D_l need p >= 2^(2l-1).  The exceptional
+    C_3 buildings are excluded by hypothesis; none are realized here.
     """
+    if rank < 1:
+        raise SigmaError("rank must be positive")
     if family == "A":
         return 2 ** (rank - 1)
     if family in ("C", "D"):

@@ -74,15 +74,6 @@ def all_subspaces(n, q, d):
     return sorted(out)
 
 
-def gaussian_binomial(n, d, q):
-    num = 1
-    den = 1
-    for i in range(d):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
-
-
 # --- the building -------------------------------------------------------------
 
 
@@ -105,7 +96,6 @@ class FlagComplex:
         self.subspaces = {d: all_subspaces(n, q, d) for d in range(1, n)}
         self.chambers = self._build_chambers()
         self._complex = None
-        self._adjacency = None
 
     def _build_chambers(self):
         chains = [(s,) for s in self.subspaces[1]]
@@ -147,31 +137,6 @@ class FlagComplex:
             return len(self.chambers), len(self.chambers)
         return min(counts), max(counts)
 
-    def adjacency(self):
-        if self._adjacency is None:
-            self._adjacency = self.complex().chamber_adjacency(self.n - 2)
-        return self._adjacency
-
-    def gallery_distance(self, c, d):
-        if self.n == 2:
-            return 0 if c == d else 1
-        if c == d:
-            return 0
-        adj = self.adjacency()
-        dist = {c: 0}
-        frontier = [c]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for _, nb in adj[cur]:
-                    if nb not in dist:
-                        dist[nb] = dist[cur] + 1
-                        if nb == d:
-                            return dist[nb]
-                        nxt.append(nb)
-            frontier = nxt
-        raise SphericalError("building is gallery-disconnected (impossible)")
-
     # --- opposition ----------------------------------------------------
 
     def opposite_subspaces(self, a, b):
@@ -179,14 +144,6 @@ class FlagComplex:
         if len(a) + len(b) != self.n:
             return False
         return span_rank(tuple(a) + tuple(b), self.q) == self.n
-
-    def cell_opposite_to_face(self, cell, chamber):
-        """The executable opposition criterion against the matching face of a chamber."""
-        for s in cell:
-            c_part = chamber[(self.n - len(s)) - 1]
-            if not self.opposite_subspaces(s, c_part):
-                return False
-        return True
 
     def opposition_complex(self, chamber):
         """Opp(C): the full subcomplex on vertices complementary to the matching C-part."""
@@ -301,22 +258,3 @@ def find_opposite_apartment(building, chamber):
 
 def build_flag_building(n, q, max_chambers=10**7):
     return FlagComplex(n, q, max_chambers)
-
-
-def so_threshold(family, n, q):
-    """The thickness threshold for spherical opposition complexes at every link.
-
-    For family A the parameter n is the dimension of the underlying vector
-    space (building type A_{n-1}): the threshold is q + 1 >= 2^(n-2) + 1.  For
-    C/D the parameter is the type subscript m: q + 1 >= 2^(2m-1) + 1.  The
-    exceptional C_3 buildings are excluded by hypothesis; none are realized
-    here.
-    """
-    th = q + 1
-    if family == "A":
-        if n < 2:
-            raise SphericalError("need n >= 2")
-        return th >= 2 ** (n - 2) + 1
-    if family in ("C", "D"):
-        return th >= 2 ** (2 * n - 1) + 1
-    raise SphericalError(f"unsupported family {family!r}")

