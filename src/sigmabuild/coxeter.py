@@ -8,11 +8,15 @@ scaled to integers.  The fundamental alcove's vertices are 0 and the coweights
 w_i / c_i (c the highest root); any other alcove's come from a gallery walk
 that reflects one vertex per step.  A cell's vertices are those of an alcove
 containing it that lie on its walls, its faces are vertex subsets and its key
-is that of its barycenter.  Neighbours, projections and the keys of means
-(retraction images in `building` too) read these integer values; Fraction
-points appear only where a point goes in or comes out: `witness`,
-`barycenter`, `vertices` and `cell_of_point`.  All arithmetic is exact, so
-every predicate is decided, never approximated.
+is that of its barycenter.  Neighbours, sector tests and the keys of means
+(retraction images in `building` too) read these integer values.
+Projections read only the key and the signs of a direction on the positive
+roots: a step from the barycenter stays in the cell's floors and leaves each
+of its walls to the side of the sign; a gate projection takes its signs from
+the two faces' integer column sums.  Fraction points appear only where a
+point goes in or comes out: `witness`, `barycenter`, `vertices` and
+`cell_of_point`.  All arithmetic is exact, so every predicate is decided,
+never approximated.
 
 The chamber at infinity "sigma" is a sign vector over the positive roots; the
 base chamber is all-plus (the sector where every positive root functional
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import Q1, dot, matvec
+from .linalg import dot, matvec
 from .root_system import cartan_pairing
 
 FLOOR = 0
@@ -244,32 +248,21 @@ class AlcoveGeometry:
         key = (cell, tau.signs)
         if key in self._proj_cache:
             return self._proj_cache[key]
-        res = self._project_dir(cell, self._values(tau.direction))
+        self._face(cell)  # a key that is no cell raises
+        res = _step_key(cell, tau.signs)
         self._proj_cache[key] = res
         return res
 
-    def _project_dir(self, cell, u, limit=None):
-        """The cell of the points just past the barycenter along a direction.
-
-        u gives the direction's positive-root values.  Each root's value moves
-        from v by r per unit; half the least step to a wall (a full unit from
-        a wall the barycenter lies on), capped by `limit`, stays inside the
-        projection.
-        """
-        x0 = self._bary_values(cell)
-        steps = [((-v if r > 0 else v) % 1 or Q1) / abs(r) for v, r in zip(x0, u) if r]
-        if not steps:
-            return cell  # direction parallel to every wall through the cell
-        eps = (min(steps) if limit is None else min(*steps, limit)) / 2
-        ys = (v + eps * r for v, r in zip(x0, u))
-        return tuple(_entry(y.numerator, y.denominator) for y in ys)
-
     def project_to_cell(self, cell, target):
-        """Gate projection pr_cell(target): project toward the barycenter of target."""
-        u = tuple(b - a for a, b in zip(self._bary_values(cell), self._bary_values(target)))
-        if not any(u):
-            return cell
-        return self._project_dir(cell, u, limit=Q1)
+        """Gate projection pr_cell(target): project toward the barycenter of target.
+
+        The direction's sign on a root is that of the difference of the two
+        barycenters' values, compared over the faces' integer column sums.
+        """
+        face, other = self._face(cell), self._face(target)
+        n, m = len(face), len(other)
+        signs = (_sign(sum(b) * n - sum(a) * m) for a, b in zip(zip(*face), zip(*other)))
+        return _step_key(cell, signs)
 
     def upper_face(self, chamber, sigma):
         """Intersection of the panels P of the chamber with pr_P(sigma) = chamber.
@@ -334,19 +327,31 @@ class AlcoveGeometry:
                 stack.append((nb, path + [nb]))
         return out
 
-    def _in_closed_sector(self, levels, signs, cell):
-        """Whether the closed cell lies in the closed cone from a tip toward signs.
+    def _sector_bounds(self, tip, signs):
+        """Integer bounds on the scaled root values of the closed cone from a
+        tip toward signs: (lower, upper), each a tuple of (root index, bound).
 
-        `levels` are the tip's positive-root values kappa(tip, alpha).
+        A root of sign 0 gets both bounds; they cross when the tip's value on
+        it is no multiple of 1/den, and then no point satisfies them.
         """
-        levels = [self._den * t for t in levels]
+        lower, upper = [], []
+        for i, (t, s) in enumerate(zip(self._values(tip), signs)):
+            num, q = self._den * t.numerator, t.denominator
+            if s >= 0:
+                lower.append((i, -(-num // q)))
+            if s <= 0:
+                upper.append((i, num // q))
+        return tuple(lower), tuple(upper)
+
+    def _in_closed_sector(self, bounds, cell):
+        """Whether the closed cell lies in the closed cone with these `_sector_bounds`."""
+        lower, upper = bounds
         for vals in self._face(cell):
-            for v, t, s in zip(vals, levels, signs):
-                if s > 0 and v < t:
+            for i, b in lower:
+                if vals[i] < b:
                     return False
-                if s < 0 and v > t:
-                    return False
-                if s == 0 and v != t:
+            for i, b in upper:
+                if vals[i] > b:
                     return False
         return True
 
@@ -361,6 +366,23 @@ def _entry(num, den):
 # One shared object per key entry of a small level, as Python shares small
 # ints: the caches hold thousands of keys, most of them built from these.
 _SHARED_ENTRIES = {(f, k): (f, k) for f in (FLOOR, WALL) for k in range(-128, 128)}
+
+
+def _step_key(cell, signs):
+    """The cell just past the barycenter of a cell, in a direction with these
+    signs on the positive roots.
+
+    The barycenter has the cell's own key, so a step shorter than its distance
+    to every wall off it leaves the floors alone; on each of its walls the
+    step enters the floor on the side of the sign.
+    """
+    out = []
+    for e, s in zip(cell, signs):
+        if e[0] == WALL and s:
+            e = (FLOOR, e[1] if s > 0 else e[1] - 1)
+            e = _SHARED_ENTRIES.get(e, e)
+        out.append(e)
+    return tuple(out)
 
 
 def _neighbor_keys(chamber):

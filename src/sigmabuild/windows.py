@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import lcm
 
 from .chevalley import CharacterVec
 from .complexes import CellComplex
@@ -30,14 +31,26 @@ class HeightForm:
     """Linear height x -> sum coeffs_i * kappa(x, alpha_i) over the simple roots."""
 
     coeffs: tuple
+    # the coefficients times the lcm of their denominators, and that lcm
+    _scaled: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        qs = [Fraction(c) for c in self.coeffs]
+        d = lcm(*(q.denominator for q in qs))
+        object.__setattr__(self, "_scaled", (tuple(q.numerator * (d // q.denominator) for q in qs), d))
 
     def __call__(self, values):
         """The height of the point whose simple-root values kappa(x, alpha_i) are given."""
         return sum((c * v for c, v in zip(self.coeffs, values)), Q0)
 
     def range_on_cell(self, geometry, cell):
-        heights = [self(values) for values in geometry._simple_values(cell)]
-        return min(heights), max(heights)
+        """(min, max) of the height over the closed cell: over its vertices,
+        from their integer scaled root values."""
+        coeffs, d = self._scaled
+        terms = tuple(zip(geometry._simple_idx, coeffs))
+        heights = [sum(c * v[i] for i, c in terms) for v in geometry._face(cell)]
+        scale = d * geometry._den
+        return Fraction(min(heights), scale), Fraction(max(heights), scale)
 
     def is_generic_decreasing(self):
         """Strictly decreasing along every ray into the base chamber at infinity.
@@ -356,5 +369,5 @@ def _upper_lower(window, h, r):
 def closed_sector_cells(window, tip, tau):
     """Cells of the window inside the closed cone from tip toward tau."""
     g = window.geometry
-    levels = g._values(tip)
-    return frozenset(c for c in window.cells() if g._in_closed_sector(levels, tau.signs, c))
+    bounds = g._sector_bounds(tip, tau.signs)
+    return frozenset(c for c in window.cells() if g._in_closed_sector(bounds, c))

@@ -404,8 +404,16 @@ def test_retraction_spec_example():
 def test_retraction_idempotent():
     trunc = grow_truncation(2, 2, 3)
     g = trunc.geometry
+    # an apartment cell retracts to the alcove cell spanned by its vertices'
+    # retraction points, and every image is the image of such a cell
+    apartment = {}
+    for cell in trunc.apartment_cells():
+        key = trunc.retract_cell(cell)
+        assert g.vertices(key) == tuple(sorted(trunc.vertex_retraction_point(v) for v in cell))
+        apartment[key] = cell
     for cell in trunc.complex.cells():
         img = trunc.retract_cell(cell)
+        assert img in apartment
         # the image cell, viewed through its apartment realization, is fixed
         bary = g.barycenter(img)
         assert g.cell_of_point(bary) == img

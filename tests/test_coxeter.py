@@ -5,7 +5,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from geometry_oracle import gallery_distances, is_special_vertex
+from geometry_oracle import (
+    gallery_distances,
+    is_special_vertex,
+    project_to_cell_by_step,
+    project_toward_by_step,
+)
 
 from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError, _sign
 from sigmabuild.homology import betti_vector
@@ -98,6 +103,51 @@ def test_panel_projections_give_both_chambers(a2):
         plus = g.project_toward(panel, sigma)
         minus = g.project_toward(panel, sigma.opposite())
         assert {plus, minus} == star_chambers
+
+
+@pytest.mark.parametrize(
+    "family, rank, radius, weyl_order",
+    [("A", 2, 3, 6), ("C", 2, 2, 8), ("A", 3, 1, 24), ("D", 3, 1, 24), ("C", 3, 1, 48)],
+)
+def test_projections_match_the_barycenter_step(family, rank, radius, weyl_order):
+    # the sign rule on the key against a step from the barycenter: toward
+    # chambers at infinity, a face with a zero sign and its opposite from
+    # every cell, and the gate projection of every cell of the ball of radius
+    # 1 about the special vertex (1, ..., 1), its closed star, onto every
+    # chamber of it (its walls have levels 1 and up, so the two barycenters'
+    # vertex counts enter the signs)
+    datum = build_root_system(family, rank)
+    g = AlcoveGeometry(datum)
+    window = Window.radius(datum, radius, g)
+    base = g.base_chamber_at_infinity()
+    other = g.infinity_from_direction(datum.point((1, -3, 7)[:rank]))
+    face = g.infinity_from_direction(datum.point((1,) + (0,) * (rank - 1)))
+    assert other.is_chamber and not face.is_chamber
+    for tau in (base, base.opposite(), other, other.opposite(), face, face.opposite()):
+        for cell in window.cells():
+            assert g.project_toward(cell, tau) == project_toward_by_step(g, cell, tau)
+    vertex = g.cell_of_point(datum.point((1,) * rank))
+    star = [c for c in Window(datum, [0] * rank, [1] * rank, g).cells() if vertex in g.closure(c)]
+    chambers = [c for c in star if g.is_chamber(c)]
+    assert len(chambers) == weyl_order  # the whole star
+    for cell in star:
+        for c in chambers:
+            assert g.project_to_cell(cell, c) == project_to_cell_by_step(g, cell, c)
+    # the walls through the origin of all roots but the last meet only at the
+    # origin, which lies on the last root's wall, not in its floor: the key is
+    # no cell, and both routes reject it
+    bad = ((WALL, 0),) * (g.npos - 1) + ((FLOOR, 0),)
+    chamber = chambers[0]
+    for route in (
+        lambda: g.project_toward(bad, base),
+        lambda: project_toward_by_step(g, bad, base),
+        lambda: g.project_to_cell(bad, chamber),
+        lambda: project_to_cell_by_step(g, bad, chamber),
+        lambda: g.project_to_cell(chamber, bad),
+        lambda: project_to_cell_by_step(g, chamber, bad),
+    ):
+        with pytest.raises(GeometryError):
+            route()
 
 
 def test_upper_lower_faces_a1(a1):
@@ -313,15 +363,18 @@ def test_rank3_windows_build_and_are_acyclic(family, radius, n_cells):
     assert elapsed <= 30, f"{family}3 radius {radius} window took {elapsed:.1f} s"
 
 
-def test_sector_predicates_match_their_definitions(a2):
+@pytest.mark.parametrize("family", ["A", "C"])
+def test_sector_predicates_match_their_definitions(family):
     # chambers at infinity of both signs and a face of one (a zero sign): the
-    # cone tests against kappa of the difference to the tip, vertex by vertex
-    datum, g = a2
+    # cone tests against kappa of the difference to the tip, vertex by vertex;
+    # C_2 vertex values are halves, so the sector bounds round
+    datum = build_root_system(family, 2)
+    g = AlcoveGeometry(datum)
     window = Window.radius(datum, 2, g)
     base = g.base_chamber_at_infinity()
     other = g.infinity_from_direction(datum.point((1, -3)))
     face = g.infinity_from_direction(datum.point((1, 0)))
-    assert not face.is_chamber
+    assert other.is_chamber and not face.is_chamber
     rng = random.Random(5)
 
     def sign_ok(s, value, closed):
@@ -341,7 +394,7 @@ def test_sector_predicates_match_their_definitions(a2):
                     for v in g.vertices(cell)
                     for s, root in zip(tau.signs, datum.positive_roots)
                 )
-                assert g._in_closed_sector(g._values(tip), tau.signs, cell) == expected
+                assert g._in_closed_sector(g._sector_bounds(tip, tau.signs), cell) == expected
             for _ in range(20):
                 y = datum.point([Fraction(rng.randint(-8, 8), 3) for _ in range(2)])
                 expected = y != tip and all(

@@ -3,9 +3,12 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from fm_oracle import cell_meets_open_sector
 from geometry_oracle import height_value, is_special_vertex
 
@@ -232,6 +235,31 @@ def test_upper_lower_certificates_a2(a2):
     assert cert["epsilon"] > 0
 
 
+@cache
+def range_window(family, rank, radius):
+    return Window.radius(build_root_system(family, rank), radius)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from((("A", 2, 2), ("C", 2, 2), ("A", 3, 1))),
+    st.lists(
+        st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6)),
+        min_size=3,
+        max_size=3,
+    ),
+)
+def test_range_on_cell_matches_vertex_heights(case, coeffs):
+    # any rational coefficients, zero and positive ones too: the integer route
+    # against the height of each vertex's Fraction simple-root values
+    window = range_window(*case)
+    g = window.geometry
+    h = HeightForm(tuple(coeffs[: window.datum.rank]))
+    for cell in window.cells():
+        heights = [h(values) for values in g._simple_values(cell)]
+        assert h.range_on_cell(g, cell) == (min(heights), max(heights))
+
+
 def special_vertices_above(window, h, r):
     """Special vertices w with h(w) >= r whose opposite sector meets the window.
 
@@ -267,7 +295,7 @@ def upper_lower_by_sectors(window, h, r):
     upper = set()
     lower = set()
     for cell in window.cells():
-        if any(g._in_closed_sector(g._values(w), sigma_op.signs, cell) for w in tips):
+        if any(g._in_closed_sector(g._sector_bounds(w, sigma_op.signs), cell) for w in tips):
             upper.add(cell)
         if not any(cell_meets_open_sector(g, w, sigma_op, cell) for w in tips):
             lower.add(cell)
