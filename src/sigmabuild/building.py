@@ -36,16 +36,25 @@ simple-root values are the exponent differences a_{i+1} - a_i of its Hermite
 form, and the form reads them directly.  The height sum_i c_i kappa(., alpha_i)
 satisfies h(g x) = chi(g) + h(x) for the character chi with the same
 coefficients c_i over the basis chi_{i,p} (`HeightForm.equivariant_character`).
+
+A truncation keeps one `HeightFiltration` per form: the integer heights d*h(v)
+of its vertices over the form's denominator d, extended whenever a vertex is
+numbered, and its cells sorted by (-entry, dim, key), where a cell enters at
+the least height of its vertices.  The superlevel complex X_{>=r} is the
+prefix of that order with entry >= ceil(r d), found by bisection; the same
+order is the one a persistent reduction over the height filtration runs in
+(Edelsbrunner-Letscher-Zomorodian 2002).
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
 from .chevalley import is_prime, valuation
 from .complexes import CellComplex
 from .coxeter import AlcoveGeometry
-from .homology import ChainComplexF2, F2Chain
+from .homology import F2Chain, chain_complex
 from .linalg import Q0, det, mat, matmul
 from .root_system import build_root_system
 from .windows import HeightForm
@@ -180,6 +189,7 @@ class Truncation:
         self.radius = radius
         self.datum = build_root_system("A", n - 1)
         self.geometry = AlcoveGeometry(self.datum)
+        self._filtrations = {}
         self._grow(max_chambers)
         self._build_complex()
         self._retraction_cache = {}
@@ -287,8 +297,18 @@ class Truncation:
             vid = self._vertex_ids[form] = len(self.vertices)
             self.vertices.append(form)
             exps = [valuation(form[i][i], self.p) for i in range(self.n)]
-            self._root_values.append(tuple(b - a for a, b in zip(exps, exps[1:])))
+            values = tuple(b - a for a, b in zip(exps, exps[1:]))
+            self._root_values.append(values)
+            for filtration in self._filtrations.values():
+                filtration.heights.append(filtration.scaled_height(values))
         return vid
+
+    def height_filtration(self, h):
+        """The cached `HeightFiltration` of the height form h."""
+        filtration = self._filtrations.get(h)
+        if filtration is None:
+            filtration = self._filtrations[h] = HeightFiltration(self, h)
+        return filtration
 
     # --- retraction from infinity ----------------------------------------
 
@@ -344,18 +364,42 @@ def HeightSpec(p, coeffs):
     return HeightForm(tuple(-Fraction(c) for c in coeffs))
 
 
+class HeightFiltration:
+    """The superlevel filtration of a truncation by one height form.
+
+    `heights[v]` is d * h(v), an integer, for the form's denominator d;
+    `cells` lists the truncation's cells by (-entry, dim, key), where a cell's
+    entry is the least height of its vertices, and `_neg_entries[i]` is
+    -entry of `cells[i]`.  A face enters no later than its cells, so every
+    prefix of `cells` is a subcomplex.
+    """
+
+    def __init__(self, trunc, h):
+        self.coeffs, self.den = h._scaled
+        self.heights = [self.scaled_height(values) for values in trunc._root_values]
+        hts = self.heights
+        order = sorted((-min(hts[v] for v in c), len(c), c) for c in trunc.complex.cells())
+        self._neg_entries = [e for e, _, _ in order]
+        self.cells = [c for _, _, c in order]
+
+    def scaled_height(self, values):
+        return sum(c * v for c, v in zip(self.coeffs, values))
+
+    def superlevel_cells(self, r):
+        """The cells whose vertices all have height >= r, a prefix of `cells`."""
+        return self.cells[: bisect_right(self._neg_entries, -ceil(Fraction(r) * self.den))]
+
+
 def height_eval(trunc, h, cell_key):
     """Exact [min, max] of the height h over the closed cell (attained at vertices)."""
-    vals = [h(trunc.root_values(v)) for v in cell_key]
-    return min(vals), max(vals)
+    filtration = trunc.height_filtration(h)
+    vals = [filtration.heights[v] for v in cell_key]
+    return Fraction(min(vals), filtration.den), Fraction(max(vals), filtration.den)
 
 
 def superlevel_complex(trunc, h, r):
     """Supported subcomplex on the cells with min height >= r."""
-    r = Fraction(r)
-    above = [h(values) >= r for values in trunc._root_values]
-    keep = [c for c in trunc.complex.cells() if all(above[v] for v in c)]
-    return trunc.complex.restrict(keep)
+    return trunc.complex.restrict(trunc.height_filtration(h).superlevel_cells(r))
 
 
 def retraction_preimage(trunc, apartment_cells):
@@ -414,8 +458,7 @@ def cone_chain(trunc, sector_elements, h, r):
             if img not in trunc.complex:
                 # cells of the infinite sector beyond the truncation are only
                 # needed up to the requested level
-                img_max = max(h(trunc.root_values(v)) for v in img)
-                if img_max <= Fraction(r):
+                if height_eval(trunc, h, img)[1] <= Fraction(r):
                     raise BuildingError(
                         "sector not realizable inside the truncation radius"
                     )
@@ -438,8 +481,7 @@ def cone_chain(trunc, sector_elements, h, r):
         if height_eval(trunc, h, cell)[1] <= Fraction(r):
             support.add(cell)
     chain = F2Chain(top, support)
-    cc = ChainComplexF2(trunc.complex)
-    boundary = cc.boundary(chain)
+    boundary = chain_complex(trunc.complex).boundary(chain)
     eps = Q0
     for sec in sectors:
         for cell in sec:

@@ -115,12 +115,12 @@ def root_position(n, coeffs):
     support = [k for k, c in enumerate(coeffs) if c != 0]
     if not support:
         raise ChevalleyError("zero vector is not a root")
-    vals = {coeffs[k] for k in support}
+    sign = coeffs[support[0]]
     consecutive = support == list(range(support[0], support[-1] + 1))
-    if not consecutive or vals not in ({Fraction(1)}, {Fraction(-1)}):
+    if not consecutive or sign not in (1, -1) or any(coeffs[k] != sign for k in support):
         raise ChevalleyError(f"{coeffs} is not a root of A_{n-1}")
     i, j = support[0], support[-1] + 1
-    if vals == {Fraction(1)}:
+    if sign == 1:
         return i, j
     return j, i
 

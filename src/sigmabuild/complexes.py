@@ -3,7 +3,10 @@
 The one carrier shared by Coxeter windows, flag buildings and Bruhat-Tits
 truncations.  Cells are indexed by caller-supplied canonical keys (hashable,
 totally ordered within one complex); faces are recorded one codimension down,
-which determines the whole face lattice since cells are polytopes.  The
+which determines the whole face lattice since cells are polytopes.  Freezing
+validates the facets once and records the cofacets; a subcomplex is
+restricted from a frozen parent by sharing its facet sets and intersecting
+its cofacet sets with the kept cells, with no second validation.  The
 exports print a cell as `label(key)`, `str` by default.
 """
 
@@ -89,14 +92,25 @@ class CellComplex:
         return all(f in keys for k in keys for f in self._facets[k])
 
     def restrict(self, keys):
-        """Subcomplex on a face-closed set of cells."""
+        """Frozen subcomplex of a frozen complex on a face-closed set of cells.
+
+        The parent was validated when it froze, so the subcomplex shares its
+        facet sets, and its cofacet sets where every cofacet is kept.
+        """
+        if not self.frozen:
+            raise RuntimeError("freeze the complex first")
         keys = set(keys)
         if not self.is_face_closed(keys):
             raise ValueError("cell set is not face-closed")
         sub = CellComplex()
+        sub._dim = {k: self._dim[k] for k in keys}
+        sub._facets = {k: self._facets[k] for k in keys}
+        sub._cofacets = {}
         for k in keys:
-            sub.add_cell(k, self._dim[k], self._facets[k])
-        return sub.freeze()
+            cf = self._cofacets[k]
+            sub._cofacets[k] = cf if cf <= keys else cf & keys
+        sub.frozen = True
+        return sub
 
     # --- export ---------------------------------------------------------
 

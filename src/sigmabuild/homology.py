@@ -9,7 +9,14 @@ degree-0 boundary is augmented by the empty cell.  An induced map
 H_k(small) -> H_k(big) is decided inside big's complex alone: small's k-cells
 go through the same pivot loop as big's columns, and each cycle is tested
 against big's degree-(k+1) reduction as soon as it appears.
+
+`chain_complex` keeps one ChainComplexF2 per frozen complex, weakly keyed by
+the complex, so Betti numbers, induced maps and bounding tests on the same
+complex share its boundary rows and reductions.  A ChainComplexF2 holds only
+cell keys, never the complex, and its entry goes with the complex.
 """
+
+import weakref
 
 
 class HomologyError(ValueError):
@@ -53,7 +60,6 @@ class ChainComplexF2:
     def __init__(self, complex_):
         if not complex_.frozen:
             raise HomologyError("freeze the complex first")
-        self.complex = complex_
         self.top = complex_.dim
         self.cells = {k: complex_.cells(k) for k in range(self.top + 1)}
         self.index = {
@@ -82,7 +88,7 @@ class ChainComplexF2:
             for c, col in zip(self.cells[k], self.bnd[k]):
                 acc = 0
                 idx = self.index[k - 1]
-                for f in self.complex.facets(c):
+                for f in complex_.facets(c):
                     acc ^= self.bnd[k - 1][idx[f]]
                 if acc:
                     raise HomologyError(f"boundary of boundary non-zero at {c!r}")
@@ -182,8 +188,19 @@ class ChainComplexF2:
         return self.solve_boundary(chain.dim + 1, chain) is not None
 
 
+_chain_complexes = weakref.WeakKeyDictionary()
+
+
+def chain_complex(complex_):
+    """The ChainComplexF2 of a frozen complex, built on first use and dropped with it."""
+    cc = _chain_complexes.get(complex_)
+    if cc is None:
+        cc = _chain_complexes[complex_] = ChainComplexF2(complex_)
+    return cc
+
+
 def betti_vector(complex_):
-    cc = ChainComplexF2(complex_)
+    cc = chain_complex(complex_)
     return [cc.betti(k) for k in range(cc.top + 1)]
 
 
@@ -197,7 +214,7 @@ def induced_map_trivial(small, big, k):
     """
     if not small.frozen:
         raise HomologyError("freeze the complex first")
-    big_cc = ChainComplexF2(big)
+    big_cc = chain_complex(big)
     for c in small.cells():
         if c not in big or big.dim_of(c) != small.dim_of(c) or big.facets(c) != small.facets(c):
             raise HomologyError(f"cell {c!r} of the small complex is not a cell of the big one")

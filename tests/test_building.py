@@ -25,6 +25,7 @@ from sigmabuild.building import (
     superlevel_complex,
 )
 from sigmabuild.chevalley import GroupElement, character_eval, h_elem, identity_element, x_elem
+from sigmabuild.complexes import CellComplex
 from sigmabuild.coxeter import FLOOR
 from sigmabuild.homology import ChainComplexF2, induced_map_trivial
 from sigmabuild.linalg import det, matmul
@@ -648,6 +649,23 @@ def test_height_equivariance_torus_sl3():
         assert vertex_height(trunc, h, moved) == vertex_height(trunc, h, v) + value
 
 
+def test_height_table_extends_to_vertices_numbered_later():
+    # the height table is filled first; the torus image of the base vertex
+    # leaves the ball and is numbered afterwards
+    p = 3
+    trunc = grow_truncation(2, p, 2)
+    h = HeightForm((Fraction(-2),))
+    for (v,) in trunc.complex.cells(0):
+        vertex_height(trunc, h, v)
+    size = len(trunc.vertices)
+    gamma = h_elem(2, (1,), Fraction(p) ** 3)
+    moved = trunc.act_on_vertex(gamma, trunc.base_vertex)
+    assert moved >= size
+    value = character_eval(h.equivariant_character(2, p), gamma)
+    assert vertex_height(trunc, h, moved) == h(trunc.root_values(moved))
+    assert vertex_height(trunc, h, moved) == vertex_height(trunc, h, trunc.base_vertex) + value
+
+
 def test_superlevel_monotone_and_bruteforce():
     p = 2
     trunc = grow_truncation(2, p, 3)
@@ -678,7 +696,8 @@ def height_truncation(n, p, radius):
     return grow_truncation(n, p, radius)
 
 
-nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+nonzero_rationals = rationals.filter(bool)
 
 
 @st.composite
@@ -762,6 +781,62 @@ def test_height_spec_is_negated_height_form(case, r):
     trunc, h = case
     spec = HeightSpec(trunc.p, tuple(-c for c in h.coeffs))
     assert superlevel_complex(trunc, spec, r).cells() == superlevel_complex(trunc, h, r).cells()
+
+
+def rebuilt(parent, keys):
+    """The subcomplex on keys, added cell by cell and frozen."""
+    cx = CellComplex()
+    for c in keys:
+        cx.add_cell(c, parent.dim_of(c), parent.facets(c))
+    return cx.freeze()
+
+
+def assert_same_complex(a, b):
+    assert a.cells() == b.cells()
+    assert a.dim == b.dim
+    for c in a.cells():
+        assert a.dim_of(c) == b.dim_of(c)
+        assert a.facets(c) == b.facets(c)
+        assert a.cofacets(c) == b.cofacets(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_superlevel_complex_is_the_bruteforce_filter(data):
+    n, p, radius = data.draw(st.sampled_from(HEIGHT_TRUNCATIONS))
+    trunc = height_truncation(n, p, radius)
+    h = HeightForm(tuple(data.draw(rationals) for _ in range(n - 1)))
+    levels = sorted({h(trunc.root_values(v)) for (v,) in trunc.complex.cells(0)})
+    between = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+    r = data.draw(st.sampled_from(levels + between + [levels[0] - 1, levels[-1] + 1]))
+    keep = [c for c in trunc.complex.cells() if all(h(trunc.root_values(v)) >= r for v in c)]
+    assert_same_complex(superlevel_complex(trunc, h, r), rebuilt(trunc.complex, keep))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_restrict_is_the_rebuilt_subcomplex(data):
+    n, p, radius = data.draw(st.sampled_from(HEIGHT_TRUNCATIONS))
+    cx = height_truncation(n, p, radius).complex
+    seeds = data.draw(st.lists(st.sampled_from(cx.cells()), max_size=8))
+    keys = cx.closure(seeds)
+    sub = cx.restrict(keys)
+    assert sub.frozen
+    assert_same_complex(sub, rebuilt(cx, keys))
+    # dropping one facet of a cell of positive dimension breaks face-closure
+    top = [c for c in keys if cx.dim_of(c) > 0]
+    if top:
+        cell = data.draw(st.sampled_from(sorted(top)))
+        facet = data.draw(st.sampled_from(sorted(cx.facets(cell))))
+        with pytest.raises(ValueError):
+            cx.restrict(keys - {facet})
+
+
+def test_restrict_needs_a_frozen_parent():
+    cx = CellComplex()
+    cx.add_cell("a", 0)
+    with pytest.raises(RuntimeError):
+        cx.restrict(["a"])
 
 
 def test_retraction_preimage_full_and_edge():

@@ -1,6 +1,8 @@
 """F2 chain complexes: boundary formula, reduced Betti numbers, induced maps."""
 
+import gc
 import random
+import weakref
 from functools import cache
 
 import pytest
@@ -295,15 +297,43 @@ def test_induced_map_matches_reference_on_superlevel_pairs(monkeypatch, n, p, ra
         init(self, complex_)
 
     verdicts = set()
+    first_uses = []
     for small, big in superlevel_pairs(n, p, radius, coeffs):
         for k in range(n):
             expected = reference_induced_map(small, big, k)
-            builds.clear()
             with monkeypatch.context() as m:
                 m.setattr(ChainComplexF2, "__init__", counting_init)
                 got = induced_map_trivial(small, big, k)
-            assert builds == [big]
+            if not any(b is big for b in first_uses):
+                first_uses.append(big)
+            # big's chain complex is built on its first query only, small's never
+            assert builds == first_uses
             assert got == expected
             verdicts.add(got[0])
     # both verdicts occur, so witnesses were compared too
     assert verdicts == {True, False}
+
+
+def test_betti_and_induced_map_share_one_chain_complex(monkeypatch):
+    trunc = grow_truncation(2, 3, 3)
+    h = HeightForm((-1,))
+    big = superlevel_complex(trunc, h, -1)
+    small = superlevel_complex(trunc, h, 1)
+    builds = []
+    init = ChainComplexF2.__init__
+
+    def counting_init(self, complex_):
+        builds.append(complex_)
+        init(self, complex_)
+
+    monkeypatch.setattr(ChainComplexF2, "__init__", counting_init)
+    assert betti_vector(big) == [2, 0]
+    for k in (0, 1):
+        induced_map_trivial(small, big, k)
+    assert builds == [big]
+    # the shared chain complex does not keep its complex alive
+    builds.clear()
+    ref = weakref.ref(big)
+    del big
+    gc.collect()
+    assert ref() is None
