@@ -193,6 +193,7 @@ class Truncation:
         self._grow(max_chambers)
         self._build_complex()
         self._retraction_cache = {}
+        self._retraction_fibres = None  # image -> cells, built on first use
 
     # --- growth ---------------------------------------------------------
 
@@ -403,9 +404,19 @@ def superlevel_complex(trunc, h, r):
 
 
 def retraction_preimage(trunc, apartment_cells):
-    """The subcomplex of cells whose retraction image lies in the given cell set."""
-    cells = set(apartment_cells)
-    keep = [c for c in trunc.complex.cells() if trunc.retract_cell(c) in cells]
+    """The subcomplex of cells whose retraction image lies in the given cell set.
+
+    The cells are indexed by their image once per truncation, on the first
+    call; a query is the union of the index lists of its images.
+    """
+    fibres = trunc._retraction_fibres
+    if fibres is None:
+        fibres = trunc._retraction_fibres = {}
+        for c in trunc.complex.cells():
+            fibres.setdefault(trunc.retract_cell(c), []).append(c)
+    keep = set()
+    for img in set(apartment_cells):
+        keep.update(fibres.get(img, ()))
     return trunc.complex.restrict(keep)
 
 

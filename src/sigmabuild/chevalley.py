@@ -7,15 +7,18 @@ Weyl and torus generators are written in closed form (Steinberg 1968,
 (i, j) block replaced by [[0, t], [-1/t, 0]], and h_alpha(t) is the diagonal
 matrix with t at (i, i) and 1/t at (j, j).  Their product definitions,
 x_alpha(t) x_{-alpha}(-1/t) x_alpha(t) and w_alpha(t) w_alpha(1)^-1, are the
-reference the tests compare against.  All entries are `fractions.Fraction`, so
-the Steinberg relations and the character formulas are checked as exact
-identities.
+reference the tests compare against.  A matrix is held as integer rows over
+one positive denominator, so products are integer products followed by one
+gcd, and the Steinberg relations and the character formulas are checked as
+exact identities.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
-from .linalg import Q0, Q1, det, fraction_str, identity, inverse, matmul
+from .linalg import Q0, det, fraction_str, inverse, mat, matmul
 
 
 class ChevalleyError(ValueError):
@@ -23,31 +26,45 @@ class ChevalleyError(ValueError):
 
 
 class GroupElement:
-    """An SL_n matrix over the rationals.
+    """An SL_n matrix over the rationals: integer rows `num` over `den`.
 
+    The form is canonical, den > 0 and gcd(num, den) = 1, so equality and
+    hashing compare (den, num).  The Fraction rows are built on first use.
     The public constructor converts every entry to a Fraction and checks the
     shape and the determinant; the group operations build their results with
-    `_of_rows`, which trusts rows that are already square tuples of Fractions.
+    `_of`, which trusts a canonical (num, den).
     """
 
-    __slots__ = ("rows", "n")
+    __slots__ = ("num", "den", "n", "_rows")
 
     def __init__(self, rows, check_det=True):
-        self.rows = tuple(tuple(Fraction(e) for e in row) for row in rows)
-        self.n = len(self.rows)
+        rows = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        self.n = len(rows)
         if not self.n:
             raise ChevalleyError("matrix is empty")
-        if any(len(r) != self.n for r in self.rows):
+        if any(len(r) != self.n for r in rows):
             raise ChevalleyError("matrix is not square")
+        self.num, self.den = _scaled(rows)
+        self._rows = rows
         if check_det and self.det() != 1:
             raise ChevalleyError("determinant must be 1")
 
     @classmethod
-    def _of_rows(cls, rows):
+    def _of(cls, num, den):
         g = object.__new__(cls)
-        g.rows = rows
-        g.n = len(rows)
+        g.num = num
+        g.den = den
+        g.n = len(num)
+        g._rows = None
         return g
+
+    @property
+    def rows(self):
+        """The entries as a tuple of Fraction rows."""
+        if self._rows is None:
+            den = self.den
+            self._rows = tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+        return self._rows
 
     def det(self):
         return det(self.rows)
@@ -57,10 +74,25 @@ class GroupElement:
             raise ChevalleyError(
                 f"cannot multiply a {self.n}x{self.n} by a {other.n}x{other.n} matrix"
             )
-        return GroupElement._of_rows(matmul(self.rows, other.rows))
+        num = matmul(self.num, other.num, zero=0)
+        den = self.den * other.den
+        g = gcd(*chain.from_iterable(num), den)
+        if g > 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+            den //= g
+        return GroupElement._of(num, den)
 
     def inv(self):
-        return GroupElement._of_rows(inverse(self.rows))
+        """den * num^-1, with num^-1 = N / D from the elimination kernel.
+
+        gcd(N, D) = 1, so gcd(den * N, D) = gcd(den, D).
+        """
+        inv_num, inv_den = _scaled(inverse(mat(self.num)))
+        g = gcd(self.den, inv_den)
+        scale = self.den // g
+        return GroupElement._of(
+            tuple(tuple(x * scale for x in row) for row in inv_num), inv_den // g
+        )
 
     def __pow__(self, k):
         if k < 0:
@@ -75,10 +107,10 @@ class GroupElement:
         return acc
 
     def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.rows == other.rows
+        return isinstance(other, GroupElement) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.den, self.num))
 
     def __repr__(self):
         return f"GroupElement({self.rows})"
@@ -90,17 +122,28 @@ class GroupElement:
     # --- shape predicates -----------------------------------------------
 
     def is_upper_triangular(self):
-        return all(self.rows[i][j] == 0 for i in range(self.n) for j in range(i))
+        return all(self.num[i][j] == 0 for i in range(self.n) for j in range(i))
 
     def diagonal(self):
-        return tuple(self.rows[i][i] for i in range(self.n))
+        return tuple(Fraction(self.num[i][i], self.den) for i in range(self.n))
 
     def to_json(self):
         return [[fraction_str(e) for e in row] for row in self.rows]
 
 
+def _scaled(rows):
+    """(num, den) of Fraction rows: den the lcm of the entries' denominators.
+
+    Every prime power of den divides some entry's denominator, whose
+    numerator it does not divide, so the form is canonical.
+    """
+    pairs = [[e.as_integer_ratio() for e in row] for row in rows]
+    den = lcm(*(q for row in pairs for _, q in row))
+    return tuple(tuple(p * (den // q) for p, q in row) for row in pairs), den
+
+
 def identity_element(n):
-    return GroupElement._of_rows(identity(n))
+    return GroupElement._of(tuple(tuple(int(a == b) for b in range(n)) for a in range(n)), 1)
 
 
 def root_position(n, coeffs):
@@ -127,12 +170,13 @@ def root_position(n, coeffs):
 
 def _with_entries(n, entries):
     """The n x n identity with the given {(row, col): Fraction} entries replaced."""
-    return GroupElement._of_rows(
-        tuple(
-            tuple(entries.get((a, b), Q1 if a == b else Q0) for b in range(n))
-            for a in range(n)
-        )
-    )
+    den = lcm(*(e.denominator for e in entries.values()))
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        rows[a][a] = den
+    for (a, b), e in entries.items():
+        rows[a][b] = e.numerator * (den // e.denominator)
+    return GroupElement._of(tuple(map(tuple, rows)), den)
 
 
 def x_elem(n, root, t):
@@ -243,13 +287,13 @@ def is_s_unit(x, primes):
 
 
 def in_borel_o_s(g, primes):
-    """Upper triangular, entries in O_S, diagonal entries S-units."""
-    if not g.is_upper_triangular():
+    """Upper triangular, entries in O_S, diagonal entries S-units.
+
+    The denominator of g is the lcm of its entries' denominators, so every
+    entry is in O_S iff 1/den is.
+    """
+    if not g.is_upper_triangular() or not in_o_s(Fraction(1, g.den), primes):
         return False
-    for i in range(g.n):
-        for j in range(i, g.n):
-            if not in_o_s(g.rows[i][j], primes):
-                return False
     return all(is_s_unit(d, primes) for d in g.diagonal())
 
 

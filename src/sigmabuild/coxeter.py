@@ -25,6 +25,7 @@ grows), opposition is sign negation.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from .linalg import dot, matvec
@@ -77,6 +78,7 @@ class AlcoveGeometry:
             datum.pos_index[s] for s in datum.simple_root_coeffs
         )
         self._facet_cache = {}
+        self._closure_cache = {}
         self._face_cache = {}
         self._proj_cache = {}
         # An alcove vertex is stored as its scaled root values: the integers
@@ -222,16 +224,18 @@ class AlcoveGeometry:
         return out
 
     def closure(self, cell):
-        """The cell together with all its faces."""
-        seen = set()
-        stack = [cell]
-        while stack:
-            c = stack.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            stack.extend(self.facets(c))
-        return seen
+        """The cell together with all its faces: the keys of the means of the
+        non-empty vertex subsets of the simplex."""
+        if cell in self._closure_cache:
+            return self._closure_cache[cell]
+        face = self._face(cell)
+        out = frozenset(
+            self._key_of_mean(sub)
+            for k in range(1, len(face) + 1)
+            for sub in combinations(face, k)
+        )
+        self._closure_cache[cell] = out
+        return out
 
     def vertices(self, cell):
         """The 0-faces of the closed cell, as sorted coordinate tuples."""

@@ -33,18 +33,20 @@ def matvec(m, v):
     return tuple(dot(row, v) for row in m)
 
 
-def matmul(a, b):
-    """The product a.b as a tuple of Fraction rows.
+def matmul(a, b, zero=Q0):
+    """The product a.b as a tuple of rows.
 
-    Only the non-zero products a_ik b_kj are added, row by row into Fraction
-    accumulators: the group elements multiplied here are mostly triangular or
-    unipotent, so most products would be zero.
+    Only the non-zero products a_ik b_kj are added, row by row into
+    accumulators that start at `zero`: the group elements multiplied here are
+    mostly triangular or unipotent, so most products would be zero.  With
+    the int 0, integer rows give integer rows; by default every entry of the
+    product is a Fraction.
     """
     n_cols = len(b[0]) if b else 0
     b_nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
     out = []
     for row in a:
-        acc = [Q0] * n_cols
+        acc = [zero] * n_cols
         for aik, bk in zip(row, b_nonzero):
             if aik:
                 for j, bkj in bk:
@@ -100,7 +102,7 @@ def inverse(m):
     work, pivots, _, values = _gauss_jordan(aug, n_cols)
     if n_cols != n or len(pivots) < n:
         raise LinalgError("singular matrix")
-    return tuple(tuple(e / pv for e in row[n:]) for row, pv in zip(work, values))
+    return tuple(tuple(e / pv if e else Q0 for e in row[n:]) for row, pv in zip(work, values))
 
 
 def det(m):

@@ -16,9 +16,8 @@ base chamber at infinity) iff every coefficient is negative.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import product
-from math import lcm
+from math import ceil, floor, lcm
 
 from .chevalley import CharacterVec
 from .complexes import CellComplex
@@ -44,13 +43,18 @@ class HeightForm:
         return sum((c * v for c, v in zip(self.coeffs, values)), Q0)
 
     def range_on_cell(self, geometry, cell):
-        """(min, max) of the height over the closed cell: over its vertices,
-        from their integer scaled root values."""
-        coeffs, d = self._scaled
-        terms = tuple(zip(geometry._simple_idx, coeffs))
+        """(min, max) of the height over the closed cell."""
+        lo, hi = self._scaled_range(geometry, cell)
+        scale = self._scaled[1] * geometry._den
+        return Fraction(lo, scale), Fraction(hi, scale)
+
+    def _scaled_range(self, geometry, cell):
+        """(min, max) of the height over the closed cell's vertices, as the
+        integers d * den * h: the scaled coefficients dotted with the
+        vertices' integer scaled root values."""
+        terms = tuple(zip(geometry._simple_idx, self._scaled[0]))
         heights = [sum(c * v[i] for i, c in terms) for v in geometry._face(cell)]
-        scale = d * geometry._den
-        return Fraction(min(heights), scale), Fraction(max(heights), scale)
+        return min(heights), max(heights)
 
     def is_generic_decreasing(self):
         """Strictly decreasing along every ray into the base chamber at infinity.
@@ -316,20 +320,28 @@ def upper_complex(window, h, r):
 
 
 def upper_lower_certified(window, h, r):
-    """U_h(r), L_h(r) and the certificate record of their defining inclusions."""
+    """U_h(r), L_h(r) and the certificate record of their defining inclusions.
+
+    Every cell's height range is read once as integers over S = d * den (d
+    the form's denominator, den the geometry's) and compared with r and
+    r + eps rounded to that grid once.
+    """
     up, low = _upper_lower(window, h, r)
     g = window.geometry
     eps = epsilon_for_height(g, h)
-    ranges = {cell: h.range_on_cell(g, cell) for cell in window.cells()}
+    r = Fraction(r)
+    scale = h._scaled[1] * g._den
+    r_up, r_down, top = ceil(r * scale), floor(r * scale), floor((r + eps) * scale)
+    ranges = {cell: h._scaled_range(g, cell) for cell in window.cells()}
     residual = residual_r(g, low, g.base_chamber_at_infinity())
     cert = {
         "epsilon": eps,
-        "sublevel_in_lower": all(c in low for c, (_, mx) in ranges.items() if mx <= r),
+        "sublevel_in_lower": all(c in low for c, (_, mx) in ranges.items() if mx <= r_down),
         "lower_below_r_plus_eps": all(
-            ranges[c][0] <= r + eps for c in low if window.interior_cell(c)
+            ranges[c][0] <= top for c in low if window.interior_cell(c)
         ),
         "residual_in_band": all(
-            r <= ranges[c][0] and ranges[c][1] <= r + eps
+            r_up <= ranges[c][0] and ranges[c][1] <= top
             for c in residual
             if window.interior_cell(c)
         ),
@@ -344,8 +356,10 @@ def _upper_lower(window, h, r):
     by the special vertex at (k_i + 1), and that vertex maximizes the height
     among all special dominators; so the cell meets the union of open
     opposite sectors iff h(k+1) >= r.  Likewise the closed-sector hull of the
-    cell is governed by its componentwise ceiling.  Cells share their level
-    tuples, so each tuple's height is evaluated once.
+    cell is governed by its componentwise ceiling.  Both are integer tests
+    with the form's scaled coefficients (c, d) and T = ceil(r d): a cell is
+    in U iff sum c_i k_i + sum over its floors of c_i >= T, and in L iff
+    sum c_i k_i + sum c_i < T.
     """
     g = window.geometry
     ok, bad = h.is_generic_decreasing()
@@ -353,15 +367,22 @@ def _upper_lower(window, h, r):
         raise GeometryError(
             f"height is not strictly decreasing toward the boundary vertex of sector ray {bad}"
         )
-    height = cache(h)
+    coeffs, d = h._scaled
+    terms = tuple(zip(g._simple_idx, coeffs))
+    total = sum(coeffs)
+    threshold = ceil(Fraction(r) * d)
     upper = set()
     lower = set()
-    r = Fraction(r)
     for cell in window.cells():
-        levels = [cell[pi] for pi in g._simple_idx]
-        if height(tuple(k + 1 if f == FLOOR else k for f, k in levels)) >= r:  # the ceiling
+        base = floors = 0
+        for pi, c in terms:
+            f, k = cell[pi]
+            base += c * k
+            if f == FLOOR:
+                floors += c
+        if base + floors >= threshold:  # the ceiling
             upper.add(cell)
-        if height(tuple(k + 1 for _, k in levels)) < r:  # the extremal special dominator
+        if base + total < threshold:  # the extremal special dominator
             lower.add(cell)
     return frozenset(upper), frozenset(lower)
 

@@ -1,12 +1,17 @@
-"""Chamber adjacency, gallery distances, special vertices, height values and
-projections by a step from the barycenter.
+"""Chamber adjacency, gallery distances, special vertices, height values,
+projections by a step from the barycenter, closures by a facet walk and the
+upper/lower complexes with their certificate in Fraction arithmetic.
 
 Reference code that only tests use, shared by the alcove, flag-building and
 truncation tests.
 """
 
-from sigmabuild.coxeter import _entry
+from fractions import Fraction
+from functools import cache
+
+from sigmabuild.coxeter import FLOOR, GeometryError, _entry
 from sigmabuild.linalg import Q1
+from sigmabuild.windows import epsilon_for_height, residual_r
 
 
 def panel_neighbors(complex_, chamber):
@@ -70,3 +75,62 @@ def project_to_cell_by_step(geometry, cell, target):
     if not any(u):
         return cell
     return project_dir(geometry, cell, u, limit=Q1)
+
+
+def closure_by_facets(geometry, cell):
+    """The cell together with all its faces, by a walk over facets."""
+    seen = set()
+    stack = [cell]
+    while stack:
+        c = stack.pop()
+        if c in seen:
+            continue
+        seen.add(c)
+        stack.extend(geometry.facets(c))
+    return seen
+
+
+def upper_lower_by_fractions(window, h, r):
+    """U_h(r) and L_h(r) from the Fraction heights of each cell's ceiling and
+    extremal special dominator, evaluated once per level tuple."""
+    g = window.geometry
+    ok, bad = h.is_generic_decreasing()
+    if not ok:
+        raise GeometryError(
+            f"height is not strictly decreasing toward the boundary vertex of sector ray {bad}"
+        )
+    height = cache(h)
+    upper = set()
+    lower = set()
+    r = Fraction(r)
+    for cell in window.cells():
+        levels = [cell[pi] for pi in g._simple_idx]
+        if height(tuple(k + 1 if f == FLOOR else k for f, k in levels)) >= r:
+            upper.add(cell)
+        if height(tuple(k + 1 for _, k in levels)) < r:
+            lower.add(cell)
+    return frozenset(upper), frozenset(lower)
+
+
+def certificate_by_fractions(window, h, r, low):
+    """The certificate record of `upper_lower_certified` for the lower set,
+    from the Fraction heights of every cell's vertices."""
+    g = window.geometry
+    eps = epsilon_for_height(g, h)
+    ranges = {}
+    for cell in window.cells():
+        heights = [h(values) for values in g._simple_values(cell)]
+        ranges[cell] = (min(heights), max(heights))
+    residual = residual_r(g, low, g.base_chamber_at_infinity())
+    return {
+        "epsilon": eps,
+        "sublevel_in_lower": all(c in low for c, (_, mx) in ranges.items() if mx <= r),
+        "lower_below_r_plus_eps": all(
+            ranges[c][0] <= r + eps for c in low if window.interior_cell(c)
+        ),
+        "residual_in_band": all(
+            r <= ranges[c][0] and ranges[c][1] <= r + eps
+            for c in residual
+            if window.interior_cell(c)
+        ),
+    }

@@ -42,17 +42,17 @@ def _timed(fn, budget):
 
 
 def test_criterion_1_steinberg_relations():
-    entry, dt, budget = _timed(lambda: criterion_steinberg(seed=42, trials=200), 2)
+    entry, dt, budget = _timed(lambda: criterion_steinberg(seed=42, trials=200), 1)
     assert _report(entry, dt, budget)
 
 
 def test_criterion_2_character_machinery():
-    entry, dt, budget = _timed(lambda: criterion_characters(seed=42), 2)
+    entry, dt, budget = _timed(lambda: criterion_characters(seed=42), 1)
     assert _report(entry, dt, budget)
 
 
 def test_criterion_3_coxeter_window_suite():
-    entry, dt, budget = _timed(lambda: criterion_coxeter(seed=42), 5)
+    entry, dt, budget = _timed(lambda: criterion_coxeter(seed=42), 2)
     assert entry["details"]["deconstructions_certified"] == 20
     assert _report(entry, dt, budget)
 
@@ -79,7 +79,7 @@ def test_criterion_6_negative_direction():
 
 
 def test_criterion_7_positive_direction():
-    entry, dt, budget = _timed(criterion_positive_direction, 10)
+    entry, dt, budget = _timed(criterion_positive_direction, 2)
     assert entry["details"]["sl3_cases"] == 15
     assert entry["details"]["sl3_preimages_connected_with_margin"] is True
     assert _report(entry, dt, budget)

@@ -839,6 +839,24 @@ def test_restrict_needs_a_frozen_parent():
         cx.restrict(["a"])
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(HEIGHT_TRUNCATIONS), st.data())
+def test_retraction_preimage_is_the_bruteforce_filter(case, data):
+    # SL_2 at p = 2, 3 and SL_3 at p = 2: raw image sets, which need not have
+    # a face-closed preimage, and their closures in the apartment
+    trunc = height_truncation(*case)
+    images = sorted({trunc.retract_cell(c) for c in trunc.complex.cells()})
+    chosen = set(data.draw(st.lists(st.sampled_from(images), max_size=10)))
+    if data.draw(st.booleans()):
+        chosen = set().union(*(trunc.geometry.closure(c) for c in chosen))
+    keep = [c for c in trunc.complex.cells() if trunc.retract_cell(c) in chosen]
+    if trunc.complex.is_face_closed(keep):
+        assert_same_complex(retraction_preimage(trunc, chosen), rebuilt(trunc.complex, keep))
+    else:
+        with pytest.raises(ValueError):
+            retraction_preimage(trunc, chosen)
+
+
 def test_retraction_preimage_full_and_edge():
     p = 2
     trunc = grow_truncation(2, p, 3)

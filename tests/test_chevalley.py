@@ -2,8 +2,14 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from math import gcd
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmabuild.chevalley import (
     BorelDecomposition,
@@ -22,6 +28,7 @@ from sigmabuild.chevalley import (
     w_elem,
     x_elem,
 )
+from sigmabuild.linalg import LinalgError, det, inverse, matmul
 from sigmabuild.root_system import build_root_system
 
 
@@ -119,15 +126,81 @@ def test_closed_forms_match_product_definitions():
 
 
 def test_closed_forms_build_no_product_or_inverse(monkeypatch):
-    import sigmabuild.chevalley as chevalley
-
     def forbidden(*args):
         raise AssertionError("closed forms must not multiply or invert")
 
-    monkeypatch.setattr(chevalley, "matmul", forbidden)
-    monkeypatch.setattr(chevalley, "inverse", forbidden)
+    monkeypatch.setattr(GroupElement, "__mul__", forbidden)
+    monkeypatch.setattr(GroupElement, "inv", forbidden)
     assert w_elem(3, (1, 1), 2).rows[0][2] == 2
     assert h_elem(3, (0, -1), 2).diagonal() == (1, Fraction(1, 2), 2)
+
+
+ENTRIES = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def rational_matrix(draw, n):
+    """An n x n rational matrix; a third of the draws repeat a multiple of row 0."""
+    rows = [tuple(draw(ENTRIES) for _ in range(n)) for _ in range(n)]
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        k = draw(ENTRIES)
+        rows[-1] = tuple(k * e for e in rows[0])
+    return tuple(rows)
+
+
+@st.composite
+def generator_word(draw, n):
+    """The factors of a word in the x, w and h generators of SL_n, led by the identity."""
+    roots = all_roots(n) if n > 1 else []
+    factors = [identity_element(n)]
+    for _ in range(draw(st.integers(0, 4)) if roots else 0):
+        make = draw(st.sampled_from((x_elem, w_elem, h_elem)))
+        t = draw(ENTRIES.filter(bool)) if make is not x_elem else draw(ENTRIES)
+        factors.append(make(n, draw(st.sampled_from(roots)), t))
+    return factors
+
+
+def is_canonical(g):
+    entries = list(chain.from_iterable(g.num))
+    return (
+        all(type(x) is int for x in entries + [g.den])
+        and g.den > 0
+        and gcd(*entries, g.den) == 1
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(rational_matrix(n), rational_matrix(n))))
+def test_group_kernel_matches_linalg(pair):
+    a, b = pair
+    g, h = GroupElement(a, check_det=False), GroupElement(b, check_det=False)
+    gh = g * h
+    assert gh.rows == matmul(g.rows, h.rows)
+    assert is_canonical(g) and is_canonical(gh)
+    # the same matrix from its Fraction rows: equal, with equal hashes
+    again = GroupElement(gh.rows, check_det=False)
+    assert again == gh and hash(again) == hash(gh)
+    if det(a) == 0:
+        with pytest.raises(LinalgError):
+            g.inv()
+    else:
+        gi = g.inv()
+        assert gi.rows == inverse(g.rows)
+        assert is_canonical(gi)
+        assert g * gi == identity_element(len(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(generator_word))
+def test_group_elements_equal_across_routes(factors):
+    n = factors[0].n
+    word = reduce(mul, factors)
+    by_rows = GroupElement(reduce(matmul, (f.rows for f in factors)))
+    assert word == by_rows and hash(word) == hash(by_rows)
+    inverted = reduce(mul, (f.inv() for f in reversed(factors)))
+    assert word.inv() == inverted and hash(word.inv()) == hash(inverted)
+    assert word * inverted == identity_element(n)
+    assert is_canonical(word) and is_canonical(inverted)
 
 
 def test_group_elements_are_square_nonempty_and_same_size():

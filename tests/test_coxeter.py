@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from geometry_oracle import (
+    closure_by_facets,
     gallery_distances,
     is_special_vertex,
     project_to_cell_by_step,
@@ -70,6 +71,19 @@ def test_chamber_face_counts(a2):
             n_facets = sum(1 for p in g.facets(c) if f in g.closure(p) or f == p)
             if k > 0:
                 assert n_facets == k
+
+
+@pytest.mark.parametrize("family, rank, radius", [("A", 2, 3), ("C", 2, 2), ("A", 3, 1)])
+def test_closure_is_the_facet_walk(family, rank, radius):
+    datum = build_root_system(family, rank)
+    g = AlcoveGeometry(datum)
+    window = Window.radius(datum, radius, g)
+    walked = set()
+    for c in window.chambers():
+        walked |= closure_by_facets(g, c)
+    assert walked == window.cells()
+    for cell in walked:
+        assert g.closure(cell) == closure_by_facets(g, cell)
 
 
 def test_project_toward_a1(a1):

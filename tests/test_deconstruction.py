@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from fm_oracle import cell_meets_open_sector
-from geometry_oracle import height_value, is_special_vertex
+from geometry_oracle import (
+    certificate_by_fractions,
+    height_value,
+    is_special_vertex,
+    upper_lower_by_fractions,
+)
 
 from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError
 from sigmabuild.root_system import build_root_system
@@ -346,6 +351,41 @@ def test_upper_lower_rejects_nongeneric(a2):
     window = Window.radius(datum, 2, g)
     with pytest.raises(GeometryError):
         upper_complex(window, HeightForm((Fraction(-1), Fraction(0))), 0)
+
+
+NEGATIVE_COEFFS = st.one_of(
+    st.integers(-4, -1), st.fractions(-4, 0, max_denominator=6).filter(bool)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((("A", 2, 3), ("C", 2, 2), ("A", 3, 1))),
+    st.lists(NEGATIVE_COEFFS, min_size=3, max_size=3),
+    st.data(),
+)
+def test_integer_thresholds_match_fraction_route(case, coeffs, data):
+    # r exactly at the heights of level tuples and vertices (and eps below
+    # them), between those heights and beyond them
+    window = range_window(*case)
+    g = window.geometry
+    h = HeightForm(tuple(coeffs[: window.datum.rank]))
+    heights = {h(values) for cell in window.cells() for values in g._simple_values(cell)}
+    for cell in window.cells():
+        levels = [cell[pi] for pi in g._simple_idx]
+        heights.add(h(tuple(k + 1 if f == FLOOR else k for f, k in levels)))
+        heights.add(h(tuple(k + 1 for _, k in levels)))
+    eps = epsilon_for_height(g, h)
+    exact = sorted(heights | {x - eps for x in heights})
+    between = [(a + b) / 2 for a, b in zip(exact, exact[1:])]
+    r = data.draw(st.sampled_from(exact + between + [exact[0] - 1, exact[-1] + 1]))
+    up, low, cert = upper_lower_certified(window, h, r)
+    assert (up, low) == upper_lower_by_fractions(window, h, r)
+    assert cert == certificate_by_fractions(window, h, r, low)
+    zero = list(h.coeffs)
+    zero[data.draw(st.integers(0, len(zero) - 1))] = 0
+    with pytest.raises(GeometryError):
+        upper_lower_certified(window, HeightForm(tuple(zero)), r)
 
 
 def covering_special_vertex(geometry, h, x):
