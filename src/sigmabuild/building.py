@@ -11,20 +11,24 @@ factorization u * a with u unipotent and a a p-power diagonal.
 
 One integer kernel computes every form: a column Hermite reduction over the
 local ring at p with the minimal-valuation pivot and unit inverses, with every
-entry reduced modulo p^(N+1) for N = v_p(det) (Domich-Kannan-Trotter).
-`lattice_canonical_form` clears the denominators of a rational matrix first.
+entry reduced modulo p^(N+1) for N = v_p(det) (Domich-Kannan-Trotter).  It
+returns the form as an integer key (d, rows), the form being rows / p^d, and
+the key is the one representation of a vertex: growth, the vertex table and
+the group action all hold it, and only `Truncation.form` turns it into
+Fractions, for printing.
 
 A truncation grows in integers.  A chamber is one integer basis b_1..b_n over
 a denominator p^s, with chain L_i = span(p b_1, ..., p b_i, b_{i+1}, ..., b_n)
 / p^s; its panels are fixed moves of that basis (the building is thick, every
-panel has p + 1 chambers), and each new vertex costs one form, keyed by
-integer tuples.  The forms of the ball are then sorted once and numbered in
-that order, so a vertex is an int id (`Truncation.vertices[i]` is its form)
+panel has p + 1 chambers), and each new vertex costs one form.  The keys of
+the ball are then sorted once in the order of their forms and numbered in
+that order, so a vertex is an int id (`Truncation.vertices[i]` is its key)
 and a cell is a sorted tuple of ids.  Because the numbering preserves the
 order, every sorted list of cells, every homology basis and every witness is
-the one the form tuples would give.  Images of vertices under the group
-action that fall outside the ball are numbered on demand after the ball's
-range.
+the one the form tuples would give.  An element g of the group acts on a
+vertex through the same kernel, on the integer columns of g.num times the
+key's rows; images that fall outside the ball are numbered on demand after
+the ball's range.
 
 Apartment coordinates follow the convention that the chamber at infinity
 stabilized by the upper-triangular subgroup is the all-plus chamber of the
@@ -49,13 +53,13 @@ order is the one a persistent reduction over the height filtration runs in
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil
 
 from .chevalley import is_prime, valuation
 from .complexes import CellComplex
 from .coxeter import AlcoveGeometry
 from .homology import F2Chain, chain_complex
-from .linalg import Q0, det, mat, matmul
+from .linalg import Q0, det, matmul
 from .root_system import build_root_system
 from .windows import HeightForm
 
@@ -108,67 +112,23 @@ def _hermite_form(cols, p, N):
     return min(exps) - g, tuple(tuple(col[i] // pg for col in work) for i in range(n))
 
 
-def _fraction_form(key, p):
-    d, rows = key
-    den = p**d
-    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-
-
-def lattice_canonical_form(columns, p):
-    """Canonical Hermite form of the lattice class spanned by the given columns.
-
-    `columns` is a square rational matrix given as rows.  The form is upper
-    triangular with p-power diagonal, minimal diagonal exponent zero
-    (homothety normalization) and each above-diagonal entry reduced to its
-    canonical residue modulo the diagonal p-power of its row.  Two rational
-    matrices generate the same lattice class iff their forms coincide.
-    Scaling by the least common denominator of the entries changes neither
-    the class nor the form, so the integer kernel computes it.
-    """
-    rows = mat(columns)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise BuildingError("the columns must form a square matrix")
-    scale = lcm(*(e.denominator for row in rows for e in row))
-    ints = [[e.numerator * (scale // e.denominator) for e in row] for row in rows]
-    d = det(mat(ints))
-    if d == 0:
-        raise BuildingError("columns do not span a full lattice")
-    return _fraction_form(_hermite_form(list(zip(*ints)), p, valuation(d, p)), p)
-
-
 def diagonal_exponents(key, p):
-    """The diagonal p-exponents of a canonical form, or None if not diagonal."""
-    n = len(key)
-    exps = [valuation(key[i][i], p) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and key[i][j] != 0:
-                return None
-    return tuple(exps)
-
-
-@dataclass
-class Chamber:
-    """The maximal lattice chain L_0 > L_1 > ... > L_{n-1} > p L_0 of one integer basis.
-
-    With b_1, ..., b_n the columns of `basis`,
-    L_i = span(p b_1, ..., p b_i, b_{i+1}, ..., b_n) / p^s.
-    """
-
-    basis: tuple  # integer columns b_1..b_n; det = +-p^(n s)
-    s: int
-    keys: tuple  # canonical forms of L_0..L_{n-1}
+    """The diagonal p-exponents of the form of a key, or None if it is not diagonal."""
+    d, rows = key
+    if any(x for i, row in enumerate(rows) for j, x in enumerate(row) if i != j):
+        return None
+    return tuple(valuation(row[i], p) - d for i, row in enumerate(rows))
 
 
 class Truncation:
     """All chambers within a gallery radius of the standard base chamber.
 
-    A vertex is an int id into `vertices`, the table of canonical forms; a
-    cell is a sorted tuple of ids.  `chambers` and `chamber_distance` are
-    keyed by chamber cells, `cell_distance` by every cell of `complex`.
+    A vertex is an int id into `vertices`, the table of integer form keys; a
+    cell is a sorted tuple of ids.  `chambers` maps each chamber cell to its
+    gallery distance from the base chamber, `cell_distance` every cell of
+    `complex` to the least distance of a chamber containing it.
 
-    Growth is breadth-first over chambers, each one integer basis (`Chamber`).
+    Growth is breadth-first over chambers, each one integer basis b_1..b_n.
     The chambers on a panel are fixed integer moves of that basis: panel
     k >= 1 replaces (b_k, b_{k+1}) by (b_{k+1}, b_k + t b_{k+1}), and panel 0
     replaces the basis by (p^-1 b_n + t b_1, b_2, ..., b_{n-1}, p b_1), for
@@ -230,7 +190,6 @@ class Truncation:
         n, p = self.n, self.p
         eye = tuple(tuple(int(r == c) for r in range(n)) for c in range(n))
         base = (eye, 0, tuple(self._vertex_key(eye, 0, i) for i in range(n)))
-        found = {tuple(sorted(base[2])): base}
         dist = {tuple(sorted(base[2])): 0}
         frontier = [(base, None)]
         for d in range(1, self.radius + 1):
@@ -241,38 +200,32 @@ class Truncation:
                         continue
                     for nb in self._panel_neighbors(*ch, k):
                         ck = tuple(sorted(nb[2]))
-                        if ck not in found:
-                            if len(found) >= max_chambers:
+                        if ck not in dist:
+                            if len(dist) >= max_chambers:
                                 raise BuildingError("chamber guard exceeded")
-                            found[ck] = nb
                             dist[ck] = d
                             nxt.append((nb, k))
             frontier = nxt
         # ids follow the sorted order of the forms, so sorted id tuples sort
         # exactly like the form tuples they stand for; over the common
         # denominator p^top the forms sort like integer tuples
-        vertex_keys = {key for ck in found for key in ck}
+        vertex_keys = {key for ck in dist for key in ck}
         top = max(d for d, _ in vertex_keys)
         order = sorted(vertex_keys, key=lambda k: [x * p ** (top - k[0]) for r in k[1] for x in r])
         self.vertices = []
         self._vertex_ids = {}
         self._root_values = []
-        ids = {key: self.vertex_id(_fraction_form(key, p)) for key in order}
-        self.chambers = {}
-        self.chamber_distance = {}
-        for ck, (basis, s, keys) in found.items():
-            cell = tuple(sorted(ids[key] for key in keys))
-            self.chambers[cell] = Chamber(basis, s, tuple(self.vertices[ids[key]] for key in keys))
-            self.chamber_distance[cell] = dist[ck]
-        self.base_chamber = next(iter(self.chambers.values()))
-        self.base_vertex = self._vertex_ids[self.base_chamber.keys[0]]
+        for key in order:
+            self.vertex_id(key)
+        ids = self._vertex_ids
+        self.chambers = {tuple(sorted(ids[key] for key in ck)): d for ck, d in dist.items()}
+        self.base_vertex = ids[base[2][0]]
 
     def _build_complex(self):
         cx = CellComplex()
         self.cell_distance = {}
-        for ck in self.chambers:
+        for ck, d in self.chambers.items():
             m = len(ck)
-            d = self.chamber_distance[ck]
             for mask in range(1, 1 << m):
                 cell = tuple(ck[i] for i in range(m) if mask >> i & 1)
                 facets = []
@@ -286,23 +239,30 @@ class Truncation:
 
     # --- vertex table --------------------------------------------------------
 
-    def vertex_id(self, form):
-        """The id of the vertex with this canonical form.
+    def vertex_id(self, key):
+        """The id of the vertex with this integer form key (d, rows).
 
         Vertices of the ball have the ids 0..k-1 in the sorted order of their
         forms; a vertex outside the ball (an image under the group action) is
         numbered on first sight, after them.
         """
-        vid = self._vertex_ids.get(form)
+        vid = self._vertex_ids.get(key)
         if vid is None:
-            vid = self._vertex_ids[form] = len(self.vertices)
-            self.vertices.append(form)
-            exps = [valuation(form[i][i], self.p) for i in range(self.n)]
+            vid = self._vertex_ids[key] = len(self.vertices)
+            self.vertices.append(key)
+            rows = key[1]
+            exps = [valuation(rows[i][i], self.p) for i in range(self.n)]
             values = tuple(b - a for a, b in zip(exps, exps[1:]))
             self._root_values.append(values)
             for filtration in self._filtrations.values():
                 filtration.heights.append(filtration.scaled_height(values))
         return vid
+
+    def form(self, v):
+        """The canonical form of vertex v, rows / p^d, as Fraction rows."""
+        d, rows = self.vertices[v]
+        den = self.p**d
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
     def height_filtration(self, h):
         """The cached `HeightFiltration` of the height form h."""
@@ -346,8 +306,21 @@ class Truncation:
     # --- group action ------------------------------------------------------
 
     def act_on_vertex(self, g, v):
-        rows = matmul(g.rows, self.vertices[v])
-        return self.vertex_id(lattice_canonical_form(rows, self.p))
+        """The id of g v: the form of the integer columns of g.num times v's rows.
+
+        The product spans the class of g v (g.den and p^d are scalars), and
+        v_p of its determinant is v_p(det g.num) plus the diagonal exponents
+        of the triangular rows.
+        """
+        if g.n != self.n:
+            raise BuildingError(f"a {g.n}x{g.n} matrix cannot act on SL_{self.n} lattices")
+        d = det(g.num)
+        if d == 0:
+            raise BuildingError("columns do not span a full lattice")
+        p = self.p
+        rows = self.vertices[v][1]
+        N = valuation(d, p) + sum(valuation(rows[i][i], p) for i in range(self.n))
+        return self.vertex_id(_hermite_form(list(zip(*matmul(g.num, rows, zero=0))), p, N))
 
     def act_on_cell(self, g, cell_key):
         return tuple(sorted(self.act_on_vertex(g, v) for v in cell_key))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .linalg import Q0, det, fraction_str, inverse, mat, matmul
+from .linalg import Q0, det, fraction_str, inverse, matmul
 
 
 class ChevalleyError(ValueError):
@@ -87,7 +87,7 @@ class GroupElement:
 
         gcd(N, D) = 1, so gcd(den * N, D) = gcd(den, D).
         """
-        inv_num, inv_den = _scaled(inverse(mat(self.num)))
+        inv_num, inv_den = _scaled(inverse(self.num))
         g = gcd(self.den, inv_den)
         scale = self.den // g
         return GroupElement._of(

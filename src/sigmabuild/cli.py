@@ -20,7 +20,7 @@ from .complexes import dumps_json
 from .coxeter import AlcoveGeometry, GeometryError
 from .homology import betti_vector
 from .linalg import fraction_str
-from .root_system import build_root_system, rootsys_json
+from .root_system import RootSystemError, build_root_system, rootsys_json
 from .sigma import SigmaContext, finiteness_type, sigma_verdict, verdict_json
 from .spherical import build_flag_building, find_opposite_apartment
 from .windows import HeightForm, Window, closed_sector_cells, deconstruct
@@ -127,15 +127,23 @@ def _emit_text(payload, indent=0):
 # --- subcommand handlers -------------------------------------------------------
 
 
+def _root_system(family, rank):
+    """The root datum of the --family and --rank options; a bad pair is a usage error."""
+    try:
+        return build_root_system(family, rank)
+    except RootSystemError as exc:
+        raise UsageError(str(exc))
+
+
 def cmd_rootsys(args):
-    datum = build_root_system(args.family, args.rank)
+    datum = _root_system(args.family, args.rank)
     if args.command2 == "show":
         _emit(rootsys_json(datum), args.format)
     return 0
 
 
 def cmd_coxeter(args):
-    datum = build_root_system(args.family, args.rank)
+    datum = _root_system(args.family, args.rank)
     geometry = AlcoveGeometry(datum)
     lo, hi = _parse_window(args.window, datum.rank)
     window = Window(datum, lo, hi, geometry)
@@ -231,7 +239,7 @@ def cmd_building(args):
     trunc = grow_truncation(args.n, args.p, args.radius)
 
     def forms(cell):
-        return str(tuple(trunc.vertices[v] for v in cell))
+        return str(tuple(trunc.form(v) for v in cell))
 
     if args.command2 == "grow":
         if args.format == "dot":
@@ -255,7 +263,7 @@ def cmd_building(args):
         for cell in trunc.complex.cells(0):
             (v,) = cell
             pt = trunc.vertex_retraction_point(v)
-            table[str(trunc.vertices[v])] = [fraction_str(x) for x in pt]
+            table[str(trunc.form(v))] = [fraction_str(x) for x in pt]
         _emit({"vertices": len(table), "retraction": table}, args.format)
     elif args.command2 == "superlevel":
         h = _parse_height(args.height, args.n)
@@ -293,10 +301,10 @@ def _tree_dot(trunc, radius):
     """
     adj = {}
     for edge in trunc.complex.cells(1):
-        a, b = (trunc.vertices[v] for v in edge)
+        a, b = (trunc.form(v) for v in edge)
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    base = trunc.vertices[trunc.base_vertex]
+    base = trunc.form(trunc.base_vertex)
     dist = {base: 0}
     frontier = [base]
     while frontier:

@@ -67,8 +67,9 @@ def _gauss_jordan(rows, n_cols):
     zero in that column; the remaining rows are zero in the first n_cols
     columns.  `swaps` counts row exchanges.  Pivot rows are left unscaled, so
     the values are the diagonal of plain forward elimination and callers
-    divide only the entries they read.  Columns from n_cols on (a right-hand
-    side, an identity block) ride along but never pivot.
+    divide only the entries they read.  A pivot that is not a Fraction is
+    made one, so integer rows are divided exactly.  Columns from n_cols on
+    (a right-hand side, an identity block) ride along but never pivot.
     """
     work = [list(row) for row in rows]
     n_rows = len(work)
@@ -86,6 +87,8 @@ def _gauss_jordan(rows, n_cols):
             swaps += 1
         prow = work[r]
         pv = prow[c]
+        if type(pv) is not Fraction:
+            pv = Fraction(pv)
         for i, row in enumerate(work):
             if i != r and row[c] != 0:
                 f = row[c] / pv

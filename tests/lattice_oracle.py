@@ -1,12 +1,14 @@
 """The Fraction lattice-chain route for canonical forms and growth, kept as a test oracle.
 
 The library grows a truncation on one integer basis per chamber and reduces
-every canonical form with a modular integer Hermite kernel.  The routines here
-decide the same things over Fractions instead: `echelon_basis` is a column
-echelon over the local ring, `lattice_canonical_form` reduces it to canonical
-residues, and `ChainTruncation` is a `Truncation` grown on a chain of Fraction
-basis matrices per chamber, whose panels come from `smith_adapted_basis`.
-Tests compare the two routes.
+every canonical form with a modular integer Hermite kernel, to an integer key
+(d, rows) standing for the form rows / p^d.  The routines here decide the
+same things over Fractions instead: `echelon_basis` is a column echelon over
+the local ring, `lattice_canonical_form` reduces it to canonical residues,
+and `ChainTruncation` is a `Truncation` grown on a chain of Fraction basis
+matrices per chamber, whose panels come from `smith_adapted_basis`; it keeps
+its Fraction forms in `forms` and numbers their keys (`form_key`).  Tests
+compare the two routes.
 """
 
 from dataclasses import dataclass
@@ -99,6 +101,12 @@ def lattice_canonical_form(columns, p):
             if mat[i][j] != r:
                 raise BuildingError(f"entry {mat[i][j]} did not reduce to its residue {r}")
     return tuple(tuple(row) for row in mat)
+
+
+def form_key(form, p):
+    """The integer key (d, rows) of a canonical form: rows = p^d form for the least such d."""
+    d = max(valuation(x.denominator, p) for row in form for x in row)
+    return d, tuple(tuple(int(x * p**d) for x in row) for row in form)
 
 
 def smith_adapted_basis(b_mat, a_mat, p):
@@ -246,15 +254,12 @@ class ChainTruncation(Truncation):
             frontier = nxt
         # ids follow the sorted order of the forms, so sorted id tuples sort
         # exactly like the form tuples they stand for
+        self.forms = sorted({form for ck in found for form in ck})
         self.vertices = []
         self._vertex_ids = {}
         self._root_values = []
-        for form in sorted({form for ck in found for form in ck}):
-            self.vertex_id(form)
-        self.base_chamber = base
-        self.base_vertex = self._vertex_ids[base.keys[0]]
-        self.chambers = {self._cell_ids(ck): ch for ck, ch in found.items()}
-        self.chamber_distance = {self._cell_ids(ck): d for ck, d in dist.items()}
-
-    def _cell_ids(self, forms):
-        return tuple(self._vertex_ids[f] for f in forms)
+        for form in self.forms:
+            self.vertex_id(form_key(form, self.p))
+        ids = {form: i for i, form in enumerate(self.forms)}
+        self.base_vertex = ids[base.keys[0]]
+        self.chambers = {tuple(ids[f] for f in ck): d for ck, d in dist.items()}

@@ -118,7 +118,7 @@ def test_core_connected_matches_union_find():
             cases += 1
     assert cases == 15
     # planted: the closed base chamber plus one vertex off it, isolated
-    base_chamber = next(c for c in trunc.chambers if trunc.chamber_distance[c] == 0)
+    base_chamber = next(c for c, d in trunc.chambers.items() if d == 0)
     closed = trunc.complex.closure([base_chamber])
     far = next(c for c in trunc.complex.cells(0) if trunc.cell_distance[c] == 2)
     pre = trunc.complex.restrict(closed | {far})

@@ -3,9 +3,10 @@
 import random
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from geometry_oracle import gallery_distances, height_value, panel_neighbors
 from lattice_oracle import ChainTruncation, echelon_basis
@@ -15,20 +16,28 @@ from sigmabuild.building import (
     BuildingError,
     HeightSpec,
     Truncation,
+    _hermite_form,
     cone_chain,
     diagonal_exponents,
     grow_truncation,
     height_eval,
-    lattice_canonical_form,
     retraction_preimage,
     standard_opposite_sector_cells,
     superlevel_complex,
 )
-from sigmabuild.chevalley import GroupElement, character_eval, h_elem, identity_element, x_elem
+from sigmabuild.chevalley import (
+    GroupElement,
+    character_eval,
+    h_elem,
+    identity_element,
+    valuation,
+    w_elem,
+    x_elem,
+)
 from sigmabuild.complexes import CellComplex
 from sigmabuild.coxeter import FLOOR
 from sigmabuild.homology import ChainComplexF2, induced_map_trivial
-from sigmabuild.linalg import det, matmul
+from sigmabuild.linalg import det, identity, matmul
 from sigmabuild.windows import HeightForm
 
 
@@ -59,20 +68,37 @@ def rand_unimodular(rng, n, p):
                 return rows
 
 
+def kernel_key(columns, p):
+    """The library kernel's key (d, rows) of the class spanned by a rational matrix's columns.
+
+    Scaling by the least common denominator of the entries changes neither
+    the class nor its form, and N is v_p of the scaled determinant.
+    """
+    scale = lcm(*(Fraction(e).denominator for row in columns for e in row))
+    ints = [[int(e * scale) for e in row] for row in columns]
+    return _hermite_form(list(zip(*ints)), p, valuation(det(ints), p))
+
+
+def kernel_form(columns, p):
+    """The canonical form rows / p^d of the class, from the library kernel."""
+    d, rows = kernel_key(columns, p)
+    return tuple(tuple(Fraction(x, p**d) for x in row) for row in rows)
+
+
 def test_canonical_form_invariance():
     rng = random.Random(17)
     p = 2
     for n in (2, 3):
         for _ in range(25):
             base = rand_unimodular(rng, n, 3 if p == 2 else 2)
-            key = lattice_canonical_form(base, p)
+            key = kernel_form(base, p)
             # right multiplication by a unimodular matrix fixes the class
             g = rand_unimodular(rng, n, p)
-            assert lattice_canonical_form(matmul(base, g), p) == key
+            assert kernel_form(matmul(base, g), p) == key
             # homothety by p-powers fixes the class
             c = Fraction(p) ** rng.randint(-2, 2)
             scaled = tuple(tuple(e * c for e in row) for row in base)
-            assert lattice_canonical_form(scaled, p) == key
+            assert kernel_form(scaled, p) == key
 
 
 def test_canonical_form_shape():
@@ -81,7 +107,7 @@ def test_canonical_form_shape():
     for n in (2, 3):
         for _ in range(25):
             m = rand_unimodular(rng, n, 2)
-            key = lattice_canonical_form(m, p)
+            key = kernel_form(m, p)
             exps = [None] * n
             for i in range(n):
                 for j in range(n):
@@ -140,11 +166,11 @@ def lattice_and_column_operations(draw):
 def test_canonical_form_invariance_property(case, k):
     # the interned vertex table relies on one form per lattice class
     n, p, base, moved = case
-    key = lattice_canonical_form(base, p)
-    assert lattice_canonical_form(moved, p) == key
+    key = kernel_form(base, p)
+    assert kernel_form(moved, p) == key
     scale = Fraction(p) ** k
     scaled = tuple(tuple(scale * e for e in row) for row in moved)
-    assert lattice_canonical_form(scaled, p) == key
+    assert kernel_form(scaled, p) == key
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,15 +180,21 @@ def test_canonical_form_matches_fraction_oracle(case, k):
     n, p, base, moved = case
     scale = Fraction(p) ** k
     for m in (base, moved, tuple(tuple(scale * e for e in row) for row in moved)):
-        assert lattice_canonical_form(m, p) == oracle_canonical_form(m, p)
+        assert kernel_form(m, p) == oracle_canonical_form(m, p)
 
 
 def test_canonical_form_rejects_non_square_and_singular_input():
-    p = 2
-    with pytest.raises(BuildingError, match="square"):
-        lattice_canonical_form(((1, 0, 1), (0, 1, 1)), p)
+    # the group action is the library's one route from a matrix to a form
+    sl2, sl3 = grow_truncation(2, 2, 1), grow_truncation(3, 2, 0)
+    with pytest.raises(BuildingError, match="3x3"):
+        sl2.act_on_vertex(identity_element(3), sl2.base_vertex)
+    with pytest.raises(BuildingError, match="2x2"):
+        sl3.act_on_vertex(identity_element(2), sl3.base_vertex)
+    singular = GroupElement(((1, 2), (2, 4)), check_det=False)
     with pytest.raises(BuildingError, match="full lattice"):
-        lattice_canonical_form(((1, 2), (2, 4)), p)
+        sl2.act_on_vertex(singular, sl2.base_vertex)
+    with pytest.raises(BuildingError, match="full lattice"):
+        _hermite_form([(1, 0), (2, 0)], 2, 0)
 
 
 def test_echelon_preserves_lattice_scale():
@@ -184,9 +216,10 @@ def test_nondiagonal_class_with_fractional_entry():
     # span{(p,0),(1,p)} is a genuine class whose canonical entries need 1/p
     p = 2
     m = ((Fraction(p), Fraction(1)), (Fraction(0), Fraction(p)))
-    key = lattice_canonical_form(m, p)
-    assert diagonal_exponents(key, p) is None
-    assert key == ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(1)))
+    assert kernel_key(m, p) == (1, ((2, 1), (0, 2)))
+    assert diagonal_exponents(kernel_key(m, p), p) is None
+    assert kernel_form(m, p) == ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(1)))
+    assert diagonal_exponents(kernel_key(((p, 0), (0, 1)), p), p) == (1, 0)
 
 
 # --- truncations ---------------------------------------------------------------
@@ -278,11 +311,10 @@ def test_integer_growth_matches_chain_oracle(n, p, radius):
     trunc = Truncation(n, p, radius)
     oracle = ChainTruncation(n, p, radius)
     assert trunc.vertices == oracle.vertices
+    # every ball vertex prints as the Fraction route's form
+    assert [trunc.form(v) for v in range(len(trunc.vertices))] == oracle.forms
     assert trunc.base_vertex == oracle.base_vertex
-    assert {c: ch.keys for c, ch in trunc.chambers.items()} == {
-        c: ch.keys for c, ch in oracle.chambers.items()
-    }
-    assert trunc.chamber_distance == oracle.chamber_distance
+    assert trunc.chambers == oracle.chambers
     assert trunc.cell_distance == oracle.cell_distance
     assert trunc.complex.cells() == oracle.complex.cells()
     # the retraction read from integer root values against the Fraction mean
@@ -317,7 +349,7 @@ def test_chamber_sphere_is_p_power_times_alcove_sphere(n, p, radius):
     # from the base are p^d times the alcoves at distance d in the apartment
     trunc = Truncation(n, p, radius)
     counts = [0] * (radius + 1)
-    for d in trunc.chamber_distance.values():
+    for d in trunc.chambers.values():
         counts[d] += 1
     alcoves = alcove_sphere_sizes(trunc.geometry, radius)
     assert counts == [p**d * a for d, a in enumerate(alcoves)]
@@ -329,10 +361,10 @@ INTERNING_TRUNCATIONS = ((2, 2, 4), (2, 3, 3), (3, 2, 2))
 
 
 def form_cells(trunc):
-    """Every cell as a sorted tuple of canonical forms, built from the chambers' own keys."""
+    """Every cell as a sorted tuple of canonical forms, built from the chambers' forms."""
     cells = set()
-    for chamber in trunc.chambers.values():
-        forms = sorted(chamber.keys)
+    for chamber in trunc.chambers:
+        forms = sorted(trunc.form(v) for v in chamber)
         for mask in range(1, 1 << len(forms)):
             cells.add(tuple(f for i, f in enumerate(forms) if mask >> i & 1))
     return sorted(cells)
@@ -341,15 +373,15 @@ def form_cells(trunc):
 @pytest.mark.parametrize("n, p, radius", INTERNING_TRUNCATIONS)
 def test_interned_cells_sort_like_their_forms(n, p, radius):
     trunc = grow_truncation(n, p, radius)
-    as_forms = [tuple(trunc.vertices[v] for v in c) for c in trunc.complex.cells()]
+    as_forms = [tuple(trunc.form(v) for v in c) for c in trunc.complex.cells()]
     assert as_forms == form_cells(trunc)
     for d in range(n):
         assert trunc.complex.cells(d) == sorted(c for c in trunc.complex.cells() if len(c) == d + 1)
     assert len(trunc.vertices) == len(trunc.complex.cells(0))
-    for i, form in enumerate(trunc.vertices):
-        assert trunc.vertex_id(form) == i
+    for i, key in enumerate(trunc.vertices):
+        assert trunc.vertex_id(key) == i
         assert (i,) in trunc.complex
-    assert trunc.vertices[trunc.base_vertex] == trunc.base_chamber.keys[0]
+    assert trunc.form(trunc.base_vertex) == identity(n)
     assert set(trunc.chambers) == set(trunc.complex.cells(n - 1))
 
 
@@ -364,8 +396,8 @@ def test_act_on_vertex_is_the_form_of_the_product(n, p, radius):
     for g in elements:
         for (v,) in trunc.complex.cells(0):
             moved = trunc.act_on_vertex(g, v)
-            form = lattice_canonical_form(matmul(g.rows, trunc.vertices[v]), p)
-            assert trunc.vertices[moved] == form
+            form = oracle_canonical_form(matmul(g.rows, trunc.form(v)), p)
+            assert trunc.form(moved) == form
             assert trunc.act_on_vertex(g, v) == moved
             if moved < ball:
                 inside += 1
@@ -375,7 +407,50 @@ def test_act_on_vertex_is_the_form_of_the_product(n, p, radius):
     assert inside and outside
     # ids handed out beyond the ball leave the complex alone
     assert len(trunc.complex.cells(0)) == ball
-    assert [tuple(trunc.vertices[v] for v in c) for c in trunc.complex.cells()] == form_cells(trunc)
+    assert [tuple(trunc.form(v) for v in c) for c in trunc.complex.cells()] == form_cells(trunc)
+
+
+ROOTS = {
+    2: [(1,), (-1,)],
+    3: [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)],
+}
+
+
+@st.composite
+def group_word(draw, n, p):
+    """A word in x_alpha(t), h_alpha(t) and w_alpha(t) over all roots, t with
+    p and a second prime q in its denominator (q = 5 for p in {2, 3}), half of
+    the time times a matrix of determinant other than 1."""
+    g = identity_element(n)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from((x_elem, h_elem, w_elem)))
+        num = draw(st.integers(-9, 9).filter(lambda m: kind is x_elem or m))
+        den = p ** draw(st.integers(0, 2)) * 5 ** draw(st.integers(0, 1))
+        g = g * kind(n, draw(st.sampled_from(ROOTS[n])), Fraction(num, den))
+    if draw(st.booleans()):
+        # an upper-triangular factor of determinant p^k 5^j, outside SL_n
+        t = Fraction(p) ** draw(st.integers(-1, 2)) * 5 ** draw(st.integers(0, 1))
+        rows = [[t if i == j == 0 else int(i == j or j == i + 1) for j in range(n)] for i in range(n)]
+        g = g * GroupElement(rows, check_det=False)
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(INTERNING_TRUNCATIONS), st.data())
+def test_act_on_vertex_matches_the_oracle_on_group_words(case, data):
+    # the integer route (g.num times the key's rows, one kernel call) against
+    # the Fraction echelon route on g.rows times the vertex's Fraction form
+    n, p, radius = case
+    trunc = height_truncation(n, p, radius)
+    ball = len(trunc.complex.cells(0))
+    g = data.draw(group_word(n, p))
+    g_inv = g.inv()
+    for (v,) in trunc.complex.cells(0):
+        moved = trunc.act_on_vertex(g, v)
+        assert trunc.form(moved) == oracle_canonical_form(matmul(g.rows, trunc.form(v)), p)
+        assert ((moved,) in trunc.complex) == (moved < ball)
+        assert trunc.act_on_vertex(g_inv, moved) == v
+        event("image inside the ball" if moved < ball else "image outside the ball")
 
 
 # --- retraction -----------------------------------------------------------------
@@ -395,9 +470,9 @@ def test_retraction_spec_example():
     trunc = grow_truncation(2, p, 4)
     g_el = GroupElement(((1, 0), (Fraction(1, p), 1)))
     v = trunc.act_on_vertex(g_el, trunc.base_vertex)
-    exps = [None, None]
-    key = lattice_canonical_form(tuple(tuple(Fraction(e) for e in row) for row in trunc.vertices[v]), p)
-    point = trunc.vertex_retraction_point(trunc.vertex_id(key))
+    # the form is canonical: the Fraction route maps it to itself
+    assert oracle_canonical_form(trunc.form(v), p) == trunc.form(v)
+    point = trunc.vertex_retraction_point(v)
     # image is the apartment vertex of diag(p^2, 1): kappa-value -2 (away from sigma)
     assert trunc.geometry.root_value(point, 0) == -2
 
@@ -544,13 +619,12 @@ def test_retraction_against_iwasawa_oracle(n):
     rng = random.Random(23)
     for cell in trunc.complex.cells(0):
         (v,) = cell
-        vkey = trunc.vertices[v]
-        mat = tuple(tuple(Fraction(e) for e in row) for row in vkey)
+        form = trunc.form(v)
         scramble = rand_unimodular(rng, n, p)
-        scrambled = matmul(mat, scramble)
+        scrambled = matmul(form, scramble)
         oracle = iwasawa_oracle_exponents(scrambled, p)
         mine = tuple(
-            _vp_int(vkey[i][i], p) for i in range(n)
+            _vp_int(form[i][i], p) for i in range(n)
         )
         assert oracle == mine
 

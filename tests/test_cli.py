@@ -27,8 +27,21 @@ def test_rootsys_show_json(capsys):
 
 def test_rootsys_rejects_bad_rank(capsys):
     code, _, err = run(capsys, ["rootsys", "show", "--family", "C", "--rank", "1"])
-    assert code == 1
-    assert "rank" in err
+    assert_usage_error(code, err, "rank")
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["rootsys", "show", "--family", "D", "--rank", "2"], "family D needs rank >= 3"),
+        (["coxeter", "deconstruct", "--family", "D", "--rank", "2"], "family D needs rank >= 3"),
+        (["coxeter", "export", "--family", "C", "--rank", "1"], "family C needs rank >= 2"),
+    ],
+)
+def test_bad_family_rank_pair_is_usage_error(capsys, argv, fragment):
+    # a family and rank that each parse but do not fit together
+    code, _, err = run(capsys, argv)
+    assert_usage_error(code, err, fragment)
 
 
 def test_sigma_verdict_exit_codes(capsys):
@@ -115,7 +128,7 @@ def test_building_outputs_print_canonical_forms(capsys):
     trunc = grow_truncation(3, 2, 1)
 
     def forms(cell):
-        return str(tuple(trunc.vertices[v] for v in cell))
+        return str(tuple(trunc.form(v) for v in cell))
 
     argv = ["building", "grow", "--n", "3", "--p", "2", "--radius", "1"]
     code, out, _ = run(capsys, argv + ["--export-cells"])
@@ -129,7 +142,7 @@ def test_building_outputs_print_canonical_forms(capsys):
     code, out, _ = run(capsys, ["building", "retract", "--n", "3", "--p", "2", "--radius", "1",
                                 "--format", "json"])
     assert code == 0
-    assert sorted(json.loads(out)["retraction"]) == sorted(str(f) for f in trunc.vertices)
+    assert sorted(json.loads(out)["retraction"]) == sorted(str(trunc.form(v)) for (v,) in trunc.complex.cells(0))
 
 
 def test_building_superlevel_and_cone_chain(capsys):

@@ -127,3 +127,42 @@ def test_reader_edge_cases():
     assert det(mat([[0, 1], [1, 0]])) == -1
     assert inverse(mat([[2]])) == ((Fraction(1, 2),),)
     assert rank([]) == 0
+
+
+# integer entries, some near 10**17, where a float quotient would round
+INTS = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(lambda k: 10**17 + k))
+
+
+@st.composite
+def integer_matrices(draw):
+    """An integer matrix; half of the draws repeat the first row at the end."""
+    n_rows, n_cols = draw(SIZES), draw(SIZES)
+    rows = draw(st.tuples(*[st.tuples(*[INTS] * n_cols)] * n_rows))
+    if n_rows > 1 and draw(st.booleans()):
+        rows = rows[:-1] + (rows[0],)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices(), st.data())
+def test_integer_rows_read_like_their_fraction_copies(rows, data):
+    copy = mat(rows)
+    rhs = data.draw(st.tuples(*[INTS] * len(rows)))
+    assert rank(rows) == rank(copy)
+    assert affine_solve(rows, rhs) == affine_solve(copy, rhs)
+    if len(rows) == len(rows[0]):
+        d = det(rows)
+        assert type(d) is Fraction and d == det(copy)
+        if d:
+            assert inverse(rows) == inverse(copy)
+            assert matmul(inverse(rows), rows) == identity(len(rows))
+
+
+def test_integer_rows_are_divided_exactly():
+    big = 10**17
+    m = ((big, 1), (big + 1, 1))
+    assert rank(m) == 2
+    assert det(m) == -1
+    assert inverse(m) == ((-1, 1), (big + 1, -big))
+    assert affine_solve(m, (1, 2)) == ((1, 1 - big), ())
+    assert repr(det(((2, 1), (1, 3)))) == "Fraction(5, 1)"
