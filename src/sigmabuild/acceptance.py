@@ -419,7 +419,6 @@ def criterion_positive_direction():
     margin = 1
     trunc3 = grow_truncation(3, p, radius3)
     window3 = Window(trunc3.datum, [-radius3 - 1] * 2, [radius3] * 2, trunc3.geometry)
-    reachable = frozenset(trunc3.retract_cell(c) for c in trunc3.complex.cells())
     sl3_ok = True
     sl3_checked = 0
     heights = [(-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -2)]
@@ -427,7 +426,7 @@ def criterion_positive_direction():
         h = HeightForm(tuple(Fraction(x) for x in lam))
         for r in (-4, -3, -2):
             up = upper_complex(window3, h, r)
-            pre = retraction_preimage(trunc3, up & reachable)
+            pre = retraction_preimage(trunc3, up)
             sl3_checked += 1
             if not core_connected(trunc3, pre, radius3 - margin):
                 sl3_ok = False

@@ -53,10 +53,11 @@ order is the one a persistent reduction over the height filtration runs in
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import ceil
 
 from .chevalley import is_prime, valuation
-from .complexes import CellComplex
+from .complexes import simplicial_complex
 from .coxeter import AlcoveGeometry
 from .homology import F2Chain, chain_complex
 from .linalg import Q0, det, matmul
@@ -222,20 +223,18 @@ class Truncation:
         self.base_vertex = ids[base[2][0]]
 
     def _build_complex(self):
-        cx = CellComplex()
-        self.cell_distance = {}
-        for ck, d in self.chambers.items():
-            m = len(ck)
-            for mask in range(1, 1 << m):
-                cell = tuple(ck[i] for i in range(m) if mask >> i & 1)
-                facets = []
-                if len(cell) > 1:
-                    facets = [cell[:i] + cell[i + 1:] for i in range(len(cell))]
-                cx.add_cell(cell, len(cell) - 1, facets)
-                old = self.cell_distance.get(cell)
-                if old is None or d < old:
-                    self.cell_distance[cell] = d
-        self.complex = cx.freeze()
+        # `chambers` is in breadth-first order: a cell's first chamber is a nearest one
+        dist = self.cell_distance = {}
+
+        def new_faces():
+            for ck, d in self.chambers.items():
+                for k in range(1, len(ck) + 1):
+                    for cell in combinations(ck, k):
+                        if cell not in dist:
+                            dist[cell] = d
+                            yield cell
+
+        self.complex = simplicial_complex(new_faces())
 
     # --- vertex table --------------------------------------------------------
 

@@ -135,7 +135,13 @@ def _root_system(family, rank):
         raise UsageError(str(exc))
 
 
+# `rootsys show` lists every root: rank 16 answers in about 3 s, rank 32 in 20 s
+ROOTSYS_MAX_RANK = 16
+
+
 def cmd_rootsys(args):
+    if args.rank > ROOTSYS_MAX_RANK:
+        raise UsageError(f"--rank must be at most {ROOTSYS_MAX_RANK}, got {args.rank}")
     datum = _root_system(args.family, args.rank)
     if args.command2 == "show":
         _emit(rootsys_json(datum), args.format)

@@ -6,8 +6,9 @@ totally ordered within one complex); faces are recorded one codimension down,
 which determines the whole face lattice since cells are polytopes.  Freezing
 validates the facets once and records the cofacets; a subcomplex is
 restricted from a frozen parent by sharing its facet sets and intersecting
-its cofacet sets with the kept cells, with no second validation.  The
-exports print a cell as `label(key)`, `str` by default.
+its cofacet sets with the kept cells, with no second validation.  A frozen
+complex sorts its cells once.  The exports print a cell as `label(key)`,
+`str` by default.
 """
 
 import json
@@ -18,6 +19,7 @@ class CellComplex:
         self._dim = {}
         self._facets = {}
         self._cofacets = None
+        self._sorted = None  # dim (None: all) -> sorted list of cells
         self.frozen = False
 
     # --- construction ----------------------------------------------------
@@ -65,9 +67,17 @@ class CellComplex:
         return max(self._dim.values(), default=-1)
 
     def cells(self, dim=None):
-        if dim is None:
-            return sorted(self._dim)
-        return sorted(k for k, d in self._dim.items() if d == dim)
+        """The cells of one dimension, or all cells, as a new sorted list."""
+        by_dim = self._sorted
+        if by_dim is None or not self.frozen:
+            by_dim = self._sorted = {}
+            for k, d in self._dim.items():
+                by_dim.setdefault(d, []).append(k)
+            for ks in by_dim.values():
+                ks.sort()
+        if dim is None and None not in by_dim:
+            by_dim[None] = sorted(self._dim)
+        return list(by_dim.get(dim, ()))
 
     def facets(self, key):
         return self._facets[key]
@@ -147,6 +157,15 @@ class CellComplex:
                         lines.append(f"  n{ids[c]} -- n{ids[e]};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def simplicial_complex(cells):
+    """The frozen complex on face-closed vertex tuples, each listed once; a facet drops a vertex."""
+    cx = CellComplex()
+    for cell in cells:
+        m = len(cell)
+        cx.add_cell(cell, m - 1, [cell[:i] + cell[i + 1:] for i in range(m)] if m > 1 else ())
+    return cx.freeze()
 
 
 def dumps_json(obj):

@@ -1,16 +1,24 @@
 """Finite thick spherical buildings of type A: flag complexes of F_q^n.
 
 Vertices are proper non-zero subspaces in reduced row-echelon form, cells are
-chains of subspaces, chambers are complete flags.  Opposition is the
-complementary-flag criterion: a flag is opposite a face of the chamber C when
-each member is a direct complement of the C-member of complementary dimension.
+chains of subspaces, chambers are complete flags.  Flags grow from the top:
+the hyperplanes of a d-space W are the products S·W mod q over the RREF
+(d-1)-subspaces S of F_q^d, and S·W is already in RREF (W's pivots at S's
+pivot columns, the others cleared by S's zeros), so a chamber costs one small
+product and no elimination.
+
+Opposition is one predicate, `FlagComplex.opposite_subspaces`: a k-space is
+opposite a chamber's member of dimension n - k (the zero space at k = n) when
+the two span F_q^n.  Opp(C), the frame test and the apartment search use it.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .chevalley import is_prime
-from .complexes import CellComplex
+from .complexes import simplicial_complex
+from .linalg import matmul
 
 
 class SphericalError(ValueError):
@@ -45,11 +53,6 @@ def span_rank(rows, q):
     return len(rref(rows, q))
 
 
-def subspace_contains(big, small, q):
-    """Whether span(big) contains span(small)."""
-    return span_rank(tuple(big) + tuple(small), q) == len(big)
-
-
 def all_subspaces(n, q, d):
     """All d-dimensional subspaces of F_q^n as canonical RREF tuples.
 
@@ -58,12 +61,7 @@ def all_subspaces(n, q, d):
     """
     out = []
     for pivots in combinations(range(n), d):
-        free_positions = []
-        for i, p in enumerate(pivots):
-            for c in range(p + 1, n):
-                if c not in pivots[i + 1:]:
-                    if c not in pivots:
-                        free_positions.append((i, c))
+        free_positions = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
         for values in product(range(q), repeat=len(free_positions)):
             rows = [[0] * n for _ in range(d)]
             for i, p in enumerate(pivots):
@@ -85,10 +83,8 @@ class FlagComplex:
             raise SphericalError("q must be prime in this realization")
         if n < 2:
             raise SphericalError("n must be at least 2")
-        # complete flag count: prod over k of the number of (k+1)-spaces over a k-space
-        count = 1
-        for k in range(2, n + 1):
-            count *= (q**k - 1) // (q - 1)
+        # complete flag count: prod over k of the number of hyperplanes of a k-space
+        count = math.prod((q**k - 1) // (q - 1) for k in range(2, n + 1))
         if count > max_chambers:
             raise SphericalError(f"chamber count {count} exceeds the guard")
         self.n = n
@@ -98,43 +94,31 @@ class FlagComplex:
         self._complex = None
 
     def _build_chambers(self):
-        chains = [(s,) for s in self.subspaces[1]]
-        for d in range(2, self.n):
-            nxt = []
-            for chain in chains:
-                for s in self.subspaces[d]:
-                    if subspace_contains(s, chain[-1], self.q):
-                        nxt.append(chain + (s,))
-            chains = nxt
-        return sorted(chains)
+        """Complete flags, each member a hyperplane S·W of the member W above it."""
+        q = self.q
+        flags = [(w,) for w in self.subspaces[self.n - 1]]
+        for d in range(self.n - 1, 1, -1):
+            hyperplanes = all_subspaces(d, q, d - 1)
+            flags = [
+                (tuple(tuple(x % q for x in row) for row in matmul(s, flag[0], 0)),) + flag
+                for flag in flags
+                for s in hyperplanes
+            ]
+        return sorted(flags)
 
     def complex(self):
-        if self._complex is not None:
-            return self._complex
-        cx = CellComplex()
-        for chain in self.chambers:
-            cells = self._subchains(chain)
-            for cell in cells:
-                facets = [cell[:i] + cell[i + 1:] for i in range(len(cell)) if len(cell) > 1]
-                cx.add_cell(cell, len(cell) - 1, facets)
-        self._complex = cx.freeze()
+        if self._complex is None:
+            faces = {f for flag in self.chambers for k in range(1, self.n) for f in combinations(flag, k)}
+            self._complex = simplicial_complex(faces)
         return self._complex
-
-    @staticmethod
-    def _subchains(chain):
-        out = []
-        m = len(chain)
-        for mask in range(1, 1 << m):
-            out.append(tuple(chain[i] for i in range(m) if mask >> i & 1))
-        return out
 
     def thickness(self):
         """Min/max number of chambers per panel; q+1 at every panel for flags."""
-        cx = self.complex()
-        counts = [len(cx.cofacets(p)) for p in cx.cells(self.n - 3)] if self.n > 2 else None
         if self.n == 2:
             # rank-one building: chambers are points, the empty panel is shared
             return len(self.chambers), len(self.chambers)
+        cx = self.complex()
+        counts = [len(cx.cofacets(p)) for p in cx.cells(self.n - 3)]
         return min(counts), max(counts)
 
     # --- opposition ----------------------------------------------------
@@ -147,19 +131,13 @@ class FlagComplex:
 
     def opposition_complex(self, chamber):
         """Opp(C): the full subcomplex on vertices complementary to the matching C-part."""
-        good_vertices = set()
-        for d in range(1, self.n):
-            c_part = chamber[self.n - d - 1]
-            for s in self.subspaces[d]:
-                if self.opposite_subspaces(s, c_part):
-                    good_vertices.add(s)
+        n = self.n
+        members = ((),) + chamber  # members[d]: the chamber's d-dimensional member
+        good_vertices = {
+            s for d in range(1, n) for s in self.subspaces[d] if self.opposite_subspaces(s, members[n - d])
+        }
         cx = self.complex()
-        keep = [
-            cell
-            for cell in cx.cells()
-            if all(s in good_vertices for s in cell)
-        ]
-        return cx.restrict(keep)
+        return cx.restrict(cell for cell in cx.cells() if all(s in good_vertices for s in cell))
 
 
 @dataclass
@@ -192,16 +170,16 @@ def frame_is_opposite_chamber(building, frame, chamber):
     """Every chamber of the frame's apartment is opposite the chamber.
 
     Equivalent subset condition: each k-subset of the frame spans a complement
-    of the (n-k)-dimensional member of the flag.
+    of the (n-k)-dimensional member of the flag, for k = 1..n; at k = n the
+    member is the zero space and the condition is that the frame is a basis.
     """
-    n, q = building.n, building.q
-    for k in range(1, n):
-        c_part = chamber[n - k - 1]
-        for subset in combinations(frame, k):
-            rows = sum(subset, ())
-            if span_rank(rows + c_part, q) != n:
-                return False
-    return True
+    n = building.n
+    members = ((),) + chamber  # members[d]: the chamber's d-dimensional member
+    return all(
+        building.opposite_subspaces(sum(subset, ()), members[n - k])
+        for k in range(1, n + 1)
+        for subset in combinations(frame, k)
+    )
 
 
 def find_opposite_apartment(building, chamber):
@@ -211,40 +189,28 @@ def find_opposite_apartment(building, chamber):
     thickness criterion: thickness exceeding the number of chambers of an
     apartment forces existence.  The search itself is an exhaustive frame
     enumeration with pruning by partial-opposition failure, so a None answer
-    is a proof of non-existence.
+    is a proof of non-existence.  A new line must pass the subset condition of
+    `frame_is_opposite_chamber` on every subset through it, which also keeps
+    the frame independent.
     """
-    n, q = building.n, building.q
-    th = q + 1
-    import math
-
-    guaranteed = th > math.factorial(n)
+    n = building.n
+    guaranteed = building.q + 1 > math.factorial(n)
     lines = building.subspaces[1]
+    members = ((),) + chamber  # members[d]: the chamber's d-dimensional member
 
     def extend(frame, start):
-        k = len(frame)
-        if k == n:
+        if len(frame) == n:
             return tuple(frame)
         for idx in range(start, len(lines)):
             line = lines[idx]
-            rows = sum(frame, ()) + line
-            if span_rank(rows, q) != k + 1:
-                continue
-            ok = True
-            for kk in range(1, k + 2):
-                c_part = chamber[n - kk - 1]
-                for subset in combinations(frame + [line], kk):
-                    if line not in subset:
-                        continue  # previously checked
-                    if span_rank(sum(subset, ()) + c_part, q) != n:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            out = extend(frame + [line], idx + 1)
-            if out is not None:
-                return out
+            if all(
+                building.opposite_subspaces(sum(subset, line), members[n - k - 1])
+                for k in range(len(frame) + 1)
+                for subset in combinations(frame, k)
+            ):
+                out = extend(frame + [line], idx + 1)
+                if out is not None:
+                    return out
         return None
 
     frame = extend([], 0)

@@ -30,6 +30,19 @@ def test_rootsys_rejects_bad_rank(capsys):
     assert_usage_error(code, err, "rank")
 
 
+@pytest.mark.parametrize("family", ["A", "C", "D"])
+def test_rootsys_rank_above_16_is_usage_error(capsys, family):
+    # rank 32 would take about 20 s; the bound is checked before any root is built
+    code, _, err = run(capsys, ["rootsys", "show", "--family", family, "--rank", "17"])
+    assert_usage_error(code, err, "--rank must be at most 16, got 17")
+
+
+def test_rootsys_rank_16_answers(capsys):
+    code, out, _ = run(capsys, ["rootsys", "show", "--family", "A", "--rank", "16", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["root_count"] == 16 * 17
+
+
 @pytest.mark.parametrize(
     "argv, fragment",
     [

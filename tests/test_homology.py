@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmabuild.building import grow_truncation, height_eval, superlevel_complex
-from sigmabuild.complexes import CellComplex
+from sigmabuild.complexes import CellComplex, simplicial_complex
 from sigmabuild.homology import (
     ChainComplexF2,
     F2Chain,
@@ -48,6 +48,36 @@ def filled_cycle(n):
         cx.add_cell(("e", i), 1, [("v", i), ("v", (i + 1) % n)])
     cx.add_cell(("f", 0), 2, [("e", i) for i in range(n)])
     return cx.freeze()
+
+
+def test_cells_lists_are_copies_of_one_sort():
+    cx = filled_cycle(4)
+    edges = cx.cells(1)
+    assert edges == [("e", i) for i in range(4)]
+    edges.clear()
+    everything = cx.cells()
+    everything.reverse()
+    assert cx.cells(1) == [("e", i) for i in range(4)]
+    assert cx.cells() == sorted(everything)
+    assert cx.cells(3) == []
+    # an unfrozen complex sees the cells added after a query
+    open_cx = CellComplex()
+    open_cx.add_cell("a", 0)
+    assert open_cx.cells(0) == ["a"]
+    open_cx.add_cell("b", 0)
+    assert open_cx.cells(0) == ["a", "b"]
+
+
+def test_simplicial_complex_facets_drop_one_vertex():
+    cx = simplicial_complex([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
+    assert cx.frozen
+    assert cx.dim_of((0, 1, 2)) == 2
+    assert cx.facets((0, 1, 2)) == {(1, 2), (0, 2), (0, 1)}
+    assert cx.facets((0,)) == frozenset()
+    assert cx.cofacets((0,)) == {(0, 1), (0, 2)}
+    assert betti_vector(cx) == [0, 0, 0]
+    with pytest.raises(ValueError):
+        simplicial_complex([(0, 1)])  # not face-closed
 
 
 def test_boundary_single_edge():

@@ -1,5 +1,6 @@
 """Flag buildings over F_q: counts, thickness, opposition, apartment search."""
 
+import math
 import random
 from itertools import combinations
 
@@ -63,6 +64,27 @@ def test_q3_building_counts():
     assert len(b.subspaces[1]) == 13
     assert len(b.chambers) == flag_count(3, 3) == 52
     assert b.thickness() == (4, 4)
+
+
+def bottom_up_chambers(n, q):
+    """Reference flags: grow chains from the lines up, scanning every subspace for containment."""
+    chains = [(s,) for s in all_subspaces(n, q, 1)]
+    for d in range(2, n):
+        spaces = all_subspaces(n, q, d)
+        chains = [chain + (s,) for chain in chains for s in spaces if span_rank(s + chain[-1], q) == d]
+    return sorted(chains)
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 5), (3, 2), (3, 3), (3, 5), (4, 2), (4, 3)])
+def test_top_down_flags_match_bottom_up_scan(n, q):
+    assert build_flag_building(n, q).chambers == bottom_up_chambers(n, q)
+
+
+def test_a3_q5_chamber_count():
+    # complete flags of F_5^4: a hyperplane, a plane in it, a line in that
+    b = build_flag_building(4, 5)
+    expected = math.prod(gaussian_binomial(d, d - 1, 5) for d in range(2, 5))
+    assert len(b.chambers) == expected == flag_count(4, 5) == 29016
 
 
 def test_chamber_guard():
@@ -174,6 +196,30 @@ def test_find_opposite_apartment_q7():
     assert guaranteed  # thickness 8 > 6 chambers per apartment
     assert ap is not None
     assert ap.chamber_count == 6
+
+
+@pytest.mark.parametrize(
+    "n, q, found",
+    [(3, 2, False), (3, 3, True), (4, 2, False), (4, 3, False), (4, 5, True)],
+)
+def test_opposite_apartment_answers(n, q, found):
+    # A_2 and A_3 below and at their thresholds; an exhaustive search, so
+    # `found = False` is a proof that Opp(c) holds no apartment
+    b = build_flag_building(n, q)
+    c = b.chambers[0]
+    ap, _ = find_opposite_apartment(b, c)
+    assert (ap is not None) == found
+    if found:
+        assert ap.chamber_count == math.factorial(n)
+        assert frame_is_opposite_chamber(b, list(ap.frame), c)
+
+
+def test_dependent_frame_is_not_opposite():
+    # two equal lines pass every proper subset test; the full frame must be a basis
+    b = build_flag_building(2, 3)
+    c = b.chambers[0]
+    line = next(l for l in b.subspaces[1] if b.opposite_subspaces(l, c[0]))
+    assert not frame_is_opposite_chamber(b, [line, line], c)
 
 
 def test_rank1_opposite_apartment():
