@@ -1,9 +1,9 @@
 """Deconstructing a sigma-convex subcomplex chamber by chamber.
 
 Takes the corner of a sector in an A_2 alcove window, checks sigma-convexity
-from the definition, and peels off one chamber of sigma-length zero at a time,
-certifying at each step that the removed star sits inside the closed chamber
-and that the residual boundary R(Z) never changes.
+by one search over sigma-steps, and peels off one chamber of sigma-length
+zero at a time, certifying at each step that the removed star sits inside the
+closed chamber and that the residual boundary R(Z) never changes.
 """
 
 from sigmabuild.coxeter import AlcoveGeometry

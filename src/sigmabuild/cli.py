@@ -153,6 +153,10 @@ def cmd_coxeter(args):
     geometry = AlcoveGeometry(datum)
     lo, hi = _parse_window(args.window, datum.rank)
     window = Window(datum, lo, hi, geometry)
+    try:
+        window.chambers()
+    except GeometryError as exc:
+        raise UsageError(str(exc))
     if args.command2 == "deconstruct":
         sigma = geometry.base_chamber_at_infinity()
         if args.full_window:

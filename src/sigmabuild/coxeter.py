@@ -309,28 +309,6 @@ class AlcoveGeometry:
             out.append((p, chamber[:i] + (_SHARED_ENTRIES.get(floor, floor),) + chamber[i + 1:]))
         return sorted(out)
 
-    def sigma_minimal_galleries(self, start, end, sigma):
-        """All sigma-minimal galleries from start to end.
-
-        A sigma-minimal gallery crosses each separating wall exactly once and
-        always toward sigma, so the search can prune on wall distance.
-        """
-        out = []
-        stack = [(start, [start])]
-        while stack:
-            cur, path = stack.pop()
-            if cur == end:
-                out.append(tuple(path))
-                continue
-            dist = self.wall_distance(cur, end)
-            for panel, nb in self.chamber_neighbors(cur):
-                if self.wall_distance(nb, end) != dist - 1:
-                    continue
-                if self.project_toward(panel, sigma) != nb:
-                    continue
-                stack.append((nb, path + [nb]))
-        return out
-
     def _sector_bounds(self, tip, signs):
         """Integer bounds on the scaled root values of the closed cone from a
         tip toward signs: (lower, upper), each a tuple of (root index, bound).

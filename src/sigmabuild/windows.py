@@ -4,7 +4,9 @@ A window is a box of floor bounds on the simple-root functionals; the cells
 inside form a finite face-closed complex on which the residual boundary R(Z),
 sigma-convexity with witness galleries, the chamber-by-chamber deconstruction
 filtration and the upper/lower complexes of a generic height are computed
-with certificates.
+with certificates.  Sigma-convexity and sigma-length 0 are read from the
+sigma-order of chambers (every floor of d on c's sigma side) and sigma-steps,
+so no gallery is enumerated.
 
 `HeightForm` is the package's one height, h = sum_i c_i kappa(., alpha_i).
 It reads only the simple-root values of a point, so the same form measures
@@ -74,6 +76,11 @@ class HeightForm:
         coefficients are the height's own.
         """
         return CharacterVec(n, (p,), {(i + 1, p): c for i, c in enumerate(self.coeffs)})
+
+
+# Window.chambers gives up past this many chambers: A_4 at -2:1 has 6,144,
+# at -3:2 it has 31,104, whose complex alone takes half a minute to build
+MAX_WINDOW_CHAMBERS = 10_000
 
 
 class Window:
@@ -146,6 +153,8 @@ class Window:
                     if nb not in seen and self.contains_chamber(nb):
                         seen.add(nb)
                         nxt.append(nb)
+            if len(seen) > MAX_WINDOW_CHAMBERS:
+                raise GeometryError(f"window has more than {MAX_WINDOW_CHAMBERS:,} chambers")
             frontier = nxt
         self._chambers = frozenset(seen)
         return self._chambers
@@ -183,51 +192,57 @@ def residual_r(geometry, cells, sigma):
     )
 
 
-def sigma_length(geometry, cells, chamber, sigma):
-    """Length of the longest sigma-minimal gallery inside Z starting at the chamber."""
-    chambers = {c for c in cells if geometry.is_chamber(c)}
-    if chamber not in chambers:
-        raise GeometryError("chamber not in the subcomplex")
-    return _longest(geometry, chambers, sigma, chamber, {})
+def _sigma_steps(geometry, chamber, sigma):
+    """The chambers one sigma-step away: across a panel, toward sigma."""
+    return [nb for p, nb in geometry.chamber_neighbors(chamber) if geometry.project_toward(p, sigma) == nb]
 
 
-def _longest(geometry, chambers, sigma, c, memo):
-    """sigma_length by memoized recursion.
-
-    sigma-minimal steps strictly increase the signed floor sum, so the step
-    relation is acyclic and the recursion terminates.  A module function, not
-    a closure: a recursive closure references itself, and the cycle would
-    keep the geometry and its caches alive until the cycle collector runs.
-    """
-    if c in memo:
-        return memo[c]
-    best = 0
-    for panel, nb in geometry.chamber_neighbors(c):
-        if nb in chambers and geometry.project_toward(panel, sigma) == nb:
-            best = max(best, 1 + _longest(geometry, chambers, sigma, nb, memo))
-    memo[c] = best
-    return best
+def _sigma_below(c, d, signs):
+    """c <=sigma d: on every positive root the floor of d is on c's sigma side."""
+    return all(kc == kd or (kd - kc) * s > 0 for (_, kc), (_, kd), s in zip(c, d, signs))
 
 
 def sigma_convex_check(geometry, cells, sigma):
-    """Definition-level sigma-convexity test; returns (ok, witness_gallery)."""
+    """Sigma-convexity of Z with a witness gallery; returns (ok, witness_gallery).
+
+    A sigma-minimal gallery crosses each separating wall once, toward sigma,
+    so one from c to d exists iff c <=sigma d, and then every minimal gallery
+    from c to d is one; the chambers they pass are the x with c <=sigma x
+    <=sigma d.  One breadth-first search over sigma-steps from the starts
+    pr_a(sigma), kept below the ends pr_a(-sigma), visits exactly those
+    chambers.  The witness runs from a start through the first chamber found
+    outside Z, then by sigma-steps to the nearest end above it.
+    """
     cells = frozenset(cells)
-    chambers = {c for c in cells if geometry.is_chamber(c)}
-    op = sigma.opposite()
-    starts = {}
-    ends = {}
-    for a in cells:
-        starts.setdefault(geometry.project_toward(a, sigma), True)
-        ends.setdefault(geometry.project_toward(a, op), True)
-    for c in starts:
-        for d in ends:
-            # quick filter: a sigma-minimal gallery increases every floor
-            if any(kd < kc for (_, kc), (_, kd) in zip(c, d)):
+    signs = sigma.signs
+    ends = {geometry.project_toward(a, sigma.opposite()) for a in cells}
+    frontier = [(c, None) for c in sorted({geometry.project_toward(a, sigma) for a in cells})]
+    parent = {}
+    while frontier:
+        nxt = []
+        for x, up in frontier:
+            if x in parent or not any(_sigma_below(x, d, signs) for d in ends):
                 continue
-            for gallery in geometry.sigma_minimal_galleries(c, d, sigma):
-                if any(ch not in chambers for ch in gallery):
-                    return False, gallery
+            parent[x] = up
+            if x not in cells:
+                return False, _witness(geometry, parent, x, ends, sigma)
+            nxt += ((nb, x) for nb in _sigma_steps(geometry, x, sigma))
+        frontier = nxt
     return True, None
+
+
+def _witness(geometry, parent, x, ends, sigma):
+    """The search path to x, then sigma-steps on to the nearest end above x."""
+    gallery = [x]
+    while parent[gallery[-1]] is not None:
+        gallery.append(parent[gallery[-1]])
+    gallery.reverse()
+    above = (d for d in ends if _sigma_below(x, d, sigma.signs))
+    d = min(above, key=lambda d: (geometry.wall_distance(x, d), d))
+    while gallery[-1] != d:
+        steps = _sigma_steps(geometry, gallery[-1], sigma)
+        gallery.append(next(nb for nb in steps if _sigma_below(nb, d, sigma.signs)))
+    return tuple(gallery)
 
 
 @dataclass
@@ -265,10 +280,10 @@ def deconstruct(geometry, cells, sigma):
         chambers = sorted(c for c in current if geometry.is_chamber(c))
         if not chambers:
             break
-        zero = [c for c in chambers if sigma_length(geometry, current, c, sigma) == 0]
-        if not zero:
+        # sigma-length 0: no sigma-step stays in the stage; the least such chamber, for determinism
+        c = next((c for c in chambers if current.isdisjoint(_sigma_steps(geometry, c, sigma))), None)
+        if c is None:
             raise GeometryError("no chamber of sigma-length zero; subcomplex not deconstructible")
-        c = min(zero)  # lexicographic tie-break for determinism
         lower = geometry.lower_face(c, sigma)
         closure_c = geometry.closure(c)
         star = frozenset(

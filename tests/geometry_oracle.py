@@ -1,6 +1,7 @@
 """Chamber adjacency, gallery distances, special vertices, height values,
-projections by a step from the barycenter, closures by a facet walk and the
-upper/lower complexes with their certificate in Fraction arithmetic.
+projections by a step from the barycenter, closures by a facet walk, the
+upper/lower complexes with their certificate in Fraction arithmetic, and
+sigma-minimal galleries with the sigma-convexity and sigma-length they define.
 
 Reference code that only tests use, shared by the alcove, flag-building and
 truncation tests.
@@ -134,3 +135,81 @@ def certificate_by_fractions(window, h, r, low):
             if window.interior_cell(c)
         ),
     }
+
+
+def sigma_minimal_galleries(geometry, start, end, sigma):
+    """All sigma-minimal galleries from start to end.
+
+    A sigma-minimal gallery crosses each separating wall exactly once and
+    always toward sigma, so the search can prune on wall distance.
+    """
+    out = []
+    stack = [(start, [start])]
+    while stack:
+        cur, path = stack.pop()
+        if cur == end:
+            out.append(tuple(path))
+            continue
+        dist = geometry.wall_distance(cur, end)
+        for panel, nb in geometry.chamber_neighbors(cur):
+            if geometry.wall_distance(nb, end) != dist - 1:
+                continue
+            if geometry.project_toward(panel, sigma) != nb:
+                continue
+            stack.append((nb, path + [nb]))
+    return out
+
+
+def galleries_leaving(geometry, cells, sigma):
+    """The sigma-minimal galleries from a start pr_a(sigma) to an end
+    pr_a(-sigma), a in Z, that leave Z's chambers: by definition Z is
+    sigma-convex iff there are none."""
+    starts = {geometry.project_toward(a, sigma) for a in cells}
+    ends = {geometry.project_toward(a, sigma.opposite()) for a in cells}
+    return {
+        gallery
+        for c in starts
+        for d in ends
+        for gallery in sigma_minimal_galleries(geometry, c, d, sigma)
+        if any(x not in cells for x in gallery)
+    }
+
+
+def sigma_length(geometry, cells, chamber, sigma):
+    """Length of the longest sigma-minimal gallery inside Z starting at the chamber."""
+    chambers = {c for c in cells if geometry.is_chamber(c)}
+    if chamber not in chambers:
+        raise GeometryError("chamber not in the subcomplex")
+    return _longest(geometry, chambers, sigma, chamber, {})
+
+
+def _longest(geometry, chambers, sigma, c, memo):
+    """sigma_length by memoized recursion.
+
+    sigma-minimal steps strictly increase the signed floor sum, so the step
+    relation is acyclic and the recursion terminates.  A module function, not
+    a closure: a recursive closure references itself, and the cycle would
+    keep the geometry and its caches alive until the cycle collector runs.
+    """
+    if c in memo:
+        return memo[c]
+    best = 0
+    for panel, nb in geometry.chamber_neighbors(c):
+        if nb in chambers and geometry.project_toward(panel, sigma) == nb:
+            best = max(best, 1 + _longest(geometry, chambers, sigma, nb, memo))
+    memo[c] = best
+    return best
+
+
+def deconstruction_order_by_sigma_length(geometry, cells, sigma):
+    """The chambers in the order a deconstruction adds them, each stage
+    removing the least chamber whose sigma_length in the stage is 0 with the
+    open star of its lower face."""
+    current = set(cells)
+    removed = []
+    while chambers := [c for c in current if geometry.is_chamber(c)]:
+        c = min(c for c in chambers if sigma_length(geometry, current, c, sigma) == 0)
+        lower = geometry.lower_face(c, sigma)
+        current -= {x for x in current if lower in geometry.closure(x) or x == lower}
+        removed.append(c)
+    return removed[::-1]

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 
@@ -101,6 +102,25 @@ def test_coxeter_deconstruct_sector(capsys):
     data = json.loads(out)
     assert data["all_certificates_ok"]
     assert data["steps"] >= 1
+
+
+def test_coxeter_deconstruct_a3_default_window_answers(capsys):
+    # the A_3 sector corner of the default window -3:2: 162 chambers
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, ["coxeter", "deconstruct", "--family", "A", "--rank", "3", "--format", "json"])
+    assert time.perf_counter() - t0 < 10
+    assert code == 0
+    data = json.loads(out)
+    assert data["all_certificates_ok"]
+    assert data["steps"] == 162
+
+
+def test_coxeter_window_past_the_chamber_bound_is_usage_error(capsys):
+    # A_4 at the default window -3:2 has 31,104 chambers
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, ["coxeter", "export", "--family", "A", "--rank", "4"])
+    assert time.perf_counter() - t0 < 5
+    assert_usage_error(code, err, "window has more than 10,000 chambers")
 
 
 def test_sphere_opp(capsys):

@@ -11,6 +11,7 @@ from geometry_oracle import (
     is_special_vertex,
     project_to_cell_by_step,
     project_toward_by_step,
+    sigma_minimal_galleries,
 )
 
 from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError, _sign
@@ -243,7 +244,7 @@ def test_minimal_galleries_in_star_are_sigma_minimal(a2):
     window = Window.radius(datum, 2, g)
     star = sorted(c for c in window.chambers() if origin in g.closure(c))
     for start in star:
-        for gallery in g.sigma_minimal_galleries(start, target, sigma):
+        for gallery in sigma_minimal_galleries(g, start, target, sigma):
             assert is_sigma_minimal(g, list(gallery), sigma)
             assert len(gallery) - 1 == g.wall_distance(start, target)
 

@@ -12,11 +12,15 @@ from hypothesis import strategies as st
 from fm_oracle import cell_meets_open_sector
 from geometry_oracle import (
     certificate_by_fractions,
+    deconstruction_order_by_sigma_length,
     height_value,
     is_special_vertex,
+    galleries_leaving,
+    sigma_length,
     upper_lower_by_fractions,
 )
 
+from sigmabuild import acceptance
 from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError
 from sigmabuild.root_system import build_root_system
 from sigmabuild.windows import (
@@ -28,7 +32,6 @@ from sigmabuild.windows import (
     epsilon_for_height,
     residual_r,
     sigma_convex_check,
-    sigma_length,
     upper_complex,
     upper_lower_certified,
 )
@@ -124,6 +127,86 @@ def test_single_chamber_is_sigma_convex(a2):
     c = next(iter(Window.radius(datum, 1, g).chambers()))
     ok, _ = sigma_convex_check(g, frozenset(g.closure(c)), sigma)
     assert ok
+
+
+def chambers_at_infinity(geometry, rng):
+    """Every chamber at infinity, from seeded random generic directions."""
+    found = {}
+    for _ in range(400):
+        u = geometry.datum.point([rng.randint(-5, 5) for _ in range(geometry.datum.rank)])
+        if all(geometry._values(u)):
+            sigma = geometry.infinity_from_direction(u)
+            found.setdefault(sigma.signs, sigma)
+    return [found[k] for k in sorted(found)]
+
+
+def check_against_galleries(g, z, sigma):
+    """sigma_convex_check agrees with the definition, and its witness is a
+    sigma-minimal gallery from a start to an end that leaves Z."""
+    ok, witness = sigma_convex_check(g, z, sigma)
+    leaving = galleries_leaving(g, z, sigma)
+    assert ok == (not leaving)
+    assert witness is None if ok else witness in leaving
+    return ok
+
+
+@pytest.mark.parametrize("family, rank, weyl_order", [("A", 1, 2), ("A", 2, 6), ("C", 2, 8)])
+def test_sigma_convexity_matches_galleries_at_every_chamber_at_infinity(family, rank, weyl_order):
+    # unions of 2-4 closed chambers and closed sector corners, against the
+    # definition, toward every chamber at infinity
+    datum = build_root_system(family, rank)
+    g = AlcoveGeometry(datum)
+    window = Window.radius(datum, 2, g)
+    rng = random.Random(17)
+    sigmas = chambers_at_infinity(g, rng)
+    assert len(sigmas) == weyl_order
+    chambers = sorted(window.chambers())
+    verdicts = []
+    for sigma in sigmas:
+        for _ in range(20):
+            z = set()
+            for c in rng.sample(chambers, rng.randint(2, min(4, len(chambers)))):
+                z |= g.closure(c)
+            verdicts.append(check_against_galleries(g, frozenset(z), sigma))
+        for tip in ((0,) * rank, (1,) * rank):
+            corner = closed_sector_cells(window, datum.point(tip), sigma.opposite())
+            verdicts.append(check_against_galleries(g, corner, sigma))
+    assert True in verdicts and False in verdicts
+
+
+def test_sigma_convexity_toward_the_all_minus_chamber(a2):
+    # floors decrease along sigma-minimal galleries toward the all-minus
+    # chamber, so a filter that asks them to increase missed this gallery
+    datum, g = a2
+    sigma = g.base_chamber_at_infinity().opposite()
+    z = g.closure(((FLOOR, -1), (FLOOR, 1), (FLOOR, 1))) | g.closure(((FLOOR, -1), (FLOOR, -2), (FLOOR, -3)))
+    assert not check_against_galleries(g, frozenset(z), sigma)
+
+
+def sector_corners():
+    """Closed sector corners of small A_2, C_2 and A_3 windows at tips in {0, 1}^rank."""
+    for family, rank, radius in (("A", 2, 2), ("C", 2, 2), ("A", 3, 1)):
+        window = Window.radius(build_root_system(family, rank), radius)
+        sigma = window.geometry.base_chamber_at_infinity()
+        for tip in product((0, 1), repeat=rank):
+            yield window.geometry, closed_sector_cells(window, window.datum.point(tip), sigma.opposite())
+
+
+def test_deconstruction_order_matches_the_sigma_length_loop(monkeypatch):
+    # the 20 subcomplexes the coxeter criterion deconstructs, and sector corners
+    pieces = []
+
+    def recording(g, z, sigma):
+        pieces.append((g, z))
+        return deconstruct(g, z, sigma)
+
+    monkeypatch.setattr(acceptance, "deconstruct", recording)
+    assert acceptance.criterion_coxeter(seed=42)["passed"]
+    assert len(pieces) == 20
+    for g, z in pieces + list(sector_corners()):
+        sigma = g.base_chamber_at_infinity()
+        steps = deconstruct(g, z, sigma).steps
+        assert [s.chamber for s in steps] == deconstruction_order_by_sigma_length(g, z, sigma)
 
 
 def test_deconstruct_a1_interval(a1):
