@@ -1,4 +1,4 @@
-"""Exact SL_n matrices: Steinberg generators, Borel splitting, valuations, characters.
+"""Exact SL_n matrices: Steinberg generators, the torus projection, valuations, characters.
 
 Only the standard matrix representation is realized; a root of A_{n-1} is an
 off-diagonal position (i, j) and the elementary generator is I + t E_ij.  The
@@ -13,7 +13,6 @@ gcd, and the Steinberg relations and the character formulas are checked as
 exact identities.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -207,27 +206,14 @@ def h_elem(n, root, t):
     return _with_entries(n, {(i, i): t, (j, j): 1 / t})
 
 
-@dataclass(frozen=True)
-class BorelDecomposition:
-    torus: GroupElement
-    unipotent: GroupElement
-
-
-def borel_decompose(g):
-    """Split an upper-triangular g as t * u with t diagonal, u unit-diagonal."""
+def torus_projection(g):
+    """delta: the diagonal part of an upper-triangular matrix."""
     if not g.is_upper_triangular():
-        raise ChevalleyError("borel_decompose needs an upper-triangular matrix")
+        raise ChevalleyError("torus_projection needs an upper-triangular matrix")
     d = g.diagonal()
     if any(x == 0 for x in d):
         raise ChevalleyError("singular diagonal")
-    t = _with_entries(g.n, {(i, i): x for i, x in enumerate(d)})
-    u = t.inv() * g
-    return BorelDecomposition(t, u)
-
-
-def torus_projection(g):
-    """delta: the diagonal part of an upper-triangular matrix."""
-    return borel_decompose(g).torus
+    return _with_entries(g.n, {(i, i): x for i, x in enumerate(d)})
 
 
 # --- valuations and S-arithmetic predicates -----------------------------------
@@ -327,21 +313,6 @@ class CharacterVec:
             and (self.n, self.primes) == (other.n, other.primes)
             and self.coeffs == other.coeffs
         )
-
-    def scale(self, lam):
-        lam = Fraction(lam)
-        return CharacterVec(
-            self.n, self.primes, {kp: lam * v for kp, v in self.coeffs.items()}
-        )
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for kp, v in other.coeffs.items():
-            out[kp] = out.get(kp, Q0) + v
-        return CharacterVec(self.n, self.primes, out)
-
-    def support(self):
-        return sorted(self.coeffs)
 
 
 def character_eval(chi, g):

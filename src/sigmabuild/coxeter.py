@@ -85,12 +85,10 @@ class AlcoveGeometry:
         # den * kappa(v, alpha) over the positive roots.  The fundamental
         # alcove's vertices are 0 and the coweights w_i / c_i (c the highest
         # root), and reflections keep root values in Z / den, den = lcm(c).
-        self._root_coeffs = tuple(tuple(int(c) for c in beta) for beta in datum.positive_roots)
-        top = [int(c) for c in datum.highest_root]
-        self._den = lcm(*top)
+        self._den = lcm(*datum.highest_root)
         corners = [(0,) * self.npos] + [
-            tuple(self._den * beta[i] // c for beta in self._root_coeffs)
-            for i, c in enumerate(top)
+            tuple(self._den * beta[i] // c for beta in datum.positive_roots)
+            for i, c in enumerate(datum.highest_root)
         ]
         # <beta, alpha^V> (row alpha): the reflection in a wall of alpha moves
         # kappa(., beta) by this multiple of the distance to the wall
@@ -193,7 +191,7 @@ class AlcoveGeometry:
         """Scaled root values of the point with these integer simple-root values."""
         return tuple(
             self._den * sum(c * s for c, s in zip(beta, simple_values))
-            for beta in self._root_coeffs
+            for beta in self.datum.positive_roots
         )
 
     def _bary_values(self, cell):

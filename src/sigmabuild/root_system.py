@@ -3,10 +3,11 @@
 Points of the ambient Euclidean space are stored in *simple-root coordinates*:
 a vector x = (x_1, ..., x_l) stands for sum x_i alpha_i, and the inner product
 kappa is realized by the Gram matrix of the simple roots.  This keeps every
-pairing an exact rational (integral on roots) with no radicals.  The familiar
-epsilon-coordinate realizations (sum-zero coordinates for A_l, orthonormal
-coordinates for C_l/D_l, short roots of squared length 2) are kept alongside
-for display and serialization.
+pairing an exact rational (integral on roots) with no radicals.  Only the
+simple roots are written in the familiar epsilon coordinates (sum-zero for
+A_l, orthonormal for C_l/D_l, short roots of squared length 2), for the Gram
+matrix and for display; every root is an integer coefficient tuple, found
+from the integer Cartan matrix by simple reflections.
 """
 
 from dataclasses import dataclass
@@ -19,69 +20,45 @@ class RootSystemError(ValueError):
     pass
 
 
+# Per family: its minimum rank, and for rank l the ambient dimension and the
+# last simple root as {coordinate: entry}; the others are e_i - e_{i+1}.
+_FAMILIES = {
+    "A": (1, lambda l: (l + 1, {l - 1: 1, l: -1})),
+    "C": (2, lambda l: (l, {l - 1: 2})),
+    "D": (3, lambda l: (l, {l - 2: 1, l - 1: 1})),
+}
+
+
 def _ambient_simple_roots(family, rank):
-    if family == "A":
-        dim = rank + 1
-        simples = []
-        for i in range(rank):
-            v = [Q0] * dim
-            v[i], v[i + 1] = Q1, -Q1
-            simples.append(tuple(v))
-        return simples
-    if family == "C":
-        dim = rank
-        simples = []
-        for i in range(rank - 1):
-            v = [Q0] * dim
-            v[i], v[i + 1] = Q1, -Q1
-            simples.append(tuple(v))
-        v = [Q0] * dim
-        v[rank - 1] = Fraction(2)
-        simples.append(tuple(v))
-        return simples
-    if family == "D":
-        dim = rank
-        simples = []
-        for i in range(rank - 1):
-            v = [Q0] * dim
-            v[i], v[i + 1] = Q1, -Q1
-            simples.append(tuple(v))
-        v = [Q0] * dim
-        v[rank - 2], v[rank - 1] = Q1, Q1
-        simples.append(tuple(v))
-        return simples
-    raise RootSystemError(f"unsupported family {family!r}; expected one of A, C, D")
+    dim, last = _FAMILIES[family][1](rank)
+    rows = [[Q0] * dim for _ in range(rank)]
+    for i in range(rank - 1):
+        rows[i][i], rows[i][i + 1] = Q1, -Q1
+    for j, e in last.items():
+        rows[-1][j] = Fraction(e)
+    return tuple(map(tuple, rows))
 
 
-def _ambient_positive_roots(family, rank):
-    """Positive roots as ambient vectors, in the standard realizations."""
-    roots = []
-    if family == "A":
-        dim = rank + 1
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                v = [Q0] * dim
-                v[i], v[j] = Q1, -Q1
-                roots.append(tuple(v))
-    elif family == "C":
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                for s in (Q1, -Q1):
-                    v = [Q0] * rank
-                    v[i], v[j] = Q1, s
-                    roots.append(tuple(v))
-        for i in range(rank):
-            v = [Q0] * rank
-            v[i] = Fraction(2)
-            roots.append(tuple(v))
-    elif family == "D":
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                for s in (Q1, -Q1):
-                    v = [Q0] * rank
-                    v[i], v[j] = Q1, s
-                    roots.append(tuple(v))
-    return roots
+def _positive_roots(simples, cartan):
+    """The simple roots closed under the simple reflections, positive images only.
+
+    s_j(b) = b - <b, alpha_j^V> alpha_j changes only the j-th coefficient, by
+    sum_i b_i <alpha_i, alpha_j^V> (Humphreys 1972, section 10.2).  Integer
+    coefficient tuples sorted by height, then lexicographically: simple roots
+    come first.
+    """
+    found = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for b in frontier:
+            for j in range(len(b)):
+                img = b[:j] + (b[j] - sum(c * row[j] for c, row in zip(b, cartan)),) + b[j + 1:]
+                if min(img) >= 0 and img not in found:
+                    found.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return tuple(sorted(found, key=lambda c: (sum(c), c)))
 
 
 @dataclass(frozen=True)
@@ -111,51 +88,36 @@ class RootDatum:
     """Immutable root-system data; all operations on it are pure functions."""
 
     def __init__(self, family, rank):
-        if family not in ("A", "C", "D"):
+        if family not in _FAMILIES:
             raise RootSystemError(f"unsupported family {family!r}; expected one of A, C, D")
         if rank < 1:
             raise RootSystemError("rank must be a positive integer")
-        if family == "C" and rank < 2:
-            raise RootSystemError("family C needs rank >= 2")
-        if family == "D" and rank < 3:
-            raise RootSystemError("family D needs rank >= 3")
+        if rank < _FAMILIES[family][0]:
+            raise RootSystemError(f"family {family} needs rank >= {_FAMILIES[family][0]}")
         self.family = family
         self.rank = rank
-        self.ambient_simple_roots = tuple(_ambient_simple_roots(family, rank))
+        self.ambient_simple_roots = _ambient_simple_roots(family, rank)
         self.ambient_dim = len(self.ambient_simple_roots[0])
         # Gram matrix of the simple roots under the standard inner product.
         self.gram = tuple(
             tuple(dot(a, b) for b in self.ambient_simple_roots) for a in self.ambient_simple_roots
         )
-        self._gram_inv = inverse(self.gram)
-
-        ambient_pos = _ambient_positive_roots(family, rank)
-        pos = [self._root_coords(v) for v in ambient_pos]
-        # sort by height, then lexicographically: simple roots come first
-        pos.sort(key=lambda c: (sum(c), c))
-        self.positive_roots = tuple(pos)
-        self.positive_root_set = frozenset(pos)
-        self.all_roots = self.positive_roots + tuple(tuple(-x for x in c) for c in pos)
-        self.root_set = frozenset(self.all_roots)
-        self.simple_root_coeffs = tuple(
-            tuple(Q1 if i == j else Q0 for j in range(rank)) for i in range(rank)
+        # Cartan integers <alpha_i, alpha_j^V> = 2 kappa(alpha_i, alpha_j) / kappa(alpha_j, alpha_j)
+        self._cartan = tuple(
+            tuple(int(2 * g / self.gram[j][j]) for j, g in enumerate(row)) for row in self.gram
         )
-        self.highest_root = max(self.positive_roots, key=lambda c: (sum(c), c))
-        self.pos_index = {r: i for i, r in enumerate(self.positive_roots)}
+        self.simple_root_coeffs = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+        pos = _positive_roots(self.simple_root_coeffs, self._cartan)
+        self.positive_roots = pos
+        self.positive_root_set = frozenset(pos)
+        self.all_roots = pos + tuple(tuple(-x for x in c) for c in pos)
+        self.root_set = frozenset(self.all_roots)
+        self.highest_root = pos[-1]
+        self.pos_index = {r: i for i, r in enumerate(pos)}
         # fundamental coweight directions: kappa(w_i, alpha_j) = delta_ij
-        self.coweight_dirs = tuple(tuple(row) for row in self._gram_inv)
+        self.coweight_dirs = inverse(self.gram)
 
     # --- coordinates ---------------------------------------------------
-
-    def _root_coords(self, ambient_v):
-        """Express an ambient root vector over the simple roots (exact)."""
-        # solve sum c_i alpha_i = v by least squares via the Gram matrix:
-        # G c = (kappa(alpha_i, v))_i, valid because v lies in the root span.
-        rhs = tuple(dot(a, ambient_v) for a in self.ambient_simple_roots)
-        c = matvec(self._gram_inv, rhs)
-        if any(x.denominator != 1 for x in c):
-            raise RootSystemError(f"root {ambient_v} has non-integral coefficients {c}")
-        return c
 
     def point(self, values):
         """The point x with kappa(x, alpha_i) = values[i] for each simple root (G^-1 v)."""
@@ -192,11 +154,8 @@ class RootDatum:
         return tuple(Q0 for _ in range(self.rank))
 
     def cartan_matrix(self):
-        """Matrix of pairings <alpha_i, alpha_j> (row i against column j)."""
-        return tuple(
-            tuple(cartan_pairing(self, si, sj) for sj in self.simple_root_coeffs)
-            for si in self.simple_root_coeffs
-        )
+        """Matrix of the integer pairings <alpha_i, alpha_j^V> (row i against column j)."""
+        return self._cartan
 
 
 def build_root_system(family, rank):

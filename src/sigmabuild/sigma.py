@@ -54,7 +54,7 @@ def prime_threshold(family, rank):
 
 @dataclass(frozen=True)
 class SigmaContext:
-    """Family/rank of the root system, the prime set, and the basis index set."""
+    """Family/rank of the root system and the prime set."""
 
     family: str
     rank: int
@@ -69,11 +69,6 @@ class SigmaContext:
         for p in self.primes:
             if not is_prime(p):
                 raise SigmaError(f"{p} is not a prime")
-
-    @property
-    def basis(self):
-        """Index set Delta^0: pairs (simple root index, prime), ordered."""
-        return tuple((i, p) for p in self.primes for i in range(1, self.rank + 1))
 
     @property
     def dim(self):

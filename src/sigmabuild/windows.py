@@ -115,35 +115,23 @@ class Window:
                 return False
         return True
 
-    def interior_cell(self, cell, margin=1):
-        """Cells far enough from the rim that their full star is in the window."""
+    def interior_cell(self, cell):
+        """Cells at least one floor from the rim, so that their full star is in the window."""
         for i, pi in enumerate(self.geometry._simple_idx):
             f, k = cell[pi]
-            span = (k, k + 1) if f == FLOOR else (k, k)
-            if span[0] < self.lo[i] + margin or span[1] > self.hi[i] + 1 - margin:
+            if k <= self.lo[i] or (k + 1 if f == FLOOR else k) > self.hi[i]:
                 return False
         return True
 
     # --- construction -----------------------------------------------------
 
-    def _seed_chamber(self):
-        g = self.geometry
-        for attempt in range(50):
-            den = 101 + 13 * attempt
-            target = [
-                Fraction(self.lo[i] + self.hi[i] + 1, 2) + Fraction(1, den + 7 * i)
-                for i in range(self.datum.rank)
-            ]
-            cell = g.cell_of_point(self.datum.point(target))
-            if g.is_chamber(cell) and self.contains_chamber(cell):
-                return cell
-        raise GeometryError("could not seed the window with a generic chamber")
-
     def chambers(self):
         if self._chambers is not None:
             return self._chambers
         g = self.geometry
-        seed = self._seed_chamber()
+        # the alcove just above the corner lo: floor sum c_i lo_i on each
+        # positive root sum c_i alpha_i
+        seed = tuple((FLOOR, sum(c * k for c, k in zip(beta, self.lo))) for beta in self.datum.positive_roots)
         seen = {seed}
         frontier = [seed]
         while frontier:

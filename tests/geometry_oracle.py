@@ -1,4 +1,5 @@
-"""Chamber adjacency, gallery distances, special vertices, height values,
+"""Chamber adjacency, gallery distances, a window's chambers by a search from
+a perturbed centre point, special vertices, height values,
 projections by a step from the barycenter, closures by a facet walk, the
 upper/lower complexes with their certificate in Fraction arithmetic, and
 sigma-minimal galleries with the sigma-convexity and sigma-length they define.
@@ -36,6 +37,33 @@ def gallery_distances(neighbors, start):
                     nxt.append(nb)
         frontier = nxt
     return dist
+
+
+def seed_by_perturbed_points(window):
+    """A chamber of the window: the cell of the box's centre point, nudged
+    off the walls by small distinct offsets until that cell is a chamber."""
+    g, datum = window.geometry, window.datum
+    for attempt in range(50):
+        den = 101 + 13 * attempt
+        target = [
+            Fraction(window.lo[i] + window.hi[i] + 1, 2) + Fraction(1, den + 7 * i)
+            for i in range(datum.rank)
+        ]
+        cell = g.cell_of_point(datum.point(target))
+        if g.is_chamber(cell) and window.contains_chamber(cell):
+            return cell
+    raise GeometryError("could not seed the window with a generic chamber")
+
+
+def window_chambers_by_search(window):
+    """The window's chambers: every chamber a gallery inside it reaches from
+    the perturbed-point seed."""
+    g = window.geometry
+
+    def neighbors(c):
+        return [nb for _, nb in g.chamber_neighbors(c) if window.contains_chamber(nb)]
+
+    return frozenset(gallery_distances(neighbors, seed_by_perturbed_points(window)))
 
 
 def is_special_vertex(geometry, x):

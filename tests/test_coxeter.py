@@ -12,6 +12,7 @@ from geometry_oracle import (
     project_to_cell_by_step,
     project_toward_by_step,
     sigma_minimal_galleries,
+    window_chambers_by_search,
 )
 
 from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError, _sign
@@ -295,6 +296,32 @@ def test_gallery_distance_bfs_equals_wall_count(a2):
         assert window_distance(window, c, d) == g.wall_distance(c, d)
     c = chambers[0]
     assert window_distance(window, c, c) == 0
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("C", 2), ("C", 3), ("D", 3)])
+def test_window_seed_is_the_corner_alcove(family, rank):
+    # the chambers grown from the alcove just above the corner lo are those
+    # grown from a perturbed centre point
+    datum = build_root_system(family, rank)
+    g = AlcoveGeometry(datum)
+    rng = random.Random(rank * 7 + ord(family))
+    for _ in range(6):
+        lo = [rng.randint(-3, 1) for _ in range(rank)]
+        hi = [k + rng.randint(0, 2 if rank < 3 else 1) for k in lo]
+        window = Window(datum, lo, hi, g)
+        assert window.chambers() == window_chambers_by_search(window)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2)])
+def test_interior_cells_have_their_star_in_the_window(family, rank):
+    datum = build_root_system(family, rank)
+    g = AlcoveGeometry(datum)
+    window = Window(datum, [-1] * rank, [1] * rank, g)
+    interior = {c for c in window.cells() if window.interior_cell(c)}
+    assert interior and interior < window.cells()
+    for c in Window.radius(datum, 3, g).chambers():
+        if not interior.isdisjoint(g.closure(c)):
+            assert c in window.chambers()
 
 
 def test_gallery_distance_a1_example(a1):

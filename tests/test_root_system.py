@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sigmabuild.linalg import vec
+from sigmabuild.linalg import Q0, Q1, dot, inverse, matvec, vec
 from sigmabuild.root_system import (
     AffineHyperplane,
     RootSystemError,
@@ -63,6 +63,59 @@ def reflection_closure(datum):
                     roots.add(img)
                     grew = True
     return roots
+
+
+def ambient_positive_roots(family, rank):
+    """Positive roots as ambient vectors, in the standard realizations:
+    e_i - e_j (A), e_i +- e_j and 2 e_i (C), e_i +- e_j (D), i < j."""
+    dim = rank + 1 if family == "A" else rank
+    roots = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for s in (-Q1,) if family == "A" else (Q1, -Q1):
+                v = [Q0] * dim
+                v[i], v[j] = Q1, s
+                roots.append(tuple(v))
+    if family == "C":
+        for i in range(rank):
+            v = [Q0] * rank
+            v[i] = Fraction(2)
+            roots.append(tuple(v))
+    return roots
+
+
+def positive_roots_by_gram_inverse(datum, family, rank):
+    """The ambient table in simple-root coordinates: c = G^-1 (kappa(alpha_i, v))_i,
+    valid because every root lies in the span of the simple roots."""
+    g_inv = inverse(datum.gram)
+    out = []
+    for v in ambient_positive_roots(family, rank):
+        c = matvec(g_inv, tuple(dot(a, v) for a in datum.ambient_simple_roots))
+        assert all(x.denominator == 1 for x in c), (v, c)
+        out.append(c)
+    return sorted(out, key=lambda c: (sum(c), c))
+
+
+ALL_RANKS = [("A", r) for r in range(1, 9)] + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(3, 9)]
+
+
+@pytest.mark.parametrize("family,rank", ALL_RANKS)
+def test_roots_match_the_ambient_tables(family, rank):
+    datum = build_root_system(family, rank)
+    ref = positive_roots_by_gram_inverse(datum, family, rank)
+    assert datum.positive_roots == tuple(ref)
+    assert datum.all_roots == tuple(ref) + tuple(tuple(-c for c in r) for r in ref)
+    assert datum.simple_root_coeffs == tuple(
+        tuple(Q1 if i == j else Q0 for j in range(rank)) for i in range(rank)
+    )
+    assert datum.highest_root == max(ref, key=lambda c: (sum(c), c))
+    roots = datum.all_roots + datum.simple_root_coeffs + (datum.highest_root,)
+    assert all(type(c) is int for r in roots for c in r)
+    assert datum.cartan_matrix() == tuple(
+        tuple(cartan_pairing(datum, a, b) for b in datum.simple_root_coeffs)
+        for a in datum.simple_root_coeffs
+    )
+    assert all(type(c) is int for row in datum.cartan_matrix() for c in row)
 
 
 @pytest.mark.parametrize(

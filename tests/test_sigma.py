@@ -35,10 +35,15 @@ def dense_vector(chi):
     return tuple(chi.coeffs.get((k, p), Q0) for p in chi.primes for k in range(1, chi.n))
 
 
+def basis(ctx):
+    """Index set Delta^0 of a context: pairs (simple root index, prime), ordered."""
+    return tuple((i, p) for p in ctx.primes for i in range(1, ctx.rank + 1))
+
+
 def test_context_basics():
     ctx = ctx_sl(3, (2, 3))
     assert ctx.dim == 4
-    assert ctx.basis == ((1, 2), (2, 2), (1, 3), (2, 3))
+    assert basis(ctx) == ((1, 2), (2, 2), (1, 3), (2, 3))
     assert ctx.sol  # threshold for A_2 is 2
     assert not ctx_sl(5, (3,)).sol  # threshold for A_4 is 8
     with pytest.raises(SigmaError):

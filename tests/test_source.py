@@ -52,7 +52,11 @@ def test_library_catches_no_broad_exceptions():
 
 
 def _names(node, skip):
-    """Identifiers a node names: names, attributes, imports and dotted strings."""
+    """Identifiers a node names: names, attributes, imports and dotted strings.
+
+    An attribute or a part of a dotted string is also listed with a leading
+    dot, the only form in which it can name a method.
+    """
     out = set()
     stack = [node]
     while stack:
@@ -60,12 +64,15 @@ def _names(node, skip):
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out.update((n.attr, "." + n.attr))
         elif isinstance(n, ast.alias):
             out.update(n.name.split("."))
         elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in skip:
             if re.fullmatch(r"\.?[A-Za-z_][\w.]*", n.value):  # e.g. f"{CC}.kernel_basis"
-                out.update(filter(None, n.value.split(".")))
+                parts = [p for p in n.value.split(".") if p]
+                out.update(parts)
+                if "." in n.value:
+                    out.update("." + p for p in parts)
         stack.extend(c for c in ast.iter_child_nodes(n) if id(c) not in skip)
     return out
 
@@ -74,7 +81,9 @@ def test_every_definition_is_reached():
     # A module-level function or class, or a public method, of the library
     # stays only if the library, a demo or the benchmark reaches it: named
     # from code outside any such definition, or from one already reached.
-    # Reference code that only tests call lives beside the tests.
+    # A method is reached only through an attribute or a dotted string, so a
+    # local variable of the same name does not keep it.  Reference code that
+    # only tests call lives beside the tests.
     root = SRC.parent.parent
     paths = sorted(SRC.glob("*.py")) + sorted(root.glob("demos/*.py")) + sorted(root.glob("perfbench/*.py"))
     reached, bodies = set(), {}
@@ -90,13 +99,13 @@ def test_every_definition_is_reached():
         if path.parent == SRC:
             for node in tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    defs[f"{path.stem}.{node.name}"] = node
+                    defs[f"{path.stem}.{node.name}"] = node, node.name
                     for m in node.body if isinstance(node, ast.ClassDef) else ():
                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
-                            defs[f"{path.stem}.{node.name}.{m.name}"] = m
-        skip |= {id(n) for n in defs.values()}
+                            defs[f"{path.stem}.{node.name}.{m.name}"] = m, "." + m.name
+        skip |= {id(n) for n, _ in defs.values()}
         reached |= _names(tree, skip)
-        bodies.update((qual, (n.name, _names(n, skip))) for qual, n in defs.items())
+        bodies.update((qual, (name, _names(n, skip))) for qual, (n, name) in defs.items())
     todo = dict(bodies)
     while alive := [qual for qual, (name, _) in todo.items() if name in reached]:
         for qual in alive:
