@@ -319,7 +319,7 @@ class Truncation:
         p = self.p
         rows = self.vertices[v][1]
         N = valuation(d, p) + sum(valuation(rows[i][i], p) for i in range(self.n))
-        return self.vertex_id(_hermite_form(list(zip(*matmul(g.num, rows, zero=0))), p, N))
+        return self.vertex_id(_hermite_form(list(zip(*matmul(g.num, rows))), p, N))
 
     def act_on_cell(self, g, cell_key):
         return tuple(sorted(self.act_on_vertex(g, v) for v in cell_key))

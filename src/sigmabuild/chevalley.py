@@ -8,16 +8,15 @@ Weyl and torus generators are written in closed form (Steinberg 1968,
 matrix with t at (i, i) and 1/t at (j, j).  Their product definitions,
 x_alpha(t) x_{-alpha}(-1/t) x_alpha(t) and w_alpha(t) w_alpha(1)^-1, are the
 reference the tests compare against.  A matrix is held as integer rows over
-one positive denominator, so products are integer products followed by one
-gcd, and the Steinberg relations and the character formulas are checked as
-exact identities.
+one positive denominator: products and inverses (integer adjugates) end in one
+gcd, and the Steinberg relations and the character formulas are exact identities.
 """
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
-from .linalg import Q0, det, fraction_str, inverse, matmul
+from .linalg import Q0, det, fraction_str, integer_inverse, matmul, scaled
 
 
 class ChevalleyError(ValueError):
@@ -30,7 +29,7 @@ class GroupElement:
     The form is canonical, den > 0 and gcd(num, den) = 1, so equality and
     hashing compare (den, num).  The Fraction rows are built on first use.
     The public constructor converts every entry to a Fraction and checks the
-    shape and the determinant; the group operations build their results with
+    shape and det(num) = den^n; the group operations build their results with
     `_of`, which trusts a canonical (num, den).
     """
 
@@ -43,9 +42,10 @@ class GroupElement:
             raise ChevalleyError("matrix is empty")
         if any(len(r) != self.n for r in rows):
             raise ChevalleyError("matrix is not square")
-        self.num, self.den = _scaled(rows)
+        nums, self.den = scaled(chain.from_iterable(rows))
+        self.num = tuple(tuple(nums[i : i + self.n]) for i in range(0, len(nums), self.n))
         self._rows = rows
-        if check_det and self.det() != 1:
+        if check_det and det(self.num) != self.den**self.n:
             raise ChevalleyError("determinant must be 1")
 
     @classmethod
@@ -65,33 +65,18 @@ class GroupElement:
             self._rows = tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
         return self._rows
 
-    def det(self):
-        return det(self.rows)
-
     def __mul__(self, other):
         if self.n != other.n:
             raise ChevalleyError(
                 f"cannot multiply a {self.n}x{self.n} by a {other.n}x{other.n} matrix"
             )
-        num = matmul(self.num, other.num, zero=0)
-        den = self.den * other.den
-        g = gcd(*chain.from_iterable(num), den)
-        if g > 1:
-            num = tuple(tuple(x // g for x in row) for row in num)
-            den //= g
-        return GroupElement._of(num, den)
+        return _reduced(matmul(self.num, other.num), self.den * other.den)
 
     def inv(self):
-        """den * num^-1, with num^-1 = N / D from the elimination kernel.
-
-        gcd(N, D) = 1, so gcd(den * N, D) = gcd(den, D).
-        """
-        inv_num, inv_den = _scaled(inverse(self.num))
-        g = gcd(self.den, inv_den)
-        scale = self.den // g
-        return GroupElement._of(
-            tuple(tuple(x * scale for x in row) for row in inv_num), inv_den // g
-        )
+        """den * num^-1 = den * adj / d, with adj . num = d I from the elimination kernel."""
+        adj, d = integer_inverse(self.num)
+        den = self.den
+        return _reduced(tuple(tuple(den * x for x in row) for row in adj), d)
 
     def __pow__(self, k):
         if k < 0:
@@ -130,15 +115,13 @@ class GroupElement:
         return [[fraction_str(e) for e in row] for row in self.rows]
 
 
-def _scaled(rows):
-    """(num, den) of Fraction rows: den the lcm of the entries' denominators.
-
-    Every prime power of den divides some entry's denominator, whose
-    numerator it does not divide, so the form is canonical.
-    """
-    pairs = [[e.as_integer_ratio() for e in row] for row in rows]
-    den = lcm(*(q for row in pairs for _, q in row))
-    return tuple(tuple(p * (den // q) for p, q in row) for row in pairs), den
+def _reduced(num, den):
+    """The element num / den for integer rows and den > 0, divided by their gcd."""
+    g = gcd(*chain.from_iterable(num), den)
+    if g > 1:
+        num = tuple(tuple(x // g for x in row) for row in num)
+        den //= g
+    return GroupElement._of(num, den)
 
 
 def identity_element(n):
@@ -169,12 +152,12 @@ def root_position(n, coeffs):
 
 def _with_entries(n, entries):
     """The n x n identity with the given {(row, col): Fraction} entries replaced."""
-    den = lcm(*(e.denominator for e in entries.values()))
+    nums, den = scaled(entries.values())
     rows = [[0] * n for _ in range(n)]
     for a in range(n):
         rows[a][a] = den
-    for (a, b), e in entries.items():
-        rows[a][b] = e.numerator * (den // e.denominator)
+    for (a, b), x in zip(entries, nums):
+        rows[a][b] = x
     return GroupElement._of(tuple(map(tuple, rows)), den)
 
 

@@ -1,13 +1,15 @@
-"""Exact rational linear algebra: one elimination kernel and its readers.
+"""Exact rational linear algebra: one fraction-free elimination kernel and its readers.
 
-Everything works over `fractions.Fraction`; vectors are tuples, matrices are
-tuples of row tuples.  `rank`, `det`, `inverse` and `affine_solve` are thin
-readers of a single Gauss-Jordan elimination (`_gauss_jordan`); `inverse`
-reduces [m | I] once.  There is no inequality solver: alcove cells are
-decided combinatorially in `coxeter`.
+Vectors are tuples and matrices tuples of row tuples, of ints and Fractions.
+`rank`, `det`, `inverse`, `integer_inverse` and `affine_solve` read a single
+fraction-free Gauss-Jordan elimination of integer rows (`_gauss_jordan`;
+Bareiss 1968) and build Fractions only for what they return.  There is no
+inequality solver: alcove cells are decided combinatorially in `coxeter`.
 """
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -33,20 +35,19 @@ def matvec(m, v):
     return tuple(dot(row, v) for row in m)
 
 
-def matmul(a, b, zero=Q0):
+def matmul(a, b):
     """The product a.b as a tuple of rows.
 
     Only the non-zero products a_ik b_kj are added, row by row into
-    accumulators that start at `zero`: the group elements multiplied here are
-    mostly triangular or unipotent, so most products would be zero.  With
-    the int 0, integer rows give integer rows; by default every entry of the
-    product is a Fraction.
+    accumulators that start at the int 0: the group elements multiplied here
+    are mostly triangular or unipotent, so most products would be zero.
+    Integer rows give integer rows.
     """
     n_cols = len(b[0]) if b else 0
     b_nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
     out = []
     for row in a:
-        acc = [zero] * n_cols
+        acc = [0] * n_cols
         for aik, bk in zip(row, b_nonzero):
             if aik:
                 for j, bkj in bk:
@@ -55,31 +56,39 @@ def matmul(a, b, zero=Q0):
     return tuple(out)
 
 
-def identity(n):
-    return tuple(tuple(Q1 if i == j else Q0 for j in range(n)) for i in range(n))
+def scaled(entries):
+    """(nums, den): ints and Fractions as integers over den, the lcm of their
+    denominators, so gcd(nums, den) = 1."""
+    pairs = [e.as_integer_ratio() for e in entries]
+    den = lcm(*[q for _, q in pairs])
+    return [p * (den // q) for p, q in pairs], den
 
 
 def _gauss_jordan(rows, n_cols):
-    """Gauss-Jordan elimination over Q, pivoting only in the first n_cols columns.
+    """Fraction-free Gauss-Jordan elimination, pivoting only in the first n_cols columns.
 
-    Returns (work, pivots, swaps, values).  Row i < len(pivots) of `work` has
-    the non-zero entry values[i] in column pivots[i], and every other row is
-    zero in that column; the remaining rows are zero in the first n_cols
-    columns.  `swaps` counts row exchanges.  Pivot rows are left unscaled, so
-    the values are the diagonal of plain forward elimination and callers
-    divide only the entries they read.  A pivot that is not a Fraction is
-    made one, so integer rows are divided exactly.  Columns from n_cols on
-    (a right-hand side, an identity block) ride along but never pivot.
+    Returns (work, pivots, swaps, d, den).  The rows are scaled once to
+    integer rows over den (`scaled`).  At pivot pv in row r, column c, every
+    other row becomes (pv * row - row[c] * pivot row) // d_prev, d_prev the
+    previous pivot (1 at first), and every division is exact by Sylvester's
+    identity (Bareiss 1968).  At the end row i < len(pivots) of `work` has
+    the last pivot d in column pivots[i], every other row is zero there, and
+    the remaining rows are zero in the first n_cols columns; `swaps` counts
+    row exchanges.  Columns from n_cols on (a right-hand side, an identity
+    block) ride along but never pivot.
     """
-    work = [list(row) for row in rows]
+    width = len(rows[0]) if rows else 0
+    flat, den = scaled(chain.from_iterable(rows))
+    work = [flat[i * width : (i + 1) * width] for i in range(len(rows))]
     n_rows = len(work)
-    pivots, values = [], []
+    pivots = []
     swaps = 0
+    d = 1
     for c in range(n_cols):
         r = len(pivots)
         if r == n_rows:
             break
-        piv = next((i for i in range(r, n_rows) if work[i][c] != 0), None)
+        piv = next((i for i in range(r, n_rows) if work[i][c]), None)
         if piv is None:
             continue
         if piv != r:
@@ -87,36 +96,40 @@ def _gauss_jordan(rows, n_cols):
             swaps += 1
         prow = work[r]
         pv = prow[c]
-        if type(pv) is not Fraction:
-            pv = Fraction(pv)
         for i, row in enumerate(work):
-            if i != r and row[c] != 0:
-                f = row[c] / pv
-                work[i] = [e - f * a if a else e for e, a in zip(row, prow)]
+            if i != r:
+                f = row[c]
+                work[i] = [(pv * e - f * a) // d for e, a in zip(row, prow)]
         pivots.append(c)
-        values.append(pv)
-    return work, pivots, swaps, values
+        d = pv
+    return work, pivots, swaps, d, den
+
+
+def integer_inverse(m):
+    """(adj, d): integer rows adj and an int d > 0 with adj . m = d I."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise LinalgError("singular matrix")
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    work, pivots, _, d, _ = _gauss_jordan(aug, n)
+    if len(pivots) < n:
+        raise LinalgError("singular matrix")
+    if d < 0:
+        return tuple(tuple(-x for x in row[n:]) for row in work), -d
+    return tuple(tuple(row[n:]) for row in work), d
 
 
 def inverse(m):
-    n = len(m)
-    n_cols = len(m[0]) if m else 0
-    aug = [list(row) + list(e) for row, e in zip(m, identity(n))]
-    work, pivots, _, values = _gauss_jordan(aug, n_cols)
-    if n_cols != n or len(pivots) < n:
-        raise LinalgError("singular matrix")
-    return tuple(tuple(e / pv if e else Q0 for e in row[n:]) for row, pv in zip(work, values))
+    adj, d = integer_inverse(m)
+    return tuple(tuple(Fraction(x, d) if x else Q0 for x in row) for row in adj)
 
 
 def det(m):
     n = len(m)
-    _, pivots, swaps, values = _gauss_jordan(m, n)
+    _, pivots, swaps, d, den = _gauss_jordan(m, n)
     if len(pivots) < n:
         return Q0
-    d = -Q1 if swaps % 2 else Q1
-    for v in values:
-        d *= v
-    return d
+    return Fraction(-d if swaps % 2 else d, den**n)
 
 
 def affine_solve(rows, rhs):
@@ -128,21 +141,20 @@ def affine_solve(rows, rhs):
     if not rows:
         raise LinalgError("empty system")
     n = len(rows[0])
-    aug = [list(r) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    work, piv_cols, _, values = _gauss_jordan(aug, n)
-    if any(row[n] != 0 for row in work[len(piv_cols):]):
+    work, piv_cols, _, d, _ = _gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if any(row[n] for row in work[len(piv_cols):]):
         return None
     part = [Q0] * n
-    for row, c, pv in zip(work, piv_cols, values):
-        part[c] = row[n] / pv
+    for row, c in zip(work, piv_cols):
+        part[c] = Fraction(row[n], d)
     basis = []
     for fc in range(n):
         if fc in piv_cols:
             continue
         v = [Q0] * n
         v[fc] = Q1
-        for row, c, pv in zip(work, piv_cols, values):
-            v[c] = -row[fc] / pv
+        for row, c in zip(work, piv_cols):
+            v[c] = Fraction(-row[fc], d)
         basis.append(tuple(v))
     return tuple(part), tuple(basis)
 

@@ -100,7 +100,7 @@ class FlagComplex:
         for d in range(self.n - 1, 1, -1):
             hyperplanes = all_subspaces(d, q, d - 1)
             flags = [
-                (tuple(tuple(x % q for x in row) for row in matmul(s, flag[0], 0)),) + flag
+                (tuple(tuple(x % q for x in row) for row in matmul(s, flag[0])),) + flag
                 for flag in flags
                 for s in hyperplanes
             ]

@@ -19,12 +19,12 @@ base chamber at infinity) iff every coefficient is negative.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, lcm
+from math import ceil, floor
 
 from .chevalley import CharacterVec
 from .complexes import CellComplex
 from .coxeter import FLOOR, AlcoveGeometry, GeometryError
-from .linalg import Q0
+from .linalg import Q0, scaled
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,8 @@ class HeightForm:
     _scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        qs = [Fraction(c) for c in self.coeffs]
-        d = lcm(*(q.denominator for q in qs))
-        object.__setattr__(self, "_scaled", (tuple(q.numerator * (d // q.denominator) for q in qs), d))
+        nums, d = scaled(self.coeffs)
+        object.__setattr__(self, "_scaled", (tuple(nums), d))
 
     def __call__(self, values):
         """The height of the point whose simple-root values kappa(x, alpha_i) are given."""
@@ -264,10 +263,9 @@ def deconstruct(geometry, cells, sigma):
     current = set(cells)
     filtration = [frozenset(current)]
     steps = []
-    while True:
-        chambers = sorted(c for c in current if geometry.is_chamber(c))
-        if not chambers:
-            break
+    # sorted once: a step removes only its own chamber (star_in_closed_chamber)
+    chambers = sorted(c for c in current if geometry.is_chamber(c))
+    while chambers:
         # sigma-length 0: no sigma-step stays in the stage; the least such chamber, for determinism
         c = next((c for c in chambers if current.isdisjoint(_sigma_steps(geometry, c, sigma))), None)
         if c is None:
@@ -291,6 +289,7 @@ def deconstruct(geometry, cells, sigma):
         if not all(cert.values()):
             raise GeometryError(f"deconstruction certificate failed at {c}: {cert}")
         steps.append(DeconstructionStep(c, lower, star, cert))
+        chambers.remove(c)
         current = nxt
         filtration.append(frozenset(current))
     if frozenset(current) != r_z:

@@ -1,0 +1,98 @@
+"""The Fraction Gauss-Jordan elimination and its four readers, kept as a test oracle.
+
+The library eliminates fraction-free on integer rows (Bareiss) and builds
+Fractions only for what a reader returns.  The routines here are the plain
+elimination over Q instead: each pivot is made a Fraction and every other row
+loses its multiple of the pivot row.  Tests compare the two routes, values and
+types.
+"""
+
+from fractions import Fraction
+
+from sigmabuild.linalg import Q0, Q1, LinalgError
+
+
+def identity(n):
+    return tuple(tuple(Q1 if i == j else Q0 for j in range(n)) for i in range(n))
+
+
+def _gauss_jordan(rows, n_cols):
+    """Gauss-Jordan elimination over Q, pivoting only in the first n_cols columns.
+
+    Returns (work, pivots, swaps, values).  Row i < len(pivots) of `work` has
+    the non-zero entry values[i] in column pivots[i], and every other row is
+    zero in that column; the remaining rows are zero in the first n_cols
+    columns.  `swaps` counts row exchanges.  Pivot rows are left unscaled.
+    """
+    work = [list(row) for row in rows]
+    n_rows = len(work)
+    pivots, values = [], []
+    swaps = 0
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        piv = next((i for i in range(r, n_rows) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            swaps += 1
+        prow = work[r]
+        pv = Fraction(prow[c])
+        for i, row in enumerate(work):
+            if i != r and row[c] != 0:
+                f = row[c] / pv
+                work[i] = [e - f * a if a else e for e, a in zip(row, prow)]
+        pivots.append(c)
+        values.append(pv)
+    return work, pivots, swaps, values
+
+
+def inverse(m):
+    n = len(m)
+    n_cols = len(m[0]) if m else 0
+    aug = [list(row) + list(e) for row, e in zip(m, identity(n))]
+    work, pivots, _, values = _gauss_jordan(aug, n_cols)
+    if n_cols != n or len(pivots) < n:
+        raise LinalgError("singular matrix")
+    return tuple(tuple(e / pv if e else Q0 for e in row[n:]) for row, pv in zip(work, values))
+
+
+def det(m):
+    n = len(m)
+    _, pivots, swaps, values = _gauss_jordan(m, n)
+    if len(pivots) < n:
+        return Q0
+    d = -Q1 if swaps % 2 else Q1
+    for v in values:
+        d *= v
+    return d
+
+
+def affine_solve(rows, rhs):
+    """(particular solution, null-space basis) of rows . x = rhs, or None."""
+    if not rows:
+        raise LinalgError("empty system")
+    n = len(rows[0])
+    aug = [list(r) + [Fraction(b)] for r, b in zip(rows, rhs)]
+    work, piv_cols, _, values = _gauss_jordan(aug, n)
+    if any(row[n] != 0 for row in work[len(piv_cols):]):
+        return None
+    part = [Q0] * n
+    for row, c, pv in zip(work, piv_cols, values):
+        part[c] = row[n] / pv
+    basis = []
+    for fc in range(n):
+        if fc in piv_cols:
+            continue
+        v = [Q0] * n
+        v[fc] = Q1
+        for row, c, pv in zip(work, piv_cols, values):
+            v[c] = -row[fc] / pv
+        basis.append(tuple(v))
+    return tuple(part), tuple(basis)
+
+
+def rank(rows):
+    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from geometry_oracle import gallery_distances, height_value, panel_neighbors
 from lattice_oracle import ChainTruncation, echelon_basis
 from lattice_oracle import lattice_canonical_form as oracle_canonical_form
+from linalg_oracle import identity
 
 from sigmabuild.building import (
     BuildingError,
@@ -37,7 +38,7 @@ from sigmabuild.chevalley import (
 from sigmabuild.complexes import CellComplex
 from sigmabuild.coxeter import FLOOR
 from sigmabuild.homology import ChainComplexF2, induced_map_trivial
-from sigmabuild.linalg import det, identity, matmul
+from sigmabuild.linalg import det, matmul
 from sigmabuild.windows import HeightForm
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigmabuild import chevalley, linalg
 from sigmabuild.chevalley import (
     CharacterVec,
     ChevalleyError,
@@ -218,6 +219,24 @@ def test_public_constructor_converts_and_checks_det():
     with pytest.raises(ChevalleyError, match="determinant"):
         GroupElement([[2, 0], [0, 1]])
     assert GroupElement([[2, 0], [0, 1]], check_det=False).diagonal() == (2, 1)
+
+
+def test_inverse_and_det_check_build_no_fraction_rows(monkeypatch):
+    # the inverse and the det check read only the integer rows over den
+    def fail(*args):
+        raise AssertionError("Fraction route taken")
+
+    monkeypatch.setattr(linalg, "inverse", fail)
+    monkeypatch.setattr(chevalley, "inverse", fail, raising=False)
+    monkeypatch.setattr(GroupElement, "rows", property(fail))
+    rows = ((Fraction(3), 7, 0), (0, Fraction(1, 3), Fraction(5, 2)), (0, 0, 1))
+    g = GroupElement(rows)
+    assert g.den == 6 and g.num == ((18, 42, 0), (0, 2, 15), (0, 0, 6))
+    assert g * g.inv() == identity_element(3)
+    with pytest.raises(ChevalleyError, match="determinant"):
+        GroupElement(((Fraction(1, 2), 0), (0, 1)))
+    w = w_elem(3, (1, 1), Fraction(2, 5))
+    assert w.inv() * w == identity_element(3)
 
 
 def test_h_at_prime():

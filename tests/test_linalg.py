@@ -1,22 +1,29 @@
-"""The Gauss-Jordan readers over Q: algebraic laws on random small matrices."""
+"""The fraction-free Gauss-Jordan readers: algebraic laws on random small
+matrices, and agreement with the Fraction elimination kept in `linalg_oracle`."""
 
 from fractions import Fraction
+from math import gcd
 
+import linalg_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from linalg_oracle import identity
 
+from sigmabuild import linalg
 from sigmabuild.linalg import (
     Q0,
+    LinalgError,
     affine_solve,
     det,
     dot,
-    identity,
+    integer_inverse,
     inverse,
     mat,
     matmul,
     matvec,
     rank,
+    scaled,
 )
 
 ENTRIES = st.builds(
@@ -82,7 +89,6 @@ def test_matmul_is_the_dense_product(pair):
     a, b = pair
     product = matmul(a, b)
     assert product == tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
-    assert all(type(e) is Fraction for row in product for e in row)
 
 
 @settings(max_examples=150, deadline=None)
@@ -166,3 +172,52 @@ def test_integer_rows_are_divided_exactly():
     assert inverse(m) == ((-1, 1), (big + 1, -big))
     assert affine_solve(m, (1, 2)) == ((1, 1 - big), ())
     assert repr(det(((2, 1), (1, 3)))) == "Fraction(5, 1)"
+
+
+def typed(x):
+    """x with every number paired with its type, so == also compares types."""
+    if isinstance(x, tuple):
+        return tuple(typed(e) for e in x)
+    return x if x is None else (type(x), x)
+
+
+def reads(module, rows, rhs):
+    """Every reader of `module` on rows (and rows . x = rhs), errors included."""
+    out = {"rank": module.rank(rows), "solve": typed(module.affine_solve(rows, rhs))}
+    if len(rows) == len(rows[0]):
+        out["det"] = typed(module.det(rows))
+        try:
+            out["inverse"] = typed(module.inverse(rows))
+        except LinalgError as exc:
+            out["inverse"] = str(exc)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices(), integer_matrices()), st.data())
+def test_readers_match_the_fraction_elimination(rows, data):
+    # rank-deficient Fraction matrices and integer ones with entries near 10**17
+    rhs = data.draw(st.tuples(*[st.one_of(INTS, ENTRIES)] * len(rows)))
+    assert reads(linalg, rows, rhs) == reads(oracle, rows, rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_integer_inverse_is_an_integer_adjugate(num):
+    if len(num) != len(num[0]) or oracle.det(num) == 0:
+        with pytest.raises(LinalgError, match="singular matrix"):
+            integer_inverse(num)
+        return
+    adj, d = integer_inverse(num)
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for row in adj for x in row)
+    n = len(num)
+    assert matmul(adj, num) == tuple(tuple(d * (i == j) for j in range(n)) for i in range(n))
+
+
+@given(st.lists(st.one_of(INTS, ENTRIES)))
+def test_scaled_is_the_least_common_denominator(entries):
+    nums, den = scaled(entries)
+    assert all(type(x) is int for x in nums) and type(den) is int and den > 0
+    assert [Fraction(x, den) for x in nums] == entries
+    assert gcd(*nums, den) == 1
