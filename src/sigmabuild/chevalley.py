@@ -13,6 +13,7 @@ gcd, and the Steinberg relations and the character formulas are exact identities
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd
 
@@ -134,7 +135,13 @@ def root_position(n, coeffs):
     The positive root alpha_i + ... + alpha_{j-1} corresponds to (i, j) with
     0 <= i < j < n; negatives swap the indices.
     """
-    coeffs = tuple(coeffs)
+    return _root_position(n, tuple(coeffs))
+
+
+@lru_cache(maxsize=1024)
+def _root_position(n, coeffs):
+    # memoized: the generators decode the same few roots thousands of times;
+    # a bad root raises, so only roots are kept
     if len(coeffs) != n - 1:
         raise ChevalleyError("root has wrong rank")
     support = [k for k, c in enumerate(coeffs) if c != 0]

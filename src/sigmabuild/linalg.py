@@ -1,10 +1,11 @@
 """Exact rational linear algebra: one fraction-free elimination kernel and its readers.
 
 Vectors are tuples and matrices tuples of row tuples, of ints and Fractions.
-`rank`, `det`, `inverse`, `integer_inverse` and `affine_solve` read a single
+`det`, `inverse`, `integer_inverse` and `integer_null_space` read a single
 fraction-free Gauss-Jordan elimination of integer rows (`_gauss_jordan`;
-Bareiss 1968) and build Fractions only for what they return.  There is no
-inequality solver: alcove cells are decided combinatorially in `coxeter`.
+Bareiss 1968): the first two build Fractions only for what they return, the
+last two build none.  There is no inequality solver: alcove cells are decided
+combinatorially in `coxeter`.
 """
 
 from fractions import Fraction
@@ -74,8 +75,8 @@ def _gauss_jordan(rows, n_cols):
     identity (Bareiss 1968).  At the end row i < len(pivots) of `work` has
     the last pivot d in column pivots[i], every other row is zero there, and
     the remaining rows are zero in the first n_cols columns; `swaps` counts
-    row exchanges.  Columns from n_cols on (a right-hand side, an identity
-    block) ride along but never pivot.
+    row exchanges.  Columns from n_cols on (the identity block of
+    `integer_inverse`) ride along but never pivot.
     """
     width = len(rows[0]) if rows else 0
     flat, den = scaled(chain.from_iterable(rows))
@@ -132,36 +133,28 @@ def det(m):
     return Fraction(-d if swaps % 2 else d, den**n)
 
 
-def affine_solve(rows, rhs):
-    """Solve a (possibly underdetermined) system rows . x = rhs.
+def integer_null_space(rows):
+    """(pivots, basis): the pivot columns of rows, in order, and an integer
+    basis of the rational null space {x : rows . x = 0}.
 
-    Returns (particular_solution, null_space_basis) with free variables set
-    to zero, or None if inconsistent.
+    One basis vector per free column fc: d at fc, -row[fc] at the pivot
+    column of each pivot row, zero elsewhere, where d is the last pivot of the
+    fraction-free elimination; it builds no Fraction.
     """
     if not rows:
         raise LinalgError("empty system")
     n = len(rows[0])
-    work, piv_cols, _, d, _ = _gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)], n)
-    if any(row[n] for row in work[len(piv_cols):]):
-        return None
-    part = [Q0] * n
-    for row, c in zip(work, piv_cols):
-        part[c] = Fraction(row[n], d)
+    work, pivots, _, d, _ = _gauss_jordan(rows, n)
     basis = []
     for fc in range(n):
-        if fc in piv_cols:
+        if fc in pivots:
             continue
-        v = [Q0] * n
-        v[fc] = Q1
-        for row, c in zip(work, piv_cols):
-            v[c] = Fraction(-row[fc], d)
+        v = [0] * n
+        v[fc] = d
+        for row, c in zip(work, pivots):
+            v[c] = -row[fc]
         basis.append(tuple(v))
-    return tuple(part), tuple(basis)
-
-
-def rank(rows):
-    """Rank of a list of rational vectors."""
-    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
+    return tuple(pivots), tuple(basis)
 
 
 def fraction_str(x):

@@ -12,18 +12,25 @@ A subgroup cut out by the vanishing of a span W of characters is of type F_k
 iff W has no non-zero non-negative vector of support at most k.  The least
 such support is reached by an elementary vector of W (one of inclusion-minimal
 support; Rockafellar 1969), so `minimal_bad_support` enumerates those: one
-small exact elimination per choice of r-1 zero coordinates, C(d, r-1) in all
-for d = dim and r = dim W.  Among the non-negative ones it keeps the least
-support, ties going to the lexicographically first support, scaled so its
-first non-zero coordinate is 1.
+small fraction-free elimination per choice of r-1 zero coordinates, C(d, r-1)
+in all for d = dim and r = dim W.  The search is integer throughout: the
+generators are scaled once to integer rows, each candidate is the integer
+combination of them given by an integer null vector, and supports are
+compared on integers.  Only the winner, the non-negative candidate of least
+support (ties going to the lexicographically first support), becomes
+Fractions, scaled so its first non-zero coordinate is 1.
+
+Coefficients are exact: ints and Fractions.  A float is refused, since its
+binary expansion is not the decimal it was written as.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from operator import mul
 
 from .chevalley import is_prime
-from .linalg import Q0, Q1, affine_solve, dot, rank as mat_rank
+from .linalg import integer_null_space, scaled
 
 
 class SigmaError(ValueError):
@@ -98,11 +105,14 @@ class Verdict:
 
 
 def _as_vector(ctx, chi):
+    """The ctx.dim coefficients of chi as ints and Fractions; a float is refused."""
     if len(chi) != ctx.dim:
         raise SigmaError(
             f"character vector has length {len(chi)}, expected {ctx.dim}"
         )
-    return tuple(Fraction(c) for c in chi)
+    if any(isinstance(c, float) for c in chi):
+        raise SigmaError(f"float coefficient in {tuple(chi)}: coefficients must be exact")
+    return tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in chi)
 
 
 def in_delta_k(ctx, chi, k):
@@ -123,10 +133,9 @@ def sigma_verdict(ctx, chi, k):
     support exceeds k and the primes meet the threshold.
     conjectural-in: support exceeds k but the primes are small.
     """
-    v = _as_vector(ctx, chi)
-    if all(c == 0 for c in v):
-        raise SigmaError("the zero vector has no class on the character sphere")
-    if in_delta_k(ctx, v, k):
+    inside = in_delta_k(ctx, chi, k)  # checks chi: length, exact entries, not zero
+    v = tuple(map(Fraction, chi))
+    if inside:
         return Verdict(CERTAIN_OUT, "support-k cone obstruction", witness=v)
     if any(c < 0 for c in v):
         return Verdict(CERTAIN_IN, "mixed signs: outside the non-negative cone")
@@ -143,37 +152,45 @@ def _nonneg_vector_in_span(ctx, generators):
     leave a non-negative vector of smaller support).  With r = dim W, every
     elementary vector is, up to scale, the unique vector of W vanishing on
     some r-1 coordinates whose columns have rank r-1, so it suffices to try
-    the C(d, r-1) sets of zeros.  Ties in support size go to the
-    lexicographically first support tuple; the vector is scaled so its first
-    non-zero coordinate is 1, which makes it unique.
+    the C(d, r-1) sets of zeros.
+
+    One elimination picks a basis among the generators (the pivot columns of
+    the matrix whose columns they are), scaled once to integer rows B.  The
+    candidate of a zero set is lam . B for the integer null vector lam of
+    those columns of B; up to sign it is non-negative unless it has entries
+    of both signs.  Ties in support size go to the lexicographically first
+    support tuple; the winner is scaled so its first non-zero coordinate is
+    1, which makes it unique.
     """
-    basis = []
-    for g in generators:
-        g = _as_vector(ctx, g)
-        if mat_rank(basis + [g]) > len(basis):
-            basis.append(g)
-    if not basis:
+    gens = [_as_vector(ctx, g) for g in generators]
+    if not gens:
         return None
-    cols = tuple(zip(*basis))
+    picked, _ = integer_null_space(tuple(zip(*gens)))
+    if not picked:
+        return None
+    d = ctx.dim
+    nums, _ = scaled(chain.from_iterable(gens[j] for j in picked))
+    cols = [nums[i::d] for i in range(d)]  # cols[i][j] = B[j][i]
     best_key, best = None, None
-    for zeros in combinations(range(ctx.dim), len(basis) - 1):
+    for zeros in combinations(range(d), len(picked) - 1):
         if zeros:
-            _, null = affine_solve([cols[i] for i in zeros], (Q0,) * len(zeros))
+            _, null = integer_null_space([cols[i] for i in zeros])
             if len(null) != 1:
                 continue
             (lam,) = null
         else:
-            lam = (Q1,)
-        x = tuple(dot(lam, col) for col in cols)
-        lead = next(c for c in x if c != 0)
-        x = tuple(c / lead for c in x)
-        if any(c < 0 for c in x):
+            lam = (1,)
+        x = [sum(map(mul, lam, col)) for col in cols]
+        if min(x) < 0 < max(x):
             continue
-        support = tuple(i for i, c in enumerate(x) if c != 0)
+        support = tuple(i for i, c in enumerate(x) if c)
         key = (len(support), support)
         if best_key is None or key < best_key:
             best_key, best = key, x
-    return best
+    if best is None:
+        return None
+    lead = best[best_key[1][0]]
+    return tuple(Fraction(c, lead) for c in best)
 
 
 def minimal_bad_support(ctx, generators):

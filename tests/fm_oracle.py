@@ -11,9 +11,10 @@ versions.  Tests compare the two routes.
 
 from fractions import Fraction
 
+from linalg_oracle import affine_solve
+from linalg_oracle import rank as mat_rank
 from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError
-from sigmabuild.linalg import Q0, Q1, LinalgError, affine_solve, dot, vec
-from sigmabuild.linalg import rank as mat_rank
+from sigmabuild.linalg import Q0, Q1, LinalgError, dot, vec
 from sigmabuild.root_system import AffineHyperplane, affine_reflect
 
 # A constraint is a triple (coeffs, rel, rhs) meaning  coeffs . x  REL  rhs,

@@ -4,7 +4,10 @@ The library eliminates fraction-free on integer rows (Bareiss) and builds
 Fractions only for what a reader returns.  The routines here are the plain
 elimination over Q instead: each pivot is made a Fraction and every other row
 loses its multiple of the pivot row.  Tests compare the two routes, values and
-types.
+types: `det` and `inverse` with the library's, and the null space of
+`affine_solve` with `linalg.integer_null_space`.  `affine_solve` and `rank`
+have no other counterpart in the library; `fm_oracle` and the tests use them
+as plain references.
 """
 
 from fractions import Fraction

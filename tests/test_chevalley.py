@@ -65,11 +65,13 @@ def test_root_positions():
     assert root_position(3, (Fraction(0), Fraction(-1))) == (2, 1)
     assert root_position(4, (0, Fraction(-1), -1)) == (3, 1)
     assert root_position(2, (Fraction(-1),)) == (1, 0)
-    for coeffs in ((1, -1), (2, 0), (0, 0), (Fraction(1), Fraction(-1)), (Fraction(1, 2), 0)):
+    assert root_position(3, [1, 1]) == (0, 2)  # any sequence, decoded once per tuple
+    for _ in range(2):  # a bad root raises every time: the memo keeps only roots
+        for coeffs in ((1, -1), (2, 0), (0, 0), (Fraction(1), Fraction(-1)), (Fraction(1, 2), 0)):
+            with pytest.raises(ChevalleyError):
+                root_position(3, coeffs)
         with pytest.raises(ChevalleyError):
-            root_position(3, coeffs)
-    with pytest.raises(ChevalleyError):
-        root_position(4, (1, 0, 1))
+            root_position(4, (1, 0, 1))
 
 
 def test_x_identity_and_additivity():

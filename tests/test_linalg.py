@@ -12,17 +12,15 @@ from linalg_oracle import identity
 
 from sigmabuild import linalg
 from sigmabuild.linalg import (
-    Q0,
     LinalgError,
-    affine_solve,
     det,
     dot,
     integer_inverse,
+    integer_null_space,
     inverse,
     mat,
     matmul,
     matvec,
-    rank,
     scaled,
 )
 
@@ -52,17 +50,6 @@ def matrices(draw, n_rows=None, n_cols=None):
 
 SQUARES = SIZES.flatmap(lambda n: matrices(n, n))
 SQUARE_PAIRS = SIZES.flatmap(lambda n: st.tuples(matrices(n, n), matrices(n, n)))
-
-
-@st.composite
-def systems(draw):
-    """(rows, rhs); the rhs is in the column space of rows in half of the draws."""
-    rows = draw(matrices())
-    if draw(st.booleans()):
-        rhs = matvec(rows, draw(st.tuples(*[ENTRIES] * len(rows[0]))))
-    else:
-        rhs = draw(st.tuples(*[ENTRIES] * len(rows)))
-    return rows, rhs
 
 
 SPARSE_ENTRIES = st.one_of(st.just(0), st.just(0), ENTRIES)
@@ -109,30 +96,28 @@ def test_det_multiplicative(pair):
 
 
 @settings(max_examples=150, deadline=None)
-@given(systems())
-def test_affine_solve_particular_and_null_space(system):
-    rows, rhs = system
-    result = affine_solve(rows, rhs)
-    augmented = [row + (b,) for row, b in zip(rows, rhs)]
-    assert (result is None) == (rank(augmented) > rank(rows))
-    if result is None:
-        return
-    part, null = result
-    assert matvec(rows, part) == tuple(rhs)
-    for v in null:
-        assert matvec(rows, v) == (Q0,) * len(rows)
-    assert rank(rows) + len(null) == len(rows[0])
+@given(matrices())
+def test_integer_null_space_is_an_integer_kernel(rows):
+    pivots, null = integer_null_space(rows)
+    n = len(rows[0])
+    assert list(pivots) == sorted(pivots) and len(pivots) == oracle.rank(rows)
+    assert len(pivots) + len(null) == n
+    free = [c for c in range(n) if c not in pivots]
+    for v, fc in zip(null, free):
+        assert all(type(x) is int for x in v)
+        assert matvec(rows, v) == (0,) * len(rows)
+        assert v[fc] and not any(v[c] for c in free if c != fc)
 
 
 def test_reader_edge_cases():
     with pytest.raises(ValueError, match="singular matrix"):
         inverse(mat([[1, 2], [2, 4]]))
-    with pytest.raises(ValueError):
-        affine_solve([], [])
-    assert affine_solve(mat([[1, 1], [1, 1]]), (1, 2)) is None
+    with pytest.raises(LinalgError, match="empty system"):
+        integer_null_space([])
+    assert integer_null_space(mat([[1, 1], [1, 1]])) == ((0,), ((-1, 1),))
+    assert integer_null_space(((0, 0),)) == ((), ((1, 0), (0, 1)))
     assert det(mat([[0, 1], [1, 0]])) == -1
     assert inverse(mat([[2]])) == ((Fraction(1, 2),),)
-    assert rank([]) == 0
 
 
 # integer entries, some near 10**17, where a float quotient would round
@@ -150,12 +135,10 @@ def integer_matrices(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(integer_matrices(), st.data())
-def test_integer_rows_read_like_their_fraction_copies(rows, data):
+@given(integer_matrices())
+def test_integer_rows_read_like_their_fraction_copies(rows):
     copy = mat(rows)
-    rhs = data.draw(st.tuples(*[INTS] * len(rows)))
-    assert rank(rows) == rank(copy)
-    assert affine_solve(rows, rhs) == affine_solve(copy, rhs)
+    assert integer_null_space(rows) == integer_null_space(copy)
     if len(rows) == len(rows[0]):
         d = det(rows)
         assert type(d) is Fraction and d == det(copy)
@@ -167,10 +150,10 @@ def test_integer_rows_read_like_their_fraction_copies(rows, data):
 def test_integer_rows_are_divided_exactly():
     big = 10**17
     m = ((big, 1), (big + 1, 1))
-    assert rank(m) == 2
+    assert integer_null_space(m) == ((0, 1), ())
     assert det(m) == -1
     assert inverse(m) == ((-1, 1), (big + 1, -big))
-    assert affine_solve(m, (1, 2)) == ((1, 1 - big), ())
+    assert integer_null_space(((big, big + 1),)) == ((0,), ((-big - 1, big),))
     assert repr(det(((2, 1), (1, 3)))) == "Fraction(5, 1)"
 
 
@@ -181,9 +164,19 @@ def typed(x):
     return x if x is None else (type(x), x)
 
 
-def reads(module, rows, rhs):
-    """Every reader of `module` on rows (and rows . x = rhs), errors included."""
-    out = {"rank": module.rank(rows), "solve": typed(module.affine_solve(rows, rhs))}
+def null_space(module, rows):
+    """(pivots, null-space basis) with each basis vector scaled to 1 at its free column."""
+    if module is oracle:
+        _, pivots, _, _ = oracle._gauss_jordan(rows, len(rows[0]))
+        return tuple(pivots), oracle.affine_solve(rows, (0,) * len(rows))[1]
+    pivots, null = integer_null_space(rows)
+    free = [c for c in range(len(rows[0])) if c not in pivots]
+    return pivots, tuple(tuple(Fraction(x, v[fc]) for x in v) for v, fc in zip(null, free))
+
+
+def reads(module, rows):
+    """Every reader of `module` on rows, errors included."""
+    out = {"null space": typed(null_space(module, rows))}
     if len(rows) == len(rows[0]):
         out["det"] = typed(module.det(rows))
         try:
@@ -194,11 +187,10 @@ def reads(module, rows, rhs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(matrices(), integer_matrices()), st.data())
-def test_readers_match_the_fraction_elimination(rows, data):
+@given(st.one_of(matrices(), integer_matrices()))
+def test_readers_match_the_fraction_elimination(rows):
     # rank-deficient Fraction matrices and integer ones with entries near 10**17
-    rhs = data.draw(st.tuples(*[st.one_of(INTS, ENTRIES)] * len(rows)))
-    assert reads(linalg, rows, rhs) == reads(oracle, rows, rhs)
+    assert reads(linalg, rows) == reads(oracle, rows)
 
 
 @settings(max_examples=150, deadline=None)

@@ -289,7 +289,8 @@ def test_wall_system_stable_under_reflections():
 
 
 def _wall_direction(datum, root):
-    from sigmabuild.linalg import affine_solve, matvec
+    from linalg_oracle import affine_solve
+    from sigmabuild.linalg import matvec
 
     g = matvec(datum.gram, root)
     part, null = affine_solve([g], [Fraction(0)])
