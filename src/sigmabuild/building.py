@@ -41,26 +41,26 @@ form, and the form reads them directly.  The height sum_i c_i kappa(., alpha_i)
 satisfies h(g x) = chi(g) + h(x) for the character chi with the same
 coefficients c_i over the basis chi_{i,p} (`HeightForm.equivariant_character`).
 
-A truncation keeps one `HeightFiltration` per form: the integer heights d*h(v)
-of its vertices over the form's denominator d, extended whenever a vertex is
-numbered, and its cells sorted by (-entry, dim, key), where a cell enters at
-the least height of its vertices.  The superlevel complex X_{>=r} is the
-prefix of that order with entry >= ceil(r d), found by bisection; the same
-order is the one a persistent reduction over the height filtration runs in
-(Edelsbrunner-Letscher-Zomorodian 2002).
+A truncation keeps one `HeightFiltration` per form: the levels `h.level` of
+its vertices, the integers d*h(v) over the form's denominator d, extended
+whenever a vertex is numbered, and its cells sorted by (-entry, dim, key),
+where a cell enters at the least level of its vertices.  The superlevel
+complex X_{>=r} is the prefix of that order with entry >= the grid ceiling
+of r (`h.grid`), found by bisection; the same order is the one a persistent
+reduction over the height filtration runs in (Edelsbrunner-Letscher-
+Zomorodian 2002).  The cone chain compares the same levels.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil
 
 from .chevalley import is_prime, valuation
 from .complexes import simplicial_complex
 from .coxeter import AlcoveGeometry
 from .homology import F2Chain, chain_complex
-from .linalg import Q0, det, matmul
+from .linalg import det, matmul
 from .root_system import build_root_system
 from .windows import HeightForm
 
@@ -253,8 +253,8 @@ class Truncation:
             exps = [valuation(rows[i][i], self.p) for i in range(self.n)]
             values = tuple(b - a for a, b in zip(exps, exps[1:]))
             self._root_values.append(values)
-            for filtration in self._filtrations.values():
-                filtration.heights.append(filtration.scaled_height(values))
+            for h, filtration in self._filtrations.items():
+                filtration.heights.append(h.level(values))
         return vid
 
     def form(self, v):
@@ -340,34 +340,30 @@ def HeightSpec(p, coeffs):
 class HeightFiltration:
     """The superlevel filtration of a truncation by one height form.
 
-    `heights[v]` is d * h(v), an integer, for the form's denominator d;
+    `heights[v]` is the level `h.level` of vertex v, the integer d * h(v);
     `cells` lists the truncation's cells by (-entry, dim, key), where a cell's
-    entry is the least height of its vertices, and `_neg_entries[i]` is
-    -entry of `cells[i]`.  A face enters no later than its cells, so every
-    prefix of `cells` is a subcomplex.
+    entry is the least level of its vertices, and `_neg_entries[i]` is -entry
+    of `cells[i]`.  A face enters no later than its cells, so every prefix of
+    `cells` is a subcomplex.
     """
 
     def __init__(self, trunc, h):
-        self.coeffs, self.den = h._scaled
-        self.heights = [self.scaled_height(values) for values in trunc._root_values]
-        hts = self.heights
+        self.h = h
+        self.heights = hts = [h.level(values) for values in trunc._root_values]
         order = sorted((-min(hts[v] for v in c), len(c), c) for c in trunc.complex.cells())
         self._neg_entries = [e for e, _, _ in order]
         self.cells = [c for _, _, c in order]
 
-    def scaled_height(self, values):
-        return sum(c * v for c, v in zip(self.coeffs, values))
-
     def superlevel_cells(self, r):
         """The cells whose vertices all have height >= r, a prefix of `cells`."""
-        return self.cells[: bisect_right(self._neg_entries, -ceil(Fraction(r) * self.den))]
+        return self.cells[: bisect_right(self._neg_entries, -self.h.grid(r)[1])]
 
 
 def height_eval(trunc, h, cell_key):
     """Exact [min, max] of the height h over the closed cell (attained at vertices)."""
-    filtration = trunc.height_filtration(h)
-    vals = [filtration.heights[v] for v in cell_key]
-    return Fraction(min(vals), filtration.den), Fraction(max(vals), filtration.den)
+    heights = trunc.height_filtration(h).heights
+    vals = [heights[v] for v in cell_key]
+    return Fraction(min(vals), h.d), Fraction(max(vals), h.d)
 
 
 def superlevel_complex(trunc, h, r):
@@ -433,6 +429,8 @@ def cone_chain(trunc, sector_elements, h, r):
     truncation.
     """
     std = standard_opposite_sector_cells(trunc)
+    heights = trunc.height_filtration(h).heights
+    below = h.grid(r)[0]  # a cell lies below r iff no vertex level exceeds floor(d r)
     sectors = []
     for g in sector_elements:
         moved = set()
@@ -441,7 +439,7 @@ def cone_chain(trunc, sector_elements, h, r):
             if img not in trunc.complex:
                 # cells of the infinite sector beyond the truncation are only
                 # needed up to the requested level
-                if height_eval(trunc, h, img)[1] <= Fraction(r):
+                if max(heights[v] for v in img) <= below:
                     raise BuildingError(
                         "sector not realizable inside the truncation radius"
                     )
@@ -455,22 +453,20 @@ def cone_chain(trunc, sector_elements, h, r):
         for cell in sec:
             branching[cell] = branching.get(cell, 0) + 1
     top = trunc.complex.dim
-    support = set()
-    for cell, b in branching.items():
-        if len(cell) - 1 != top:
-            continue
-        if b % 2 == 0:
-            continue
-        if height_eval(trunc, h, cell)[1] <= Fraction(r):
-            support.add(cell)
+    support = {
+        cell
+        for cell, b in branching.items()
+        if len(cell) - 1 == top and b % 2 and max(heights[v] for v in cell) <= below
+    }
     chain = F2Chain(top, support)
     boundary = chain_complex(trunc.complex).boundary(chain)
-    eps = Q0
+    spread = 0
     for sec in sectors:
         for cell in sec:
             if len(cell) - 1 == top:
-                mn, mx = height_eval(trunc, h, cell)
-                eps = max(eps, mx - mn)
+                levels = [heights[v] for v in cell]
+                spread = max(spread, max(levels) - min(levels))
+    eps = Fraction(spread, h.d)
     return ConeChain(
         chain=chain,
         boundary=boundary,

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd
 
-from .linalg import Q0, det, fraction_str, integer_inverse, matmul, scaled
+from .linalg import Q0, det, integer_inverse, matmul, scaled
 
 
 class ChevalleyError(ValueError):
@@ -36,7 +36,7 @@ class GroupElement:
 
     __slots__ = ("num", "den", "n", "_rows")
 
-    def __init__(self, rows, check_det=True):
+    def __init__(self, rows):
         rows = tuple(tuple(Fraction(e) for e in row) for row in rows)
         self.n = len(rows)
         if not self.n:
@@ -46,7 +46,7 @@ class GroupElement:
         nums, self.den = scaled(chain.from_iterable(rows))
         self.num = tuple(tuple(nums[i : i + self.n]) for i in range(0, len(nums), self.n))
         self._rows = rows
-        if check_det and det(self.num) != self.den**self.n:
+        if det(self.num) != self.den**self.n:
             raise ChevalleyError("determinant must be 1")
 
     @classmethod
@@ -111,9 +111,6 @@ class GroupElement:
 
     def diagonal(self):
         return tuple(Fraction(self.num[i][i], self.den) for i in range(self.n))
-
-    def to_json(self):
-        return [[fraction_str(e) for e in row] for row in self.rows]
 
 
 def _reduced(num, den):

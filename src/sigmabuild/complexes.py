@@ -85,18 +85,6 @@ class CellComplex:
     def cofacets(self, key):
         return self._cofacets[key]
 
-    def closure(self, keys):
-        """All iterated faces of the given cells (including themselves)."""
-        seen = set()
-        stack = list(keys)
-        while stack:
-            k = stack.pop()
-            if k in seen:
-                continue
-            seen.add(k)
-            stack.extend(self._facets[k])
-        return seen
-
     def is_face_closed(self, keys):
         keys = set(keys)
         return all(f in keys for k in keys for f in self._facets[k])

@@ -14,9 +14,8 @@ Projections read only the key and the signs of a direction on the positive
 roots: a step from the barycenter stays in the cell's floors and leaves each
 of its walls to the side of the sign; a gate projection takes its signs from
 the two faces' integer column sums.  Fraction points appear only where a
-point goes in or comes out: `witness`, `barycenter`, `vertices` and
-`cell_of_point`.  All arithmetic is exact, so every predicate is decided,
-never approximated.
+point goes in or comes out: `barycenter` and `cell_of_point`.  All
+arithmetic is exact, so every predicate is decided, never approximated.
 
 The chamber at infinity "sigma" is a sign vector over the positive roots; the
 base chamber is all-plus (the sector where every positive root functional
@@ -114,9 +113,6 @@ class AlcoveGeometry:
 
     # --- cells ------------------------------------------------------------
 
-    def root_value(self, x, i):
-        return dot(self._functionals[i], x)
-
     def _values(self, x):
         """kappa(x, alpha) for every positive root alpha."""
         return tuple(dot(g, x) for g in self._functionals)
@@ -204,14 +200,6 @@ class AlcoveGeometry:
         """The key of the face opposite each vertex of a simplex."""
         return [self._key_of_mean(face[:j] + face[j + 1:]) for j in range(len(face))]
 
-    def _simple_values(self, cell):
-        """kappa(v, alpha_i) over the simple roots, for each vertex v of the cell."""
-        return [tuple(Fraction(v[i], self._den) for i in self._simple_idx) for v in self._face(cell)]
-
-    def witness(self, cell):
-        """An exact rational point in the (relative) interior of the cell: its barycenter."""
-        return self.barycenter(cell)
-
     def facets(self, cell):
         """Codimension-1 faces, as canonical cells: drop one vertex at a time."""
         if cell in self._facet_cache:
@@ -234,10 +222,6 @@ class AlcoveGeometry:
         )
         self._closure_cache[cell] = out
         return out
-
-    def vertices(self, cell):
-        """The 0-faces of the closed cell, as sorted coordinate tuples."""
-        return tuple(sorted(self.datum.point(v) for v in self._simple_values(cell)))
 
     def barycenter(self, cell):
         values = self._bary_values(cell)

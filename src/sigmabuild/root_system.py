@@ -135,10 +135,6 @@ class RootDatum:
         """Inner product of two points in simple-root coordinates."""
         return dot(x, matvec(self.gram, y))
 
-    def root_value(self, x, root_coeffs):
-        """kappa(x, alpha) for a point x and a root alpha."""
-        return self.kappa(x, root_coeffs)
-
     def norm2(self, root_coeffs):
         return self.kappa(root_coeffs, root_coeffs)
 

@@ -6,20 +6,22 @@ sigma-convexity with witness galleries, the chamber-by-chamber deconstruction
 filtration and the upper/lower complexes of a generic height are computed
 with certificates.  Sigma-convexity and sigma-length 0 are read from the
 sigma-order of chambers (every floor of d on c's sigma side) and sigma-steps,
-so no gallery is enumerated.
+so no gallery is enumerated; a deconstruction finds each chamber's once.
 
 `HeightForm` is the package's one height, h = sum_i c_i kappa(., alpha_i).
 It reads only the simple-root values of a point, so the same form measures
 apartment points here and, through the retraction from infinity, vertices of
 the Bruhat-Tits truncations in `building`.  Its coefficients are those of the
 character it pairs with, and it is generic (strictly decreasing toward the
-base chamber at infinity) iff every coefficient is negative.
+base chamber at infinity) iff every coefficient is negative.  Its `level`
+and `grid` are the package's one integer height and one rounding onto it.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import ceil, floor
+from operator import mul
 
 from .chevalley import CharacterVec
 from .complexes import CellComplex
@@ -29,33 +31,40 @@ from .linalg import Q0, scaled
 
 @dataclass(frozen=True)
 class HeightForm:
-    """Linear height x -> sum coeffs_i * kappa(x, alpha_i) over the simple roots."""
+    """Linear height x -> sum coeffs_i * kappa(x, alpha_i) over the simple roots.
+
+    At integer simple-root values h lies in Z / d, d the least common
+    denominator of the coefficients; `level` and `grid` work on that scale.
+    """
 
     coeffs: tuple
-    # the coefficients times the lcm of their denominators, and that lcm
-    _scaled: tuple = field(init=False, repr=False, compare=False)
+    d: int = field(init=False, repr=False, compare=False)
+    _scaled: tuple = field(init=False, repr=False, compare=False)  # the coefficients times d
 
     def __post_init__(self):
         nums, d = scaled(self.coeffs)
-        object.__setattr__(self, "_scaled", (tuple(nums), d))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_scaled", tuple(nums))
 
     def __call__(self, values):
         """The height of the point whose simple-root values kappa(x, alpha_i) are given."""
         return sum((c * v for c, v in zip(self.coeffs, values)), Q0)
 
+    def level(self, values):
+        """d * h at integer simple-root values: an integer."""
+        return sum(map(mul, self._scaled, values))
+
+    def grid(self, r, den=1):
+        """(floor, ceil) of d * den * r: the level r on the grid of `level`
+        refined den times, for simple-root values in Z / den."""
+        x = Fraction(r) * (self.d * den)
+        return floor(x), ceil(x)
+
     def range_on_cell(self, geometry, cell):
         """(min, max) of the height over the closed cell."""
-        lo, hi = self._scaled_range(geometry, cell)
-        scale = self._scaled[1] * geometry._den
+        lo, hi = _level_ranges(geometry, self, (cell,))[cell]
+        scale = self.d * geometry._den
         return Fraction(lo, scale), Fraction(hi, scale)
-
-    def _scaled_range(self, geometry, cell):
-        """(min, max) of the height over the closed cell's vertices, as the
-        integers d * den * h: the scaled coefficients dotted with the
-        vertices' integer scaled root values."""
-        terms = tuple(zip(geometry._simple_idx, self._scaled[0]))
-        heights = [sum(c * v[i] for i, c in terms) for v in geometry._face(cell)]
-        return min(heights), max(heights)
 
     def is_generic_decreasing(self):
         """Strictly decreasing along every ray into the base chamber at infinity.
@@ -97,6 +106,7 @@ class Window:
         self._chambers = None
         self._cells = None
         self._complex = None
+        self._special_groups = None
 
     @classmethod
     def radius(cls, datum, r, geometry=None):
@@ -166,6 +176,19 @@ class Window:
         self._complex = cx.freeze()
         return self._complex
 
+    def special_groups(self):
+        """The cells grouped by two special vertices, each a dict from its
+        integer simple-root values to cells: the componentwise ceiling of the
+        cell, and its extremal special dominator k + 1, k the simple floors."""
+        if self._special_groups is None:
+            ceilings, dominators = {}, {}
+            for cell in self.cells():
+                entries = [cell[pi] for pi in self.geometry._simple_idx]
+                ceilings.setdefault(tuple(k + 1 if f == FLOOR else k for f, k in entries), []).append(cell)
+                dominators.setdefault(tuple(k + 1 for _, k in entries), []).append(cell)
+            self._special_groups = ceilings, dominators
+        return self._special_groups
+
 
 # --- the section-4 toolbox ---------------------------------------------------
 
@@ -197,18 +220,24 @@ def sigma_convex_check(geometry, cells, sigma):
     from c to d is one; the chambers they pass are the x with c <=sigma x
     <=sigma d.  One breadth-first search over sigma-steps from the starts
     pr_a(sigma), kept below the ends pr_a(-sigma), visits exactly those
-    chambers.  The witness runs from a start through the first chamber found
-    outside Z, then by sigma-steps to the nearest end above it.
+    chambers; it tests only the maximal ends, found in decreasing order of
+    the signed floor sum, which grows along the sigma-order.  The witness
+    runs from a start through the first chamber found outside Z, then by
+    sigma-steps to the nearest end above it.
     """
     cells = frozenset(cells)
     signs = sigma.signs
     ends = {geometry.project_toward(a, sigma.opposite()) for a in cells}
+    tops = []
+    for d in sorted(ends, key=lambda d: -sum(k * s for (_, k), s in zip(d, signs))):
+        if not any(_sigma_below(d, t, signs) for t in tops):
+            tops.append(d)
     frontier = [(c, None) for c in sorted({geometry.project_toward(a, sigma) for a in cells})]
     parent = {}
     while frontier:
         nxt = []
         for x, up in frontier:
-            if x in parent or not any(_sigma_below(x, d, signs) for d in ends):
+            if x in parent or not any(_sigma_below(x, t, signs) for t in tops):
                 continue
             parent[x] = up
             if x not in cells:
@@ -253,46 +282,50 @@ def deconstruct(geometry, cells, sigma):
     Each step removes one chamber C of sigma-length 0 together with the open
     star of its lower face, and records the certificate facts: the removed
     star lies in the closed chamber, the intersection with the previous stage
-    is the boundary of that star, and R is unchanged.
+    is the boundary of that star, and R is unchanged.  Sigma-steps, cofaces
+    and projections away from sigma are indexed once over Z; as R(stage) =
+    R(Z) by induction, R is unchanged iff the star misses R(Z) and no
+    remaining cell projects into it.
     """
     cells = frozenset(cells)
     ok, witness = sigma_convex_check(geometry, cells, sigma)
     if not ok:
         raise GeometryError(f"subcomplex is not sigma-convex; witness gallery {witness}")
     r_z = residual_r(geometry, cells, sigma)
+    op = sigma.opposite()
+    cofaces, preimages = {}, {}
+    for x in cells:
+        for a in geometry.closure(x):
+            cofaces.setdefault(a, []).append(x)
+        preimages.setdefault(geometry.project_toward(x, op), []).append(x)
+    chambers = sorted(c for c in cells if geometry.is_chamber(c))
+    steps_of = {c: _sigma_steps(geometry, c, sigma) for c in chambers}
     current = set(cells)
-    filtration = [frozenset(current)]
+    filtration = [cells]
     steps = []
-    # sorted once: a step removes only its own chamber (star_in_closed_chamber)
-    chambers = sorted(c for c in current if geometry.is_chamber(c))
     while chambers:
         # sigma-length 0: no sigma-step stays in the stage; the least such chamber, for determinism
-        c = next((c for c in chambers if current.isdisjoint(_sigma_steps(geometry, c, sigma))), None)
+        c = next((c for c in chambers if current.isdisjoint(steps_of[c])), None)
         if c is None:
             raise GeometryError("no chamber of sigma-length zero; subcomplex not deconstructible")
         lower = geometry.lower_face(c, sigma)
         closure_c = geometry.closure(c)
-        star = frozenset(
-            x for x in current if lower in geometry.closure(x) or x == lower
-        )
-        cert = {}
-        cert["star_in_closed_chamber"] = star <= closure_c
-        star_closure = set()
-        for x in star:
-            star_closure |= geometry.closure(x)
-        star_closure &= set(current)
-        boundary = frozenset(star_closure) - star
-        nxt = set(current) - star
-        cert["intersection_is_star_boundary"] = (nxt & closure_c) == (nxt & boundary)
-        cert["residual_unchanged"] = residual_r(geometry, nxt, sigma) == r_z
-        cert["sigma_length_zero"] = True
+        star = frozenset(x for x in cofaces.get(lower, ()) if x in current)
+        boundary = (set().union(*map(geometry.closure, star)) & current) - star
+        current -= star
+        cert = {
+            "star_in_closed_chamber": star <= closure_c,
+            "intersection_is_star_boundary": (current & closure_c) == boundary,
+            "residual_unchanged": star.isdisjoint(r_z)
+            and not any(a in current for x in star for a in preimages.get(x, ())),
+            "sigma_length_zero": True,
+        }
         if not all(cert.values()):
             raise GeometryError(f"deconstruction certificate failed at {c}: {cert}")
         steps.append(DeconstructionStep(c, lower, star, cert))
         chambers.remove(c)
-        current = nxt
         filtration.append(frozenset(current))
-    if frozenset(current) != r_z:
+    if current != r_z:
         raise GeometryError("deconstruction did not terminate at R(Z)")
     filtration.reverse()
     steps.reverse()
@@ -307,9 +340,8 @@ def epsilon_for_height(geometry, h):
     d1 = abs(h((1,) * geometry.datum.rank))
     d2 = Q0
     for flags in product((-1, 0), repeat=geometry.npos):
-        cand = tuple((FLOOR, k) for k in flags)
         try:
-            lo, hi = h.range_on_cell(geometry, cand)
+            lo, hi = h.range_on_cell(geometry, tuple((FLOOR, k) for k in flags))
         except GeometryError:
             continue
         d2 = max(d2, -lo, hi)
@@ -324,17 +356,16 @@ def upper_complex(window, h, r):
 def upper_lower_certified(window, h, r):
     """U_h(r), L_h(r) and the certificate record of their defining inclusions.
 
-    Every cell's height range is read once as integers over S = d * den (d
-    the form's denominator, den the geometry's) and compared with r and
-    r + eps rounded to that grid once.
+    Every cell's height range is read once as levels of its vertices over
+    the geometry's den (`_level_ranges`) and compared with r and r + eps
+    rounded onto that grid once.
     """
     up, low = _upper_lower(window, h, r)
     g = window.geometry
     eps = epsilon_for_height(g, h)
-    r = Fraction(r)
-    scale = h._scaled[1] * g._den
-    r_up, r_down, top = ceil(r * scale), floor(r * scale), floor((r + eps) * scale)
-    ranges = {cell: h._scaled_range(g, cell) for cell in window.cells()}
+    r_down, r_up = h.grid(r, g._den)
+    top = h.grid(Fraction(r) + eps, g._den)[0]
+    ranges = _level_ranges(g, h, window.cells())
     residual = residual_r(g, low, g.base_chamber_at_infinity())
     cert = {
         "epsilon": eps,
@@ -351,6 +382,24 @@ def upper_lower_certified(window, h, r):
     return up, low, cert
 
 
+def _level_ranges(geometry, h, cells):
+    """(min, max) of d * den * h over each closed cell: the levels of its
+    vertices, whose simple-root values are integers over den, each vertex
+    evaluated once."""
+    idx = geometry._simple_idx
+    levels = {}
+    out = {}
+    for cell in cells:
+        hs = []
+        for v in geometry._face(cell):
+            x = levels.get(v)
+            if x is None:
+                x = levels[v] = h.level([v[i] for i in idx])
+            hs.append(x)
+        out[cell] = min(hs), max(hs)
+    return out
+
+
 def _upper_lower(window, h, r):
     """Fast membership via the extremal special dominator of each cell.
 
@@ -358,34 +407,20 @@ def _upper_lower(window, h, r):
     by the special vertex at (k_i + 1), and that vertex maximizes the height
     among all special dominators; so the cell meets the union of open
     opposite sectors iff h(k+1) >= r.  Likewise the closed-sector hull of the
-    cell is governed by its componentwise ceiling.  Both are integer tests
-    with the form's scaled coefficients (c, d) and T = ceil(r d): a cell is
-    in U iff sum c_i k_i + sum over its floors of c_i >= T, and in L iff
-    sum c_i k_i + sum c_i < T.
+    cell is governed by its componentwise ceiling.  Both are level tests
+    against the grid ceiling T of r, made once per special vertex of the
+    window's `special_groups`: a cell is in U iff the level of its ceiling
+    is >= T, and in L iff the level of k + 1 is < T.
     """
-    g = window.geometry
     ok, bad = h.is_generic_decreasing()
     if not ok:
         raise GeometryError(
             f"height is not strictly decreasing toward the boundary vertex of sector ray {bad}"
         )
-    coeffs, d = h._scaled
-    terms = tuple(zip(g._simple_idx, coeffs))
-    total = sum(coeffs)
-    threshold = ceil(Fraction(r) * d)
-    upper = set()
-    lower = set()
-    for cell in window.cells():
-        base = floors = 0
-        for pi, c in terms:
-            f, k = cell[pi]
-            base += c * k
-            if f == FLOOR:
-                floors += c
-        if base + floors >= threshold:  # the ceiling
-            upper.add(cell)
-        if base + total < threshold:  # the extremal special dominator
-            lower.add(cell)
+    threshold = h.grid(r)[1]
+    ceilings, dominators = window.special_groups()
+    upper = chain.from_iterable(cells for v, cells in ceilings.items() if h.level(v) >= threshold)
+    lower = chain.from_iterable(cells for v, cells in dominators.items() if h.level(v) < threshold)
     return frozenset(upper), frozenset(lower)
 
 

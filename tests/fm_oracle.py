@@ -318,7 +318,7 @@ class FMGeometry(AlcoveGeometry):
             r = dot(self._functionals[i], u)
             if r == 0:
                 continue
-            v = self.root_value(x0, i)
+            v = dot(self._functionals[i], x0)
             if r > 0:
                 gap = (v.numerator // v.denominator) + 1 - v if v.denominator != 1 else Q1
             else:

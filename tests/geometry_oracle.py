@@ -1,8 +1,10 @@
-"""Chamber adjacency, gallery distances, a window's chambers by a search from
-a perturbed centre point, special vertices, height values,
+"""Chamber adjacency, face closures in a cell complex, gallery distances, a
+window's chambers by a search from a perturbed centre point, root values and
+the vertices of a cell as Fraction points, special vertices, height values,
 projections by a step from the barycenter, closures by a facet walk, the
-upper/lower complexes with their certificate in Fraction arithmetic, and
-sigma-minimal galleries with the sigma-convexity and sigma-length they define.
+upper/lower complexes with their certificate in Fraction arithmetic,
+sigma-minimal galleries with the sigma-convexity and sigma-length they
+define, and the deconstruction that rescans its stage on every step.
 
 Reference code that only tests use, shared by the alcove, flag-building and
 truncation tests.
@@ -12,13 +14,32 @@ from fractions import Fraction
 from functools import cache
 
 from sigmabuild.coxeter import FLOOR, GeometryError, _entry
-from sigmabuild.linalg import Q1
-from sigmabuild.windows import epsilon_for_height, residual_r
+from sigmabuild.linalg import Q1, dot
+from sigmabuild.windows import (
+    Deconstruction,
+    DeconstructionStep,
+    _sigma_steps,
+    epsilon_for_height,
+    residual_r,
+    sigma_convex_check,
+)
 
 
 def panel_neighbors(complex_, chamber):
     """The chambers of a frozen complex that share a panel with the chamber."""
     return {nb for panel in complex_.facets(chamber) for nb in complex_.cofacets(panel)} - {chamber}
+
+
+def face_closure(complex_, keys):
+    """All iterated faces of the given cells of a complex, themselves included."""
+    seen = set()
+    stack = list(keys)
+    while stack:
+        k = stack.pop()
+        if k not in seen:
+            seen.add(k)
+            stack.extend(complex_.facets(k))
+    return seen
 
 
 def gallery_distances(neighbors, start):
@@ -66,6 +87,22 @@ def window_chambers_by_search(window):
     return frozenset(gallery_distances(neighbors, seed_by_perturbed_points(window)))
 
 
+def root_value(geometry, x, i):
+    """kappa(x, alpha) for the i-th positive root alpha."""
+    return dot(geometry._functionals[i], x)
+
+
+def simple_values(geometry, cell):
+    """kappa(v, alpha_i) over the simple roots, for each vertex v of the cell."""
+    den = geometry._den
+    return [tuple(Fraction(v[i], den) for i in geometry._simple_idx) for v in geometry._face(cell)]
+
+
+def vertices(geometry, cell):
+    """The 0-faces of the closed cell, as sorted coordinate tuples."""
+    return tuple(sorted(geometry.datum.point(v) for v in simple_values(geometry, cell)))
+
+
 def is_special_vertex(geometry, x):
     """Special vertex: integral against every root (meets every wall class)."""
     return all(v.denominator == 1 for v in geometry._values(x))
@@ -73,7 +110,7 @@ def is_special_vertex(geometry, x):
 
 def height_value(h, geometry, x):
     """The height of an apartment point, read from its simple-root values."""
-    return h(geometry.root_value(x, i) for i in geometry._simple_idx)
+    return h(root_value(geometry, x, i) for i in geometry._simple_idx)
 
 
 def project_dir(geometry, cell, u, limit=None):
@@ -148,7 +185,7 @@ def certificate_by_fractions(window, h, r, low):
     eps = epsilon_for_height(g, h)
     ranges = {}
     for cell in window.cells():
-        heights = [h(values) for values in g._simple_values(cell)]
+        heights = [h(values) for values in simple_values(g, cell)]
         ranges[cell] = (min(heights), max(heights))
     residual = residual_r(g, low, g.base_chamber_at_infinity())
     return {
@@ -241,3 +278,46 @@ def deconstruction_order_by_sigma_length(geometry, cells, sigma):
         current -= {x for x in current if lower in geometry.closure(x) or x == lower}
         removed.append(c)
     return removed[::-1]
+
+
+def deconstruct_by_rescans(geometry, cells, sigma):
+    """`windows.deconstruct` with every step read from the whole stage: the
+    sigma-steps of each remaining chamber, the star of the lower face by a
+    closure per cell and R of the next stage, all recomputed."""
+    cells = frozenset(cells)
+    ok, witness = sigma_convex_check(geometry, cells, sigma)
+    if not ok:
+        raise GeometryError(f"subcomplex is not sigma-convex; witness gallery {witness}")
+    r_z = residual_r(geometry, cells, sigma)
+    current = set(cells)
+    filtration = [frozenset(current)]
+    steps = []
+    chambers = sorted(c for c in current if geometry.is_chamber(c))
+    while chambers:
+        c = next((c for c in chambers if current.isdisjoint(_sigma_steps(geometry, c, sigma))), None)
+        if c is None:
+            raise GeometryError("no chamber of sigma-length zero; subcomplex not deconstructible")
+        lower = geometry.lower_face(c, sigma)
+        closure_c = geometry.closure(c)
+        star = frozenset(x for x in current if lower in geometry.closure(x) or x == lower)
+        cert = {"star_in_closed_chamber": star <= closure_c}
+        star_closure = set()
+        for x in star:
+            star_closure |= geometry.closure(x)
+        star_closure &= set(current)
+        boundary = frozenset(star_closure) - star
+        nxt = set(current) - star
+        cert["intersection_is_star_boundary"] = (nxt & closure_c) == (nxt & boundary)
+        cert["residual_unchanged"] = residual_r(geometry, nxt, sigma) == r_z
+        cert["sigma_length_zero"] = True
+        if not all(cert.values()):
+            raise GeometryError(f"deconstruction certificate failed at {c}: {cert}")
+        steps.append(DeconstructionStep(c, lower, star, cert))
+        chambers.remove(c)
+        current = nxt
+        filtration.append(frozenset(current))
+    if frozenset(current) != r_z:
+        raise GeometryError("deconstruction did not terminate at R(Z)")
+    filtration.reverse()
+    steps.reverse()
+    return Deconstruction(filtration, steps, r_z)

@@ -7,16 +7,27 @@ loses its multiple of the pivot row.  Tests compare the two routes, values and
 types: `det` and `inverse` with the library's, and the null space of
 `affine_solve` with `linalg.integer_null_space`.  `affine_solve` and `rank`
 have no other counterpart in the library; `fm_oracle` and the tests use them
-as plain references.
+as plain references.  `matrix_element` builds a group element of any square
+matrix, for tests that need one outside SL_n.
 """
 
 from fractions import Fraction
+from itertools import chain
 
-from sigmabuild.linalg import Q0, Q1, LinalgError
+from sigmabuild.chevalley import GroupElement
+from sigmabuild.linalg import Q0, Q1, LinalgError, scaled
 
 
 def identity(n):
     return tuple(tuple(Q1 if i == j else Q0 for j in range(n)) for i in range(n))
+
+
+def matrix_element(rows):
+    """The canonical integer rows over a denominator of any square rational
+    matrix, as a `GroupElement`: the constructor without its det = 1 check."""
+    n = len(rows)
+    nums, den = scaled(Fraction(e) for e in chain.from_iterable(rows))
+    return GroupElement._of(tuple(tuple(nums[i : i + n]) for i in range(0, n * n, n)), den)
 
 
 def _gauss_jordan(rows, n_cols):

@@ -10,6 +10,8 @@ import json
 import time
 from fractions import Fraction
 
+from geometry_oracle import face_closure
+
 from sigmabuild.acceptance import (
     certify,
     core_connected,
@@ -119,7 +121,7 @@ def test_core_connected_matches_union_find():
     assert cases == 15
     # planted: the closed base chamber plus one vertex off it, isolated
     base_chamber = next(c for c, d in trunc.chambers.items() if d == 0)
-    closed = trunc.complex.closure([base_chamber])
+    closed = face_closure(trunc.complex, [base_chamber])
     far = next(c for c in trunc.complex.cells(0) if trunc.cell_distance[c] == 2)
     pre = trunc.complex.restrict(closed | {far})
     # the vertex is in the depth-2 core, but outside the depth-1 one
@@ -128,7 +130,7 @@ def test_core_connected_matches_union_find():
         assert core_connected(trunc, pre, depth) is expected
     # planted: a connected chamber without the base vertex
     other = next(c for c in trunc.chambers if trunc.base_vertex not in c)
-    pre = trunc.complex.restrict(trunc.complex.closure([other]))
+    pre = trunc.complex.restrict(face_closure(trunc.complex, [other]))
     assert union_find_core_connected(trunc, pre, 2) is False
     assert core_connected(trunc, pre, 2) is False
 

@@ -8,10 +8,17 @@ from math import lcm
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
-from geometry_oracle import gallery_distances, height_value, panel_neighbors
+from geometry_oracle import (
+    face_closure,
+    gallery_distances,
+    height_value,
+    panel_neighbors,
+    root_value,
+    vertices,
+)
 from lattice_oracle import ChainTruncation, echelon_basis
 from lattice_oracle import lattice_canonical_form as oracle_canonical_form
-from linalg_oracle import identity
+from linalg_oracle import identity, matrix_element
 
 from sigmabuild.building import (
     BuildingError,
@@ -191,7 +198,7 @@ def test_canonical_form_rejects_non_square_and_singular_input():
         sl2.act_on_vertex(identity_element(3), sl2.base_vertex)
     with pytest.raises(BuildingError, match="2x2"):
         sl3.act_on_vertex(identity_element(2), sl3.base_vertex)
-    singular = GroupElement(((1, 2), (2, 4)), check_det=False)
+    singular = matrix_element(((1, 2), (2, 4)))
     with pytest.raises(BuildingError, match="full lattice"):
         sl2.act_on_vertex(singular, sl2.base_vertex)
     with pytest.raises(BuildingError, match="full lattice"):
@@ -432,7 +439,7 @@ def group_word(draw, n, p):
         # an upper-triangular factor of determinant p^k 5^j, outside SL_n
         t = Fraction(p) ** draw(st.integers(-1, 2)) * 5 ** draw(st.integers(0, 1))
         rows = [[t if i == j == 0 else int(i == j or j == i + 1) for j in range(n)] for i in range(n)]
-        g = g * GroupElement(rows, check_det=False)
+        g = g * matrix_element(rows)
     return g
 
 
@@ -463,7 +470,7 @@ def test_retraction_fixes_apartment():
     for cell in trunc.apartment_cells():
         img = trunc.retract_cell(cell)
         pts = sorted(trunc.vertex_retraction_point(v) for v in cell)
-        assert sorted(g.vertices(img)) == pts
+        assert sorted(vertices(g, img)) == pts
 
 
 def test_retraction_spec_example():
@@ -475,7 +482,7 @@ def test_retraction_spec_example():
     assert oracle_canonical_form(trunc.form(v), p) == trunc.form(v)
     point = trunc.vertex_retraction_point(v)
     # image is the apartment vertex of diag(p^2, 1): kappa-value -2 (away from sigma)
-    assert trunc.geometry.root_value(point, 0) == -2
+    assert root_value(trunc.geometry, point, 0) == -2
 
 
 def test_retraction_idempotent():
@@ -486,7 +493,7 @@ def test_retraction_idempotent():
     apartment = {}
     for cell in trunc.apartment_cells():
         key = trunc.retract_cell(cell)
-        assert g.vertices(key) == tuple(sorted(trunc.vertex_retraction_point(v) for v in cell))
+        assert vertices(g, key) == tuple(sorted(trunc.vertex_retraction_point(v) for v in cell))
         apartment[key] = cell
     for cell in trunc.complex.cells():
         img = trunc.retract_cell(cell)
@@ -650,7 +657,7 @@ def test_fiber_counts_radius2():
     for cell in trunc.complex.cells(0):
         (v,) = cell
         pt = trunc.vertex_retraction_point(v)
-        val = trunc.geometry.root_value(pt, 0)
+        val = root_value(trunc.geometry, pt, 0)
         sizes[val] = sizes.get(val, 0) + 1
     # fibers grow away from sigma (negative kappa side), stay single toward sigma
     assert sizes[Fraction(2)] >= 1
@@ -837,7 +844,7 @@ def test_retraction_is_idempotent_property(case, data):
     }
     for cell in trunc.complex.cells():
         key = trunc.retract_cell(cell)
-        image = tuple(sorted(diagonal[x] for x in g.vertices(key)))
+        image = tuple(sorted(diagonal[x] for x in vertices(g, key)))
         assert image in trunc.complex
         assert trunc.retract_cell(image) == key
 
@@ -894,7 +901,7 @@ def test_restrict_is_the_rebuilt_subcomplex(data):
     n, p, radius = data.draw(st.sampled_from(HEIGHT_TRUNCATIONS))
     cx = height_truncation(n, p, radius).complex
     seeds = data.draw(st.lists(st.sampled_from(cx.cells()), max_size=8))
-    keys = cx.closure(seeds)
+    keys = face_closure(cx, seeds)
     sub = cx.restrict(keys)
     assert sub.frozen
     assert_same_complex(sub, rebuilt(cx, keys))
@@ -944,7 +951,7 @@ def test_retraction_preimage_full_and_edge():
         c
         for c in trunc.apartment_cells()
         if len(c) == 2
-        and {g.root_value(trunc.vertex_retraction_point(v), 0) for v in c} == {0, -1}
+        and {root_value(g, trunc.vertex_retraction_point(v), 0) for v in c} == {0, -1}
     )
     target = {trunc.retract_cell(edge)}
     for v in edge:
@@ -1059,7 +1066,7 @@ def test_standard_opposite_sector_is_ray():
     trunc = grow_truncation(2, 2, 4)
     cells = standard_opposite_sector_cells(trunc)
     vert_vals = sorted(
-        trunc.geometry.root_value(trunc.vertex_retraction_point(c[0]), 0)
+        root_value(trunc.geometry, trunc.vertex_retraction_point(c[0]), 0)
         for c in cells
         if len(c) == 1
     )

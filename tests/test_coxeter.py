@@ -11,7 +11,9 @@ from geometry_oracle import (
     is_special_vertex,
     project_to_cell_by_step,
     project_toward_by_step,
+    root_value,
     sigma_minimal_galleries,
+    vertices,
     window_chambers_by_search,
 )
 
@@ -56,7 +58,7 @@ def test_witness_round_trip(a2):
     datum, g = a2
     window = Window.radius(datum, 2, g)
     for cell in window.cells():
-        assert g.cell_of_point(g.witness(cell)) == cell
+        assert g.cell_of_point(g.barycenter(cell)) == cell
 
 
 def test_chamber_face_counts(a2):
@@ -359,7 +361,7 @@ def test_c2_window_and_special_vertices():
         dims = sorted(g.dim(x) for x in closure)
         assert dims == [0, 0, 0, 1, 1, 1, 2]  # a triangle
         n_special = sum(
-            1 for x in closure if g.dim(x) == 0 and is_special_vertex(g, g.witness(x))
+            1 for x in closure if g.dim(x) == 0 and is_special_vertex(g, g.barycenter(x))
         )
         special_counts.add(n_special)
         # interval property holds in type C as well
@@ -384,7 +386,7 @@ def test_sector_membership_predicate(a2):
         x = datum.point([Fraction(rng.randint(-8, 8), 3) for _ in range(2)])
         y = datum.point([Fraction(rng.randint(-8, 8), 3) for _ in range(2)])
         expected = all(
-            g.root_value(y, pi) > g.root_value(x, pi) for pi in g._simple_idx
+            root_value(g, y, pi) > root_value(g, x, pi) for pi in g._simple_idx
         )
         assert sector_contains_point(g, x, sigma, y) == expected
 
@@ -433,7 +435,7 @@ def test_sector_predicates_match_their_definitions(family):
             for cell in window.cells():
                 expected = all(
                     sign_ok(s, datum.kappa(diff(tip, v), root), closed=True)
-                    for v in g.vertices(cell)
+                    for v in vertices(g, cell)
                     for s, root in zip(tau.signs, datum.positive_roots)
                 )
                 assert g._in_closed_sector(g._sector_bounds(tip, tau.signs), cell) == expected

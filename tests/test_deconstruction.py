@@ -1,10 +1,12 @@
 """Residual boundaries, sigma-convexity, the deconstruction filtration, U/L complexes."""
 
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,16 @@ from hypothesis import strategies as st
 from fm_oracle import cell_meets_open_sector
 from geometry_oracle import (
     certificate_by_fractions,
+    deconstruct_by_rescans,
     deconstruction_order_by_sigma_length,
     height_value,
     is_special_vertex,
     galleries_leaving,
+    root_value,
     sigma_length,
+    simple_values,
     upper_lower_by_fractions,
+    vertices,
 )
 
 from sigmabuild import acceptance
@@ -192,21 +198,77 @@ def sector_corners():
             yield window.geometry, closed_sector_cells(window, window.datum.point(tip), sigma.opposite())
 
 
-def test_deconstruction_order_matches_the_sigma_length_loop(monkeypatch):
-    # the 20 subcomplexes the coxeter criterion deconstructs, and sector corners
+@pytest.fixture(scope="module")
+def criterion_pieces():
+    """The 20 subcomplexes the coxeter criterion deconstructs, with their geometry."""
     pieces = []
 
     def recording(g, z, sigma):
         pieces.append((g, z))
         return deconstruct(g, z, sigma)
 
-    monkeypatch.setattr(acceptance, "deconstruct", recording)
-    assert acceptance.criterion_coxeter(seed=42)["passed"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acceptance, "deconstruct", recording)
+        assert acceptance.criterion_coxeter(seed=42)["passed"]
     assert len(pieces) == 20
-    for g, z in pieces + list(sector_corners()):
+    return pieces
+
+
+def test_deconstruction_order_matches_the_sigma_length_loop(criterion_pieces):
+    for g, z in criterion_pieces + list(sector_corners()):
         sigma = g.base_chamber_at_infinity()
         steps = deconstruct(g, z, sigma).steps
         assert [s.chamber for s in steps] == deconstruction_order_by_sigma_length(g, z, sigma)
+
+
+WHOLE_WINDOWS = (("A", 2, 2), ("C", 2, 2), ("A", 3, 1))
+
+
+def test_deconstruction_matches_the_rescanning_route(criterion_pieces):
+    # step by step (chamber, lower face, star, certificates), then the
+    # filtration and R, on the criterion's pieces, sector corners and whole
+    # windows
+    windows = [Window.radius(build_root_system(f, rank), r) for f, rank, r in WHOLE_WINDOWS]
+    for g, z in criterion_pieces + list(sector_corners()) + [(w.geometry, w.cells()) for w in windows]:
+        sigma = g.base_chamber_at_infinity()
+        fast, slow = deconstruct(g, z, sigma), deconstruct_by_rescans(g, z, sigma)
+        assert len(fast.steps) == len(slow.steps)
+        for a, b in zip(fast.steps, slow.steps):
+            assert (a.chamber, a.lower_face, a.removed_star) == (b.chamber, b.lower_face, b.removed_star)
+            assert a.certificates == b.certificates
+        assert fast.filtration == slow.filtration and fast.residual == slow.residual
+
+
+@pytest.mark.parametrize("family, rank, lo, hi", [("A", 2, -2, 1), ("A", 3, -2, 1), ("C", 2, -4, 3)])
+def test_deconstruction_matches_the_rescanning_route_on_a_gapped_window(family, rank, lo, hi):
+    # the CLI's --gapped input: a window without the open star of its middle
+    # interior chamber is not sigma-convex, and both routes give its witness
+    window = Window(build_root_system(family, rank), [lo] * rank, [hi] * rank)
+    g = window.geometry
+    z = set(window.cells())
+    interior = sorted(c for c in z if g.is_chamber(c) and window.interior_cell(c))
+    victim = interior[len(interior) // 2]
+    z = frozenset(x for x in z if victim not in g.closure(x))
+    sigma = g.base_chamber_at_infinity()
+    errors = []
+    for route in (deconstruct, deconstruct_by_rescans):
+        with pytest.raises(GeometryError, match="witness gallery") as info:
+            route(g, z, sigma)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def test_full_window_deconstruction_budget():
+    # sigma-steps, cofaces and projections are indexed once over Z, not
+    # recomputed on each of the 800 steps (about 3 s with per-step rescans)
+    window = Window(build_root_system("A", 2), [-10, -10], [9, 9])
+    g = window.geometry
+    cells = window.cells()
+    t0 = time.perf_counter()
+    result = deconstruct(g, cells, g.base_chamber_at_infinity())
+    elapsed = time.perf_counter() - t0
+    assert len(result.steps) == 800 and result.filtration[-1] == cells
+    assert elapsed < 1.5
 
 
 def test_deconstruct_a1_interval(a1):
@@ -295,7 +357,7 @@ def test_upper_lower_a1(a1):
     # h = -kappa(., alpha): special vertices with h >= 0 are kappa-values <= 0;
     # their opposite sectors cover the kappa <= 0 half of the window.
     for cell in window.cells():
-        vals = [g.root_value(v, 0) for v in g.vertices(cell)]
+        vals = [root_value(g, v, 0) for v in vertices(g, cell)]
         if max(vals) <= 0:
             assert cell in up
         if min(vals) >= 0:
@@ -344,8 +406,26 @@ def test_range_on_cell_matches_vertex_heights(case, coeffs):
     g = window.geometry
     h = HeightForm(tuple(coeffs[: window.datum.rank]))
     for cell in window.cells():
-        heights = [h(values) for values in g._simple_values(cell)]
+        heights = [h(values) for values in simple_values(g, cell)]
         assert h.range_on_cell(g, cell) == (min(heights), max(heights))
+
+
+@given(
+    st.lists(st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=12)), min_size=1, max_size=4),
+    st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+    st.fractions(-20, 20, max_denominator=30),
+    st.integers(1, 6),
+)
+def test_level_and_grid_are_the_height_on_its_integer_scale(coeffs, values, r, den):
+    h = HeightForm(tuple(coeffs))
+    assert h.d == lcm(*(Fraction(c).denominator for c in coeffs))
+    level = h.level(values)
+    assert type(level) is int and level == h(values) * h.d
+    # the grid levels next to r on the scale d * den, equal iff r is on it
+    lo, hi = h.grid(r, den)
+    scale = h.d * den
+    assert Fraction(lo, scale) <= r <= Fraction(hi, scale)
+    assert hi - lo == (0 if (r * scale).denominator == 1 else 1)
 
 
 def special_vertices_above(window, h, r):
@@ -453,7 +533,7 @@ def test_integer_thresholds_match_fraction_route(case, coeffs, data):
     window = range_window(*case)
     g = window.geometry
     h = HeightForm(tuple(coeffs[: window.datum.rank]))
-    heights = {h(values) for cell in window.cells() for values in g._simple_values(cell)}
+    heights = {h(values) for cell in window.cells() for values in simple_values(g, cell)}
     for cell in window.cells():
         levels = [cell[pi] for pi in g._simple_idx]
         heights.add(h(tuple(k + 1 if f == FLOOR else k for f, k in levels)))
@@ -479,11 +559,11 @@ def covering_special_vertex(geometry, h, x):
         # move into an incident chamber: project along a fully generic direction
         sigma = geometry.base_chamber_at_infinity()
         cell = geometry.project_toward(cell, sigma)
-    special = [v for v in geometry.vertices(cell) if is_special_vertex(geometry, v)]
+    special = [v for v in vertices(geometry, cell) if is_special_vertex(geometry, v)]
     if not special:
         raise GeometryError("chamber has no special vertex")
     u1 = special[0]
-    return datum.point(geometry.root_value(u1, pi) + 2 for pi in geometry._simple_idx)
+    return datum.point(root_value(geometry, u1, pi) + 2 for pi in geometry._simple_idx)
 
 
 def test_sector_covering_simplex_constant(a2):
@@ -502,7 +582,7 @@ def test_sector_covering_simplex_constant(a2):
         assert hw > hx - eps
         # x lies in the open opposite sector at w
         assert all(
-            g.root_value(x, pi) < g.root_value(w, pi) for pi in g._simple_idx
+            root_value(g, x, pi) < root_value(g, w, pi) for pi in g._simple_idx
         )
 
 

@@ -140,7 +140,7 @@ def test_point_has_the_given_simple_root_values(family, rank):
     for _ in range(20):
         values = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rank)]
         x = datum.point(values)
-        assert [datum.root_value(x, s) for s in datum.simple_root_coeffs] == values
+        assert [datum.kappa(x, s) for s in datum.simple_root_coeffs] == values
     assert datum.point([0] * rank) == datum.zero()
 
 

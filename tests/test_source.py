@@ -51,6 +51,31 @@ def test_library_catches_no_broad_exceptions():
     assert found == []
 
 
+def _outside_class(tree, name):
+    """The nodes of a module outside the body of the class with this name."""
+    stack = [tree]
+    while stack:
+        n = stack.pop()
+        if not (isinstance(n, ast.ClassDef) and n.name == name):
+            yield n
+            stack.extend(ast.iter_child_nodes(n))
+
+
+def test_only_the_height_form_reads_its_integer_scale():
+    # `HeightForm` owns the integer levels d * h and the rounding of a level
+    # onto their grid: no other code reads its scaled coefficients, and the
+    # modules that compare heights round no level themselves
+    found = [
+        f"{path.name}:{n.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for n in _outside_class(ast.parse(path.read_text(), str(path)), "HeightForm")
+        if (isinstance(n, ast.Attribute) and n.attr == "_scaled")
+        or (path.stem in ("building", "windows") and isinstance(n, ast.Name) and n.id in ("ceil", "floor"))
+    ]
+    assert sorted(SRC.glob("*.py"))
+    assert found == []
+
+
 def _names(node, skip):
     """Identifiers a node names: names, attributes, imports and dotted strings.
 
