@@ -73,7 +73,7 @@ def criterion_steinberg(seed=42, trials=200):
                 failures.append(("d", n, t))
             # (e) torus conjugation
             lhs = h_elem(n, alpha, tt) * x_elem(n, beta, s) * h_elem(n, alpha, tt).inv()
-            if lhs != x_elem(n, beta, tt ** int(c) * s):
+            if lhs != x_elem(n, beta, tt ** c * s):
                 failures.append(("e", n, t))
     # (b): the A_2 commutator has a single factor with coefficient +- s t
     comm_ok = True
@@ -228,7 +228,7 @@ def criterion_coxeter(seed=42):
         for step in result.steps:
             if not all(step.certificates.values()):
                 decon_ok = False
-        if result.filtration[0] != residual_r(g, z, sigma):
+        if result.residual != residual_r(g, z, sigma):
             decon_ok = False
 
     # (iv) residual of intersections on 50 random pairs

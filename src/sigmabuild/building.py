@@ -151,7 +151,8 @@ class Truncation:
         self.datum = build_root_system("A", n - 1)
         self.geometry = AlcoveGeometry(self.datum)
         self._filtrations = {}
-        self._grow(max_chambers)
+        self._check_ball(max_chambers)
+        self._grow()
         self._build_complex()
         self._retraction_cache = {}
         self._retraction_fibres = None  # image -> cells, built on first use
@@ -186,7 +187,22 @@ class Truncation:
             out.append((b, s2, keys[:k] + (self._vertex_key(b, s2, k),) + keys[k + 1:]))
         return out
 
-    def _grow(self, max_chambers):
+    def _check_ball(self, max_chambers):
+        """Raise if the ball holds more than max_chambers chambers: a_d p^d at
+        gallery distance d, a_d the alcoves at distance d in an apartment
+        (Abramenko-Brown 2008), counted by a breadth-first search of the
+        apartment until the radius or until the sum passes the bound."""
+        layers = self.geometry.gallery_layers(self.geometry._fundamental)
+        total = 0
+        for d, layer in zip(range(self.radius + 1), layers):
+            total += len(layer) * self.p**d
+            if total > max_chambers:
+                raise BuildingError(
+                    f"chamber guard exceeded: the ball of radius {self.radius} "
+                    f"holds more than {max_chambers:,} chambers"
+                )
+
+    def _grow(self):
         """Breadth-first growth over integer form keys, then interning in sorted form order."""
         n, p = self.n, self.p
         eye = tuple(tuple(int(r == c) for r in range(n)) for c in range(n))
@@ -202,8 +218,6 @@ class Truncation:
                     for nb in self._panel_neighbors(*ch, k):
                         ck = tuple(sorted(nb[2]))
                         if ck not in dist:
-                            if len(dist) >= max_chambers:
-                                raise BuildingError("chamber guard exceeded")
                             dist[ck] = d
                             nxt.append((nb, k))
             frontier = nxt

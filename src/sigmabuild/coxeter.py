@@ -28,7 +28,6 @@ from itertools import combinations
 from math import lcm
 
 from .linalg import dot, matvec
-from .root_system import cartan_pairing
 
 FLOOR = 0
 WALL = 1
@@ -91,10 +90,7 @@ class AlcoveGeometry:
         ]
         # <beta, alpha^V> (row alpha): the reflection in a wall of alpha moves
         # kappa(., beta) by this multiple of the distance to the wall
-        self._pairings = tuple(
-            tuple(int(cartan_pairing(datum, beta, alpha)) for beta in datum.positive_roots)
-            for alpha in datum.positive_roots
-        )
+        self._pairings = datum.pairings(datum.positive_roots, datum.positive_roots)
         # chamber key -> its vertex tuple, or None when no alcove has the key
         self._fundamental = ((FLOOR, 0),) * self.npos
         self._chamber_cache = {self._fundamental: tuple(corners)}
@@ -290,6 +286,17 @@ class AlcoveGeometry:
             floor = (FLOOR, 2 * k - 1 - chamber[i][1])
             out.append((p, chamber[:i] + (_SHARED_ENTRIES.get(floor, floor),) + chamber[i + 1:]))
         return sorted(out)
+
+    def gallery_layers(self, start, inside=None):
+        """The sets of chambers at gallery distance 0, 1, 2, ... from start,
+        without end unless `inside` (a test of a convex set of chambers, so
+        that the distances are those of the complex) bounds them."""
+        prev, layer = set(), {start}
+        while layer:
+            yield layer
+            # a neighbour of a chamber at distance d is at distance d - 1 or d + 1
+            nbs = {nb for c in layer for _, nb in self.chamber_neighbors(c)} - prev
+            prev, layer = layer, nbs if inside is None else set(filter(inside, nbs))
 
     def _sector_bounds(self, tip, signs):
         """Integer bounds on the scaled root values of the closed cone from a

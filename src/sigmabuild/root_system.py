@@ -6,14 +6,17 @@ kappa is realized by the Gram matrix of the simple roots.  This keeps every
 pairing an exact rational (integral on roots) with no radicals.  Only the
 simple roots are written in the familiar epsilon coordinates (sum-zero for
 A_l, orthonormal for C_l/D_l, short roots of squared length 2), for the Gram
-matrix and for display; every root is an integer coefficient tuple, found
-from the integer Cartan matrix by simple reflections.
+matrix, which is integral, and for display; every root is an integer
+coefficient tuple, found from the integer Cartan matrix by simple
+reflections, and every pairing <beta, alpha^V> of roots an integer read
+from G alpha.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .linalg import Q0, Q1, dot, inverse, matvec, vec
+from .linalg import Q0, dot, inverse, matvec, vec
 
 
 class RootSystemError(ValueError):
@@ -31,11 +34,11 @@ _FAMILIES = {
 
 def _ambient_simple_roots(family, rank):
     dim, last = _FAMILIES[family][1](rank)
-    rows = [[Q0] * dim for _ in range(rank)]
+    rows = [[0] * dim for _ in range(rank)]
     for i in range(rank - 1):
-        rows[i][i], rows[i][i + 1] = Q1, -Q1
+        rows[i][i], rows[i][i + 1] = 1, -1
     for j, e in last.items():
-        rows[-1][j] = Fraction(e)
+        rows[-1][j] = e
     return tuple(map(tuple, rows))
 
 
@@ -98,15 +101,13 @@ class RootDatum:
         self.rank = rank
         self.ambient_simple_roots = _ambient_simple_roots(family, rank)
         self.ambient_dim = len(self.ambient_simple_roots[0])
-        # Gram matrix of the simple roots under the standard inner product.
+        # integer Gram matrix of the simple roots under the standard inner product
         self.gram = tuple(
-            tuple(dot(a, b) for b in self.ambient_simple_roots) for a in self.ambient_simple_roots
-        )
-        # Cartan integers <alpha_i, alpha_j^V> = 2 kappa(alpha_i, alpha_j) / kappa(alpha_j, alpha_j)
-        self._cartan = tuple(
-            tuple(int(2 * g / self.gram[j][j]) for j, g in enumerate(row)) for row in self.gram
+            tuple(sum(map(mul, a, b)) for b in self.ambient_simple_roots) for a in self.ambient_simple_roots
         )
         self.simple_root_coeffs = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+        # Cartan integers <alpha_i, alpha_j^V>: row i against column j
+        self._cartan = tuple(zip(*self.pairings(self.simple_root_coeffs, self.simple_root_coeffs)))
         pos = _positive_roots(self.simple_root_coeffs, self._cartan)
         self.positive_roots = pos
         self.positive_root_set = frozenset(pos)
@@ -153,6 +154,16 @@ class RootDatum:
         """Matrix of the integer pairings <alpha_i, alpha_j^V> (row i against column j)."""
         return self._cartan
 
+    def pairings(self, alphas, betas):
+        """The integers <beta, alpha^V> = 2 kappa(beta, alpha) / kappa(alpha, alpha)
+        of roots, one row per alpha over the betas, each read from G alpha."""
+        rows = []
+        for a in alphas:
+            ga = [sum(map(mul, row, a)) for row in self.gram]
+            n2 = sum(map(mul, a, ga))
+            rows.append(tuple(2 * sum(map(mul, b, ga)) // n2 for b in betas))
+        return tuple(rows)
+
 
 def build_root_system(family, rank):
     """Construct the root datum for the given classical family and rank."""
@@ -160,15 +171,15 @@ def build_root_system(family, rank):
 
 
 def cartan_pairing(datum, beta, alpha):
-    """<beta, alpha> = 2 kappa(beta, alpha) / kappa(alpha, alpha).
+    """<beta, alpha^V> = 2 kappa(beta, alpha) / kappa(alpha, alpha), an integer.
 
-    Normalized by the second argument, so that for roots beta the value is the
-    Cartan integer of beta against alpha.
+    Normalized by the second argument: the Cartan integer of the root beta
+    against the root alpha.
     """
-    alpha = tuple(alpha)
-    if not datum.is_root(alpha):
-        raise RootSystemError(f"{alpha} is not a root")
-    return 2 * datum.kappa(tuple(beta), alpha) / datum.norm2(alpha)
+    for root in (alpha, beta):
+        if not datum.is_root(root):
+            raise RootSystemError(f"{tuple(root)} is not a root")
+    return datum.pairings((alpha,), (beta,))[0][0]
 
 
 def affine_reflect(datum, hyperplane, v):

@@ -1,12 +1,15 @@
 """Finite windows of the Coxeter complex, the deconstruction toolbox and heights.
 
-A window is a box of floor bounds on the simple-root functionals; the cells
-inside form a finite face-closed complex on which the residual boundary R(Z),
-sigma-convexity with witness galleries, the chamber-by-chamber deconstruction
-filtration and the upper/lower complexes of a generic height are computed
-with certificates.  Sigma-convexity and sigma-length 0 are read from the
-sigma-order of chambers (every floor of d on c's sigma side) and sigma-steps,
-so no gallery is enumerated; a deconstruction finds each chamber's once.
+A window is a box of floor bounds on the simple-root functionals, holding
+l! c_1 ... c_l chambers per unit box (c the highest root), so its size is
+known before it is searched.  The cells inside form a finite face-closed
+complex on which the residual boundary R(Z), sigma-convexity with witness
+galleries, the chamber-by-chamber deconstruction filtration and the
+upper/lower complexes of a generic height are computed with certificates.
+Sigma-convexity and sigma-length 0 are read from the sigma-order of chambers
+(every floor of d on c's sigma side) and sigma-steps, so no gallery is
+enumerated; a deconstruction finds each chamber's once and keeps its steps
+and R(Z), from which the stages of the filtration are rebuilt.
 
 `HeightForm` is the package's one height, h = sum_i c_i kappa(., alpha_i).
 It reads only the simple-root values of a point, so the same form measures
@@ -19,8 +22,8 @@ and `grid` are the package's one integer height and one rounding onto it.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
-from math import ceil, floor
+from itertools import accumulate, chain, product
+from math import ceil, factorial, floor, prod
 from operator import mul
 
 from .chevalley import CharacterVec
@@ -92,10 +95,14 @@ MAX_WINDOW_CHAMBERS = 10_000
 
 
 class Window:
-    """All cells whose simple-root floors fit in the given box, from a BFS seed."""
+    """All cells whose simple-root floors fit in the given box, from a BFS seed.
+
+    Unless given, the geometry is built on first use: not for a window that
+    its chamber count rejects.
+    """
 
     def __init__(self, datum, lo, hi, geometry=None):
-        self.geometry = geometry or AlcoveGeometry(datum)
+        self._geometry = geometry
         self.datum = datum
         self.lo = tuple(int(x) for x in lo)
         self.hi = tuple(int(x) for x in hi)
@@ -107,6 +114,12 @@ class Window:
         self._cells = None
         self._complex = None
         self._special_groups = None
+
+    @property
+    def geometry(self):
+        if self._geometry is None:
+            self._geometry = AlcoveGeometry(self.datum)
+        return self._geometry
 
     @classmethod
     def radius(cls, datum, r, geometry=None):
@@ -134,26 +147,21 @@ class Window:
 
     # --- construction -----------------------------------------------------
 
+    def chamber_count(self):
+        """l! c_1 ... c_l chambers per unit box of simple-root floors, c the
+        highest root (|W| = l! c_1 ... c_l f; Humphreys 1990, section 4.9)."""
+        boxes = prod(b - a + 1 for a, b in zip(self.lo, self.hi))
+        return factorial(self.datum.rank) * prod(self.datum.highest_root) * boxes
+
     def chambers(self):
         if self._chambers is not None:
             return self._chambers
-        g = self.geometry
+        if self.chamber_count() > MAX_WINDOW_CHAMBERS:
+            raise GeometryError(f"window has more than {MAX_WINDOW_CHAMBERS:,} chambers")
         # the alcove just above the corner lo: floor sum c_i lo_i on each
         # positive root sum c_i alpha_i
         seed = tuple((FLOOR, sum(c * k for c, k in zip(beta, self.lo))) for beta in self.datum.positive_roots)
-        seen = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for _, nb in g.chamber_neighbors(c):
-                    if nb not in seen and self.contains_chamber(nb):
-                        seen.add(nb)
-                        nxt.append(nb)
-            if len(seen) > MAX_WINDOW_CHAMBERS:
-                raise GeometryError(f"window has more than {MAX_WINDOW_CHAMBERS:,} chambers")
-            frontier = nxt
-        self._chambers = frozenset(seen)
+        self._chambers = frozenset().union(*self.geometry.gallery_layers(seed, self.contains_chamber))
         return self._chambers
 
     def cells(self):
@@ -269,11 +277,16 @@ class DeconstructionStep:
     certificates: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Deconstruction:
-    filtration: list  # cell sets Z_0 < Z_1 < ... < Z_n = Z
-    steps: list  # one DeconstructionStep per removal, in removal order
-    residual: frozenset
+    steps: list  # one DeconstructionStep per stage Z_1 < ... < Z_n = Z, from the bottom
+    residual: frozenset  # Z_0 = R(Z)
+
+    @property
+    def filtration(self):
+        """The cell sets Z_0 < Z_1 < ... < Z_n = Z, each the last with its step's star."""
+        stars = (step.removed_star for step in self.steps)
+        return list(accumulate(stars, frozenset.union, initial=self.residual))
 
 
 def deconstruct(geometry, cells, sigma):
@@ -301,7 +314,6 @@ def deconstruct(geometry, cells, sigma):
     chambers = sorted(c for c in cells if geometry.is_chamber(c))
     steps_of = {c: _sigma_steps(geometry, c, sigma) for c in chambers}
     current = set(cells)
-    filtration = [cells]
     steps = []
     while chambers:
         # sigma-length 0: no sigma-step stays in the stage; the least such chamber, for determinism
@@ -324,12 +336,10 @@ def deconstruct(geometry, cells, sigma):
             raise GeometryError(f"deconstruction certificate failed at {c}: {cert}")
         steps.append(DeconstructionStep(c, lower, star, cert))
         chambers.remove(c)
-        filtration.append(frozenset(current))
     if current != r_z:
         raise GeometryError("deconstruction did not terminate at R(Z)")
-    filtration.reverse()
     steps.reverse()
-    return Deconstruction(filtration, steps, r_z)
+    return Deconstruction(steps, r_z)
 
 
 # --- upper and lower complexes of a generic height ---------------------------

@@ -4,19 +4,20 @@ the vertices of a cell as Fraction points, special vertices, height values,
 projections by a step from the barycenter, closures by a facet walk, the
 upper/lower complexes with their certificate in Fraction arithmetic,
 sigma-minimal galleries with the sigma-convexity and sigma-length they
-define, and the deconstruction that rescans its stage on every step.
+define, and the deconstruction that rescans its stage on every step and
+keeps a snapshot of each stage.
 
 Reference code that only tests use, shared by the alcove, flag-building and
 truncation tests.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from sigmabuild.coxeter import FLOOR, GeometryError, _entry
 from sigmabuild.linalg import Q1, dot
 from sigmabuild.windows import (
-    Deconstruction,
     DeconstructionStep,
     _sigma_steps,
     epsilon_for_height,
@@ -280,10 +281,18 @@ def deconstruction_order_by_sigma_length(geometry, cells, sigma):
     return removed[::-1]
 
 
+@dataclass
+class SnapshotDeconstruction:
+    filtration: list  # a frozenset snapshot of every stage Z_0 < Z_1 < ... < Z_n = Z
+    steps: list
+    residual: frozenset
+
+
 def deconstruct_by_rescans(geometry, cells, sigma):
     """`windows.deconstruct` with every step read from the whole stage: the
     sigma-steps of each remaining chamber, the star of the lower face by a
-    closure per cell and R of the next stage, all recomputed."""
+    closure per cell and R of the next stage, all recomputed, and a snapshot
+    of each stage kept."""
     cells = frozenset(cells)
     ok, witness = sigma_convex_check(geometry, cells, sigma)
     if not ok:
@@ -320,4 +329,4 @@ def deconstruct_by_rescans(geometry, cells, sigma):
         raise GeometryError("deconstruction did not terminate at R(Z)")
     filtration.reverse()
     steps.reverse()
-    return Deconstruction(filtration, steps, r_z)
+    return SnapshotDeconstruction(filtration, steps, r_z)

@@ -231,7 +231,7 @@ class ChainTruncation(Truncation):
             out.append(ChainChamber(tuple(new_chain), tuple(new_keys)))
         return out
 
-    def _grow(self, max_chambers):
+    def _grow(self):
         """Breadth-first growth over canonical forms, then interning in sorted order."""
         base = self._base_chamber()
         found = {base.cell_key: base}
@@ -246,8 +246,6 @@ class ChainTruncation(Truncation):
                 for k in range(self.n):
                     for nb in self._panel_neighbors(ch, k):
                         if nb.cell_key not in found:
-                            if len(found) >= max_chambers:
-                                raise BuildingError("chamber guard exceeded")
                             found[nb.cell_key] = nb
                             dist[nb.cell_key] = d + 1
                             nxt.append(nb)

@@ -1,6 +1,8 @@
 """Lattice-class truncations: canonical forms, retraction, heights, cone chains."""
 
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -299,6 +301,28 @@ def test_chamber_guard():
         grow_truncation(2, 4, 1)
     with pytest.raises(BuildingError):
         grow_truncation(4, 2, 1)
+
+
+@pytest.mark.parametrize("n, radius", [(2, 5), (3, 3)])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ball_size_is_checked_before_growth(n, p, radius):
+    # a_d p^d chambers at gallery distance d, a_d the alcoves at distance d
+    # in an apartment: 2 for n = 2 and 3d for n = 3 (d >= 1)
+    trunc = Truncation(n, p, radius)
+    a = [1] + [2 if n == 2 else 3 * d for d in range(1, radius + 1)]
+    assert Counter(trunc.chambers.values()) == {d: a[d] * p**d for d in range(radius + 1)}
+    size = len(trunc.chambers)
+    Truncation(n, p, radius, max_chambers=size)
+    with pytest.raises(BuildingError, match="chamber guard exceeded"):
+        Truncation(n, p, radius, max_chambers=size - 1)
+
+
+def test_oversized_ball_is_rejected_at_once():
+    # about 1.8 million chambers: growing toward the guard took 18 s
+    t0 = time.perf_counter()
+    with pytest.raises(BuildingError, match="more than 1,000,000 chambers"):
+        Truncation(2, 97, 3)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_negative_radius_rejected():

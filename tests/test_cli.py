@@ -1,11 +1,16 @@
 """The command-line surface: subcommands, exit codes, formats."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import sigmabuild
 from sigmabuild.building import grow_truncation
 from sigmabuild.cli import main
 
@@ -121,6 +126,53 @@ def test_coxeter_window_past_the_chamber_bound_is_usage_error(capsys):
     code, _, err = run(capsys, ["coxeter", "export", "--family", "A", "--rank", "4"])
     assert time.perf_counter() - t0 < 5
     assert_usage_error(code, err, "window has more than 10,000 chambers")
+
+
+@pytest.mark.parametrize("command", ["deconstruct", "export"])
+def test_coxeter_rank_above_16_is_usage_error(capsys, command):
+    # the rank bound of `rootsys`, checked before any root is built
+    code, _, err = run(capsys, ["coxeter", command, "--family", "A", "--rank", "17"])
+    assert_usage_error(code, err, "--rank must be at most 16, got 17")
+
+
+def test_coxeter_rank_16_window_is_rejected_by_its_size(capsys):
+    # 16! 6^16 chambers, counted before the geometry is built (37-51 s before)
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, ["coxeter", "deconstruct", "--family", "A", "--rank", "16"])
+    assert time.perf_counter() - t0 < 1
+    assert_usage_error(code, err, "window has more than 10,000 chambers")
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["sphere", "opp", "--n", "12", "--q", "2"], "exceeds the guard"),
+        (["building", "grow", "--p", "97", "--radius", "3"], "chamber guard exceeded"),
+    ],
+)
+def test_size_guards_are_usage_errors(capsys, argv, fragment):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, argv)
+    assert time.perf_counter() - t0 < 1
+    assert_usage_error(code, err, fragment)
+
+
+def test_a3_full_window_deconstruction_peak_rss():
+    # the stages of the filtration are rebuilt on demand, not kept: 235 MB
+    # before.  A child that imports nothing runs the CLI in a grandchild and
+    # reads its peak, since a process started from this one inherits this
+    # one's peak resident size as its own.
+    script = (
+        "import resource, subprocess, sys\n"
+        "argv = ['coxeter', 'deconstruct', '--family', 'A', '--rank', '3',"
+        " '--window=-3:2', '--full-window', '--format', 'json']\n"
+        "run = subprocess.run([sys.executable, '-m', 'sigmabuild', *argv])\n"
+        "print(run.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+    )
+    run_ = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_env_with_src(), text=True)
+    code, max_rss_kb = map(int, run_.stderr.split())
+    assert code == 0 and json.loads(run_.stdout)["steps"] == 1296
+    assert max_rss_kb < 60 * 1024
 
 
 def test_sphere_opp(capsys):
@@ -408,18 +460,17 @@ def test_bad_option_values_are_usage_errors(capsys, argv, message):
     assert message in err
 
 
-def test_python_dash_m_sigmabuild_runs_the_cli():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import sigmabuild
-
+def _env_with_src():
+    """The environment with this checkout's src/ first on PYTHONPATH, for child interpreters."""
     env = dict(os.environ)
     src = str(Path(sigmabuild.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_sigmabuild_runs_the_cli():
     argv = ["certify", "--suite", "sigma"]
+    env = _env_with_src()
     runs = [
         subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, env=env)
         for module in ("sigmabuild", "sigmabuild.cli")

@@ -314,6 +314,47 @@ def test_window_seed_is_the_corner_alcove(family, rank):
         assert window.chambers() == window_chambers_by_search(window)
 
 
+@pytest.mark.parametrize(
+    "family, lo, hi, count",
+    [
+        ("A", [-3], [2], 6),
+        ("A", [-2, -2], [1, 1], 32),
+        ("A", [-1, 0], [2, 0], 8),
+        ("A", [-1, -1, -1], [0, 0, 0], 48),
+        ("A", [-2, -1, 0], [0, 1, 0], 54),
+        ("A", [-2] * 4, [1] * 4, 6_144),
+        ("C", [-2, -2], [1, 1], 64),
+        ("C", [-1, -3], [2, 0], 64),
+        ("C", [-1] * 3, [0] * 3, 192),
+        ("D", [-1] * 3, [0] * 3, 48),
+        ("D", [-1] * 4, [0] * 4, 768),
+    ],
+)
+def test_chamber_count_is_the_closed_form(family, lo, hi, count):
+    # l! c_1 ... c_l alcoves per unit box of simple-root floors, c the highest root
+    window = Window(build_root_system(family, len(lo)), lo, hi)
+    assert window.chamber_count() == count == len(window.chambers())
+
+
+def test_oversized_window_is_rejected_before_its_geometry(monkeypatch):
+    # A_16 at -3:2: the count alone rejects it, with no pairing table built
+    def unbuilt(datum):
+        raise AssertionError("geometry built for an oversized window")
+
+    monkeypatch.setattr("sigmabuild.windows.AlcoveGeometry", unbuilt)
+    window = Window(build_root_system("A", 16), [-3] * 16, [2] * 16)
+    with pytest.raises(GeometryError, match="more than 10,000 chambers"):
+        window.chambers()
+
+
+def test_a12_geometry_builds_in_budget():
+    # the pairing table is 78^2 integer entries; Fraction pairings took about 4 s
+    datum = build_root_system("A", 12)
+    t0 = time.perf_counter()
+    AlcoveGeometry(datum)
+    assert time.perf_counter() - t0 < 0.5
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2)])
 def test_interior_cells_have_their_star_in_the_window(family, rank):
     datum = build_root_system(family, rank)

@@ -2,7 +2,7 @@
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -30,6 +30,7 @@ from sigmabuild import acceptance
 from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError
 from sigmabuild.root_system import build_root_system
 from sigmabuild.windows import (
+    Deconstruction,
     HeightForm,
     Window,
     _upper_lower,
@@ -236,6 +237,7 @@ def test_deconstruction_matches_the_rescanning_route(criterion_pieces):
         for a, b in zip(fast.steps, slow.steps):
             assert (a.chamber, a.lower_face, a.removed_star) == (b.chamber, b.lower_face, b.removed_star)
             assert a.certificates == b.certificates
+        # the stages rebuilt from the steps are the rescanning route's snapshots
         assert fast.filtration == slow.filtration and fast.residual == slow.residual
 
 
@@ -269,6 +271,20 @@ def test_full_window_deconstruction_budget():
     elapsed = time.perf_counter() - t0
     assert len(result.steps) == 800 and result.filtration[-1] == cells
     assert elapsed < 1.5
+
+
+def test_a3_full_window_deconstruction_budget():
+    # 1,296 steps; a frozenset copy of every stage took about 1.1-1.7 s and
+    # 235 MB, and a deconstruction now keeps only its steps and R(Z)
+    window = Window(build_root_system("A", 3), [-3] * 3, [2] * 3)
+    g = window.geometry
+    cells = window.cells()
+    t0 = time.perf_counter()
+    result = deconstruct(g, cells, g.base_chamber_at_infinity())
+    elapsed = time.perf_counter() - t0
+    assert [f.name for f in fields(Deconstruction)] == ["steps", "residual"]
+    assert len(result.steps) == 1296
+    assert elapsed < 1.0
 
 
 def test_deconstruct_a1_interval(a1):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sigmabuild.coxeter import AlcoveGeometry
 from sigmabuild.linalg import Q0, Q1, dot, inverse, matvec, vec
 from sigmabuild.root_system import (
     AffineHyperplane,
@@ -118,6 +119,23 @@ def test_roots_match_the_ambient_tables(family, rank):
     assert all(type(c) is int for row in datum.cartan_matrix() for c in row)
 
 
+@pytest.mark.parametrize("family,rank", ALL_RANKS)
+def test_pairing_table_matches_the_fraction_pairing(family, rank):
+    # <beta, alpha^V> = 2 kappa(beta, alpha) / kappa(alpha, alpha), in
+    # Fractions over the ambient vectors, against the integer table that
+    # the alcove walks reflect by
+    datum = build_root_system(family, rank)
+    assert all(type(x) is int for row in datum.gram for x in row)
+    pos = datum.positive_roots
+    amb = {r: datum.ambient(r) for r in pos}
+    table = datum.pairings(pos, pos)
+    assert table == tuple(
+        tuple(2 * dot(amb[b], amb[a]) / dot(amb[a], amb[a]) for b in pos) for a in pos
+    )
+    assert all(type(x) is int for row in table for x in row)
+    assert AlcoveGeometry(datum)._pairings == table
+
+
 @pytest.mark.parametrize(
     "family,rank",
     [("A", 1), ("A", 2), ("A", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4)],
@@ -162,6 +180,7 @@ def test_a2_examples():
     assert datum.highest_root == (Fraction(1), Fraction(1))
     assert cartan_pairing(datum, a1, a2) == -1
     assert cartan_pairing(datum, (Fraction(1), Fraction(1)), a1) == 1
+    assert type(cartan_pairing(datum, (Fraction(1), Fraction(1)), a1)) is int
 
 
 def test_a1_trivial():
@@ -196,6 +215,8 @@ def test_bad_inputs_rejected():
     datum = build_root_system("A", 2)
     with pytest.raises(RootSystemError):
         cartan_pairing(datum, datum.simple_root_coeffs[0], (Fraction(5), Fraction(0)))
+    with pytest.raises(RootSystemError):
+        cartan_pairing(datum, (Fraction(5), Fraction(0)), datum.simple_root_coeffs[0])
 
 
 def rand_vec(rng, n):
