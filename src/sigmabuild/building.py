@@ -46,20 +46,25 @@ its vertices, the integers d*h(v) over the form's denominator d, extended
 whenever a vertex is numbered, and its cells sorted by (-entry, dim, key),
 where a cell enters at the least level of its vertices.  The superlevel
 complex X_{>=r} is the prefix of that order with entry >= the grid ceiling
-of r (`h.grid`), found by bisection; the same order is the one a persistent
-reduction over the height filtration runs in (Edelsbrunner-Letscher-
-Zomorodian 2002).  The cone chain compares the same levels.
+of r (`h.grid`), its length in each degree found by bisection.  The
+truncation's chain complex in that order is built once per form, on the
+first homology query; its column reduction is the persistent reduction of
+the height filtration (Edelsbrunner-Letscher-Zomorodian 2002), and every
+superlevel complex is recorded as a prefix of it, so Betti numbers and
+induced maps between levels read that one reduction.  The cone chain
+compares the same levels.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .chevalley import is_prime, valuation
 from .complexes import simplicial_complex
 from .coxeter import AlcoveGeometry
-from .homology import F2Chain, chain_complex
+from .homology import ChainComplexF2, F2Chain, record_prefix
 from .linalg import det, matmul
 from .root_system import build_root_system
 from .windows import HeightForm
@@ -138,7 +143,7 @@ class Truncation:
     vertex, computed by the modular integer kernel.
     """
 
-    def __init__(self, n, p, radius, max_chambers=10**6):
+    def __init__(self, n, p, radius, max_chambers=10**5):
         if n not in (2, 3):
             raise BuildingError("only n in {2, 3} is supported")
         if not is_prime(p):
@@ -356,21 +361,35 @@ class HeightFiltration:
 
     `heights[v]` is the level `h.level` of vertex v, the integer d * h(v);
     `cells` lists the truncation's cells by (-entry, dim, key), where a cell's
-    entry is the least level of its vertices, and `_neg_entries[i]` is -entry
-    of `cells[i]`.  A face enters no later than its cells, so every prefix of
-    `cells` is a subcomplex.
+    entry is the least level of its vertices, and `_neg_entries[k]` lists
+    -entry of its k-cells in that order.  A face enters no later than its
+    cells, so every prefix of `cells` is a subcomplex.  `chain_complex`, the
+    truncation's ChainComplexF2 in the order of `cells`, is built on first
+    use; its reduction is the persistent one of the filtration.
     """
 
     def __init__(self, trunc, h):
         self.h = h
+        self._complex = trunc.complex
         self.heights = hts = [h.level(values) for values in trunc._root_values]
         order = sorted((-min(hts[v] for v in c), len(c), c) for c in trunc.complex.cells())
-        self._neg_entries = [e for e, _, _ in order]
+        self._neg_entries = [[] for _ in range(trunc.complex.dim + 1)]
+        for e, m, _ in order:
+            self._neg_entries[m - 1].append(e)
         self.cells = [c for _, _, c in order]
 
-    def superlevel_cells(self, r):
-        """The cells whose vertices all have height >= r, a prefix of `cells`."""
-        return self.cells[: bisect_right(self._neg_entries, -self.h.grid(r)[1])]
+    @cached_property
+    def chain_complex(self):
+        return ChainComplexF2(self._complex, order=self.cells)
+
+    def superlevel_lengths(self, r):
+        """The number of k-cells with all vertices at height >= r, for each degree k
+        up to the dimension of the superlevel complex."""
+        t = -self.h.grid(r)[1]
+        lengths = [bisect_right(es, t) for es in self._neg_entries]
+        while lengths and not lengths[-1]:
+            lengths.pop()
+        return lengths
 
 
 def height_eval(trunc, h, cell_key):
@@ -381,8 +400,17 @@ def height_eval(trunc, h, cell_key):
 
 
 def superlevel_complex(trunc, h, r):
-    """Supported subcomplex on the cells with min height >= r."""
-    return trunc.complex.restrict(trunc.height_filtration(h).superlevel_cells(r))
+    """Supported subcomplex on the cells with min height >= r.
+
+    It is recorded as a prefix of the height filtration, so its homology and
+    the maps into the other superlevel complexes of h read the filtration's
+    one reduction.
+    """
+    filtration = trunc.height_filtration(h)
+    lengths = filtration.superlevel_lengths(r)
+    sub = trunc.complex.restrict(filtration.cells[: sum(lengths)])
+    record_prefix(sub, filtration, lengths)
+    return sub
 
 
 def retraction_preimage(trunc, apartment_cells):
@@ -443,7 +471,8 @@ def cone_chain(trunc, sector_elements, h, r):
     truncation.
     """
     std = standard_opposite_sector_cells(trunc)
-    heights = trunc.height_filtration(h).heights
+    filtration = trunc.height_filtration(h)
+    heights = filtration.heights
     below = h.grid(r)[0]  # a cell lies below r iff no vertex level exceeds floor(d r)
     sectors = []
     for g in sector_elements:
@@ -473,7 +502,7 @@ def cone_chain(trunc, sector_elements, h, r):
         if len(cell) - 1 == top and b % 2 and max(heights[v] for v in cell) <= below
     }
     chain = F2Chain(top, support)
-    boundary = chain_complex(trunc.complex).boundary(chain)
+    boundary = filtration.chain_complex.boundary(chain)
     spread = 0
     for sec in sectors:
         for cell in sec:
@@ -491,6 +520,6 @@ def cone_chain(trunc, sector_elements, h, r):
     )
 
 
-def grow_truncation(n, p, radius, max_chambers=10**6):
+def grow_truncation(n, p, radius, max_chambers=10**5):
     """BFS ball of chambers around the standard base chamber."""
     return Truncation(n, p, radius, max_chambers)

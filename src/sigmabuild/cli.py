@@ -269,7 +269,7 @@ def cmd_building(args):
                 "p": args.p,
                 "radius": args.radius,
                 "chambers": len(trunc.chambers),
-                "cells": len(trunc.complex.cells()),
+                "cells": len(trunc.complex),
             }
             _emit(payload, args.format)
     elif args.command2 == "retract":
@@ -282,10 +282,7 @@ def cmd_building(args):
     elif args.command2 == "superlevel":
         h = _parse_height(args.height, args.n)
         sub = superlevel_complex(trunc, h, args.r)
-        _emit(
-            {"cells": len(sub.cells()), "betti": betti_vector(sub) if len(sub.cells()) else []},
-            args.format,
-        )
+        _emit({"cells": len(sub), "betti": betti_vector(sub)}, args.format)
     elif args.command2 == "cone-chain":
         h = _parse_height(args.height, args.n)
         try:

@@ -1,22 +1,33 @@
 """Sparse F2 chain complexes, reduced Betti numbers, induced-map tests.
 
 Chains are sets of cell keys; linear algebra over F2 uses Python integers as
-bit rows (bit i = coefficient of the i-th cell in a fixed sorted order), so
-Gaussian elimination is a handful of xors.  Each boundary map is
-column-reduced at most once, on first use; ranks, Betti numbers, cycle bases
-and bounding chains all read that reduction.  Betti numbers are reduced: the
-degree-0 boundary is augmented by the empty cell.  An induced map
-H_k(small) -> H_k(big) is decided inside big's complex alone: small's k-cells
-go through the same pivot loop as big's columns, and each cycle is tested
-against big's degree-(k+1) reduction as soon as it appears.
+bit rows (bit i = coefficient of the i-th cell of its degree), so Gaussian
+elimination is a handful of xors.  A chain complex lists each degree's cells
+in the order it is given, sorted by default.  Each boundary map is
+column-reduced at most once, on first use, in that order; ranks, Betti
+numbers, cycle bases and bounding chains all read that reduction.  Betti
+numbers are reduced: the degree-0 boundary is augmented by the empty cell.
 
-`chain_complex` keeps one ChainComplexF2 per frozen complex, weakly keyed by
-the complex, so Betti numbers, induced maps and bounding tests on the same
-complex share its boundary rows and reductions.  A ChainComplexF2 holds only
-cell keys, never the complex, and its entry goes with the complex.
+The reduction of a filtered complex is its persistent reduction
+(Edelsbrunner-Letscher-Zomorodian 2002; Zomorodian-Carlsson 2005).  A
+subcomplex spanned by the first cells of each degree reads it directly: its
+rank in degree k counts the pivots whose column lies in the prefix, and
+H_k(small) -> H_k(big) of two prefixes is non-trivial iff some degree-k
+kernel combo of small is not killed by a degree-(k+1) column of big; that
+combo is the witness.  An induced map between complexes that are not two
+prefixes of one chain complex is decided inside big's complex alone: small's
+k-cells go through the same pivot loop as big's columns, and each cycle is
+tested against big's degree-(k+1) reduction as soon as it appears.
+
+`chain_complex` keeps one ChainComplexF2 per frozen complex, and
+`record_prefix` marks a complex as a prefix of a filtration's chain complex;
+both tables are weakly keyed by the complex, so an entry goes with its
+complex.  A ChainComplexF2 holds only cell keys, never the complex.
 """
 
 import weakref
+from bisect import bisect_left
+from itertools import zip_longest
 
 
 class HomologyError(ValueError):
@@ -51,20 +62,33 @@ class F2Chain:
 class ChainComplexF2:
     """F2 cellular chain complex of a CellComplex.
 
-    The boundary of a k-cell is the sum of its codimension-1 faces; for a
-    general chain the coefficient of a face is the parity of its cofaces in
-    the support.  d o d = 0 is checked on construction (HomologyError),
-    including the augmentation composed with d_1.
+    `order`, if given, lists every cell once, and each degree's cells are
+    numbered in that order; by default they are sorted.  The boundary of a
+    k-cell is the sum of its codimension-1 faces; for a general chain the
+    coefficient of a face is the parity of its cofaces in the support.
+    d o d = 0 is checked on construction (HomologyError), including the
+    augmentation composed with d_1.
     """
 
-    def __init__(self, complex_):
+    def __init__(self, complex_, order=None):
         if not complex_.frozen:
             raise HomologyError("freeze the complex first")
         self.top = complex_.dim
-        self.cells = {k: complex_.cells(k) for k in range(self.top + 1)}
+        if order is None:
+            self.cells = {k: complex_.cells(k) for k in range(self.top + 1)}
+        else:
+            self.cells = {k: [] for k in range(self.top + 1)}
+            for c in order:
+                if c not in complex_:
+                    raise HomologyError(f"{c!r} is not a cell of the complex")
+                self.cells[complex_.dim_of(c)].append(c)
         self.index = {
             k: {c: i for i, c in enumerate(cs)} for k, cs in self.cells.items()
         }
+        self.lengths = tuple(len(self.cells[k]) for k in range(self.top + 1))
+        distinct = sum(map(len, self.index.values()))
+        if sum(self.lengths) != len(complex_) or distinct != len(complex_):
+            raise HomologyError("the order must list every cell of the complex once")
         # boundary of each k-cell as a bit row over the (k-1)-cells
         self.bnd = {}
         for k in range(self.top + 1):
@@ -133,17 +157,21 @@ class ChainComplexF2:
     def _reduction(self, k):
         """The column reduction of bnd_k, computed once per degree.
 
-        Returns (pivots, kernel): pivots maps the leading bit of each reduced
-        column to (row, combo), where combo is the set of k-cells (as bits)
-        whose boundaries sum to row; kernel lists, in column order, the
-        combos whose boundaries sum to zero.
+        Returns (pivots, kernel, columns): pivots maps the leading bit of
+        each reduced column to (row, combo), where combo is the set of
+        k-cells (as bits) whose boundaries sum to row; kernel lists, in
+        column order, the combos whose boundaries sum to zero; columns lists
+        the pivot columns in increasing order.  A combo's leading bit is its
+        own column, since a column is only reduced by earlier ones.
         """
         red = self._reductions.get(k)
         if red is None:
             pivots = {}
             columns = ((col, 1 << j) for j, col in enumerate(self.bnd[k]))
             kernel = list(self._reduce(columns, pivots))
-            red = self._reductions[k] = (pivots, kernel)
+            # pivots are inserted in column order
+            own = [combo.bit_length() - 1 for _, combo in pivots.values()]
+            red = self._reductions[k] = (pivots, kernel, own)
         return red
 
     @classmethod
@@ -160,18 +188,52 @@ class ChainComplexF2:
         """Basis of the k-cycles (reduced: degree 0 uses the augmentation)."""
         return [self.from_bits(k, combo) for combo in self._reduction(k)[1]]
 
-    def rank(self, k):
-        if k < 0 or k > self.top:
-            return 0
-        return len(self._reduction(k)[0])
+    def rank(self, k, lengths=None):
+        """Rank of bnd_k, or of its first lengths[k] columns (see `betti`)."""
+        lengths = self.lengths if lengths is None else lengths
+        n = lengths[k] if 0 <= k < len(lengths) else 0
+        return bisect_left(self._reduction(k)[2], n) if n else 0
 
-    def betti(self, k):
-        """Reduced F2 Betti number in degree k."""
-        if k < 0 or k > self.top:
+    def betti(self, k, lengths=None):
+        """Reduced F2 Betti number in degree k.
+
+        With `lengths`, that of the subcomplex spanned by the first
+        lengths[j] j-cells of each degree j: the pivots of a column reduction
+        whose own column lies in the prefix are those of the prefix's own.
+        """
+        lengths = self.lengths if lengths is None else lengths
+        if not 0 <= k < len(lengths):
             return 0
-        n_k = len(self.cells[k])
-        z_k = n_k - self.rank(k)  # cycles (reduced in degree 0)
-        return z_k - self.rank(k + 1)
+        # cycles (reduced in degree 0) minus boundaries
+        return lengths[k] - self.rank(k, lengths) - self.rank(k + 1, lengths)
+
+    def prefix_map_trivial(self, small, big, k):
+        """Does H_k(small) -> H_k(big) vanish, for the prefixes with these lengths?
+
+        It vanishes iff every k-cell of small that starts a cycle (the own
+        column of a kernel combo) is the pivot of a reduced column of big.
+        The first combo whose cell is not is the witness: a cycle of small
+        whose leading cell no sum of big's boundaries reaches, since their
+        reduced columns have distinct leading cells.
+        """
+        for j, (s, b) in enumerate(zip_longest(small, big, fillvalue=0)):
+            if s > b:
+                raise HomologyError(
+                    f"cell {self.cells[j][b]!r} of the small complex is not a cell of the big one"
+                )
+        n = small[k] if 0 <= k < len(small) else 0
+        if not n:
+            return True, None
+        m = big[k + 1] if k + 1 < len(big) else 0
+        deaths = self._reduction(k + 1)[0] if m else {}
+        for combo in self._reduction(k)[1]:
+            own = combo.bit_length() - 1
+            if own >= n:
+                break
+            death = deaths.get(own)
+            if death is None or death[1].bit_length() > m:
+                return False, self.from_bits(k, combo)
+        return True, None
 
     def solve_boundary(self, k, target):
         """One k-chain with the given boundary, or None.
@@ -189,6 +251,7 @@ class ChainComplexF2:
 
 
 _chain_complexes = weakref.WeakKeyDictionary()
+_prefixes = weakref.WeakKeyDictionary()
 
 
 def chain_complex(complex_):
@@ -199,9 +262,23 @@ def chain_complex(complex_):
     return cc
 
 
+def record_prefix(complex_, filtration, lengths):
+    """Record a frozen complex as spanned by the first lengths[k] k-cells of
+    `filtration.chain_complex`, for each degree k up to its dimension.
+
+    The filtration's chain complex is read on the first homology query, so
+    recording one builds nothing.
+    """
+    _prefixes[complex_] = (filtration, tuple(lengths))
+
+
 def betti_vector(complex_):
-    cc = chain_complex(complex_)
-    return [cc.betti(k) for k in range(cc.top + 1)]
+    entry = _prefixes.get(complex_)
+    if entry is None:
+        cc = chain_complex(complex_)
+        return [cc.betti(k) for k in range(cc.top + 1)]
+    filtration, lengths = entry
+    return [filtration.chain_complex.betti(k, lengths) for k in range(len(lengths))]
 
 
 def induced_map_trivial(small, big, k):
@@ -210,10 +287,14 @@ def induced_map_trivial(small, big, k):
     Both are frozen CellComplexes sharing cell keys, small a subcomplex of
     big (every cell of small is a cell of big with the same facets).  Returns
     (True, None) or (False, witness_cycle).  Degree 0 is reduced: 0-cycles
-    are the even 0-chains.
+    are the even 0-chains.  Two prefixes of one filtration read its
+    persistent reduction; any other pair is reduced inside big's complex.
     """
     if not small.frozen:
         raise HomologyError("freeze the complex first")
+    s, b = _prefixes.get(small), _prefixes.get(big)
+    if s is not None and b is not None and s[0] is b[0]:
+        return s[0].chain_complex.prefix_map_trivial(s[1], b[1], k)
     big_cc = chain_complex(big)
     for c in small.cells():
         if c not in big or big.dim_of(c) != small.dim_of(c) or big.facets(c) != small.facets(c):

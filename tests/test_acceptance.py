@@ -73,7 +73,7 @@ def test_criterion_5_building_suite():
 
 
 def test_criterion_6_negative_direction():
-    entry, dt, budget = _timed(criterion_negative_direction, 2)
+    entry, dt, budget = _timed(criterion_negative_direction, 1)
     assert entry["details"]["boundary_nonzero"]
     assert entry["details"]["boundary_in_band"]
     assert entry["details"]["induced_map_nontrivial"]

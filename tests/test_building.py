@@ -320,7 +320,7 @@ def test_ball_size_is_checked_before_growth(n, p, radius):
 def test_oversized_ball_is_rejected_at_once():
     # about 1.8 million chambers: growing toward the guard took 18 s
     t0 = time.perf_counter()
-    with pytest.raises(BuildingError, match="more than 1,000,000 chambers"):
+    with pytest.raises(BuildingError, match="more than 100,000 chambers"):
         Truncation(2, 97, 3)
     assert time.perf_counter() - t0 < 0.5
 

@@ -148,6 +148,8 @@ def test_coxeter_rank_16_window_is_rejected_by_its_size(capsys):
     [
         (["sphere", "opp", "--n", "12", "--q", "2"], "exceeds the guard"),
         (["building", "grow", "--p", "97", "--radius", "3"], "chamber guard exceeded"),
+        # 131,069 chambers; radius 14 (65,533 chambers) still grows
+        (["building", "grow", "--n", "2", "--p", "2", "--radius", "15"], "more than 100,000 chambers"),
     ],
 )
 def test_size_guards_are_usage_errors(capsys, argv, fragment):

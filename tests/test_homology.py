@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 import weakref
 from functools import cache
 
@@ -207,6 +208,27 @@ def test_induced_map_rejects_a_small_complex_that_is_not_a_subcomplex(small):
             induced_map_trivial(small(), path_graph(2), k)
 
 
+def test_chain_complex_numbers_each_degree_in_the_given_order():
+    cx = filled_cycle(4)
+    order = [("f", 0)] + [("e", i) for i in (2, 0, 3, 1)] + [("v", i) for i in (3, 1, 0, 2)]
+    cc = ChainComplexF2(cx, order=order)
+    assert cc.cells == {0: [("v", i) for i in (3, 1, 0, 2)], 1: [("e", i) for i in (2, 0, 3, 1)], 2: [("f", 0)]}
+    assert [cc.betti(k) for k in range(3)] == [0, 0, 0]
+    assert cc.boundary(F2Chain(2, {("f", 0)})).support == {("e", i) for i in range(4)}
+    for bad in (order[1:], order + [("v", 0)], order[:-1] + [("v", 9)]):
+        with pytest.raises(HomologyError):
+            ChainComplexF2(cx, order=bad)
+    # prefixes: the open square, the square less edge e1, and two vertices
+    assert [cc.betti(k, (4, 4)) for k in range(2)] == [0, 1]
+    assert [cc.betti(k, (4, 3)) for k in range(2)] == [0, 0]
+    assert cc.betti(0, (2,)) == 1
+    assert cc.prefix_map_trivial((4, 4), (4, 4, 1), 1) == (True, None)
+    trivial, witness = cc.prefix_map_trivial((4, 4), (4, 4), 1)
+    assert not trivial and witness.support == {("e", i) for i in range(4)}
+    with pytest.raises(HomologyError, match=r"cell \('e', 1\) of the small complex"):
+        cc.prefix_map_trivial((4, 4), (4, 3), 0)
+
+
 def test_unique_bounding_chain():
     # contractible 1-complex with no 2-cells: preimages under the boundary are unique
     cx = path_graph(6)
@@ -303,67 +325,167 @@ def reference_induced_map(small, big, k):
     return True, None
 
 
+def assert_valid_witness(small, big, k, witness):
+    """An independent check: a k-cycle of small (facet parity) that does not bound in big."""
+    assert witness.dim == k and witness.support
+    assert all(c in small and small.dim_of(c) == k for c in witness.support)
+    parity = {}
+    for c in witness.support:
+        for f in small.facets(c) if k else ("augmentation",):
+            parity[f] = parity.get(f, 0) ^ 1
+    assert not any(parity.values())
+    assert not ChainComplexF2(big).bounds(witness)
+
+
+def count_builds(monkeypatch):
+    """Record the complex and the order of every ChainComplexF2 built from now on."""
+    builds = []
+    init = ChainComplexF2.__init__
+
+    def counting_init(self, complex_, order=None):
+        builds.append((complex_, order))
+        init(self, complex_, order)
+
+    monkeypatch.setattr(ChainComplexF2, "__init__", counting_init)
+    return builds
+
+
+def levels_of(trunc, h):
+    return sorted({height_eval(trunc, h, v)[0] for v in trunc.complex.cells(0)})
+
+
 SUPERLEVEL_TRUNCATIONS = ((2, 2, 6, (-1,)), (2, 3, 4, (-1,)), (3, 2, 3, (-1, -2)), (3, 2, 3, (-1, -1)))
-
-
-def superlevel_pairs(n, p, radius, coeffs):
-    """(small, big) = (X >= s', X >= s) for every pair of vertex heights s <= s'."""
-    trunc = grow_truncation(n, p, radius)
-    h = HeightForm(coeffs)
-    levels = sorted({height_eval(trunc, h, v)[0] for v in trunc.complex.cells(0)})
-    complexes = [superlevel_complex(trunc, h, r) for r in levels]
-    for i, big in enumerate(complexes):
-        for small in complexes[i:]:
-            yield small, big
 
 
 @pytest.mark.parametrize("n, p, radius, coeffs", SUPERLEVEL_TRUNCATIONS)
 def test_induced_map_matches_reference_on_superlevel_pairs(monkeypatch, n, p, radius, coeffs):
-    builds = []
-    init = ChainComplexF2.__init__
-
-    def counting_init(self, complex_):
-        builds.append(complex_)
-        init(self, complex_)
-
+    trunc = grow_truncation(n, p, radius)
+    h = HeightForm(coeffs)
+    complexes = [superlevel_complex(trunc, h, r) for r in levels_of(trunc, h)]
     verdicts = set()
-    first_uses = []
-    for small, big in superlevel_pairs(n, p, radius, coeffs):
-        for k in range(n):
-            expected = reference_induced_map(small, big, k)
-            with monkeypatch.context() as m:
-                m.setattr(ChainComplexF2, "__init__", counting_init)
-                got = induced_map_trivial(small, big, k)
-            if not any(b is big for b in first_uses):
-                first_uses.append(big)
-            # big's chain complex is built on its first query only, small's never
-            assert builds == first_uses
-            assert got == expected
-            verdicts.add(got[0])
-    # both verdicts occur, so witnesses were compared too
+    with monkeypatch.context() as m:
+        builds = count_builds(m)
+        got = {
+            (i, j, k): induced_map_trivial(small, big, k)
+            for i, big in enumerate(complexes)
+            for j, small in enumerate(complexes[i:], i)
+            for k in range(n)
+        }
+    # one chain complex for the truncation and the form, in filtration order,
+    # built on the first query; none per superlevel complex or per query
+    assert builds == [(trunc.complex, trunc.height_filtration(h).cells)]
+    for (i, j, k), (trivial, witness) in got.items():
+        small, big = complexes[j], complexes[i]
+        assert trivial == reference_induced_map(small, big, k)[0]
+        if trivial:
+            assert witness is None
+        else:
+            assert_valid_witness(small, big, k, witness)
+        verdicts.add(trivial)
+    # both verdicts occur, so witnesses were checked too
     assert verdicts == {True, False}
 
 
 def test_betti_and_induced_map_share_one_chain_complex(monkeypatch):
     trunc = grow_truncation(2, 3, 3)
     h = HeightForm((-1,))
+    builds = count_builds(monkeypatch)
     big = superlevel_complex(trunc, h, -1)
     small = superlevel_complex(trunc, h, 1)
-    builds = []
-    init = ChainComplexF2.__init__
-
-    def counting_init(self, complex_):
-        builds.append(complex_)
-        init(self, complex_)
-
-    monkeypatch.setattr(ChainComplexF2, "__init__", counting_init)
+    assert builds == []  # recording a prefix builds nothing
     assert betti_vector(big) == [2, 0]
     for k in (0, 1):
         induced_map_trivial(small, big, k)
-    assert builds == [big]
-    # the shared chain complex does not keep its complex alive
+    assert betti_vector(small) == [8, 0]
+    assert builds == [(trunc.complex, trunc.height_filtration(h).cells)]
+    # the chain complex lives with the filtration, not with the superlevel
+    # complexes, and their prefix records do not keep them alive
     builds.clear()
     ref = weakref.ref(big)
     del big
     gc.collect()
     assert ref() is None
+    assert betti_vector(superlevel_complex(trunc, h, -1)) == [2, 0]
+    assert builds == []
+
+
+# --- the persistent reduction against one chain complex per superlevel complex ----
+
+CROSS_CHECK_TRUNCATIONS = ((2, 2, 5), (2, 3, 3), (3, 2, 2), (3, 3, 1))
+# per rank: all-negative, one positive coefficient, one zero coefficient (flat edges)
+CROSS_CHECK_HEIGHTS = {2: ((-1,), (1,), (0,)), 3: ((-1, -2), (1, -2), (0, -1))}
+
+
+@pytest.mark.parametrize("n, p, radius", CROSS_CHECK_TRUNCATIONS)
+def test_persistent_reduction_matches_per_level_chain_complexes(n, p, radius):
+    trunc = grow_truncation(n, p, radius)
+    verdicts = set()
+    for coeffs in CROSS_CHECK_HEIGHTS[n]:
+        h = HeightForm(coeffs)
+        complexes = [superlevel_complex(trunc, h, r) for r in levels_of(trunc, h)]
+        for cx in complexes:
+            cc = ChainComplexF2(cx)
+            assert betti_vector(cx) == [cc.betti(k) for k in range(cc.top + 1)]
+        for i, big in enumerate(complexes):
+            for small in complexes[i:]:
+                for k in range(n):
+                    trivial, witness = induced_map_trivial(small, big, k)
+                    assert trivial == reference_induced_map(small, big, k)[0]
+                    if not trivial:
+                        assert_valid_witness(small, big, k, witness)
+                    verdicts.add(trivial)
+    assert verdicts == {True, False}
+
+
+def test_superlevel_map_into_a_smaller_level_is_rejected():
+    trunc = grow_truncation(3, 2, 2)
+    h = HeightForm((-1, -2))
+    levels = levels_of(trunc, h)
+    for s, t in ((levels[0], levels[1]), (levels[1], levels[-1])):
+        low, high = superlevel_complex(trunc, h, s), superlevel_complex(trunc, h, t)
+        for k in range(3):
+            with pytest.raises(HomologyError, match="not a cell of the big one"):
+                induced_map_trivial(low, high, k)
+
+
+def test_prefixes_of_two_forms_or_two_truncations_take_the_general_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("two prefixes of one filtration expected")
+
+    monkeypatch.setattr(ChainComplexF2, "prefix_map_trivial", refuse)
+    trunc, twin = grow_truncation(3, 2, 2), grow_truncation(3, 2, 2)
+    h, g = HeightForm((-1, -2)), HeightForm((-1, -1))
+    pairs = []
+    for s in levels_of(trunc, h):
+        small = superlevel_complex(trunc, h, s)
+        # the same level of an identical truncation, and the whole of it
+        pairs.append((small, superlevel_complex(twin, h, s)))
+        pairs.append((small, superlevel_complex(twin, h, levels_of(twin, h)[0])))
+        # every level of another form that contains it
+        for t in levels_of(trunc, g):
+            big = superlevel_complex(trunc, g, t)
+            if all(c in big for c in small.cells()):
+                pairs.append((small, big))
+    verdicts = set()
+    for small, big in pairs:
+        for k in range(3):
+            trivial, witness = induced_map_trivial(small, big, k)
+            assert trivial == reference_induced_map(small, big, k)[0]
+            if not trivial:
+                assert_valid_witness(small, big, k, witness)
+            verdicts.add(trivial)
+    assert verdicts == {True, False}
+
+
+def test_betti_sweep_over_the_levels_of_a_large_tree_budget():
+    # SL2 p=2 r12, 32,763 cells: 3.6 s with one chain complex per level
+    trunc = grow_truncation(2, 2, 12)
+    h = HeightForm((-1,))
+    complexes = [superlevel_complex(trunc, h, r) for r in levels_of(trunc, h)]
+    assert len(complexes) == 26
+    t0 = time.perf_counter()
+    bettis = [betti_vector(cx) for cx in complexes]
+    assert time.perf_counter() - t0 < 0.5
+    # a forest: no cycles, and one more component than b0 at the top level
+    assert all(b[1:] in ([], [0]) for b in bettis)
+    assert bettis[0] == [0, 0] and bettis[-1] == [len(complexes[-1]) - 1]
