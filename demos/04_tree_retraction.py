@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from sigmabuild.building import cone_chain, grow_truncation, superlevel_complex
 from sigmabuild.chevalley import identity_element, x_elem
-from sigmabuild.homology import chain_complex, induced_map_trivial
+from sigmabuild.homology import bounds, induced_map_trivial
 from sigmabuild.windows import HeightForm
 
 p = 2
@@ -37,8 +37,8 @@ print(f"boundary support: {len(cc.boundary.support)} vertices, "
 
 small = superlevel_complex(trunc, h, 3)
 big = superlevel_complex(trunc, h, 1)
-bounds = chain_complex(big).bounds(cc.boundary)
+bounding = bounds(big, cc.boundary)
 trivial, witness = induced_map_trivial(small, big, 0)
-print(f"boundary bounds in the deeper superlevel complex: {bounds}")
+print(f"boundary bounds in the deeper superlevel complex: {bounding}")
 print(f"induced map on reduced H_0 trivial: {trivial} "
       f"(witness cycle of size {len(witness.support) if witness else 0})")

@@ -26,7 +26,7 @@ from .chevalley import (
     x_elem,
 )
 from .coxeter import AlcoveGeometry, GeometryError
-from .homology import betti_vector, chain_complex, induced_map_trivial
+from .homology import betti_vector, bounds, induced_map_trivial
 from .root_system import build_root_system, cartan_pairing
 from .sigma import CERTAIN_IN, CERTAIN_OUT, SigmaContext, finiteness_type
 from .spherical import build_flag_building, find_opposite_apartment
@@ -381,7 +381,7 @@ def criterion_negative_direction():
     small = superlevel_complex(trunc, h, s + t)
     big = superlevel_complex(trunc, h, s)
     in_small = all(v in small for v in cc.boundary.support)
-    nonbounding_ok = not chain_complex(big).bounds(cc.boundary)
+    nonbounding_ok = not bounds(big, cc.boundary)
     trivial, witness = induced_map_trivial(small, big, 0)
     induced_ok = (not trivial) and witness is not None
     passed = nonzero_ok and band_ok and in_small and nonbounding_ok and induced_ok

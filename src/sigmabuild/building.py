@@ -33,7 +33,11 @@ the ball's range.
 Apartment coordinates follow the convention that the chamber at infinity
 stabilized by the upper-triangular subgroup is the all-plus chamber of the
 A_{n-1} alcove geometry: the diagonal class with exponents (a_1, ..., a_n)
-sits at the point x with kappa(x, alpha_i) = a_{i+1} - a_i.
+sits at the point x with kappa(x, alpha_i) = a_{i+1} - a_i.  A vertex keeps
+these simple-root values and its scaled values over all positive roots, both
+computed once when it is numbered; the retraction image of a cell is the
+alcove key of the mean of its vertices' scaled values, cached per cell, and
+`retraction_preimage` indexes every cell by its image once per truncation.
 
 Heights are `windows.HeightForm`s composed with the retraction: a vertex's
 simple-root values are the exponent differences a_{i+1} - a_i of its Hermite
@@ -157,6 +161,12 @@ class Truncation:
         self.geometry = AlcoveGeometry(self.datum)
         self._filtrations = {}
         self._check_ball(max_chambers)
+        # made here, not in `_grow`, so that every growth route numbers its
+        # vertices into them through `vertex_id`
+        self.vertices = []
+        self._vertex_ids = {}
+        self._root_values = []
+        self._apartment_values = []
         self._grow()
         self._build_complex()
         self._retraction_cache = {}
@@ -232,9 +242,6 @@ class Truncation:
         vertex_keys = {key for ck in dist for key in ck}
         top = max(d for d, _ in vertex_keys)
         order = sorted(vertex_keys, key=lambda k: [x * p ** (top - k[0]) for r in k[1] for x in r])
-        self.vertices = []
-        self._vertex_ids = {}
-        self._root_values = []
         for key in order:
             self.vertex_id(key)
         ids = self._vertex_ids
@@ -272,6 +279,7 @@ class Truncation:
             exps = [valuation(rows[i][i], self.p) for i in range(self.n)]
             values = tuple(b - a for a, b in zip(exps, exps[1:]))
             self._root_values.append(values)
+            self._apartment_values.append(self.geometry._scaled_values(values))
             for h, filtration in self._filtrations.items():
                 filtration.heights.append(h.level(values))
         return vid
@@ -303,13 +311,13 @@ class Truncation:
         """The alcove cell of the standard apartment carrying the retraction image.
 
         It is the key of the mean of the vertices' images, read from their
-        integer root values.
+        scaled apartment values.
         """
-        if cell_key in self._retraction_cache:
-            return self._retraction_cache[cell_key]
-        g = self.geometry
-        cell = g._key_of_mean([g._scaled_values(self._root_values[v]) for v in cell_key])
-        self._retraction_cache[cell_key] = cell
+        cell = self._retraction_cache.get(cell_key)
+        if cell is None:
+            values = self._apartment_values
+            cell = self.geometry._key_of_mean([values[v] for v in cell_key])
+            self._retraction_cache[cell_key] = cell
         return cell
 
     def in_standard_apartment(self, v):
@@ -396,7 +404,9 @@ def height_eval(trunc, h, cell_key):
     """Exact [min, max] of the height h over the closed cell (attained at vertices)."""
     heights = trunc.height_filtration(h).heights
     vals = [heights[v] for v in cell_key]
-    return Fraction(min(vals), h.d), Fraction(max(vals), h.d)
+    lo, hi = min(vals), max(vals)
+    low = Fraction(lo, h.d)
+    return low, (low if hi == lo else Fraction(hi, h.d))
 
 
 def superlevel_complex(trunc, h, r):

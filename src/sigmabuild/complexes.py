@@ -4,11 +4,12 @@ The one carrier shared by Coxeter windows, flag buildings and Bruhat-Tits
 truncations.  Cells are indexed by caller-supplied canonical keys (hashable,
 totally ordered within one complex); faces are recorded one codimension down,
 which determines the whole face lattice since cells are polytopes.  Freezing
-validates the facets once and records the cofacets; a subcomplex is
-restricted from a frozen parent by sharing its facet sets and intersecting
-its cofacet sets with the kept cells, with no second validation.  A frozen
-complex sorts its cells once.  The exports print a cell as `label(key)`,
-`str` by default.
+validates the facets once and records the cofacets.  A subcomplex restricted
+from a frozen parent owns only its table of cell dimensions: it shares the
+parent's facet and cofacet tables (so a restriction of a restriction shares
+the root's), and its queries read them through its own cells, dropping the
+cofacets it does not keep.  A frozen complex sorts its cells once.  The
+exports print a cell as `label(key)`, `str` by default.
 """
 
 import json
@@ -36,6 +37,8 @@ class CellComplex:
             self._facets[key] = set(facets)
 
     def freeze(self):
+        if self.frozen:
+            return self
         for key, fs in self._facets.items():
             for f in fs:
                 if f not in self._dim:
@@ -80,33 +83,32 @@ class CellComplex:
         return list(by_dim.get(dim, ()))
 
     def facets(self, key):
+        if key not in self._dim:
+            raise KeyError(key)
         return self._facets[key]
 
     def cofacets(self, key):
-        return self._cofacets[key]
-
-    def is_face_closed(self, keys):
-        keys = set(keys)
-        return all(f in keys for k in keys for f in self._facets[k])
+        kept = self._dim.keys()
+        if key not in kept:
+            raise KeyError(key)
+        cf = self._cofacets[key]
+        return cf if cf <= kept else frozenset(c for c in cf if c in kept)
 
     def restrict(self, keys):
         """Frozen subcomplex of a frozen complex on a face-closed set of cells.
 
-        The parent was validated when it froze, so the subcomplex shares its
-        facet sets, and its cofacet sets where every cofacet is kept.
+        The parent was validated when it froze, so the subcomplex builds only
+        its table of cell dimensions, checks closure with one subset test per
+        cell, and shares the parent's facet and cofacet tables.
         """
         if not self.frozen:
             raise RuntimeError("freeze the complex first")
-        keys = set(keys)
-        if not self.is_face_closed(keys):
-            raise ValueError("cell set is not face-closed")
+        dims, facets = self._dim, self._facets
         sub = CellComplex()
-        sub._dim = {k: self._dim[k] for k in keys}
-        sub._facets = {k: self._facets[k] for k in keys}
-        sub._cofacets = {}
-        for k in keys:
-            cf = self._cofacets[k]
-            sub._cofacets[k] = cf if cf <= keys else cf & keys
+        kept = sub._dim = {k: dims[k] for k in keys}
+        if not all(facets[k] <= kept.keys() for k in kept):
+            raise ValueError("cell set is not face-closed")
+        sub._facets, sub._cofacets = facets, self._cofacets
         sub.frozen = True
         return sub
 
@@ -121,7 +123,7 @@ class CellComplex:
                 "id": ids[k],
                 "key": label(k),
                 "dim": self._dim[k],
-                "faces": sorted(ids[f] for f in self._facets[k]),
+                "faces": sorted(ids[f] for f in self.facets(k)),
             }
             if constraints is not None:
                 entry["constraints"] = constraints(k)
@@ -137,7 +139,7 @@ class CellComplex:
             lines.append(f'  n{ids[k]} [label="{label(k)}"];')
         seen = set()
         for panel in self.cells(d - 1):
-            cs = sorted(self._cofacets[panel])
+            cs = sorted(self.cofacets(panel))
             for i, c in enumerate(cs):
                 for e in cs[i + 1:]:
                     if (c, e) not in seen:

@@ -243,11 +243,21 @@ class ChainComplexF2:
         t, combo = self._eliminate(self.to_bits(target), 0, self._reduction(k)[0])
         return None if t else self.from_bits(k, combo)
 
-    def bounds(self, chain):
-        """Whether the cycle bounds (is in the image of the next boundary map)."""
-        if chain.dim >= self.top:
+    def bounds(self, chain, lengths=None):
+        """Whether the cycle bounds (is in the image of the next boundary map).
+
+        With `lengths`, whether it bounds in the prefix subcomplex (see
+        `betti`): the reduced columns inside the prefix span its boundaries
+        and have distinct pivots, and a combo's leading bit is the latest
+        column it uses, so the cycle bounds there iff the elimination
+        reaches zero with a combo inside the prefix.
+        """
+        lengths = self.lengths if lengths is None else lengths
+        k = chain.dim + 1
+        if k >= len(lengths):
             return not chain
-        return self.solve_boundary(chain.dim + 1, chain) is not None
+        row, combo = self._eliminate(self.to_bits(chain), 0, self._reduction(k)[0])
+        return not row and combo.bit_length() <= lengths[k]
 
 
 _chain_complexes = weakref.WeakKeyDictionary()
@@ -279,6 +289,16 @@ def betti_vector(complex_):
         return [cc.betti(k) for k in range(cc.top + 1)]
     filtration, lengths = entry
     return [filtration.chain_complex.betti(k, lengths) for k in range(len(lengths))]
+
+
+def bounds(complex_, chain):
+    """Whether a cycle of a frozen complex bounds in it; a recorded prefix
+    reads its filtration's reduction."""
+    entry = _prefixes.get(complex_)
+    if entry is None:
+        return chain_complex(complex_).bounds(chain)
+    filtration, lengths = entry
+    return filtration.chain_complex.bounds(chain, lengths)
 
 
 def induced_map_trivial(small, big, k):

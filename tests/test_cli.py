@@ -1,5 +1,6 @@
 """The command-line surface: subcommands, exit codes, formats."""
 
+import hashlib
 import json
 import os
 import re
@@ -182,6 +183,19 @@ def test_sphere_opp(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["betti"][0] == 0 and data["betti"][1] >= 1
+
+
+def test_sphere_opp_dot_is_pinned(capsys):
+    # Opp(C) is a restriction of the flag complex, and its drawing reads the
+    # cofacets of each panel through it; the digest is that of the drawing
+    # made when a restriction still copied its own cofacet sets
+    code, out, _ = run(capsys, ["sphere", "opp", "--n", "3", "--q", "2", "--format", "dot"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9799d4cbc2596b87a6f65deea5d4855dedb8c45b75072a7ddd8a1f59797dd15b"
+    )
+    # the q^3 chambers opposite C, and the panels they share
+    assert out.count("label=") == 8 and out.count(" -- ") == 8
 
 
 def test_homology_betti_roundtrip(tmp_path, capsys):

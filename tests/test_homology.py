@@ -17,6 +17,7 @@ from sigmabuild.homology import (
     F2Chain,
     HomologyError,
     betti_vector,
+    bounds,
     induced_map_trivial,
 )
 from sigmabuild.root_system import build_root_system
@@ -437,6 +438,32 @@ def test_persistent_reduction_matches_per_level_chain_complexes(n, p, radius):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("n, p, radius", CROSS_CHECK_TRUNCATIONS)
+def test_bounds_in_a_prefix_matches_its_own_chain_complex(monkeypatch, n, p, radius):
+    trunc = grow_truncation(n, p, radius)
+    rng = random.Random(n * 100 + p * 10 + radius)
+    answers = set()
+    for coeffs in CROSS_CHECK_HEIGHTS[n]:
+        h = HeightForm(coeffs)
+        complexes = [superlevel_complex(trunc, h, r) for r in levels_of(trunc, h)]
+        own = [ChainComplexF2(cx) for cx in complexes]
+        for i, big in enumerate(complexes):
+            for small_cc in own[i:]:
+                for k in range(small_cc.top + 1):
+                    cycles = small_cc.kernel_basis(k)
+                    chains = cycles + [a + b for a, b in zip(cycles, cycles[1:])]
+                    # a chain that need not be a cycle bounds in neither
+                    chains.append(F2Chain(k, rng.sample(small_cc.cells[k], min(3, len(small_cc.cells[k])))))
+                    with monkeypatch.context() as m:
+                        builds = count_builds(m)
+                        got = [bounds(big, z) for z in chains]
+                    # only the filtration's own chain complex, on the first query
+                    assert builds in ([], [(trunc.complex, trunc.height_filtration(h).cells)])
+                    assert got == [own[i].bounds(z) for z in chains]
+                    answers.update(got)
+    assert answers == {True, False}
+
+
 def test_superlevel_map_into_a_smaller_level_is_rejected():
     trunc = grow_truncation(3, 2, 2)
     h = HeightForm((-1, -2))
@@ -489,3 +516,18 @@ def test_betti_sweep_over_the_levels_of_a_large_tree_budget():
     # a forest: no cycles, and one more component than b0 at the top level
     assert all(b[1:] in ([], [0]) for b in bettis)
     assert bettis[0] == [0, 0] and bettis[-1] == [len(complexes[-1]) - 1]
+
+
+def test_superlevel_sweep_over_the_levels_of_a_large_tree_budget():
+    # SL2 p=2 r12: 1.65-1.78 s when each restriction re-checked face closure
+    # on copied key sets and copied its facet and cofacet dicts
+    trunc = grow_truncation(2, 2, 12)
+    h = HeightForm((-1,))
+    levels = levels_of(trunc, h)
+    t0 = time.perf_counter()
+    complexes = [superlevel_complex(trunc, h, r) for r in levels]
+    assert time.perf_counter() - t0 < 1
+    assert len(complexes) == 26
+    # each level has a vertex at its own height, so the sets strictly shrink
+    assert all(len(a) > len(b) for a, b in zip(complexes, complexes[1:]))
+    assert len(complexes[0]) == len(trunc.complex)
