@@ -9,26 +9,30 @@ retraction from infinity onto the standard apartment: the off-diagonal part
 is an upper-unitriangular matrix, so the Hermite form is an exact Iwasawa
 factorization u * a with u unipotent and a a p-power diagonal.
 
-One integer kernel computes every form: a column Hermite reduction over the
-local ring at p with the minimal-valuation pivot and unit inverses, with every
-entry reduced modulo p^(N+1) for N = v_p(det) (Domich-Kannan-Trotter).  It
-returns the form as an integer key (d, rows), the form being rows / p^d, and
-the key is the one representation of a vertex: growth, the vertex table and
-the group action all hold it, and only `Truncation.form` turns it into
-Fractions, for printing.
+One integer kernel computes a form from arbitrary columns: a column Hermite
+reduction over the local ring at p with the minimal-valuation pivot and unit
+inverses, with every entry reduced modulo p^(N+1) for N = v_p(det)
+(Domich-Kannan-Trotter).  It returns the form as an integer key (d, rows),
+the form being rows / p^d, and the key is the one representation of a
+vertex: growth, the vertex table and the group action all hold it, and only
+`Truncation.form` turns it into Fractions, for printing.  The reduction of
+the entries above the diagonal and the homothety normalization that end it
+are one helper, `_reduced_key`, which growth shares.
 
-A truncation grows in integers.  A chamber is one integer basis b_1..b_n over
-a denominator p^s, with chain L_i = span(p b_1, ..., p b_i, b_{i+1}, ..., b_n)
-/ p^s; its panels are fixed moves of that basis (the building is thick, every
-panel has p + 1 chambers), and each new vertex costs one form.  The keys of
-the ball are then sorted once in the order of their forms and numbered in
-that order, so a vertex is an int id (`Truncation.vertices[i]` is its key)
-and a cell is a sorted tuple of ids.  Because the numbering preserves the
-order, every sorted list of cells, every homology basis and every witness is
-the one the form tuples would give.  An element g of the group acts on a
-vertex through the same kernel, on the integer columns of g.num times the
-key's rows; images that fall outside the ball are numbered on demand after
-the ball's range.
+A truncation grows over keys alone.  A chamber is a lattice chain
+L_0 > L_1 > ... > L_{n-1} > p L_0, held as the keys of its members, and the
+kernel runs only on the base chamber: every other vertex is read off the
+keys of the two chain members beside it on its panel (`_panel_vertices`),
+with one column replaced, one exponent lowered, one reduction above the
+diagonal and one normalization, and no pivot search.  The keys of the ball
+are then sorted once in the order of their forms and numbered in that
+order, so a vertex is an int id (`Truncation.vertices[i]` is its key) and a
+cell is a sorted tuple of ids.  Because the numbering preserves the order,
+every sorted list of cells, every homology basis and every witness is the
+one the form tuples would give.  An element g of the group acts on a vertex
+through the kernel, on the integer columns of g.num times the key's rows;
+images that fall outside the ball are numbered on demand after the ball's
+range.
 
 Apartment coordinates follow the convention that the chamber at infinity
 stabilized by the upper-triangular subgroup is the all-plus chamber of the
@@ -36,7 +40,7 @@ A_{n-1} alcove geometry: the diagonal class with exponents (a_1, ..., a_n)
 sits at the point x with kappa(x, alpha_i) = a_{i+1} - a_i.  A vertex keeps
 these simple-root values and its scaled values over all positive roots, both
 computed once when it is numbered; the retraction image of a cell is the
-alcove key of the mean of its vertices' scaled values, cached per cell, and
+alcove key of the mean of its vertices' scaled values, and
 `retraction_preimage` indexes every cell by its image once per truncation.
 
 Heights are `windows.HeightForm`s composed with the retraction: a vertex's
@@ -48,9 +52,11 @@ coefficients c_i over the basis chi_{i,p} (`HeightForm.equivariant_character`).
 A truncation keeps one `HeightFiltration` per form: the levels `h.level` of
 its vertices, the integers d*h(v) over the form's denominator d, extended
 whenever a vertex is numbered, and its cells sorted by (-entry, dim, key),
-where a cell enters at the least level of its vertices.  The superlevel
-complex X_{>=r} is the prefix of that order with entry >= the grid ceiling
-of r (`h.grid`), its length in each degree found by bisection.  The
+where a cell enters at the least level of its vertices, so that every
+prefix is face-closed (checked once, when the filtration is built).  The
+superlevel complex X_{>=r} is the prefix of that order with entry >= the
+grid ceiling of r (`h.grid`), its length in each degree found by bisection,
+taken as a subcomplex without a closure check of its own.  The
 truncation's chain complex in that order is built once per form, on the
 first homology query; its column reduction is the persistent reduction of
 the height filtration (Edelsbrunner-Letscher-Zomorodian 2002), and every
@@ -63,7 +69,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
+from math import gcd
 
 from .chevalley import is_prime, valuation
 from .complexes import simplicial_complex
@@ -109,17 +116,83 @@ def _hermite_form(cols, p, N):
             if f:
                 work[j] = [(a - f * b) % q for a, b in zip(work[j], piv)]
         exps[i] = v
-    for j in range(1, n):
-        col = work[j]
+    return _reduced_key(work, exps, p)
+
+
+def _reduced_key(cols, exps, p):
+    """The key (d, rows) of the class spanned by upper-triangular integer columns
+    whose diagonal entries are the powers p^exps.
+
+    Every entry above the diagonal is reduced into [0, p^e_i) of its row, from
+    the bottom of each column up (`cols` is reduced in place); then the class
+    is shifted by p^-min(exps), over the least power of p that it needs.
+    """
+    for j in range(1, len(cols)):
+        col = cols[j]
         for i in range(j - 1, -1, -1):
             f = col[i] // p ** exps[i]
             if f:
-                col = [a - f * b for a, b in zip(col, work[i])]
-        work[j] = col
-    # the homothety shift p^-min(exps), over the least power of p it needs
-    g = min(valuation(x, p) for col in work for x in col if x)
-    pg = p**g
-    return min(exps) - g, tuple(tuple(col[i] // pg for col in work) for i in range(n))
+                col = [a - f * b for a, b in zip(col, cols[i])]
+        cols[j] = col
+    g = valuation(gcd(*chain.from_iterable(cols)), p)
+    if g:
+        pg = p**g
+        cols = [[x // pg for x in col] for col in cols]
+    return min(exps) - g, tuple(zip(*cols))
+
+
+def _panel_vertices(upper, lower, own, p):
+    """The vertices that replace `own` in the other p chambers of its panel.
+
+    A vertex is (key, exps), exps the p-exponents of the diagonal of the key's
+    rows.  The chain members on the panel lie between two lattices U (`upper`)
+    and W (`lower`), known by their classes and brought to one integral scale
+    by det W = p^2 det U and det L = p det U for own's lattice L.  The forms
+    are upper triangular with p-power diagonals, so the exponents of W exceed
+    those of U by 1 in exactly two rows i1 < i2, and U/W = (Z/p)^2 is spanned
+    by the columns U[i1] and U[i2].  The p + 1 lattices between them are
+    W + Z U[i1] and W + Z (U[i2] + t U[i1]) for t = 0..p-1: W with column i1,
+    or i2, replaced and its exponent lowered by 1.  Own's line is skipped
+    without a form: if L lowered exponent i1 it is the first; if it lowered
+    i2, its column c there is U[i2] + t U[i1] modulo W for its own t, and the
+    others are c + s U[i1] for s = 1..p-1.
+    """
+    ((_, u_rows), ue), ((_, w_rows), we), ((_, l_rows), le) = upper, lower, own
+    n = len(ue)
+    top, top_rest = divmod(sum(ue) + 2 - sum(we), n)
+    mid, mid_rest = divmod(sum(ue) + 1 - sum(le), n)
+    # U, W and L scaled by p^su, p^sw and p^sl
+    su = max(0, -top, -mid)
+    sw, sl = top + su, mid + su
+    we = [e + sw for e in we]
+    rows = [i for i in range(n) if we[i] != ue[i] + su]
+    if top_rest or len(rows) != 2 or any(we[i] != ue[i] + su + 1 for i in rows):
+        raise BuildingError("panel lattices do not have quotient (Z/p)^2")
+    i1, i2 = rows
+    # with det L = p det U, a single differing exponent is one lower than W's
+    lowered = [i for i in range(n) if le[i] + sl != we[i]]
+    if mid_rest or lowered not in ([i1], [i2]):
+        raise BuildingError("chain member does not lie on its panel")
+    pu = p**su
+    u1 = [row[i1] * pu for row in u_rows]
+    if lowered == [i1]:
+        c = [row[i2] * pu for row in u_rows]
+        lines = [(i2, [a + t * b for a, b in zip(c, u1)]) for t in range(p)]
+    else:
+        c = [row[i2] * p**sl for row in l_rows]
+        lines = [(i1, u1)] + [(i2, [a + s * b for a, b in zip(c, u1)]) for s in range(1, p)]
+    pw = p**sw
+    w_cols = [[x * pw for x in col] for col in zip(*w_rows)] if sw else list(zip(*w_rows))
+    out = []
+    for i, col in lines:
+        cols = w_cols[:]
+        cols[i] = col
+        exps = we[:]
+        exps[i] -= 1
+        key = _reduced_key(cols, exps, p)
+        g = min(exps) - key[0]
+        out.append((key, tuple(e - g for e in exps)))
+    return out
 
 
 def diagonal_exponents(key, p):
@@ -138,13 +211,12 @@ class Truncation:
     gallery distance from the base chamber, `cell_distance` every cell of
     `complex` to the least distance of a chamber containing it.
 
-    Growth is breadth-first over chambers, each one integer basis b_1..b_n.
-    The chambers on a panel are fixed integer moves of that basis: panel
-    k >= 1 replaces (b_k, b_{k+1}) by (b_{k+1}, b_k + t b_{k+1}), and panel 0
-    replaces the basis by (p^-1 b_n + t b_1, b_2, ..., b_{n-1}, p b_1), for
-    t = 0..p-1.  A chamber does not enumerate the panel it was reached
-    across, and each neighbour costs the canonical form of its one new
-    vertex, computed by the modular integer kernel.
+    Growth is breadth-first over chambers, each the keys of its lattice chain
+    L_0 > ... > L_{n-1} > p L_0 with their diagonal exponents.  The base
+    chamber, L_i = span(p e_1, ..., p e_i, e_{i+1}, ..., e_n), takes n forms
+    of the kernel; every other vertex comes from `_panel_vertices`, from the
+    keys of the two chain members beside it.  A chamber does not enumerate
+    the panel it was reached across.
     """
 
     def __init__(self, n, p, radius, max_chambers=10**5):
@@ -169,38 +241,9 @@ class Truncation:
         self._apartment_values = []
         self._grow()
         self._build_complex()
-        self._retraction_cache = {}
         self._retraction_fibres = None  # image -> cells, built on first use
 
     # --- growth ---------------------------------------------------------
-
-    def _vertex_key(self, basis, s, i):
-        """The integer form key of the chain member L_i of a basis."""
-        p = self.p
-        cols = [[p * x for x in b] for b in basis[:i]] + list(basis[i:])
-        return _hermite_form(cols, p, self.n * s + i)
-
-    def _panel_neighbors(self, basis, s, keys, k):
-        """The p other chambers on the panel of the chain without L_k, as (basis, s, keys)."""
-        p = self.p
-        out = []
-        for t in range(p):
-            if k:
-                b = list(basis)
-                b[k - 1], b[k] = basis[k], tuple(x + t * y for x, y in zip(basis[k - 1], basis[k]))
-                s2 = s
-            else:
-                # over p^(s+1): (b_n + t p b_1, p b_2, ..., p b_{n-1}, p^2 b_1)
-                b = [tuple(x + t * p * y for x, y in zip(basis[-1], basis[0]))]
-                b += [tuple(p * x for x in col) for col in basis[1:-1]]
-                b.append(tuple(p * p * x for x in basis[0]))
-                s2 = s + 1
-                while all(x % p == 0 for col in b for x in col):
-                    b = [tuple(x // p for x in col) for col in b]
-                    s2 -= 1
-            b = tuple(b)
-            out.append((b, s2, keys[:k] + (self._vertex_key(b, s2, k),) + keys[k + 1:]))
-        return out
 
     def _check_ball(self, max_chambers):
         """Raise if the ball holds more than max_chambers chambers: a_d p^d at
@@ -220,9 +263,14 @@ class Truncation:
     def _grow(self):
         """Breadth-first growth over integer form keys, then interning in sorted form order."""
         n, p = self.n, self.p
-        eye = tuple(tuple(int(r == c) for r in range(n)) for c in range(n))
-        base = (eye, 0, tuple(self._vertex_key(eye, 0, i) for i in range(n)))
-        dist = {tuple(sorted(base[2])): 0}
+        base = []
+        for i in range(n):
+            # L_i = span(p e_1, ..., p e_i, e_{i+1}, ..., e_n)
+            cols = [[int(r == c) * (p if c < i else 1) for r in range(n)] for c in range(n)]
+            key = _hermite_form(cols, p, i)
+            base.append((key, tuple(valuation(key[1][j][j], p) for j in range(n))))
+        base = tuple(base)
+        dist = {tuple(sorted(key for key, _ in base)): 0}
         frontier = [(base, None)]
         for d in range(1, self.radius + 1):
             nxt = []
@@ -230,8 +278,10 @@ class Truncation:
                 for k in range(n):
                     if k == came_across:
                         continue
-                    for nb in self._panel_neighbors(*ch, k):
-                        ck = tuple(sorted(nb[2]))
+                    # panel 0 lies between p^-1 L_{n-1} and L_1, the last between L_{n-2} and p L_0
+                    for v in _panel_vertices(ch[k - 1], ch[(k + 1) % n], ch[k], p):
+                        nb = ch[:k] + (v,) + ch[k + 1:]
+                        ck = tuple(sorted([key for key, _ in nb]))
                         if ck not in dist:
                             dist[ck] = d
                             nxt.append((nb, k))
@@ -246,7 +296,7 @@ class Truncation:
             self.vertex_id(key)
         ids = self._vertex_ids
         self.chambers = {tuple(sorted(ids[key] for key in ck)): d for ck, d in dist.items()}
-        self.base_vertex = ids[base[2][0]]
+        self.base_vertex = ids[base[0][0]]
 
     def _build_complex(self):
         # `chambers` is in breadth-first order: a cell's first chamber is a nearest one
@@ -313,12 +363,8 @@ class Truncation:
         It is the key of the mean of the vertices' images, read from their
         scaled apartment values.
         """
-        cell = self._retraction_cache.get(cell_key)
-        if cell is None:
-            values = self._apartment_values
-            cell = self.geometry._key_of_mean([values[v] for v in cell_key])
-            self._retraction_cache[cell_key] = cell
-        return cell
+        values = self._apartment_values
+        return self.geometry._key_of_mean([values[v] for v in cell_key])
 
     def in_standard_apartment(self, v):
         return diagonal_exponents(self.vertices[v], self.p) is not None
@@ -371,9 +417,11 @@ class HeightFiltration:
     `cells` lists the truncation's cells by (-entry, dim, key), where a cell's
     entry is the least level of its vertices, and `_neg_entries[k]` lists
     -entry of its k-cells in that order.  A face enters no later than its
-    cells, so every prefix of `cells` is a subcomplex.  `chain_complex`, the
-    truncation's ChainComplexF2 in the order of `cells`, is built on first
-    use; its reduction is the persistent one of the filtration.
+    cells, so every prefix of `cells` is a subcomplex: that is checked once,
+    here, and `superlevel_complex` takes prefixes without a closure check.
+    `chain_complex`, the truncation's ChainComplexF2 in the order of `cells`,
+    is built on first use; its reduction is the persistent one of the
+    filtration.
     """
 
     def __init__(self, trunc, h):
@@ -385,6 +433,12 @@ class HeightFiltration:
         for e, m, _ in order:
             self._neg_entries[m - 1].append(e)
         self.cells = [c for _, _, c in order]
+        # a facet, one dimension down, comes first iff it enters no later
+        facets, level = trunc.complex._facets, hts.__getitem__
+        for e, _, c in order:
+            for f in facets[c]:
+                if -min(map(level, f)) > e:
+                    raise BuildingError(f"a facet of {c} comes after it in the height filtration")
 
     @cached_property
     def chain_complex(self):
@@ -418,7 +472,7 @@ def superlevel_complex(trunc, h, r):
     """
     filtration = trunc.height_filtration(h)
     lengths = filtration.superlevel_lengths(r)
-    sub = trunc.complex.restrict(filtration.cells[: sum(lengths)])
+    sub = trunc.complex._subcomplex(filtration.cells[: sum(lengths)])
     record_prefix(sub, filtration, lengths)
     return sub
 

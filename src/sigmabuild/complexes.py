@@ -97,18 +97,25 @@ class CellComplex:
     def restrict(self, keys):
         """Frozen subcomplex of a frozen complex on a face-closed set of cells.
 
-        The parent was validated when it froze, so the subcomplex builds only
-        its table of cell dimensions, checks closure with one subset test per
-        cell, and shares the parent's facet and cofacet tables.
+        The parent was validated when it froze, so the subcomplex checks only
+        closure, with one subset test per cell.
         """
+        sub = self._subcomplex(keys)
+        facets, kept = self._facets, sub._dim.keys()
+        if not all(facets[k] <= kept for k in kept):
+            raise ValueError("cell set is not face-closed")
+        return sub
+
+    def _subcomplex(self, keys):
+        """The frozen subcomplex on cells known to be face-closed: it builds only
+        its table of cell dimensions and shares the parent's facet and cofacet
+        tables."""
         if not self.frozen:
             raise RuntimeError("freeze the complex first")
-        dims, facets = self._dim, self._facets
+        dims = self._dim
         sub = CellComplex()
-        kept = sub._dim = {k: dims[k] for k in keys}
-        if not all(facets[k] <= kept.keys() for k in kept):
-            raise ValueError("cell set is not face-closed")
-        sub._facets, sub._cofacets = facets, self._cofacets
+        sub._dim = {k: dims[k] for k in keys}
+        sub._facets, sub._cofacets = self._facets, self._cofacets
         sub.frozen = True
         return sub
 

@@ -1,14 +1,17 @@
 """The Fraction lattice-chain route for canonical forms and growth, kept as a test oracle.
 
-The library grows a truncation on one integer basis per chamber and reduces
-every canonical form with a modular integer Hermite kernel, to an integer key
-(d, rows) standing for the form rows / p^d.  The routines here decide the
-same things over Fractions instead: `echelon_basis` is a column echelon over
-the local ring, `lattice_canonical_form` reduces it to canonical residues,
-and `ChainTruncation` is a `Truncation` grown on a chain of Fraction basis
-matrices per chamber, whose panels come from `smith_adapted_basis`; it keeps
-its Fraction forms in `forms` and numbers their keys (`form_key`).  Tests
-compare the two routes.
+The library reduces a form from arbitrary columns with a modular integer
+Hermite kernel, to an integer key (d, rows) standing for the form rows / p^d,
+and grows a truncation over those keys alone: a new vertex on a panel is the
+key of the lower neighbouring chain member with one column replaced and one
+diagonal exponent lowered.  The routines here decide the same things over
+Fractions instead: `echelon_basis` is a column echelon over the local ring,
+`lattice_canonical_form` reduces it to canonical residues, and
+`ChainTruncation` is a `Truncation` grown on a chain of Fraction basis
+matrices per chamber, whose panels come from `smith_adapted_basis` and whose
+every vertex is a full `lattice_canonical_form`; it keeps its Fraction forms
+in `forms` and numbers their keys (`form_key`).  Tests compare the two
+routes.
 """
 
 from dataclasses import dataclass

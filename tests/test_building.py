@@ -3,6 +3,7 @@
 import random
 import time
 from collections import Counter
+from types import SimpleNamespace
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -22,11 +23,14 @@ from lattice_oracle import ChainTruncation, echelon_basis
 from lattice_oracle import lattice_canonical_form as oracle_canonical_form
 from linalg_oracle import identity, matrix_element
 
+from sigmabuild import building
 from sigmabuild.building import (
     BuildingError,
+    HeightFiltration,
     HeightSpec,
     Truncation,
     _hermite_form,
+    _panel_vertices,
     cone_chain,
     diagonal_exponents,
     grow_truncation,
@@ -335,7 +339,9 @@ def test_negative_radius_rejected():
 
 # --- integer growth against the Fraction chain route and against counting -------
 
-GROWTH_TRUNCATIONS = ((2, 2, 4), (2, 3, 5), (2, 5, 3), (3, 2, 3), (3, 3, 2))
+GROWTH_TRUNCATIONS = (
+    (2, 2, 4), (2, 3, 5), (2, 5, 3), (2, 7, 2), (3, 2, 3), (3, 2, 4), (3, 3, 2), (3, 5, 1),
+)
 
 
 @pytest.mark.parametrize("n, p, radius", GROWTH_TRUNCATIONS)
@@ -385,6 +391,78 @@ def test_chamber_sphere_is_p_power_times_alcove_sphere(n, p, radius):
         counts[d] += 1
     alcoves = alcove_sphere_sizes(trunc.geometry, radius)
     assert counts == [p**d * a for d, a in enumerate(alcoves)]
+
+
+def test_growth_reduces_only_the_base_chamber(monkeypatch):
+    # a panel's new vertices come from the keys of its neighbours; the
+    # general kernel runs only on the chain members of the base chamber
+    calls = []
+    kernel = building._hermite_form
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(building, "_hermite_form", counted)
+    for n, p, radius in ((2, 3, 5), (3, 2, 3)):
+        calls.clear()
+        Truncation(n, p, radius)
+        assert 0 < len(calls) <= n
+
+
+def diagonal_vertex(exps, p):
+    """The vertex (key, exps) of the diagonal class with these p-exponents, min 0."""
+    n = len(exps)
+    return (0, tuple(tuple(p**e if i == j else 0 for j in range(n)) for i, e in enumerate(exps))), exps
+
+
+def test_panel_vertices_are_the_other_lattices_between():
+    # between W = span(2e0, 2e1, e2) and U = Z^3 lie the lines of e0, e1 and
+    # e0 + e1 modulo W; own is W + Z e1 = span(2e0, e1, e2)
+    p = 2
+    upper, lower, own = (diagonal_vertex(e, p) for e in ((0, 0, 0), (1, 1, 0), (1, 0, 0)))
+    got = _panel_vertices(upper, lower, own, p)
+    expected = {
+        kernel_key(((1, 0, 0), (0, 2, 0), (0, 0, 1)), p),
+        kernel_key(((2, 1, 0), (0, 1, 0), (0, 0, 1)), p),
+    }
+    assert {key for key, _ in got} == expected
+    for key, exps in got:
+        assert exps == tuple(valuation(key[1][i][i], p) for i in range(3))
+
+
+@pytest.mark.parametrize(
+    "upper, lower",
+    [
+        ((0, 0, 0), (2, 0, 0)),  # one exponent up by 2
+        ((0, 0, 0), (3, 0, 0)),  # an index that is not p^2 at any scale
+        ((1, 0, 0), (0, 2, 1)),  # two up by 1, one down by 1
+        ((0, 0), (1, 0)),  # n = 2 needs W = pU
+    ],
+)
+def test_panel_vertices_reject_a_pair_off_a_panel(upper, lower):
+    p = 3
+    own = tuple(0 for _ in upper)
+    with pytest.raises(BuildingError, match="quotient"):
+        _panel_vertices(diagonal_vertex(upper, p), diagonal_vertex(lower, p), diagonal_vertex(own, p), p)
+
+
+def test_panel_vertices_reject_a_chain_member_off_its_panel():
+    p = 2
+    upper, lower = diagonal_vertex((0, 0, 0), p), diagonal_vertex((1, 1, 0), p)
+    for own in ((0, 0, 1), (1, 1, 0)):
+        with pytest.raises(BuildingError, match="does not lie on its panel"):
+            _panel_vertices(upper, lower, diagonal_vertex(own, p), p)
+
+
+def test_growth_of_a_large_ball_budget():
+    # SL2 p=5 r5, 7,811 chambers: 0.32-0.43 s when each new vertex took a
+    # Hermite reduction of a moved basis, 0.27-0.32 s from its neighbours'
+    # keys (2-vCPU VM, Python 3.11)
+    t0 = time.perf_counter()
+    trunc = Truncation(2, 5, 5)
+    assert time.perf_counter() - t0 < 0.6
+    assert len(trunc.chambers) == 7811
 
 
 # --- the interned vertex table -------------------------------------------------
@@ -917,6 +995,21 @@ def test_superlevel_complex_is_the_bruteforce_filter(data):
     r = data.draw(st.sampled_from(levels + between + [levels[0] - 1, levels[-1] + 1]))
     keep = [c for c in trunc.complex.cells() if all(h(trunc.root_values(v)) >= r for v in c)]
     assert_same_complex(superlevel_complex(trunc, h, r), rebuilt(trunc.complex, keep))
+
+
+def test_height_filtration_checks_that_facets_come_first():
+    # the edge (0, 1) is given the facets (2,) and (3,), which are not its
+    # vertices; the filtration rejects them when they enter after the edge
+    cx = CellComplex()
+    cx.add_cell((2,), 0)
+    cx.add_cell((3,), 0)
+    cx.add_cell((0, 1), 1, [(2,), (3,)])
+    h = HeightForm((1,))
+    early = SimpleNamespace(complex=cx.freeze(), _root_values=[(0,), (0,), (1,), (1,)])
+    assert HeightFiltration(early, h).cells == [(2,), (3,), (0, 1)]
+    late = SimpleNamespace(complex=cx, _root_values=[(1,), (1,), (0,), (0,)])
+    with pytest.raises(BuildingError, match="comes after it"):
+        HeightFiltration(late, h)
 
 
 @settings(max_examples=30, deadline=None)
