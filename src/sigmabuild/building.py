@@ -12,27 +12,28 @@ factorization u * a with u unipotent and a a p-power diagonal.
 One integer kernel computes a form from arbitrary columns: a column Hermite
 reduction over the local ring at p with the minimal-valuation pivot and unit
 inverses, with every entry reduced modulo p^(N+1) for N = v_p(det)
-(Domich-Kannan-Trotter).  It returns the form as an integer key (d, rows),
-the form being rows / p^d, and the key is the one representation of a
-vertex: growth, the vertex table and the group action all hold it, and only
-`Truncation.form` turns it into Fractions, for printing.  The reduction of
-the entries above the diagonal and the homothety normalization that end it
-are one helper, `_reduced_key`, which growth shares.
+(Domich-Kannan-Trotter).  It returns a vertex as the pair (key, exps): the
+integer key (d, rows), the form being rows / p^d, and the p-exponents exps
+of the diagonal of rows.  Growth, the vertex tables and the group action all
+hold that pair, no code outside the kernel takes a diagonal valuation again,
+and only `Truncation.form` turns a key into Fractions, for printing.  The
+reduction above the diagonal and the homothety normalization that end the
+kernel are one helper, `_reduced_key`, which growth shares.
 
 A truncation grows over keys alone.  A chamber is a lattice chain
-L_0 > L_1 > ... > L_{n-1} > p L_0, held as the keys of its members, and the
-kernel runs only on the base chamber: every other vertex is read off the
-keys of the two chain members beside it on its panel (`_panel_vertices`),
+L_0 > L_1 > ... > L_{n-1} > p L_0, held as the vertices of its members: the
+diagonal base chamber goes straight to `_reduced_key`, and every other vertex
+is read off the two chain members beside it on its panel (`_panel_vertices`),
 with one column replaced, one exponent lowered, one reduction above the
 diagonal and one normalization, and no pivot search.  The keys of the ball
-are then sorted once in the order of their forms and numbered in that
-order, so a vertex is an int id (`Truncation.vertices[i]` is its key) and a
-cell is a sorted tuple of ids.  Because the numbering preserves the order,
-every sorted list of cells, every homology basis and every witness is the
-one the form tuples would give.  An element g of the group acts on a vertex
-through the kernel, on the integer columns of g.num times the key's rows;
-images that fall outside the ball are numbered on demand after the ball's
-range.
+are then sorted once in the order of their forms and numbered in that order,
+so a vertex is an int id (`Truncation.vertices[i]` is its key and
+`exponents[i]` its exps) and a cell is a sorted tuple of ids.  Because the
+numbering preserves the order, every sorted list of cells, every homology
+basis and every witness is the one the form tuples would give.  An element g
+of the group acts on a vertex through the kernel, on the integer columns of
+g.num times the key's rows; images that fall outside the ball are numbered on
+demand after the ball's range.
 
 Apartment coordinates follow the convention that the chamber at infinity
 stabilized by the upper-triangular subgroup is the all-plus chamber of the
@@ -86,7 +87,7 @@ class BuildingError(ValueError):
 
 
 def _hermite_form(cols, p, N):
-    """The canonical form of the lattice class spanned by integer columns, as (d, rows).
+    """The vertex (key, exps) of the lattice class spanned by integer columns.
 
     The columns span a lattice M of Z_(p)^n with p^N Z_(p)^n inside M, which
     holds for N = v_p(det).  The column Hermite reduction over the local ring
@@ -96,7 +97,8 @@ def _hermite_form(cols, p, N):
     [0, p^e_i) of its row.  No diagonal exponent exceeds N, so every entry
     may be reduced modulo p^(N+1) throughout (Domich-Kannan-Trotter 1987).
     The form of the class is rows / p^d, with rows an integer matrix whose
-    entries are not all divisible by p.
+    entries are not all divisible by p; the key is (d, rows), and exps are
+    the p-exponents of the diagonal of rows (`_reduced_key`).
     """
     n = len(cols)
     q = p ** (N + 1)
@@ -120,12 +122,14 @@ def _hermite_form(cols, p, N):
 
 
 def _reduced_key(cols, exps, p):
-    """The key (d, rows) of the class spanned by upper-triangular integer columns
-    whose diagonal entries are the powers p^exps.
+    """The vertex (key, exps) of the class spanned by upper-triangular integer
+    columns whose diagonal entries are the powers p^exps.
 
     Every entry above the diagonal is reduced into [0, p^e_i) of its row, from
     the bottom of each column up (`cols` is reduced in place); then the class
-    is shifted by p^-min(exps), over the least power of p that it needs.
+    is shifted by p^-min(exps), over the least power of p that it needs, to
+    the key (d, rows), and exps by the same shift, to the p-exponents of the
+    diagonal of rows.
     """
     for j in range(1, len(cols)):
         col = cols[j]
@@ -138,24 +142,24 @@ def _reduced_key(cols, exps, p):
     if g:
         pg = p**g
         cols = [[x // pg for x in col] for col in cols]
-    return min(exps) - g, tuple(zip(*cols))
+    return (min(exps) - g, tuple(zip(*cols))), tuple(e - g for e in exps)
 
 
 def _panel_vertices(upper, lower, own, p):
     """The vertices that replace `own` in the other p chambers of its panel.
 
-    A vertex is (key, exps), exps the p-exponents of the diagonal of the key's
-    rows.  The chain members on the panel lie between two lattices U (`upper`)
-    and W (`lower`), known by their classes and brought to one integral scale
-    by det W = p^2 det U and det L = p det U for own's lattice L.  The forms
-    are upper triangular with p-power diagonals, so the exponents of W exceed
-    those of U by 1 in exactly two rows i1 < i2, and U/W = (Z/p)^2 is spanned
-    by the columns U[i1] and U[i2].  The p + 1 lattices between them are
-    W + Z U[i1] and W + Z (U[i2] + t U[i1]) for t = 0..p-1: W with column i1,
-    or i2, replaced and its exponent lowered by 1.  Own's line is skipped
-    without a form: if L lowered exponent i1 it is the first; if it lowered
-    i2, its column c there is U[i2] + t U[i1] modulo W for its own t, and the
-    others are c + s U[i1] for s = 1..p-1.
+    A vertex is the pair (key, exps) of `_reduced_key`, and so is each one
+    returned.  The chain members on the panel lie between two lattices U
+    (`upper`) and W (`lower`), known by their classes and brought to one
+    integral scale by det W = p^2 det U and det L = p det U for own's lattice
+    L.  The forms are upper triangular with p-power diagonals, so the
+    exponents of W exceed those of U by 1 in exactly two rows i1 < i2, and
+    U/W = (Z/p)^2 is spanned by the columns U[i1] and U[i2].  The p + 1 lattices
+    between them are W + Z U[i1] and W + Z (U[i2] + t U[i1]) for t = 0..p-1: W
+    with column i1, or i2, replaced and its exponent lowered by 1.  Own's line
+    is skipped without a form: if L lowered exponent i1 it is the first; if it
+    lowered i2, its column c there is U[i2] + t U[i1] modulo W for its own t,
+    and the others are c + s U[i1] for s = 1..p-1.
     """
     ((_, u_rows), ue), ((_, w_rows), we), ((_, l_rows), le) = upper, lower, own
     n = len(ue)
@@ -189,34 +193,25 @@ def _panel_vertices(upper, lower, own, p):
         cols[i] = col
         exps = we[:]
         exps[i] -= 1
-        key = _reduced_key(cols, exps, p)
-        g = min(exps) - key[0]
-        out.append((key, tuple(e - g for e in exps)))
+        out.append(_reduced_key(cols, exps, p))
     return out
-
-
-def diagonal_exponents(key, p):
-    """The diagonal p-exponents of the form of a key, or None if it is not diagonal."""
-    d, rows = key
-    if any(x for i, row in enumerate(rows) for j, x in enumerate(row) if i != j):
-        return None
-    return tuple(valuation(row[i], p) - d for i, row in enumerate(rows))
 
 
 class Truncation:
     """All chambers within a gallery radius of the standard base chamber.
 
-    A vertex is an int id into `vertices`, the table of integer form keys; a
-    cell is a sorted tuple of ids.  `chambers` maps each chamber cell to its
+    A vertex is an int id into `vertices` and `exponents`, the tables of the
+    pairs (key, exps) that `vertex_id` numbers; a cell is a sorted tuple of ids.  `chambers` maps each chamber cell to its
     gallery distance from the base chamber, `cell_distance` every cell of
     `complex` to the least distance of a chamber containing it.
 
-    Growth is breadth-first over chambers, each the keys of its lattice chain
-    L_0 > ... > L_{n-1} > p L_0 with their diagonal exponents.  The base
-    chamber, L_i = span(p e_1, ..., p e_i, e_{i+1}, ..., e_n), takes n forms
-    of the kernel; every other vertex comes from `_panel_vertices`, from the
-    keys of the two chain members beside it.  A chamber does not enumerate
-    the panel it was reached across.
+    Growth is breadth-first over chambers, each the vertices (key, exps) of
+    its lattice chain L_0 > ... > L_{n-1} > p L_0.  The base chamber,
+    L_i = span(p e_1, ..., p e_i, e_{i+1}, ..., e_n), is diagonal, so its
+    vertices are `_reduced_key`s of those columns with no pivot search; every
+    other vertex comes from `_panel_vertices`, from the vertices of the two
+    chain members beside it.  A chamber does not enumerate the panel it was
+    reached across.
     """
 
     def __init__(self, n, p, radius, max_chambers=10**5):
@@ -236,6 +231,7 @@ class Truncation:
         # made here, not in `_grow`, so that every growth route numbers its
         # vertices into them through `vertex_id`
         self.vertices = []
+        self.exponents = []
         self._vertex_ids = {}
         self._root_values = []
         self._apartment_values = []
@@ -266,11 +262,12 @@ class Truncation:
         base = []
         for i in range(n):
             # L_i = span(p e_1, ..., p e_i, e_{i+1}, ..., e_n)
-            cols = [[int(r == c) * (p if c < i else 1) for r in range(n)] for c in range(n)]
-            key = _hermite_form(cols, p, i)
-            base.append((key, tuple(valuation(key[1][j][j], p) for j in range(n))))
+            exps = [int(c < i) for c in range(n)]
+            cols = [[p**e * (r == c) for r in range(n)] for c, e in enumerate(exps)]
+            base.append(_reduced_key(cols, exps, p))
         base = tuple(base)
-        dist = {tuple(sorted(key for key, _ in base)): 0}
+        found = dict(base)  # key -> exps of every vertex found
+        dist = {tuple(sorted(found)): 0}
         frontier = [(base, None)]
         for d in range(1, self.radius + 1):
             nxt = []
@@ -285,15 +282,15 @@ class Truncation:
                         if ck not in dist:
                             dist[ck] = d
                             nxt.append((nb, k))
+                            found[v[0]] = v[1]
             frontier = nxt
         # ids follow the sorted order of the forms, so sorted id tuples sort
         # exactly like the form tuples they stand for; over the common
         # denominator p^top the forms sort like integer tuples
-        vertex_keys = {key for ck in dist for key in ck}
-        top = max(d for d, _ in vertex_keys)
-        order = sorted(vertex_keys, key=lambda k: [x * p ** (top - k[0]) for r in k[1] for x in r])
+        top = max(d for d, _ in found)
+        order = sorted(found, key=lambda k: [x * p ** (top - k[0]) for r in k[1] for x in r])
         for key in order:
-            self.vertex_id(key)
+            self.vertex_id((key, found[key]))
         ids = self._vertex_ids
         self.chambers = {tuple(sorted(ids[key] for key in ck)): d for ck, d in dist.items()}
         self.base_vertex = ids[base[0][0]]
@@ -314,19 +311,20 @@ class Truncation:
 
     # --- vertex table --------------------------------------------------------
 
-    def vertex_id(self, key):
-        """The id of the vertex with this integer form key (d, rows).
+    def vertex_id(self, vertex):
+        """The id of the vertex (key, exps), the pair the kernel returns.
 
         Vertices of the ball have the ids 0..k-1 in the sorted order of their
         forms; a vertex outside the ball (an image under the group action) is
-        numbered on first sight, after them.
+        numbered on first sight, after them.  Its root values, the differences
+        of exps, extend the apartment and height tables.
         """
+        key, exps = vertex
         vid = self._vertex_ids.get(key)
         if vid is None:
             vid = self._vertex_ids[key] = len(self.vertices)
             self.vertices.append(key)
-            rows = key[1]
-            exps = [valuation(rows[i][i], self.p) for i in range(self.n)]
+            self.exponents.append(exps)
             values = tuple(b - a for a, b in zip(exps, exps[1:]))
             self._root_values.append(values)
             self._apartment_values.append(self.geometry._scaled_values(values))
@@ -367,7 +365,9 @@ class Truncation:
         return self.geometry._key_of_mean([values[v] for v in cell_key])
 
     def in_standard_apartment(self, v):
-        return diagonal_exponents(self.vertices[v], self.p) is not None
+        """Whether v is a diagonal class: its form has no entry off the diagonal."""
+        rows = self.vertices[v][1]
+        return not any(x for i, row in enumerate(rows) for j, x in enumerate(row) if i != j)
 
     def apartment_cells(self):
         """Cells all of whose vertices are diagonal classes."""
@@ -382,17 +382,16 @@ class Truncation:
 
         The product spans the class of g v (g.den and p^d are scalars), and
         v_p of its determinant is v_p(det g.num) plus the diagonal exponents
-        of the triangular rows.
+        of the triangular rows, read from `exponents`.
         """
         if g.n != self.n:
             raise BuildingError(f"a {g.n}x{g.n} matrix cannot act on SL_{self.n} lattices")
         d = det(g.num)
         if d == 0:
             raise BuildingError("columns do not span a full lattice")
-        p = self.p
-        rows = self.vertices[v][1]
-        N = valuation(d, p) + sum(valuation(rows[i][i], p) for i in range(self.n))
-        return self.vertex_id(_hermite_form(list(zip(*matmul(g.num, rows))), p, N))
+        N = valuation(d, self.p) + sum(self.exponents[v])
+        cols = list(zip(*matmul(g.num, self.vertices[v][1])))
+        return self.vertex_id(_hermite_form(cols, self.p, N))
 
     def act_on_cell(self, g, cell_key):
         return tuple(sorted(self.act_on_vertex(g, v) for v in cell_key))
@@ -513,17 +512,12 @@ def standard_opposite_sector_cells(trunc):
     These are the apartment cells whose diagonal classes have non-increasing
     exponent vectors (the canonical sector of the all-minus chamber).
     """
-    out = []
-    for cell in trunc.apartment_cells():
-        ok = True
-        for v in cell:
-            exps = diagonal_exponents(trunc.vertices[v], trunc.p)
-            if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
-                ok = False
-                break
-        if ok:
-            out.append(cell)
-    return frozenset(out)
+    exps = trunc.exponents
+    return frozenset(
+        cell
+        for cell in trunc.apartment_cells()
+        if all(a >= b for v in cell for a, b in zip(exps[v], exps[v][1:]))
+    )
 
 
 def cone_chain(trunc, sector_elements, h, r):

@@ -22,6 +22,7 @@ and `grid` are the package's one integer height and one rounding onto it.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, product
 from math import ceil, factorial, floor, prod
 from operator import mul
@@ -298,7 +299,10 @@ def deconstruct(geometry, cells, sigma):
     is the boundary of that star, and R is unchanged.  Sigma-steps, cofaces
     and projections away from sigma are indexed once over Z; as R(stage) =
     R(Z) by induction, R is unchanged iff the star misses R(Z) and no
-    remaining cell projects into it.
+    remaining cell projects into it.  The chamber removed is the least one of
+    sigma-length 0, popped from a heap of the ready chambers (Kahn 1962):
+    each chamber counts its sigma-steps still in the stage, and the star's
+    one chamber is C, so a step decrements only the chambers that step to C.
     """
     cells = frozenset(cells)
     ok, witness = sigma_convex_check(geometry, cells, sigma)
@@ -311,15 +315,22 @@ def deconstruct(geometry, cells, sigma):
         for a in geometry.closure(x):
             cofaces.setdefault(a, []).append(x)
         preimages.setdefault(geometry.project_toward(x, op), []).append(x)
-    chambers = sorted(c for c in cells if geometry.is_chamber(c))
-    steps_of = {c: _sigma_steps(geometry, c, sigma) for c in chambers}
+    chambers = [c for c in cells if geometry.is_chamber(c)]
+    waiting, stepped_from = {}, {}
+    for c in chambers:
+        ahead = [nb for nb in _sigma_steps(geometry, c, sigma) if nb in cells]
+        waiting[c] = len(ahead)
+        for nb in ahead:
+            stepped_from.setdefault(nb, []).append(c)
+    # sigma-length 0: no sigma-step stays in the stage; the least such chamber, for determinism
+    ready = [c for c in chambers if not waiting[c]]
+    heapify(ready)
     current = set(cells)
     steps = []
-    while chambers:
-        # sigma-length 0: no sigma-step stays in the stage; the least such chamber, for determinism
-        c = next((c for c in chambers if current.isdisjoint(steps_of[c])), None)
-        if c is None:
+    for _ in chambers:
+        if not ready:
             raise GeometryError("no chamber of sigma-length zero; subcomplex not deconstructible")
+        c = heappop(ready)
         lower = geometry.lower_face(c, sigma)
         closure_c = geometry.closure(c)
         star = frozenset(x for x in cofaces.get(lower, ()) if x in current)
@@ -335,7 +346,10 @@ def deconstruct(geometry, cells, sigma):
         if not all(cert.values()):
             raise GeometryError(f"deconstruction certificate failed at {c}: {cert}")
         steps.append(DeconstructionStep(c, lower, star, cert))
-        chambers.remove(c)
+        for b in stepped_from.get(c, ()):
+            waiting[b] -= 1
+            if not waiting[b]:
+                heappush(ready, b)
     if current != r_z:
         raise GeometryError("deconstruction did not terminate at R(Z)")
     steps.reverse()

@@ -1,17 +1,18 @@
 """The Fraction lattice-chain route for canonical forms and growth, kept as a test oracle.
 
 The library reduces a form from arbitrary columns with a modular integer
-Hermite kernel, to an integer key (d, rows) standing for the form rows / p^d,
-and grows a truncation over those keys alone: a new vertex on a panel is the
-key of the lower neighbouring chain member with one column replaced and one
-diagonal exponent lowered.  The routines here decide the same things over
+Hermite kernel, to an integer key (d, rows) standing for the form rows / p^d
+together with the p-exponents of the diagonal of rows, and grows a
+truncation over those pairs alone: a new vertex on a panel is the key of the
+lower neighbouring chain member with one column replaced and one diagonal
+exponent lowered.  The routines here decide the same things over
 Fractions instead: `echelon_basis` is a column echelon over the local ring,
 `lattice_canonical_form` reduces it to canonical residues, and
 `ChainTruncation` is a `Truncation` grown on a chain of Fraction basis
 matrices per chamber, whose panels come from `smith_adapted_basis` and whose
 every vertex is a full `lattice_canonical_form`; it keeps its Fraction forms
-in `forms` and numbers their keys (`form_key`).  Tests compare the two
-routes.
+in `forms` and numbers their keys (`form_key`) with exponents of its own
+(`key_exponents`).  Tests compare the two routes.
 """
 
 from dataclasses import dataclass
@@ -110,6 +111,19 @@ def form_key(form, p):
     """The integer key (d, rows) of a canonical form: rows = p^d form for the least such d."""
     d = max(valuation(x.denominator, p) for row in form for x in row)
     return d, tuple(tuple(int(x * p**d) for x in row) for row in form)
+
+
+def key_exponents(key, p):
+    """The p-exponents of the diagonal of a key's rows, by valuation."""
+    return tuple(valuation(row[i], p) for i, row in enumerate(key[1]))
+
+
+def diagonal_exponents(key, p):
+    """The diagonal p-exponents of the form of a key, or None if it is not diagonal."""
+    d, rows = key
+    if any(x for i, row in enumerate(rows) for j, x in enumerate(row) if i != j):
+        return None
+    return tuple(e - d for e in key_exponents(key, p))
 
 
 def smith_adapted_basis(b_mat, a_mat, p):
@@ -256,11 +270,9 @@ class ChainTruncation(Truncation):
         # ids follow the sorted order of the forms, so sorted id tuples sort
         # exactly like the form tuples they stand for
         self.forms = sorted({form for ck in found for form in ck})
-        self.vertices = []
-        self._vertex_ids = {}
-        self._root_values = []
         for form in self.forms:
-            self.vertex_id(form_key(form, self.p))
+            key = form_key(form, self.p)
+            self.vertex_id((key, key_exponents(key, self.p)))
         ids = {form: i for i, form in enumerate(self.forms)}
         self.base_vertex = ids[base.keys[0]]
         self.chambers = {tuple(ids[f] for f in ck): d for ck, d in dist.items()}

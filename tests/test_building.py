@@ -19,7 +19,7 @@ from geometry_oracle import (
     root_value,
     vertices,
 )
-from lattice_oracle import ChainTruncation, echelon_basis
+from lattice_oracle import ChainTruncation, diagonal_exponents, echelon_basis, key_exponents
 from lattice_oracle import lattice_canonical_form as oracle_canonical_form
 from linalg_oracle import identity, matrix_element
 
@@ -32,7 +32,6 @@ from sigmabuild.building import (
     _hermite_form,
     _panel_vertices,
     cone_chain,
-    diagonal_exponents,
     grow_truncation,
     height_eval,
     retraction_preimage,
@@ -86,11 +85,15 @@ def kernel_key(columns, p):
     """The library kernel's key (d, rows) of the class spanned by a rational matrix's columns.
 
     Scaling by the least common denominator of the entries changes neither
-    the class nor its form, and N is v_p of the scaled determinant.
+    the class nor its form, and N is v_p of the scaled determinant.  The
+    exponents the kernel returns beside the key are checked against
+    `valuation` of the key's diagonal.
     """
     scale = lcm(*(Fraction(e).denominator for row in columns for e in row))
     ints = [[int(e * scale) for e in row] for row in columns]
-    return _hermite_form(list(zip(*ints)), p, valuation(det(ints), p))
+    key, exps = _hermite_form(list(zip(*ints)), p, valuation(det(ints), p))
+    assert exps == key_exponents(key, p)
+    return key
 
 
 def kernel_form(columns, p):
@@ -349,6 +352,9 @@ def test_integer_growth_matches_chain_oracle(n, p, radius):
     trunc = Truncation(n, p, radius)
     oracle = ChainTruncation(n, p, radius)
     assert trunc.vertices == oracle.vertices
+    # the exponents growth carried beside each key, against `valuation` of
+    # the key's diagonal (the oracle takes its own)
+    assert trunc.exponents == oracle.exponents == [key_exponents(key, p) for key in trunc.vertices]
     # every ball vertex prints as the Fraction route's form
     assert [trunc.form(v) for v in range(len(trunc.vertices))] == oracle.forms
     assert trunc.base_vertex == oracle.base_vertex
@@ -393,9 +399,10 @@ def test_chamber_sphere_is_p_power_times_alcove_sphere(n, p, radius):
     assert counts == [p**d * a for d, a in enumerate(alcoves)]
 
 
-def test_growth_reduces_only_the_base_chamber(monkeypatch):
-    # a panel's new vertices come from the keys of its neighbours; the
-    # general kernel runs only on the chain members of the base chamber
+def test_growth_runs_no_hermite_reduction(monkeypatch):
+    # a panel's new vertices come from the vertices of its neighbours and the
+    # diagonal base chamber needs no pivot search, so growth never runs the
+    # general kernel; the group action does, once per vertex
     calls = []
     kernel = building._hermite_form
 
@@ -406,8 +413,10 @@ def test_growth_reduces_only_the_base_chamber(monkeypatch):
     monkeypatch.setattr(building, "_hermite_form", counted)
     for n, p, radius in ((2, 3, 5), (3, 2, 3)):
         calls.clear()
-        Truncation(n, p, radius)
-        assert 0 < len(calls) <= n
+        trunc = Truncation(n, p, radius)
+        assert calls == []
+        trunc.act_on_vertex(identity_element(n), trunc.base_vertex)
+        assert len(calls) == 1
 
 
 def diagonal_vertex(exps, p):
@@ -489,7 +498,7 @@ def test_interned_cells_sort_like_their_forms(n, p, radius):
         assert trunc.complex.cells(d) == sorted(c for c in trunc.complex.cells() if len(c) == d + 1)
     assert len(trunc.vertices) == len(trunc.complex.cells(0))
     for i, key in enumerate(trunc.vertices):
-        assert trunc.vertex_id(key) == i
+        assert trunc.vertex_id((key, trunc.exponents[i])) == i
         assert (i,) in trunc.complex
     assert trunc.form(trunc.base_vertex) == identity(n)
     assert set(trunc.chambers) == set(trunc.complex.cells(n - 1))
@@ -514,6 +523,7 @@ def test_act_on_vertex_is_the_form_of_the_product(n, p, radius):
             else:
                 outside += 1
                 assert (moved,) not in trunc.complex
+            assert trunc.exponents[moved] == key_exponents(trunc.vertices[moved], p)
     assert inside and outside
     # ids handed out beyond the ball leave the complex alone
     assert len(trunc.complex.cells(0)) == ball

@@ -228,8 +228,9 @@ WHOLE_WINDOWS = (("A", 2, 2), ("C", 2, 2), ("A", 3, 1))
 def test_deconstruction_matches_the_rescanning_route(criterion_pieces):
     # step by step (chamber, lower face, star, certificates), then the
     # filtration and R, on the criterion's pieces, sector corners and whole
-    # windows
+    # windows, the largest the C_2 -4:3 window of 256 steps
     windows = [Window.radius(build_root_system(f, rank), r) for f, rank, r in WHOLE_WINDOWS]
+    windows.append(Window(build_root_system("C", 2), [-4, -4], [3, 3]))
     for g, z in criterion_pieces + list(sector_corners()) + [(w.geometry, w.cells()) for w in windows]:
         sigma = g.base_chamber_at_infinity()
         fast, slow = deconstruct(g, z, sigma), deconstruct_by_rescans(g, z, sigma)
@@ -275,7 +276,10 @@ def test_full_window_deconstruction_budget():
 
 def test_a3_full_window_deconstruction_budget():
     # 1,296 steps; a frozenset copy of every stage took about 1.1-1.7 s and
-    # 235 MB, and a deconstruction now keeps only its steps and R(Z)
+    # 235 MB, and a deconstruction now keeps only its steps and R(Z).  Choosing
+    # each chamber by a scan of the remaining ones took 0.62-0.96 s (it failed
+    # this gate at 1.13-1.18 s in full runs); a heap of ready chambers takes
+    # 0.32-0.63 s (2-vCPU VM, Python 3.11, best and worst of 5)
     window = Window(build_root_system("A", 3), [-3] * 3, [2] * 3)
     g = window.geometry
     cells = window.cells()

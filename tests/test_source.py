@@ -76,6 +76,30 @@ def test_only_the_height_form_reads_its_integer_scale():
     assert found == []
 
 
+def _functions_naming(tree, name):
+    """The innermost function around each use of a name or attribute, None outside any."""
+    found = []
+
+    def visit(node, fn):
+        for c in ast.iter_child_nodes(node):
+            if (isinstance(c, ast.Name) and c.id == name) or (isinstance(c, ast.Attribute) and c.attr == name):
+                found.append(fn)
+            visit(c, c.name if isinstance(c, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_hermite_kernel_takes_diagonal_valuations():
+    # a building vertex is the pair (key, exps) that the kernel returns, and
+    # its diagonal exponents are computed once: by the pivot search of
+    # `_hermite_form` and the homothety shift of `_reduced_key`; the group
+    # action takes v_p(det g.num) and reads the rest from the vertex table
+    path = SRC / "building.py"
+    found = _functions_naming(ast.parse(path.read_text(), str(path)), "valuation")
+    assert sorted(map(str, found)) == ["_hermite_form", "_reduced_key", "act_on_vertex"]
+
+
 def _names(node, skip):
     """Identifiers a node names: names, attributes, imports and dotted strings.
 
