@@ -38,11 +38,11 @@ demand after the ball's range.
 Apartment coordinates follow the convention that the chamber at infinity
 stabilized by the upper-triangular subgroup is the all-plus chamber of the
 A_{n-1} alcove geometry: the diagonal class with exponents (a_1, ..., a_n)
-sits at the point x with kappa(x, alpha_i) = a_{i+1} - a_i.  A vertex keeps
-these simple-root values and its scaled values over all positive roots, both
-computed once when it is numbered; the retraction image of a cell is the
-alcove key of the mean of its vertices' scaled values, and
-`retraction_preimage` indexes every cell by its image once per truncation.
+sits at the point x with kappa(x, alpha_i) = a_{i+1} - a_i.  These
+simple-root values are read from a vertex's exps, and its scaled values over
+all positive roots are computed once, when it is numbered; the retraction
+image of a cell is the alcove key of the mean of its vertices' scaled values,
+and `retraction_preimage` indexes every cell by its image once per truncation.
 
 Heights are `windows.HeightForm`s composed with the retraction: a vertex's
 simple-root values are the exponent differences a_{i+1} - a_i of its Hermite
@@ -72,6 +72,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from math import gcd
+from operator import sub
 
 from .chevalley import is_prime, valuation
 from .complexes import simplicial_complex
@@ -197,13 +198,19 @@ def _panel_vertices(upper, lower, own, p):
     return out
 
 
+def _root_values(exps):
+    """The simple-root values a_{i+1} - a_i of the diagonal exponents a, as an iterator."""
+    return map(sub, exps[1:], exps)
+
+
 class Truncation:
     """All chambers within a gallery radius of the standard base chamber.
 
     A vertex is an int id into `vertices` and `exponents`, the tables of the
-    pairs (key, exps) that `vertex_id` numbers; a cell is a sorted tuple of ids.  `chambers` maps each chamber cell to its
-    gallery distance from the base chamber, `cell_distance` every cell of
-    `complex` to the least distance of a chamber containing it.
+    pairs (key, exps) that `vertex_id` numbers; a cell is a sorted tuple of
+    ids.  `chambers` maps each chamber cell to its gallery distance from the
+    base chamber, `cell_distance` every cell of `complex` to the least
+    distance of a chamber containing it.
 
     Growth is breadth-first over chambers, each the vertices (key, exps) of
     its lattice chain L_0 > ... > L_{n-1} > p L_0.  The base chamber,
@@ -233,7 +240,6 @@ class Truncation:
         self.vertices = []
         self.exponents = []
         self._vertex_ids = {}
-        self._root_values = []
         self._apartment_values = []
         self._grow()
         self._build_complex()
@@ -325,8 +331,7 @@ class Truncation:
             vid = self._vertex_ids[key] = len(self.vertices)
             self.vertices.append(key)
             self.exponents.append(exps)
-            values = tuple(b - a for a, b in zip(exps, exps[1:]))
-            self._root_values.append(values)
+            values = tuple(_root_values(exps))
             self._apartment_values.append(self.geometry._scaled_values(values))
             for h, filtration in self._filtrations.items():
                 filtration.heights.append(h.level(values))
@@ -349,11 +354,11 @@ class Truncation:
 
     def root_values(self, v):
         """Simple-root values of the retraction image: exponent differences a_{i+1} - a_i."""
-        return self._root_values[v]
+        return tuple(_root_values(self.exponents[v]))
 
     def vertex_retraction_point(self, v):
         """Apartment point of the retraction image of a vertex (root coordinates)."""
-        return self.datum.point(self._root_values[v])
+        return self.datum.point(self.root_values(v))
 
     def retract_cell(self, cell_key):
         """The alcove cell of the standard apartment carrying the retraction image.
@@ -426,7 +431,7 @@ class HeightFiltration:
     def __init__(self, trunc, h):
         self.h = h
         self._complex = trunc.complex
-        self.heights = hts = [h.level(values) for values in trunc._root_values]
+        self.heights = hts = [h.level(_root_values(exps)) for exps in trunc.exponents]
         order = sorted((-min(hts[v] for v in c), len(c), c) for c in trunc.complex.cells())
         self._neg_entries = [[] for _ in range(trunc.complex.dim + 1)]
         for e, m, _ in order:

@@ -14,15 +14,16 @@ subcomplex spanned by the first cells of each degree reads it directly: its
 rank in degree k counts the pivots whose column lies in the prefix, and
 H_k(small) -> H_k(big) of two prefixes is non-trivial iff some degree-k
 kernel combo of small is not killed by a degree-(k+1) column of big; that
-combo is the witness.  An induced map between complexes that are not two
-prefixes of one chain complex is decided inside big's complex alone: small's
-k-cells go through the same pivot loop as big's columns, and each cycle is
-tested against big's degree-(k+1) reduction as soon as it appears.
+combo is the witness.
 
-`chain_complex` keeps one ChainComplexF2 per frozen complex, and
-`record_prefix` marks a complex as a prefix of a filtration's chain complex;
-both tables are weakly keyed by the complex, so an entry goes with its
-complex.  A ChainComplexF2 holds only cell keys, never the complex.
+Every query is a prefix query.  `record_prefix` marks a complex as a prefix
+of a filtration's chain complex; any other complex is recorded, on its first
+query, as the whole of its own sorted one.  The table is weakly keyed by the
+complex, so an entry goes with its complex, and a ChainComplexF2 holds only
+cell keys, never the complex.  A map between complexes that are not two
+prefixes of one chain complex reads big's chain complex numbered with small's
+cells first in each degree, both sorted: small is a prefix of it whose kernel
+combos are those of its own sorted reduction.
 """
 
 import weakref
@@ -73,50 +74,44 @@ class ChainComplexF2:
     def __init__(self, complex_, order=None):
         if not complex_.frozen:
             raise HomologyError("freeze the complex first")
-        self.top = complex_.dim
+        top = self.top = complex_.dim
         if order is None:
-            self.cells = {k: complex_.cells(k) for k in range(self.top + 1)}
-        else:
-            self.cells = {k: [] for k in range(self.top + 1)}
-            for c in order:
-                if c not in complex_:
-                    raise HomologyError(f"{c!r} is not a cell of the complex")
-                self.cells[complex_.dim_of(c)].append(c)
-        self.index = {
-            k: {c: i for i, c in enumerate(cs)} for k, cs in self.cells.items()
-        }
-        self.lengths = tuple(len(self.cells[k]) for k in range(self.top + 1))
+            order = [c for k in range(top + 1) for c in complex_.cells(k)]
+        cells = self.cells = {k: [] for k in range(top + 1)}
+        dim_of = complex_.dim_of
+        for c in order:
+            try:
+                cells[dim_of(c)].append(c)
+            except KeyError:
+                raise HomologyError(f"{c!r} is not a cell of the complex") from None
+        self.index = {k: {c: i for i, c in enumerate(cs)} for k, cs in cells.items()}
+        self.lengths = tuple(len(cells[k]) for k in range(top + 1))
         distinct = sum(map(len, self.index.values()))
         if sum(self.lengths) != len(complex_) or distinct != len(complex_):
             raise HomologyError("the order must list every cell of the complex once")
-        # boundary of each k-cell as a bit row over the (k-1)-cells
-        self.bnd = {}
-        for k in range(self.top + 1):
-            cols = []
-            for c in self.cells[k]:
-                row = 0
-                if k > 0:
-                    idx = self.index[k - 1]
-                    for f in complex_.facets(c):
-                        row ^= 1 << idx[f]
-                else:
-                    row = 1  # augmentation to the empty cell
-                cols.append(row)
-            self.bnd[k] = cols
-        # the augmentation composed with d_1: every edge has an even number
-        # of vertices, i.e. an even number of bits in its boundary row
-        for c, row in zip(self.cells.get(1, ()), self.bnd.get(1, ())):
-            if row.bit_count() % 2:
-                raise HomologyError(f"boundary of boundary non-zero at {c!r}")
-        for k in range(2, self.top + 1):
-            for c, col in zip(self.cells[k], self.bnd[k]):
-                acc = 0
-                idx = self.index[k - 1]
+        # boundary of each k-cell as a bit row over the (k-1)-cells; degree 0
+        # maps to the empty cell (the augmentation).  d o d = 0 is checked
+        # cell by cell, the boundary rows of its facets summing to zero: in
+        # degree 1 that says an edge has an even number of vertices
+        self.bnd = {0: [1] * self.lengths[0]} if top >= 0 else {}
+        for k in range(1, top + 1):
+            idx, below, cols = self.index[k - 1], self.bnd[k - 1], []
+            for c in cells[k]:
+                row = acc = 0
                 for f in complex_.facets(c):
-                    acc ^= self.bnd[k - 1][idx[f]]
+                    i = idx[f]
+                    row ^= 1 << i
+                    acc ^= below[i]
                 if acc:
                     raise HomologyError(f"boundary of boundary non-zero at {c!r}")
+                cols.append(row)
+            self.bnd[k] = cols
         self._reductions = {}
+
+    @property
+    def chain_complex(self):
+        """A chain complex is the source of its own prefixes, like a filtration."""
+        return self
 
     # --- chain plumbing ---------------------------------------------------
 
@@ -166,23 +161,17 @@ class ChainComplexF2:
         """
         red = self._reductions.get(k)
         if red is None:
-            pivots = {}
-            columns = ((col, 1 << j) for j, col in enumerate(self.bnd[k]))
-            kernel = list(self._reduce(columns, pivots))
+            pivots, kernel = {}, []
+            for j, col in enumerate(self.bnd[k]):
+                row, combo = self._eliminate(col, 1 << j, pivots)
+                if row:
+                    pivots[row.bit_length() - 1] = (row, combo)
+                else:
+                    kernel.append(combo)
             # pivots are inserted in column order
             own = [combo.bit_length() - 1 for _, combo in pivots.values()]
             red = self._reductions[k] = (pivots, kernel, own)
         return red
-
-    @classmethod
-    def _reduce(cls, columns, pivots):
-        """Reduce (column, combo) pairs into `pivots`; yield each kernel combo as it appears."""
-        for col, combo in columns:
-            row, combo = cls._eliminate(col, combo, pivots)
-            if row:
-                pivots[row.bit_length() - 1] = (row, combo)
-            else:
-                yield combo
 
     def kernel_basis(self, k):
         """Basis of the k-cycles (reduced: degree 0 uses the augmentation)."""
@@ -260,16 +249,7 @@ class ChainComplexF2:
         return not row and combo.bit_length() <= lengths[k]
 
 
-_chain_complexes = weakref.WeakKeyDictionary()
 _prefixes = weakref.WeakKeyDictionary()
-
-
-def chain_complex(complex_):
-    """The ChainComplexF2 of a frozen complex, built on first use and dropped with it."""
-    cc = _chain_complexes.get(complex_)
-    if cc is None:
-        cc = _chain_complexes[complex_] = ChainComplexF2(complex_)
-    return cc
 
 
 def record_prefix(complex_, filtration, lengths):
@@ -282,23 +262,26 @@ def record_prefix(complex_, filtration, lengths):
     _prefixes[complex_] = (filtration, tuple(lengths))
 
 
-def betti_vector(complex_):
+def _prefix(complex_):
+    """(chain complex, lengths) of which a frozen complex is the prefix; an
+    unrecorded complex is recorded as the whole of its own sorted one."""
     entry = _prefixes.get(complex_)
     if entry is None:
-        cc = chain_complex(complex_)
-        return [cc.betti(k) for k in range(cc.top + 1)]
-    filtration, lengths = entry
-    return [filtration.chain_complex.betti(k, lengths) for k in range(len(lengths))]
+        cc = ChainComplexF2(complex_)
+        entry = _prefixes[complex_] = (cc, cc.lengths)
+    source, lengths = entry
+    return source.chain_complex, lengths
+
+
+def betti_vector(complex_):
+    cc, lengths = _prefix(complex_)
+    return [cc.betti(k, lengths) for k in range(len(lengths))]
 
 
 def bounds(complex_, chain):
-    """Whether a cycle of a frozen complex bounds in it; a recorded prefix
-    reads its filtration's reduction."""
-    entry = _prefixes.get(complex_)
-    if entry is None:
-        return chain_complex(complex_).bounds(chain)
-    filtration, lengths = entry
-    return filtration.chain_complex.bounds(chain, lengths)
+    """Whether a cycle of a frozen complex bounds in it."""
+    cc, lengths = _prefix(complex_)
+    return cc.bounds(chain, lengths)
 
 
 def induced_map_trivial(small, big, k):
@@ -308,25 +291,24 @@ def induced_map_trivial(small, big, k):
     big (every cell of small is a cell of big with the same facets).  Returns
     (True, None) or (False, witness_cycle).  Degree 0 is reduced: 0-cycles
     are the even 0-chains.  Two prefixes of one filtration read its
-    persistent reduction; any other pair is reduced inside big's complex.
+    persistent reduction.  Any other pair reads big's chain complex with
+    small's cells first in each degree, both sorted, so that small is a
+    prefix of it.
     """
     if not small.frozen:
         raise HomologyError("freeze the complex first")
     s, b = _prefixes.get(small), _prefixes.get(big)
     if s is not None and b is not None and s[0] is b[0]:
         return s[0].chain_complex.prefix_map_trivial(s[1], b[1], k)
-    big_cc = chain_complex(big)
-    for c in small.cells():
-        if c not in big or big.dim_of(c) != small.dim_of(c) or big.facets(c) != small.facets(c):
-            raise HomologyError(f"cell {c!r} of the small complex is not a cell of the big one")
-    if k > small.dim:
-        return True, None
-    # small's k-cells reduced as big's columns: sorted order survives the
-    # restriction, so pivots and kernel combos are those of small's own reduction
-    idx = big_cc.index[k]
-    columns = ((big_cc.bnd[k][idx[c]], 1 << idx[c]) for c in small.cells(k))
-    bounding = big_cc._reduction(k + 1)[0] if k < big_cc.top else {}
-    for combo in big_cc._reduce(columns, {}):
-        if big_cc._eliminate(combo, 0, bounding)[0]:
-            return False, big_cc.from_bits(k, combo)
-    return True, None
+    order, lengths = [], []
+    for j in range(small.dim + 1):
+        head = small.cells(j)
+        for c in head:
+            if c not in big or big.dim_of(c) != j or big.facets(c) != small.facets(c):
+                raise HomologyError(f"cell {c!r} of the small complex is not a cell of the big one")
+        order += head
+        lengths.append(len(head))
+    first = set(order)
+    order += [c for j in range(big.dim + 1) for c in big.cells(j) if c not in first]
+    cc = ChainComplexF2(big, order)
+    return cc.prefix_map_trivial(lengths, cc.lengths, k)

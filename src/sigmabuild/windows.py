@@ -14,10 +14,15 @@ and R(Z), from which the stages of the filtration are rebuilt.
 `HeightForm` is the package's one height, h = sum_i c_i kappa(., alpha_i).
 It reads only the simple-root values of a point, so the same form measures
 apartment points here and, through the retraction from infinity, vertices of
-the Bruhat-Tits truncations in `building`.  Its coefficients are those of the
-character it pairs with, and it is generic (strictly decreasing toward the
-base chamber at infinity) iff every coefficient is negative.  Its `level`
-and `grid` are the package's one integer height and one rounding onto it.
+the Bruhat-Tits truncations in `building`.  Its coefficients c are those of
+the character chi with h(g x) = chi(g) + h(x) (`equivariant_character`), and
+it is generic (strictly decreasing toward the base chamber at infinity) iff
+every coefficient is negative.  The superlevel filtration of h speaks for the
+class of -c, not of c, in `sigma.sigma_verdict`: on the SL_2 tree the
+superlevel sets of h = (1) are connected and (-1) is certain-in for
+Sigma^1, while those of h = (-1) have ever more components and (1) is
+certain-out.  Its `level` and `grid` are the package's one integer height
+and one rounding onto it.
 """
 
 from dataclasses import dataclass, field
@@ -85,7 +90,9 @@ class HeightForm:
         """The character chi with h(g x) = chi(g) + h(x) on the SL_n(Q_p) building.
 
         Over the basis chi_{k,p}(g) = v_p(g_{k+1,k+1}) - v_p(g_{k,k}) its
-        coefficients are the height's own.
+        coefficients are the height's own, as the equivariance needs.  The
+        superlevel filtration of h decides the Sigma-class of -chi in
+        `sigma.sigma_verdict`, not that of chi.
         """
         return CharacterVec(n, (p,), {(i + 1, p): c for i, c in enumerate(self.coeffs)})
 

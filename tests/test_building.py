@@ -49,8 +49,9 @@ from sigmabuild.chevalley import (
 )
 from sigmabuild.complexes import CellComplex
 from sigmabuild.coxeter import FLOOR
-from sigmabuild.homology import ChainComplexF2, induced_map_trivial
+from sigmabuild.homology import ChainComplexF2, betti_vector, induced_map_trivial
 from sigmabuild.linalg import det, matmul
+from sigmabuild.sigma import CERTAIN_IN, CERTAIN_OUT, SigmaContext, sigma_verdict
 from sigmabuild.windows import HeightForm
 
 
@@ -860,6 +861,27 @@ def test_height_table_extends_to_vertices_numbered_later():
     assert vertex_height(trunc, h, moved) == vertex_height(trunc, h, trunc.base_vertex) + value
 
 
+@pytest.mark.parametrize("p", (2, 3))
+def test_superlevel_filtration_of_h_speaks_for_minus_its_character(p):
+    # h(g x) = chi(g) + h(x) fixes chi's coefficients to be h's own, c; the
+    # superlevel sets of h then decide Sigma^1 for the class of -c: all
+    # connected for c = (1), where -c is certain-in, and p^m components at
+    # the levels of c = (-1) on the tree of radius 6, where -c is certain-out
+    trunc = grow_truncation(2, p, 6)
+    ctx = SigmaContext.for_sl(2, (p,))
+    for c, b0, kind in (
+        ((1,), [0] * 14, CERTAIN_IN),
+        ((-1,), [p ** (i // 2) - 1 for i in range(14)], CERTAIN_OUT),
+    ):
+        h = HeightForm(c)
+        levels = sorted({height_eval(trunc, h, v)[0] for v in trunc.complex.cells(0)})
+        assert [betti_vector(superlevel_complex(trunc, h, r))[0] for r in levels] == b0
+        (coeff,) = h.equivariant_character(2, p).coeffs.values()
+        assert (coeff,) == c
+        assert sigma_verdict(ctx, (-coeff,), 1).kind == kind
+        assert sigma_verdict(ctx, (coeff,), 1).kind != kind
+
+
 def test_superlevel_monotone_and_bruteforce():
     p = 2
     trunc = grow_truncation(2, p, 3)
@@ -1015,9 +1037,9 @@ def test_height_filtration_checks_that_facets_come_first():
     cx.add_cell((3,), 0)
     cx.add_cell((0, 1), 1, [(2,), (3,)])
     h = HeightForm((1,))
-    early = SimpleNamespace(complex=cx.freeze(), _root_values=[(0,), (0,), (1,), (1,)])
+    early = SimpleNamespace(complex=cx.freeze(), exponents=[(0, 0), (0, 0), (0, 1), (0, 1)])
     assert HeightFiltration(early, h).cells == [(2,), (3,), (0, 1)]
-    late = SimpleNamespace(complex=cx, _root_values=[(1,), (1,), (0,), (0,)])
+    late = SimpleNamespace(complex=cx, exponents=[(0, 1), (0, 1), (0, 0), (0, 0)])
     with pytest.raises(BuildingError, match="comes after it"):
         HeightFiltration(late, h)
 

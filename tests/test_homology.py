@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmabuild.building import grow_truncation, height_eval, superlevel_complex
+from sigmabuild.building import grow_truncation, height_eval, retraction_preimage, superlevel_complex
 from sigmabuild.complexes import CellComplex, simplicial_complex
 from sigmabuild.homology import (
     ChainComplexF2,
@@ -21,7 +21,7 @@ from sigmabuild.homology import (
     induced_map_trivial,
 )
 from sigmabuild.root_system import build_root_system
-from sigmabuild.windows import HeightForm, Window
+from sigmabuild.windows import HeightForm, Window, upper_complex
 
 
 def path_graph(n):
@@ -475,11 +475,11 @@ def test_superlevel_map_into_a_smaller_level_is_rejected():
                 induced_map_trivial(low, high, k)
 
 
-def test_prefixes_of_two_forms_or_two_truncations_take_the_general_path(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("two prefixes of one filtration expected")
-
-    monkeypatch.setattr(ChainComplexF2, "prefix_map_trivial", refuse)
+def general_pairs():
+    """(small, big) pairs that are not two prefixes of one filtration: levels
+    of two forms, the same level of two identical truncations, and the
+    (core, preimage) pairs of certify's SL3 connectivity check, with the
+    preimage's cells within the core's depth between them."""
     trunc, twin = grow_truncation(3, 2, 2), grow_truncation(3, 2, 2)
     h, g = HeightForm((-1, -2)), HeightForm((-1, -1))
     pairs = []
@@ -493,15 +493,70 @@ def test_prefixes_of_two_forms_or_two_truncations_take_the_general_path(monkeypa
             big = superlevel_complex(trunc, g, t)
             if all(c in big for c in small.cells()):
                 pairs.append((small, big))
+    trunc3 = grow_truncation(3, 2, 3)
+    window3 = Window(trunc3.datum, [-4] * 2, [3] * 2, trunc3.geometry)
+    for coeffs in ((-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -2)):
+        for r in (-4, -3, -2):
+            pre = retraction_preimage(trunc3, upper_complex(window3, HeightForm(coeffs), r))
+            core = pre.restrict(v for v in pre.cells(0) if trunc3.cell_distance[v] <= 2)
+            pairs.append((core, pre))
+            # and through the cells within the same depth
+            mid = pre.restrict(c for c in pre.cells() if trunc3.cell_distance[c] <= 2)
+            pairs += [(core, mid), (mid, pre)]
+    return pairs
+
+
+def test_general_pairs_give_the_reference_verdicts_and_witnesses():
     verdicts = set()
-    for small, big in pairs:
+    for small, big in general_pairs():
         for k in range(3):
             trivial, witness = induced_map_trivial(small, big, k)
-            assert trivial == reference_induced_map(small, big, k)[0]
-            if not trivial:
+            ref_trivial, ref_witness = reference_induced_map(small, big, k)
+            assert trivial == ref_trivial
+            if trivial:
+                assert witness is None
+            else:
+                assert witness.support == ref_witness.support
                 assert_valid_witness(small, big, k, witness)
             verdicts.add(trivial)
     assert verdicts == {True, False}
+
+
+def small_first(small, big):
+    """Big's cells of each degree, small's first, both sorted."""
+    return [
+        sorted(small.cells(k)) + sorted(set(big.cells(k)) - set(small.cells(k)))
+        for k in range(big.dim + 1)
+    ]
+
+
+def test_chain_complex_builds_per_query(monkeypatch):
+    pairs = general_pairs()
+    builds = count_builds(monkeypatch)
+    # a general pair (a level in its twin, in another form's level, a core
+    # in its preimage): big's chain complex, small's cells first
+    for small, big in (pairs[0], pairs[2], pairs[-3]):
+        builds.clear()
+        induced_map_trivial(small, big, 0)
+        assert len(builds) == 1 and builds[0][0] is big
+        order = builds[0][1]
+        by_degree = [[c for c in order if big.dim_of(c) == k] for k in range(big.dim + 1)]
+        assert by_degree == small_first(small, big)
+    # prefixes of one filtration: only its one chain complex
+    trunc = grow_truncation(3, 2, 2)
+    h = HeightForm((-1, -2))
+    levels = levels_of(trunc, h)
+    builds.clear()
+    for r in levels:
+        induced_map_trivial(superlevel_complex(trunc, h, r), superlevel_complex(trunc, h, levels[0]), 1)
+    assert builds == [(trunc.complex, trunc.height_filtration(h).cells)]
+    # an unrecorded complex: its own sorted chain complex, once, for every query on it
+    builds.clear()
+    cx = filled_cycle(6)
+    assert betti_vector(cx) == [0, 0, 0]
+    assert bounds(cx, F2Chain(1, {("e", i) for i in range(6)}))
+    assert induced_map_trivial(cx, cx, 1) == (True, None)
+    assert builds == [(cx, None)]
 
 
 def test_betti_sweep_over_the_levels_of_a_large_tree_budget():

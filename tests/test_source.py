@@ -100,6 +100,28 @@ def test_only_the_hermite_kernel_takes_diagonal_valuations():
     assert sorted(map(str, found)) == ["_hermite_form", "_reduced_key", "act_on_vertex"]
 
 
+def test_only_homology_chooses_the_chain_complex_of_a_query():
+    # every homology query reads a prefix of one chain complex, and only
+    # `homology` decides which: a height filtration builds its own, and the
+    # F2 pivot loop is named only inside ChainComplexF2
+    builders = {}
+    for path in sorted(SRC.glob("*.py")):
+        found = _functions_naming(ast.parse(path.read_text(), str(path)), "ChainComplexF2")
+        if found and path.stem != "homology":
+            builders[path.stem] = sorted(map(str, found))
+    assert builders == {"building": ["chain_complex"]}
+    pivot_loop = {"_reduction", "_eliminate"}
+    found = [
+        f"{path.name}:{n.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for n in _outside_class(ast.parse(path.read_text(), str(path)), "ChainComplexF2")
+        if (isinstance(n, ast.Attribute) and n.attr in pivot_loop)
+        or (isinstance(n, ast.Name) and n.id in pivot_loop)
+        or (isinstance(n, ast.FunctionDef) and n.name in pivot_loop)
+    ]
+    assert found == []
+
+
 def _names(node, skip):
     """Identifiers a node names: names, attributes, imports and dotted strings.
 
