@@ -432,16 +432,18 @@ class HeightFiltration:
         self.h = h
         self._complex = trunc.complex
         self.heights = hts = [h.level(_root_values(exps)) for exps in trunc.exponents]
-        order = sorted((-min(hts[v] for v in c), len(c), c) for c in trunc.complex.cells())
-        self._neg_entries = [[] for _ in range(trunc.complex.dim + 1)]
-        for e, m, _ in order:
-            self._neg_entries[m - 1].append(e)
-        self.cells = [c for _, _, c in order]
+        cx = trunc.complex
+        by_dim = [cx.cells(k) for k in range(cx.dim + 1)]
+        neg = {c: -min(map(hts.__getitem__, c)) for c in chain.from_iterable(by_dim)}
+        self._neg_entries = [sorted(map(neg.__getitem__, cs)) for cs in by_dim]
+        # (dim, key) order, then one stable sort by -entry
+        self.cells = sorted(chain.from_iterable(by_dim), key=neg.__getitem__)
         # a facet, one dimension down, comes first iff it enters no later
-        facets, level = trunc.complex._facets, hts.__getitem__
-        for e, _, c in order:
+        facets = cx._facets
+        for c in self.cells:
+            e = neg[c]
             for f in facets[c]:
-                if -min(map(level, f)) > e:
+                if neg[f] > e:
                     raise BuildingError(f"a facet of {c} comes after it in the height filtration")
 
     @cached_property

@@ -8,8 +8,9 @@ validates the facets once and records the cofacets.  A subcomplex restricted
 from a frozen parent owns only its table of cell dimensions: it shares the
 parent's facet and cofacet tables (so a restriction of a restriction shares
 the root's), and its queries read them through its own cells, dropping the
-cofacets it does not keep.  A frozen complex sorts its cells once.  The
-exports print a cell as `label(key)`, `str` by default.
+cofacets it does not keep.  A frozen complex sorts its cells once, and
+keys that do not compare make `cells()` raise ValueError.  The exports
+print a cell as `label(key)`, `str` by default.
 """
 
 import json
@@ -70,16 +71,18 @@ class CellComplex:
         return max(self._dim.values(), default=-1)
 
     def cells(self, dim=None):
-        """The cells of one dimension, or all cells, as a new sorted list."""
+        """The cells of one dimension, or all cells, as a new sorted list.
+
+        Raises ValueError when the keys to be sorted do not compare.
+        """
         by_dim = self._sorted
         if by_dim is None or not self.frozen:
-            by_dim = self._sorted = {}
+            groups = {}
             for k, d in self._dim.items():
-                by_dim.setdefault(d, []).append(k)
-            for ks in by_dim.values():
-                ks.sort()
+                groups.setdefault(d, []).append(k)
+            by_dim = self._sorted = {d: _sorted_keys(ks) for d, ks in groups.items()}
         if dim is None and None not in by_dim:
-            by_dim[None] = sorted(self._dim)
+            by_dim[None] = _sorted_keys(self._dim)
         return list(by_dim.get(dim, ()))
 
     def facets(self, key):
@@ -154,6 +157,13 @@ class CellComplex:
                         lines.append(f"  n{ids[c]} -- n{ids[e]};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _sorted_keys(keys):
+    try:
+        return sorted(keys)
+    except TypeError as err:
+        raise ValueError(f"the complex's cell keys are not totally ordered: {err}") from err
 
 
 def simplicial_complex(cells):

@@ -13,9 +13,13 @@ is that of its barycenter.  Neighbours, sector tests and the keys of means
 Projections read only the key and the signs of a direction on the positive
 roots: a step from the barycenter stays in the cell's floors and leaves each
 of its walls to the side of the sign; a gate projection takes its signs from
-the two faces' integer column sums.  Fraction points appear only where a
-point goes in or comes out: `barycenter` and `cell_of_point`.  All
-arithmetic is exact, so every predicate is decided, never approximated.
+the two faces' integer column sums.  The key of a mean of m vertices is read
+entry by entry from one table per m, from an integer column sum to its key
+entry, filled on first use.  A point that goes in (`cell_of_point`, a sector
+tip, a direction at infinity) is brought to integers over one denominator,
+and its root values are the integer root functionals dotted with those; only
+`barycenter`, where a point comes out, builds Fractions.  All arithmetic is
+exact, so every predicate is decided, never approximated.
 
 The chamber at infinity "sigma" is a sign vector over the positive roots; the
 base chamber is all-plus (the sector where every positive root functional
@@ -26,8 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 
-from .linalg import dot, matvec
+from .linalg import scaled
 
 FLOOR = 0
 WALL = 1
@@ -68,9 +73,10 @@ class AlcoveGeometry:
     def __init__(self, datum):
         self.datum = datum
         self.npos = len(datum.positive_roots)
-        # dual functional of each positive root: kappa(x, alpha) = g_alpha . x
+        # dual functional of each positive root: kappa(x, alpha) = g_alpha . x,
+        # g_alpha = G alpha an integer row
         self._functionals = tuple(
-            matvec(datum.gram, alpha) for alpha in datum.positive_roots
+            tuple(sum(map(mul, row, alpha)) for row in datum.gram) for alpha in datum.positive_roots
         )
         self._simple_idx = tuple(
             datum.pos_index[s] for s in datum.simple_root_coeffs
@@ -84,6 +90,8 @@ class AlcoveGeometry:
         # alcove's vertices are 0 and the coweights w_i / c_i (c the highest
         # root), and reflections keep root values in Z / den, den = lcm(c).
         self._den = lcm(*datum.highest_root)
+        # the key entries of the means of m vertices, by column sum
+        self._entries = tuple(_EntryTable(self._den * m) for m in range(datum.rank + 2))
         corners = [(0,) * self.npos] + [
             tuple(self._den * beta[i] // c for beta in datum.positive_roots)
             for i, c in enumerate(datum.highest_root)
@@ -98,10 +106,10 @@ class AlcoveGeometry:
     # --- simplices at infinity -----------------------------------------
 
     def infinity_from_direction(self, u):
-        u = tuple(Fraction(x) for x in u)
+        u = tuple(u)
         if all(x == 0 for x in u):
             raise GeometryError("zero direction")
-        return InfinitySimplex(tuple(_sign(v) for v in self._values(u)), u)
+        return InfinitySimplex(tuple(map(_sign, self._values(u)[0])), u)
 
     def base_chamber_at_infinity(self):
         """The all-plus chamber at infinity."""
@@ -110,12 +118,14 @@ class AlcoveGeometry:
     # --- cells ------------------------------------------------------------
 
     def _values(self, x):
-        """kappa(x, alpha) for every positive root alpha."""
-        return tuple(dot(g, x) for g in self._functionals)
+        """(nums, q): kappa(x, alpha) = nums[i] / q for every positive root alpha, q > 0."""
+        xs, q = scaled(x)
+        return [sum(map(mul, g, xs)) for g in self._functionals], q
 
     def cell_of_point(self, x):
         """The unique cell whose constraints x satisfies."""
-        return tuple(_entry(v.numerator, v.denominator) for v in self._values(x))
+        nums, q = self._values(x)
+        return tuple(_entry(v, q) for v in nums)
 
     def dim(self, cell):
         """Every cell is a simplex: one less than its number of vertices."""
@@ -176,8 +186,7 @@ class AlcoveGeometry:
 
     def _key_of_mean(self, verts):
         """The key of the barycenter of some vertices."""
-        d = self._den * len(verts)
-        return tuple(_entry(sum(col), d) for col in zip(*verts))
+        return tuple(map(self._entries[len(verts)].__getitem__, map(sum, zip(*verts))))
 
     def _scaled_values(self, simple_values):
         """Scaled root values of the point with these integer simple-root values."""
@@ -265,9 +274,6 @@ class AlcoveGeometry:
             raise GeometryError("upper face must be a non-empty face")
         return self._key_of_mean(kept)
 
-    def lower_face(self, chamber, sigma):
-        return self.upper_face(chamber, sigma.opposite())
-
     # --- galleries ---------------------------------------------------------
 
     def wall_distance(self, c, d):
@@ -306,8 +312,9 @@ class AlcoveGeometry:
         it is no multiple of 1/den, and then no point satisfies them.
         """
         lower, upper = [], []
-        for i, (t, s) in enumerate(zip(self._values(tip), signs)):
-            num, q = self._den * t.numerator, t.denominator
+        nums, q = self._values(tip)
+        for i, (t, s) in enumerate(zip(nums, signs)):
+            num = self._den * t
             if s >= 0:
                 lower.append((i, -(-num // q)))
             if s <= 0:
@@ -337,6 +344,19 @@ def _entry(num, den):
 # One shared object per key entry of a small level, as Python shares small
 # ints: the caches hold thousands of keys, most of them built from these.
 _SHARED_ENTRIES = {(f, k): (f, k) for f in (FLOOR, WALL) for k in range(-128, 128)}
+
+
+class _EntryTable(dict):
+    """The key entries of the root values s / den, by the integer s, each made
+    by `_entry` on first use."""
+
+    def __init__(self, den):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, s):
+        entry = self[s] = _entry(s, self.den)
+        return entry
 
 
 def _step_key(cell, signs):

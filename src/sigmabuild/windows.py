@@ -243,7 +243,8 @@ def sigma_convex_check(geometry, cells, sigma):
     """
     cells = frozenset(cells)
     signs = sigma.signs
-    ends = {geometry.project_toward(a, sigma.opposite()) for a in cells}
+    op = sigma.opposite()
+    ends = {geometry.project_toward(a, op) for a in cells}
     tops = []
     for d in sorted(ends, key=lambda d: -sum(k * s for (_, k), s in zip(d, signs))):
         if not any(_sigma_below(d, t, signs) for t in tops):
@@ -338,7 +339,7 @@ def deconstruct(geometry, cells, sigma):
         if not ready:
             raise GeometryError("no chamber of sigma-length zero; subcomplex not deconstructible")
         c = heappop(ready)
-        lower = geometry.lower_face(c, sigma)
+        lower = geometry.upper_face(c, op)  # the lower face toward sigma
         closure_c = geometry.closure(c)
         star = frozenset(x for x in cofaces.get(lower, ()) if x in current)
         boundary = (set().union(*map(geometry.closure, star)) & current) - star

@@ -1,8 +1,10 @@
 """Chamber adjacency, face closures in a cell complex, gallery distances, a
 window's chambers by a search from a perturbed centre point, root values and
-the vertices of a cell as Fraction points, special vertices, height values,
-projections by a step from the barycenter, closures by a facet walk, the
-upper/lower complexes with their certificate in Fraction arithmetic,
+the vertices of a cell as Fraction points, the cell of a point, sector bounds
+and chambers at infinity read from Fraction root values, special vertices,
+height values, lower faces, projections by a step from the barycenter,
+closures by a facet walk, the upper/lower complexes with their certificate
+in Fraction arithmetic,
 sigma-minimal galleries with the sigma-convexity and sigma-length they
 define, and the deconstruction that rescans its stage on every step and
 keeps a snapshot of each stage.
@@ -14,8 +16,9 @@ truncation tests.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import ceil, floor
 
-from sigmabuild.coxeter import FLOOR, GeometryError, _entry
+from sigmabuild.coxeter import FLOOR, GeometryError, _entry, _sign
 from sigmabuild.linalg import Q1, dot
 from sigmabuild.windows import (
     DeconstructionStep,
@@ -93,6 +96,38 @@ def root_value(geometry, x, i):
     return dot(geometry._functionals[i], x)
 
 
+def root_values(geometry, x):
+    """kappa(x, alpha) for every positive root alpha, as Fractions."""
+    return tuple(root_value(geometry, x, i) for i in range(geometry.npos))
+
+
+def cell_of_point_by_values(geometry, x):
+    """The cell of a point: the key entry of each of its Fraction root values."""
+    return tuple(_entry(v.numerator, v.denominator) for v in root_values(geometry, x))
+
+
+def sector_bounds_by_values(geometry, tip, signs):
+    """`AlcoveGeometry._sector_bounds` from the Fraction root values of the tip:
+    den * kappa(tip, alpha) rounded up for a lower bound, down for an upper."""
+    lower, upper = [], []
+    for i, (t, s) in enumerate(zip(root_values(geometry, tip), signs)):
+        if s >= 0:
+            lower.append((i, ceil(geometry._den * t)))
+        if s <= 0:
+            upper.append((i, floor(geometry._den * t)))
+    return tuple(lower), tuple(upper)
+
+
+def signs_at_infinity_by_values(geometry, u):
+    """The signs of the root values of a direction: its simplex at infinity."""
+    return tuple(_sign(v) for v in root_values(geometry, u))
+
+
+def lower_face(geometry, chamber, sigma):
+    """The upper face of a chamber toward the chamber opposite sigma."""
+    return geometry.upper_face(chamber, sigma.opposite())
+
+
 def simple_values(geometry, cell):
     """kappa(v, alpha_i) over the simple roots, for each vertex v of the cell."""
     den = geometry._den
@@ -106,7 +141,7 @@ def vertices(geometry, cell):
 
 def is_special_vertex(geometry, x):
     """Special vertex: integral against every root (meets every wall class)."""
-    return all(v.denominator == 1 for v in geometry._values(x))
+    return all(v.denominator == 1 for v in root_values(geometry, x))
 
 
 def height_value(h, geometry, x):
@@ -133,7 +168,7 @@ def project_dir(geometry, cell, u, limit=None):
 
 def project_toward_by_step(geometry, cell, tau):
     """pr_cell(tau) by a step from the barycenter along tau's direction."""
-    return project_dir(geometry, cell, geometry._values(tau.direction))
+    return project_dir(geometry, cell, root_values(geometry, tau.direction))
 
 
 def project_to_cell_by_step(geometry, cell, target):
@@ -275,7 +310,7 @@ def deconstruction_order_by_sigma_length(geometry, cells, sigma):
     removed = []
     while chambers := [c for c in current if geometry.is_chamber(c)]:
         c = min(c for c in chambers if sigma_length(geometry, current, c, sigma) == 0)
-        lower = geometry.lower_face(c, sigma)
+        lower = lower_face(geometry, c, sigma)
         current -= {x for x in current if lower in geometry.closure(x) or x == lower}
         removed.append(c)
     return removed[::-1]
@@ -306,7 +341,7 @@ def deconstruct_by_rescans(geometry, cells, sigma):
         c = next((c for c in chambers if current.isdisjoint(_sigma_steps(geometry, c, sigma))), None)
         if c is None:
             raise GeometryError("no chamber of sigma-length zero; subcomplex not deconstructible")
-        lower = geometry.lower_face(c, sigma)
+        lower = lower_face(geometry, c, sigma)
         closure_c = geometry.closure(c)
         star = frozenset(x for x in current if lower in geometry.closure(x) or x == lower)
         cert = {"star_in_closed_chamber": star <= closure_c}

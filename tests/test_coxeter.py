@@ -2,22 +2,34 @@
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 import pytest
 from geometry_oracle import (
+    cell_of_point_by_values,
     closure_by_facets,
     gallery_distances,
     is_special_vertex,
+    lower_face,
     project_to_cell_by_step,
     project_toward_by_step,
     root_value,
+    root_values,
+    sector_bounds_by_values,
     sigma_minimal_galleries,
+    signs_at_infinity_by_values,
     vertices,
     window_chambers_by_search,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError, _sign
+from sigmabuild import coxeter
+from sigmabuild.building import Truncation
+from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError, _entry, _sign
 from sigmabuild.homology import betti_vector
 from sigmabuild.root_system import build_root_system
 from sigmabuild.windows import Window
@@ -173,7 +185,7 @@ def test_upper_lower_faces_a1(a1):
     sigma = g.base_chamber_at_infinity()
     c = ((FLOOR, 2),)
     assert g.upper_face(c, sigma) == ((WALL, 2),)
-    assert g.lower_face(c, sigma) == ((WALL, 3),)
+    assert lower_face(g, c, sigma) == ((WALL, 3),)
 
 
 def test_upper_face_a2_fundamental(a2):
@@ -225,7 +237,7 @@ def sector_contains_point(g, tip, tau, y):
     """Whether y lies in the open cone K_tip(tau)."""
     if tuple(tip) == tuple(y):
         return False
-    return all(_sign(v - t) == s for v, t, s in zip(g._values(y), g._values(tip), tau.signs))
+    return all(_sign(v - t) == s for v, t, s in zip(root_values(g, y), root_values(g, tip), tau.signs))
 
 
 def test_sigma_minimal_check_a1(a1):
@@ -487,3 +499,81 @@ def test_sector_predicates_match_their_definitions(family):
                     for s, root in zip(tau.signs, datum.positive_roots)
                 )
                 assert sector_contains_point(g, tip, tau, y) == expected
+
+
+# --- keys and point values from integers -------------------------------------
+
+KEY_WINDOWS = (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3), ("D", 4))
+
+
+def key_of_mean_by_entries(geometry, verts):
+    """The key of the mean of some vertices: `_entry` of each column sum."""
+    d = geometry._den * len(verts)
+    return tuple(_entry(sum(col), d) for col in zip(*verts))
+
+
+@pytest.mark.parametrize("family, rank", KEY_WINDOWS)
+def test_key_of_mean_reads_the_entry_of_each_column_sum(family, rank):
+    window = Window.radius(build_root_system(family, rank), 1)
+    g = window.geometry
+    subsets = 0
+    for cell in window.cells():
+        face = g._face(cell)
+        assert g._key_of_mean(face) == cell
+        for m in range(1, len(face) + 1):
+            for sub in combinations(face, m):
+                assert g._key_of_mean(sub) == key_of_mean_by_entries(g, sub)
+                subsets += 1
+    assert subsets >= len(window.cells())
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 3), (3, 2, 2)])
+def test_retraction_images_read_the_entry_of_each_column_sum(n, p, radius):
+    trunc = Truncation(n, p, radius)
+    values = trunc._apartment_values
+    for cell in trunc.complex.cells():
+        assert trunc.retract_cell(cell) == key_of_mean_by_entries(trunc.geometry, [values[v] for v in cell])
+
+
+def test_entry_tables_call_entry_once_per_vertex_count_and_column_sum(monkeypatch):
+    # each table makes a key entry once, on the first mean that needs it
+    calls = []
+
+    def counted(num, den):
+        calls.append((num, den))
+        return _entry(num, den)
+
+    monkeypatch.setattr(coxeter, "_entry", counted)
+    datum = build_root_system("A", 2)
+    g = AlcoveGeometry(datum)
+    Window.radius(datum, 4, g).cells()
+    assert calls and max(Counter(calls).values()) == 1
+    made = {(m, s) for m, table in enumerate(g._entries) for s in table}
+    assert {(den // g._den, num) for num, den in calls} == made
+
+
+@cache
+def point_geometry(family, rank):
+    return AlcoveGeometry(build_root_system(family, rank))
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+coordinates = st.one_of(rationals, st.integers(-6, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_point_values_match_the_fraction_definitions(data):
+    family, rank = data.draw(st.sampled_from(KEY_WINDOWS))
+    g = point_geometry(family, rank)
+    x = tuple(data.draw(coordinates) for _ in range(rank))
+    assert g.cell_of_point(x) == cell_of_point_by_values(g, x)
+    signs = tuple(data.draw(st.sampled_from((-1, 0, 1))) for _ in range(g.npos))
+    assert g._sector_bounds(x, signs) == sector_bounds_by_values(g, x, signs)
+    if any(x):
+        tau = g.infinity_from_direction(x)
+        assert tau.signs == signs_at_infinity_by_values(g, x)
+        assert tau.direction == x and tau.opposite().signs == tuple(-s for s in tau.signs)
+    else:
+        with pytest.raises(GeometryError, match="zero direction"):
+            g.infinity_from_direction(x)

@@ -19,7 +19,9 @@ from geometry_oracle import (
     height_value,
     is_special_vertex,
     galleries_leaving,
+    lower_face,
     root_value,
+    root_values,
     sigma_length,
     simple_values,
     upper_lower_by_fractions,
@@ -92,7 +94,7 @@ def test_residual_single_chamber(a2):
     c = next(iter(Window.radius(datum, 1, g).chambers()))
     z = frozenset(g.closure(c))
     r = residual_r(g, z, sigma)
-    down = g.lower_face(c, sigma)
+    down = lower_face(g, c, sigma)
     interval = {a for a in z if down in g.closure(a) or a == down}
     assert r == z - interval
 
@@ -141,7 +143,7 @@ def chambers_at_infinity(geometry, rng):
     found = {}
     for _ in range(400):
         u = geometry.datum.point([rng.randint(-5, 5) for _ in range(geometry.datum.rank)])
-        if all(geometry._values(u)):
+        if all(root_values(geometry, u)):
             sigma = geometry.infinity_from_direction(u)
             found.setdefault(sigma.signs, sigma)
     return [found[k] for k in sorted(found)]

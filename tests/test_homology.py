@@ -70,6 +70,24 @@ def test_cells_lists_are_copies_of_one_sort():
     assert open_cx.cells(0) == ["a", "b"]
 
 
+def test_keys_that_do_not_compare_are_a_value_error():
+    # each degree sorts, but a vertex "a" and the edge ("e", 0) do not compare
+    cx = CellComplex()
+    cx.add_cell("a", 0)
+    cx.add_cell("b", 0)
+    cx.add_cell(("e", 0), 1, ["a", "b"])
+    cx.freeze()
+    assert (cx.cells(0), cx.cells(1)) == (["a", "b"], [("e", 0)])
+    for query in (cx.cells, cx.to_json):
+        with pytest.raises(ValueError, match="not totally ordered"):
+            query()
+    mixed = CellComplex()
+    mixed.add_cell("a", 0)
+    mixed.add_cell(0, 0)
+    with pytest.raises(ValueError, match="not totally ordered"):
+        mixed.cells(0)
+
+
 def test_simplicial_complex_facets_drop_one_vertex():
     cx = simplicial_complex([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
     assert cx.frozen

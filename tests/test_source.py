@@ -100,6 +100,20 @@ def test_only_the_hermite_kernel_takes_diagonal_valuations():
     assert sorted(map(str, found)) == ["_hermite_form", "_reduced_key", "act_on_vertex"]
 
 
+def test_alcove_geometry_takes_no_fraction_dot_products():
+    # root functionals are integer rows dotted with a point's integer
+    # numerators (`linalg.scaled`), so coxeter needs no Fraction dot product
+    path = SRC / "coxeter.py"
+    imported = {
+        alias.name
+        for n in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(n, ast.ImportFrom)
+        for alias in n.names
+    }
+    assert "scaled" in imported
+    assert imported.isdisjoint({"dot", "matvec"})
+
+
 def test_only_homology_chooses_the_chain_complex_of_a_query():
     # every homology query reads a prefix of one chain complex, and only
     # `homology` decides which: a height filtration builds its own, and the
