@@ -8,8 +8,13 @@ Weyl and torus generators are written in closed form (Steinberg 1968,
 matrix with t at (i, i) and 1/t at (j, j).  Their product definitions,
 x_alpha(t) x_{-alpha}(-1/t) x_alpha(t) and w_alpha(t) w_alpha(1)^-1, are the
 reference the tests compare against.  A matrix is held as integer rows over
-one positive denominator: products and inverses (integer adjugates) end in one
-gcd, and the Steinberg relations and the character formulas are exact identities.
+one positive denominator, in canonical form.  Every generator is written in
+that form directly from t = a / b (x over b; w and h over b |a|), the torus
+projection is the reduced integer diagonal, and products and inverses (the
+integer adjugate of `linalg.integer_inverse`) end in one gcd; only the
+public constructor scales Fraction rows.  The characters read valuations of
+the integer diagonal, where den cancels, and the Steinberg relations and the
+character formulas are exact identities.
 """
 
 from fractions import Fraction
@@ -30,8 +35,8 @@ class GroupElement:
     The form is canonical, den > 0 and gcd(num, den) = 1, so equality and
     hashing compare (den, num).  The Fraction rows are built on first use.
     The public constructor converts every entry to a Fraction and checks the
-    shape and det(num) = den^n; the group operations build their results with
-    `_of`, which trusts a canonical (num, den).
+    shape and det(num) = den^n; the generators and the group operations build
+    their results with `_of`, which trusts a canonical (num, den).
     """
 
     __slots__ = ("num", "den", "n", "_rows")
@@ -74,7 +79,7 @@ class GroupElement:
         return _reduced(matmul(self.num, other.num), self.den * other.den)
 
     def inv(self):
-        """den * num^-1 = den * adj / d, with adj . num = d I from the elimination kernel."""
+        """den * num^-1 = den * adj / d, with adj . num = d I from `integer_inverse`."""
         adj, d = integer_inverse(self.num)
         den = self.den
         return _reduced(tuple(tuple(den * x for x in row) for row in adj), d)
@@ -109,9 +114,6 @@ class GroupElement:
     def is_upper_triangular(self):
         return all(self.num[i][j] == 0 for i in range(self.n) for j in range(i))
 
-    def diagonal(self):
-        return tuple(Fraction(self.num[i][i], self.den) for i in range(self.n))
-
 
 def _reduced(num, den):
     """The element num / den for integer rows and den > 0, divided by their gcd."""
@@ -120,6 +122,14 @@ def _reduced(num, den):
         num = tuple(tuple(x // g for x in row) for row in num)
         den //= g
     return GroupElement._of(num, den)
+
+
+def _ratio(t):
+    """(a, b): t = a / b in lowest terms with b > 0, for an int, a Fraction or
+    anything `Fraction` accepts."""
+    if type(t) is int:
+        return t, 1
+    return (t if isinstance(t, Fraction) else Fraction(t)).as_integer_ratio()
 
 
 def identity_element(n):
@@ -154,53 +164,68 @@ def _root_position(n, coeffs):
     return j, i
 
 
-def _with_entries(n, entries):
-    """The n x n identity with the given {(row, col): Fraction} entries replaced."""
-    nums, den = scaled(entries.values())
+def _scaled_identity(n, den):
     rows = [[0] * n for _ in range(n)]
-    for a in range(n):
-        rows[a][a] = den
-    for (a, b), x in zip(entries, nums):
-        rows[a][b] = x
-    return GroupElement._of(tuple(map(tuple, rows)), den)
+    for k in range(n):
+        rows[k][k] = den
+    return rows
 
 
 def x_elem(n, root, t):
-    """Elementary unipotent x_alpha(t) = I + t E_ij."""
+    """Elementary unipotent x_alpha(t) = I + t E_ij: b I with a at (i, j), over b."""
     i, j = root_position(n, root)
-    return _with_entries(n, {(i, j): Fraction(t)})
+    a, b = _ratio(t)
+    rows = _scaled_identity(n, b)
+    rows[i][j] = a
+    return GroupElement._of(tuple(map(tuple, rows)), b)
+
+
+def _nonzero_ratio(t, name):
+    """(a, b, b |a|) for t = a / b, the common denominator of t and 1/t."""
+    a, b = _ratio(t)
+    if not a:
+        raise ChevalleyError(f"{name}_alpha(0) is undefined")
+    return a, b, b * abs(a)
 
 
 def w_elem(n, root, t):
     """w_alpha(t) = x_alpha(t) x_{-alpha}(-1/t) x_alpha(t); t must be non-zero.
 
     In closed form: the identity with zeros at (i, i) and (j, j), t at (i, j)
-    and -1/t at (j, i).
+    and -1/t at (j, i).  For t = a / b the denominator is b |a| and those
+    entries are a |a| and -sign(a) b^2; with gcd(a, b) = 1 the form is canonical.
     """
-    t = Fraction(t)
-    if t == 0:
-        raise ChevalleyError("w_alpha(0) is undefined")
+    a, b, den = _nonzero_ratio(t, "w")
     i, j = root_position(n, root)
-    return _with_entries(n, {(i, i): Q0, (j, j): Q0, (i, j): t, (j, i): -1 / t})
+    rows = _scaled_identity(n, den)
+    rows[i][i] = rows[j][j] = 0
+    rows[i][j] = a * abs(a)
+    rows[j][i] = -b * b if a > 0 else b * b
+    return GroupElement._of(tuple(map(tuple, rows)), den)
 
 
 def h_elem(n, root, t):
-    """h_alpha(t) = w_alpha(t) w_alpha(1)^-1: the identity with t at (i, i) and 1/t at (j, j)."""
-    t = Fraction(t)
-    if t == 0:
-        raise ChevalleyError("h_alpha(0) is undefined")
+    """h_alpha(t) = w_alpha(t) w_alpha(1)^-1: the identity with t at (i, i) and 1/t at (j, j).
+
+    Over the denominator b |a| of t = a / b those entries are a |a| and sign(a) b^2.
+    """
+    a, b, den = _nonzero_ratio(t, "h")
     i, j = root_position(n, root)
-    return _with_entries(n, {(i, i): t, (j, j): 1 / t})
+    rows = _scaled_identity(n, den)
+    rows[i][i] = a * abs(a)
+    rows[j][j] = b * b if a > 0 else -b * b
+    return GroupElement._of(tuple(map(tuple, rows)), den)
 
 
 def torus_projection(g):
     """delta: the diagonal part of an upper-triangular matrix."""
     if not g.is_upper_triangular():
         raise ChevalleyError("torus_projection needs an upper-triangular matrix")
-    d = g.diagonal()
-    if any(x == 0 for x in d):
+    n, num = g.n, g.num
+    if not all(num[i][i] for i in range(n)):
         raise ChevalleyError("singular diagonal")
-    return _with_entries(g.n, {(i, i): x for i, x in enumerate(d)})
+    diag = tuple(tuple(num[a][a] if a == b else 0 for b in range(n)) for a in range(n))
+    return _reduced(diag, g.den)
 
 
 # --- valuations and S-arithmetic predicates -----------------------------------
@@ -218,13 +243,16 @@ def is_prime(p):
     return True
 
 
+def _check_prime_base(p):
+    # dividing by 1 or -1 never ends, and by 0 raises ZeroDivisionError
+    if p < 2:
+        raise ChevalleyError(f"{p} is not a prime")
+
+
 def valuation(x, p):
-    """The p-adic valuation of a non-zero rational; raises on zero."""
-    if isinstance(x, int):
-        num, den = x, 1
-    else:
-        x = Fraction(x)
-        num, den = x.numerator, x.denominator
+    """The p-adic valuation of a non-zero rational; raises on zero and on p < 2."""
+    _check_prime_base(p)
+    num, den = _ratio(x)
     if num == 0:
         raise ChevalleyError("valuation of zero is +infinity")
     v = 0
@@ -238,8 +266,10 @@ def valuation(x, p):
 
 
 def strip_primes(n, primes):
+    """|n| with every factor p in primes divided out; raises on p < 2."""
     n = abs(n)
     for p in primes:
+        _check_prime_base(p)
         while n and n % p == 0:
             n //= p
     return n
@@ -247,27 +277,25 @@ def strip_primes(n, primes):
 
 def in_o_s(x, primes):
     """Membership in O_S = Z[1/N]: denominator supported on the prime set."""
-    x = Fraction(x)
-    return strip_primes(x.denominator, primes) == 1
+    return strip_primes(_ratio(x)[1], primes) == 1
 
 
 def is_s_unit(x, primes):
-    """Units of O_S: +- products of powers of the primes in S."""
-    x = Fraction(x)
-    if x == 0:
-        return False
-    return strip_primes(x.numerator, primes) == 1 and strip_primes(x.denominator, primes) == 1
+    """Units of O_S: +- products of powers of the primes in S (zero strips to 0)."""
+    num, den = _ratio(x)
+    return strip_primes(num, primes) == 1 and strip_primes(den, primes) == 1
 
 
 def in_borel_o_s(g, primes):
     """Upper triangular, entries in O_S, diagonal entries S-units.
 
     The denominator of g is the lcm of its entries' denominators, so every
-    entry is in O_S iff 1/den is.
+    entry is in O_S iff 1/den is.  Then den is an S-unit, and a diagonal entry
+    num[k][k] / den is one iff the integer num[k][k] is.
     """
     if not g.is_upper_triangular() or not in_o_s(Fraction(1, g.den), primes):
         return False
-    return all(is_s_unit(d, primes) for d in g.diagonal())
+    return all(is_s_unit(g.num[k][k], primes) for k in range(g.n))
 
 
 # --- characters ---------------------------------------------------------------
@@ -283,6 +311,9 @@ class CharacterVec:
     def __init__(self, n, primes, coeffs):
         self.n = int(n)
         self.primes = tuple(sorted(set(int(p) for p in primes)))
+        for p in self.primes:
+            if not is_prime(p):
+                raise ChevalleyError(f"{p} is not a prime")
         self.coeffs = {}
         for (k, p), lam in coeffs.items():
             lam = Fraction(lam)
@@ -313,8 +344,9 @@ def character_eval(chi, g):
         raise ChevalleyError("matrix size does not match the character")
     if not in_borel_o_s(g, chi.primes):
         raise ChevalleyError("matrix is not in the S-arithmetic Borel group")
-    d = g.diagonal()
+    # den cancels in v_p(a_{k+1,k+1}) - v_p(a_{k,k}): read the integer diagonal
+    num = g.num
     total = Q0
     for (k, p), lam in chi.coeffs.items():
-        total += lam * (valuation(d[k], p) - valuation(d[k - 1], p))
+        total += lam * (valuation(num[k][k], p) - valuation(num[k - 1][k - 1], p))
     return total

@@ -1,10 +1,12 @@
 """Exact rational linear algebra: one fraction-free elimination kernel and its readers.
 
 Vectors are tuples and matrices tuples of row tuples, of ints and Fractions.
-`det`, `inverse`, `integer_inverse` and `integer_null_space` read a single
-fraction-free Gauss-Jordan elimination of integer rows (`_gauss_jordan`;
-Bareiss 1968): the first two build Fractions only for what they return, the
-last two build none.  There is no inequality solver: alcove cells are decided
+`det` and `integer_null_space` read a single fraction-free Gauss-Jordan
+elimination of integer rows (`_gauss_jordan`; Bareiss 1968), and so does
+`integer_inverse` above 3x3; up to 3x3, the sizes of the group layer, it
+returns the cofactor adjugate instead, and `inverse` reads `integer_inverse`.
+`det` and `inverse` build Fractions only for what they return, the other two
+build none.  There is no inequality solver: alcove cells are decided
 combinatorially in `coxeter`.
 """
 
@@ -106,11 +108,50 @@ def _gauss_jordan(rows, n_cols):
     return work, pivots, swaps, d, den
 
 
+def _cofactor_inverse(m):
+    """`integer_inverse` of a 1x1, 2x2 or 3x3 matrix from the cofactor adjugate."""
+    n = len(m)
+    if all(type(x) is int for row in m for x in row):
+        rows, den = m, 1
+    else:
+        flat, den = scaled(chain.from_iterable(m))
+        rows = [flat[i : i + n] for i in range(0, n * n, n)]
+    if n == 1:
+        adj = ((1,),)
+    elif n == 2:
+        (a, b), (c, d) = rows
+        adj = ((d, -b), (-c, a))
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        adj = (
+            (e * i - f * h, c * h - b * i, b * f - c * e),
+            (f * g - d * i, a * i - c * g, c * d - a * f),
+            (d * h - e * g, b * g - a * h, a * e - b * d),
+        )
+    det_m = sum(x * row[0] for x, row in zip(rows[0], adj))
+    if not det_m:
+        raise LinalgError("singular matrix")
+    if det_m < 0:
+        den, det_m = -den, -det_m
+    if den != 1:
+        adj = tuple(tuple(den * x for x in row) for row in adj)
+    return adj, det_m
+
+
 def integer_inverse(m):
-    """(adj, d): integer rows adj and an int d > 0 with adj . m = d I."""
+    """(adj, d): integer rows adj and an int d > 0 with adj . m = d I.
+
+    Rows that are not all ints are scaled once to integer rows M over den
+    (`scaled`; M = m and den = 1 otherwise); then d = |det M| and
+    adj = d m^-1 = +-den adj(M).  Up to 3x3 adj(M) is the cofactor adjugate
+    and det M its first row against adj(M)'s first column; larger matrices
+    reduce [M | den I] with the elimination kernel.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise LinalgError("singular matrix")
+    if 0 < n <= 3:
+        return _cofactor_inverse(m)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     work, pivots, _, d, _ = _gauss_jordan(aug, n)
     if len(pivots) < n:

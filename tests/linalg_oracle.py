@@ -4,7 +4,8 @@ The library eliminates fraction-free on integer rows (Bareiss) and builds
 Fractions only for what a reader returns.  The routines here are the plain
 elimination over Q instead: each pivot is made a Fraction and every other row
 loses its multiple of the pivot row.  Tests compare the two routes, values and
-types: `det` and `inverse` with the library's, and the null space of
+types: `det` and `inverse` with the library's, the adjugate pair of
+`integer_inverse` with the one read off `inverse` and `det`, and the null space of
 `affine_solve` with `linalg.integer_null_space`.  `affine_solve` and `rank`
 have no other counterpart in the library; `fm_oracle` and the tests use them
 as plain references.  `matrix_element` builds a group element of any square
@@ -13,6 +14,7 @@ matrix, for tests that need one outside SL_n.
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from sigmabuild.chevalley import GroupElement
 from sigmabuild.linalg import Q0, Q1, LinalgError, scaled
@@ -71,6 +73,16 @@ def inverse(m):
     if n_cols != n or len(pivots) < n:
         raise LinalgError("singular matrix")
     return tuple(tuple(e / pv if e else Q0 for e in row[n:]) for row, pv in zip(work, values))
+
+
+def integer_inverse(m):
+    """(adj, d) with d = |det(den m)|, den the least common denominator of
+    m's entries, and adj = d m^-1, as Fractions of denominator 1."""
+    n = len(m)
+    den = lcm(*(Fraction(e).denominator for row in m for e in row))
+    inv = inverse(m)
+    d = abs(det(m)) * den**n
+    return tuple(tuple(d * e for e in row) for row in inv), d
 
 
 def det(m):

@@ -33,6 +33,11 @@ from sigmabuild.linalg import LinalgError, det, inverse, matmul
 from sigmabuild.root_system import build_root_system
 
 
+def diagonal(g):
+    """The diagonal entries of g as Fractions."""
+    return tuple(g.rows[i][i] for i in range(g.n))
+
+
 def is_unipotent_upper(g):
     return g.is_upper_triangular() and all(g.rows[i][i] == 1 for i in range(g.n))
 
@@ -135,7 +140,41 @@ def test_closed_forms_build_no_product_or_inverse(monkeypatch):
     monkeypatch.setattr(GroupElement, "__mul__", forbidden)
     monkeypatch.setattr(GroupElement, "inv", forbidden)
     assert w_elem(3, (1, 1), 2).rows[0][2] == 2
-    assert h_elem(3, (0, -1), 2).diagonal() == (1, Fraction(1, 2), 2)
+    assert diagonal(h_elem(3, (0, -1), 2)) == (1, Fraction(1, 2), 2)
+
+
+def test_generators_torus_projection_and_inverse_scale_and_eliminate_nothing(monkeypatch):
+    # x, w and h are written in canonical integer form from t = a / b, the
+    # torus projection reduces the integer diagonal, and up to 3x3 an inverse
+    # is the cofactor adjugate: none scales Fraction rows or eliminates
+    def forbidden(*args):
+        raise AssertionError("scaled or eliminated")
+
+    monkeypatch.setattr(linalg, "scaled", forbidden)
+    monkeypatch.setattr(chevalley, "scaled", forbidden)
+    monkeypatch.setattr(linalg, "_gauss_jordan", forbidden)
+    def replaced(n, entries):
+        return tuple(tuple(entries.get((a, b), int(a == b)) for b in range(n)) for a in range(n))
+
+    for n in (2, 3):
+        for alpha in all_roots(n):
+            i, j = root_position(n, alpha)
+            for t in (3, -2) + CLOSED_FORM_TS:
+                x, w, h = (make(n, alpha, t) for make in (x_elem, w_elem, h_elem))
+                t = Fraction(t)
+                assert x.rows == replaced(n, {(i, j): t})
+                assert w.rows == replaced(n, {(i, i): 0, (j, j): 0, (i, j): t, (j, i): -1 / t})
+                assert h.rows == replaced(n, {(i, i): t, (j, j): 1 / t})
+                for g in (x, w, h, h * x * w):
+                    assert is_canonical(g) and is_canonical(g.inv())
+                    assert g * g.inv() == identity_element(n)
+                assert torus_projection(h) == h
+                if i < j:
+                    assert torus_projection(h * x) == h and torus_projection(x) == identity_element(n)
+            with pytest.raises(ChevalleyError, match="w_alpha"):
+                w_elem(n, alpha, 0)
+            with pytest.raises(ChevalleyError, match="h_alpha"):
+                h_elem(n, alpha, Fraction(0))
 
 
 ENTRIES = st.fractions(min_value=-6, max_value=6, max_denominator=5)
@@ -221,7 +260,7 @@ def test_public_constructor_converts_and_checks_det():
     assert g == x_elem(2, (1,), 2)
     with pytest.raises(ChevalleyError, match="determinant"):
         GroupElement([[2, 0], [0, 1]])
-    assert matrix_element([[2, 0], [0, 1]]).diagonal() == (2, 1)
+    assert diagonal(matrix_element([[2, 0], [0, 1]])) == (2, 1)
 
 
 def test_inverse_and_det_check_build_no_fraction_rows(monkeypatch):
@@ -245,7 +284,7 @@ def test_inverse_and_det_check_build_no_fraction_rows(monkeypatch):
 def test_h_at_prime():
     p = 7
     h = h_elem(2, (1,), p)
-    assert h.diagonal() == (Fraction(p), Fraction(1, p))
+    assert diagonal(h) == (Fraction(p), Fraction(1, p))
 
 
 def test_relation_d_conjugation_by_omega():
@@ -326,7 +365,7 @@ def test_borel_decompose():
     p = Fraction(5)
     g = GroupElement([[p, 0, 0], [0, 1, 0], [0, 0, 1 / p]]) * x_elem(3, (1, 0), 7)
     dec = borel_decompose(g)
-    assert dec.torus.diagonal() == (p, 1, 1 / p)
+    assert diagonal(dec.torus) == (p, 1, 1 / p)
     assert is_unipotent_upper(dec.unipotent)
     assert dec.torus * dec.unipotent == g
     with pytest.raises(ChevalleyError):
@@ -378,6 +417,23 @@ def test_valuation():
         assert valuation(x * y, 3) == valuation(x, 3) + valuation(y, 3)
 
 
+def test_prime_arguments_below_two_raise_instead_of_looping():
+    # dividing out p = 1 or -1 never ends: each of these calls used to hang
+    with pytest.raises(ChevalleyError, match="not a prime"):
+        character_eval(CharacterVec(2, (1,), {(1, 1): 1}), identity_element(2))
+    with pytest.raises(ChevalleyError, match="not a prime"):
+        valuation(6, 1)
+    with pytest.raises(ChevalleyError, match="not a prime"):
+        in_o_s(5, (-1,))
+    for p in (-1, 0, 1):
+        with pytest.raises(ChevalleyError, match="not a prime"):
+            valuation(Fraction(6, 5), p)
+        with pytest.raises(ChevalleyError, match="not a prime"):
+            is_s_unit(6, (2, p))
+    with pytest.raises(ChevalleyError, match="4 is not a prime"):
+        CharacterVec(3, (2, 4), {(1, 2): 1})
+
+
 def test_s_arithmetic_predicates():
     assert in_o_s(Fraction(3, 4), (2,))
     assert not in_o_s(Fraction(1, 3), (2,))
@@ -405,6 +461,35 @@ def test_character_eval_examples():
         )
 
 
+def test_characters_read_the_integer_diagonal(monkeypatch):
+    # den cancels in v_p(a_{k+1,k+1}) - v_p(a_{k,k}), and a diagonal entry is an
+    # S-unit iff its integer numerator is once den is: no Fraction rows are built
+    primes = (2, 5)
+    chi = CharacterVec(3, primes, {(1, 2): 1, (2, 5): Fraction(3, 2)})
+    rng = random.Random(21)
+    elements = [random_borel(rng, 3, primes) for _ in range(20)]
+    expected = [
+        sum(lam * (valuation(d[k], p) - valuation(d[k - 1], p)) for (k, p), lam in chi.coeffs.items())
+        for d in map(diagonal, elements)
+    ]
+    bad = GroupElement([[Fraction(3), 0, 0], [0, 1, 0], [0, 0, Fraction(1, 3)]])
+    seen = set()
+
+    def integer_valuation(x, p):
+        seen.add(type(x))
+        return valuation(x, p)
+
+    def fail(*args):
+        raise AssertionError("Fraction rows built")
+
+    monkeypatch.setattr(chevalley, "valuation", integer_valuation)
+    monkeypatch.setattr(GroupElement, "rows", property(fail))
+    assert [character_eval(chi, g) for g in elements] == expected
+    assert seen == {int}
+    with pytest.raises(ChevalleyError, match="Borel"):
+        character_eval(chi, bad)
+
+
 def test_character_eval_rejects_non_s_arithmetic():
     chi = CharacterVec(2, (2,), {(1, 2): 1})
     g = GroupElement([[Fraction(3), 0], [0, Fraction(1, 3)]])
@@ -419,6 +504,6 @@ def test_kernel_membership_example():
     rng = random.Random(8)
     for _ in range(100):
         g = random_borel(rng, 3, (p,))
-        d = g.diagonal()
+        d = diagonal(g)
         expected = valuation(d[0], p) == -valuation(d[2], p) and valuation(d[1], p) == 0
         assert (character_eval(chi, g) == 0) == expected

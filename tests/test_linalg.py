@@ -125,9 +125,10 @@ INTS = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(lambda k: 10**17 + k
 
 
 @st.composite
-def integer_matrices(draw):
+def integer_matrices(draw, square=False):
     """An integer matrix; half of the draws repeat the first row at the end."""
-    n_rows, n_cols = draw(SIZES), draw(SIZES)
+    n_rows = draw(SIZES)
+    n_cols = n_rows if square else draw(SIZES)
     rows = draw(st.tuples(*[st.tuples(*[INTS] * n_cols)] * n_rows))
     if n_rows > 1 and draw(st.booleans()):
         rows = rows[:-1] + (rows[0],)
@@ -205,6 +206,46 @@ def test_integer_inverse_is_an_integer_adjugate(num):
     assert all(type(x) is int for row in adj for x in row)
     n = len(num)
     assert matmul(adj, num) == tuple(tuple(d * (i == j) for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(SQUARES, integer_matrices(square=True)))
+def test_integer_inverse_is_the_oracle_adjugate(m):
+    # n = 1..4: the cofactor adjugate up to 3x3, the elimination kernel at 4x4
+    if oracle.det(m) == 0:
+        with pytest.raises(LinalgError, match="singular matrix"):
+            integer_inverse(m)
+        return
+    adj, d = integer_inverse(m)
+    assert (adj, d) == oracle.integer_inverse(m)
+    assert type(d) is int and all(type(x) is int for row in adj for x in row)
+
+
+def test_integer_inverse_eliminates_only_above_3x3(monkeypatch):
+    calls = []
+    kernel = linalg._gauss_jordan
+
+    def counted(rows, n_cols):
+        calls.append(n_cols)
+        return kernel(rows, n_cols)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+    half = Fraction(1, 2)
+    assert integer_inverse(((half,),)) == (((2,),), 1)
+    assert integer_inverse(((-3,),)) == (((-1,),), 3)
+    assert integer_inverse(((0, 1), (1, 0))) == (((0, 1), (1, 0)), 1)  # det -1
+    # den = 2 scales the rows to ((4, 2, 0), (0, 1, 0), (0, 0, 2)), of det 8
+    assert integer_inverse(((2, 1, 0), (0, half, 0), (0, 0, 1))) == (
+        ((4, -8, 0), (0, 16, 0), (0, 0, 8)),
+        8,
+    )
+    for singular in (((0,),), ((1, 2), (2, 4)), ((1, 2, 3), (4, 5, 6), (5, 7, 9))):
+        with pytest.raises(LinalgError, match="singular matrix"):
+            integer_inverse(singular)
+    assert calls == []
+    four = tuple(tuple(int(i == j) * (i + 1) for j in range(4)) for i in range(4))
+    assert integer_inverse(four) == (((24, 0, 0, 0), (0, 12, 0, 0), (0, 0, 8, 0), (0, 0, 0, 6)), 24)
+    assert calls == [4]
 
 
 @given(st.lists(st.one_of(INTS, ENTRIES)))

@@ -100,6 +100,23 @@ def test_only_the_hermite_kernel_takes_diagonal_valuations():
     assert sorted(map(str, found)) == ["_hermite_form", "_reduced_key", "act_on_vertex"]
 
 
+def test_only_the_public_group_constructor_scales_fraction_rows():
+    # the generators, the torus projection and the group operations write
+    # their canonical integer rows directly; only GroupElement(rows) reads
+    # integer rows off Fraction rows with `linalg.scaled`
+    path = SRC / "chevalley.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (init,) = (
+        m
+        for c in tree.body
+        if isinstance(c, ast.ClassDef) and c.name == "GroupElement"
+        for m in c.body
+        if isinstance(m, ast.FunctionDef) and m.name == "__init__"
+    )
+    found = _functions_naming(tree, "scaled")
+    assert found == ["__init__"] and len(_functions_naming(init, "scaled")) == 1
+
+
 def test_alcove_geometry_takes_no_fraction_dot_products():
     # root functionals are integer rows dotted with a point's integer
     # numerators (`linalg.scaled`), so coxeter needs no Fraction dot product
