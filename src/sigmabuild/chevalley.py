@@ -117,9 +117,9 @@ class GroupElement:
 
 def _reduced(num, den):
     """The element num / den for integer rows and den > 0, divided by their gcd."""
-    g = gcd(*chain.from_iterable(num), den)
+    g = gcd(den, *chain.from_iterable(num))
     if g > 1:
-        num = tuple(tuple(x // g for x in row) for row in num)
+        num = tuple([tuple([x // g for x in row]) for row in num])
         den //= g
     return GroupElement._of(num, den)
 
@@ -231,15 +231,36 @@ def torus_projection(g):
 # --- valuations and S-arithmetic predicates -----------------------------------
 
 
+# Miller-Rabin on these bases decides every p below the bound (Sorenson and
+# Webster 2015); the bound is itself a strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(p):
-    """Trial-division primality test for a (small) integer."""
+    """Deterministic Miller-Rabin primality test; raises from p = 3.3e24 on,
+    where the bases are no longer proven to decide."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_BOUND:
+        raise ChevalleyError(f"primality of {p} is not decided: the test is proven below {_MR_BOUND} only")
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

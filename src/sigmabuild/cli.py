@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .acceptance import SUITES, certify
 from .building import BuildingError, cone_chain, grow_truncation, superlevel_complex
-from .chevalley import identity_element, is_prime, x_elem
+from .chevalley import ChevalleyError, identity_element, is_prime, x_elem
 from .complexes import dumps_json
 from .coxeter import GeometryError
 from .homology import betti_vector
@@ -51,7 +51,11 @@ _positive_int = _int_at_least(1, "positive")
 
 def _prime(text):
     value = int(text)
-    if not is_prime(value):
+    try:
+        prime = is_prime(value)
+    except ChevalleyError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if not prime:
         raise argparse.ArgumentTypeError(f"must be a prime, got {value}")
     return value
 

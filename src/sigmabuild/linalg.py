@@ -6,8 +6,9 @@ elimination of integer rows (`_gauss_jordan`; Bareiss 1968), and so does
 `integer_inverse` above 3x3; up to 3x3, the sizes of the group layer, it
 returns the cofactor adjugate instead, and `inverse` reads `integer_inverse`.
 `det` and `inverse` build Fractions only for what they return, the other two
-build none.  There is no inequality solver: alcove cells are decided
-combinatorially in `coxeter`.
+build none.  `matmul` writes out square 2x2 and 3x3 products, the same group
+sizes, and multiplies every other shape in a zero-skipping sparse loop.  There
+is no inequality solver: alcove cells are decided combinatorially in `coxeter`.
 """
 
 from fractions import Fraction
@@ -41,11 +42,25 @@ def matvec(m, v):
 def matmul(a, b):
     """The product a.b as a tuple of rows.
 
-    Only the non-zero products a_ik b_kj are added, row by row into
-    accumulators that start at the int 0: the group elements multiplied here
-    are mostly triangular or unipotent, so most products would be zero.
+    Square 2x2 and 3x3 pairs, the sizes of the group layer, are the written-out
+    sums.  Every other shape runs a sparse loop: only the non-zero products
+    a_ik b_kj are added, row by row into accumulators that start at the int 0,
+    since the rectangular flag matrices multiplied here are mostly zero.
     Integer rows give integer rows.
     """
+    n = len(a)
+    if (n == 2 or n == 3) and len(b) == n and len(a[0]) == n and len(b[0]) == n:
+        if n == 2:
+            (a0, a1), (a2, a3) = a
+            (b0, b1), (b2, b3) = b
+            return ((a0 * b0 + a1 * b2, a0 * b1 + a1 * b3), (a2 * b0 + a3 * b2, a2 * b1 + a3 * b3))
+        (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+        (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+        return (
+            (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8),
+            (a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8),
+            (a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8),
+        )
     n_cols = len(b[0]) if b else 0
     b_nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
     out = []

@@ -44,12 +44,12 @@ def _timed(fn, budget):
 
 
 def test_criterion_1_steinberg_relations():
-    entry, dt, budget = _timed(lambda: criterion_steinberg(seed=42, trials=200), 0.5)
+    entry, dt, budget = _timed(lambda: criterion_steinberg(seed=42, trials=200), 0.25)
     assert _report(entry, dt, budget)
 
 
 def test_criterion_2_character_machinery():
-    entry, dt, budget = _timed(lambda: criterion_characters(seed=42), 0.5)
+    entry, dt, budget = _timed(lambda: criterion_characters(seed=42), 0.25)
     assert _report(entry, dt, budget)
 
 

@@ -22,6 +22,7 @@ from sigmabuild.chevalley import (
     h_elem,
     identity_element,
     in_o_s,
+    is_prime,
     is_s_unit,
     root_position,
     torus_projection,
@@ -432,6 +433,30 @@ def test_prime_arguments_below_two_raise_instead_of_looping():
             is_s_unit(6, (2, p))
     with pytest.raises(ChevalleyError, match="4 is not a prime"):
         CharacterVec(3, (2, 4), {(1, 2): 1})
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    assert [p for p in range(-3, 10**5) if is_prime(p)] == [
+        p for p in range(-3, 10**5) if by_trial_division(p)
+    ]
+
+
+def test_is_prime_on_pseudoprimes_and_large_inputs():
+    # Carmichael numbers, and the least strong pseudoprime to bases 2, 3, 5 and 7
+    for composite in (561, 41041, 3215031751, 2**61 + 1):
+        assert not is_prime(composite)
+    assert is_prime(2**61 - 1) and is_prime(10**24 + 7)
+    # the least strong pseudoprime to every prime base up to 41 is where the
+    # test stops being proven: it and everything above raise, none is guessed;
+    # bound - 168 is the largest prime below it
+    bound = 3317044064679887385961981
+    assert is_prime(bound - 168) and not any(is_prime(bound - k) for k in range(1, 168))
+    for p in (bound, bound + 2, 2**89 - 1):
+        with pytest.raises(ChevalleyError, match="not decided"):
+            is_prime(p)
 
 
 def test_s_arithmetic_predicates():

@@ -160,6 +160,30 @@ def test_size_guards_are_usage_errors(capsys, argv, fragment):
     assert_usage_error(code, err, fragment)
 
 
+@pytest.mark.parametrize(
+    "prime, code, fragment",
+    [
+        # 2**61 - 1, a Mersenne prime; trial division took longer than the time limit
+        ("2305843009213693951", 0, ""),
+        ("2305843009213693953", 2, "is not a prime"),
+        ("3317044064679887385961981", 2, "is not decided"),
+    ],
+)
+def test_large_primes_are_decided_quickly(prime, code, fragment):
+    argv = ["sigma", "verdict", "--n", "3", "--primes", prime, "--chi", "1,1", "--k", "1"]
+    run_ = subprocess.run(
+        [sys.executable, "-m", "sigmabuild", *argv],
+        capture_output=True,
+        env=_env_with_src(),
+        text=True,
+        timeout=5,
+    )
+    assert run_.returncode == code
+    assert fragment in run_.stderr
+    if code == 0:
+        assert run_.stdout.startswith("kind: certain-in")
+
+
 def test_a3_full_window_deconstruction_peak_rss():
     # the stages of the filtration are rebuilt on demand, not kept: 235 MB
     # before.  A child that imports nothing runs the CLI in a grandchild and
@@ -353,6 +377,17 @@ def test_building_grow_rejects_negative_radius(capsys):
         main(["building", "grow", "--radius", "-1"])
     assert exc.value.code == 2
     assert "--radius" in capsys.readouterr().err
+
+
+def test_prime_options_beyond_the_decided_range_are_rejected(capsys):
+    for argv in (
+        ["building", "grow", "--p", "3317044064679887385961981"],
+        ["sphere", "opp", "--q", str(2**89 - 1)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "is not decided" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("chamber", ["999", "-1", "21"])

@@ -78,6 +78,39 @@ def test_matmul_is_the_dense_product(pair):
     assert product == tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
 
 
+INT_ENTRIES = st.one_of(st.just(0), st.integers(min_value=-(10**20), max_value=10**20))
+
+
+@st.composite
+def small_square_pairs(draw):
+    """(a, b), both n x n for n in {2, 3}, of ints (often zero) or of Fractions."""
+    n = draw(st.sampled_from((2, 3)))
+    entries = draw(st.sampled_from((INT_ENTRIES, SPARSE_ENTRIES)))
+    row = st.tuples(*[entries] * n)
+    return draw(st.tuples(*[row] * n)), draw(st.tuples(*[row] * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_square_pairs())
+def test_small_square_products_are_the_dense_product(pair):
+    a, b = pair
+    product = matmul(a, b)
+    assert product == tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+    assert all(type(row) is tuple for row in product)
+    if all(type(x) is int for m in pair for row in m for x in row):
+        assert all(type(x) is int for row in product for x in row)
+
+
+def test_rectangular_and_4x4_products_take_the_sparse_loop():
+    flags = ((1, 0, 2), (0, 1, 1))
+    assert matmul(((1, 1),), flags) == ((1, 1, 3),)
+    four = tuple(tuple(i * 4 + j for j in range(4)) for i in range(4))
+    eye = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    product = matmul(four, eye)
+    assert product == four and all(type(x) is int for row in product for x in row)
+    assert matmul(identity(4), mat(four)) == mat(four)
+
+
 @settings(max_examples=150, deadline=None)
 @given(SQUARES)
 def test_inverse_exactly_when_det_nonzero(m):
