@@ -429,6 +429,10 @@ class HeightFiltration:
     """
 
     def __init__(self, trunc, h):
+        # one coefficient per simple-root value of a vertex: n - 1 on SL_n
+        rank = len(trunc.exponents[0]) - 1
+        if len(h.coeffs) != rank:
+            raise BuildingError(f"height has {len(h.coeffs)} coefficient(s), one per simple root needs {rank}")
         self.h = h
         self._complex = trunc.complex
         self.heights = hts = [h.level(_root_values(exps)) for exps in trunc.exponents]

@@ -8,8 +8,11 @@ scaled to integers.  The fundamental alcove's vertices are 0 and the coweights
 w_i / c_i (c the highest root); any other alcove's come from a gallery walk
 that reflects one vertex per step.  A cell's vertices are those of an alcove
 containing it that lie on its walls, its faces are vertex subsets and its key
-is that of its barycenter.  Neighbours, sector tests and the keys of means
-(retraction images in `building` too) read these integer values.
+is that of its barycenter; `closure` enumerates those subsets and seeds the
+face cache with each, so a window's cells need no alcove search of their
+own.  Neighbours, sector bounds and the keys of means (retraction images in
+`building` too) read these integer values, and the vertices of the alcoves
+around the origin are found once per geometry for the epsilon of a height.
 Projections read only the key and the signs of a direction on the positive
 roots: a step from the barycenter stays in the cell's floors and leaves each
 of its walls to the side of the sign; a gate projection takes its signs from
@@ -102,6 +105,7 @@ class AlcoveGeometry:
         # chamber key -> its vertex tuple, or None when no alcove has the key
         self._fundamental = ((FLOOR, 0),) * self.npos
         self._chamber_cache = {self._fundamental: tuple(corners)}
+        self._origin_star = None
 
     # --- simplices at infinity -----------------------------------------
 
@@ -216,16 +220,21 @@ class AlcoveGeometry:
 
     def closure(self, cell):
         """The cell together with all its faces: the keys of the means of the
-        non-empty vertex subsets of the simplex."""
+        non-empty vertex subsets of the simplex.
+
+        Each subset is the vertex set of the face with its key, so it seeds
+        the face cache of that face.
+        """
         if cell in self._closure_cache:
             return self._closure_cache[cell]
-        face = self._face(cell)
-        out = frozenset(
-            self._key_of_mean(sub)
-            for k in range(1, len(face) + 1)
-            for sub in combinations(face, k)
-        )
-        self._closure_cache[cell] = out
+        face, faces = self._face(cell), self._face_cache
+        out = set()
+        for k in range(1, len(face) + 1):
+            for sub in combinations(face, k):
+                key = self._key_of_mean(sub)
+                faces.setdefault(key, sub)
+                out.add(key)
+        out = self._closure_cache[cell] = frozenset(out)
         return out
 
     def barycenter(self, cell):
@@ -304,6 +313,16 @@ class AlcoveGeometry:
             nbs = {nb for c in layer for _, nb in self.chamber_neighbors(c)} - prev
             prev, layer = layer, nbs if inside is None else set(filter(inside, nbs))
 
+    def _origin_vertices(self):
+        """The vertices of the alcoves whose closures hold the origin, found
+        once by a gallery search from the fundamental alcove: an alcove's
+        closure holds 0 iff every floor is -1 or 0, and these alcoves, the
+        star of a vertex, are gallery-connected."""
+        if self._origin_star is None:
+            near = self.gallery_layers(self._fundamental, lambda c: all(k in (-1, 0) for _, k in c))
+            self._origin_star = frozenset(v for layer in near for c in layer for v in self._face(c))
+        return self._origin_star
+
     def _sector_bounds(self, tip, signs):
         """Integer bounds on the scaled root values of the closed cone from a
         tip toward signs: (lower, upper), each a tuple of (root index, bound).
@@ -320,18 +339,6 @@ class AlcoveGeometry:
             if s <= 0:
                 upper.append((i, num // q))
         return tuple(lower), tuple(upper)
-
-    def _in_closed_sector(self, bounds, cell):
-        """Whether the closed cell lies in the closed cone with these `_sector_bounds`."""
-        lower, upper = bounds
-        for vals in self._face(cell):
-            for i, b in lower:
-                if vals[i] < b:
-                    return False
-            for i, b in upper:
-                if vals[i] > b:
-                    return False
-        return True
 
 
 def _entry(num, den):

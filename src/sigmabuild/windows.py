@@ -6,6 +6,11 @@ known before it is searched.  The cells inside form a finite face-closed
 complex on which the residual boundary R(Z), sigma-convexity with witness
 galleries, the chamber-by-chamber deconstruction filtration and the
 upper/lower complexes of a generic height are computed with certificates.
+Each window keeps one vertex table, its distinct alcove vertices and each
+cell's tuple of their positions: closed-sector cells and the certified
+height ranges test or evaluate each vertex once and read every cell from its
+positions, and the epsilon of a height is read from the vertices of the
+alcoves around the origin, found once per geometry.
 Sigma-convexity and sigma-length 0 are read from the sigma-order of chambers
 (every floor of d on c's sigma side) and sigma-steps, so no gallery is
 enumerated; a deconstruction finds each chamber's once and keeps its steps
@@ -28,7 +33,7 @@ and one rounding onto it.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain
 from math import ceil, factorial, floor, prod
 from operator import mul
 
@@ -68,12 +73,6 @@ class HeightForm:
         refined den times, for simple-root values in Z / den."""
         x = Fraction(r) * (self.d * den)
         return floor(x), ceil(x)
-
-    def range_on_cell(self, geometry, cell):
-        """(min, max) of the height over the closed cell."""
-        lo, hi = _level_ranges(geometry, self, (cell,))[cell]
-        scale = self.d * geometry._den
-        return Fraction(lo, scale), Fraction(hi, scale)
 
     def is_generic_decreasing(self):
         """Strictly decreasing along every ray into the base chamber at infinity.
@@ -120,6 +119,7 @@ class Window:
             raise GeometryError("empty window bounds")
         self._chambers = None
         self._cells = None
+        self._vertex_table = None
         self._complex = None
         self._special_groups = None
 
@@ -181,6 +181,18 @@ class Window:
             out |= g.closure(c)
         self._cells = frozenset(out)
         return self._cells
+
+    def vertex_table(self):
+        """(vertices, index): the window's distinct alcove vertices, as scaled
+        root values, and for each cell the tuple of its vertices' positions
+        in them.  Sector and level queries test each vertex once and read a
+        cell from its positions."""
+        if self._vertex_table is None:
+            g = self.geometry
+            at = {}
+            index = {c: tuple(at.setdefault(v, len(at)) for v in g._face(c)) for c in self.cells()}
+            self._vertex_table = tuple(at), index
+        return self._vertex_table
 
     def complex(self):
         if self._complex is not None:
@@ -368,16 +380,22 @@ def deconstruct(geometry, cells, sigma):
 
 
 def epsilon_for_height(geometry, h):
-    """The uniform constant 2*d1 + 2*d2 controlling sector covers for h."""
+    """The uniform constant 2*d1 + 2*d2 controlling sector covers for h.
+
+    d2 is the largest |h| on the alcoves whose closures hold the origin, the
+    largest |level| over their vertices (`AlcoveGeometry._origin_vertices`)
+    over d * den.
+    """
+    _check_rank(h, geometry.datum.rank)
     d1 = abs(h((1,) * geometry.datum.rank))
-    d2 = Q0
-    for flags in product((-1, 0), repeat=geometry.npos):
-        try:
-            lo, hi = h.range_on_cell(geometry, tuple((FLOOR, k) for k in flags))
-        except GeometryError:
-            continue
-        d2 = max(d2, -lo, hi)
-    return 2 * d1 + 2 * d2
+    d2 = max(map(abs, _levels(geometry, h, geometry._origin_vertices())))
+    return 2 * d1 + 2 * Fraction(d2, h.d * geometry._den)
+
+
+def _check_rank(h, rank):
+    """A height on an apartment of this rank has one coefficient per simple root."""
+    if len(h.coeffs) != rank:
+        raise GeometryError(f"height has {len(h.coeffs)} coefficient(s), one per simple root needs {rank}")
 
 
 def upper_complex(window, h, r):
@@ -388,16 +406,18 @@ def upper_complex(window, h, r):
 def upper_lower_certified(window, h, r):
     """U_h(r), L_h(r) and the certificate record of their defining inclusions.
 
-    Every cell's height range is read once as levels of its vertices over
-    the geometry's den (`_level_ranges`) and compared with r and r + eps
-    rounded onto that grid once.
+    Every vertex of the window's table has its level read once on the
+    geometry's den, every cell's height range is the (min, max) of its
+    vertices' levels (`_level_ranges`), and both are compared with r and
+    r + eps rounded onto that grid once.
     """
     up, low = _upper_lower(window, h, r)
     g = window.geometry
     eps = epsilon_for_height(g, h)
     r_down, r_up = h.grid(r, g._den)
     top = h.grid(Fraction(r) + eps, g._den)[0]
-    ranges = _level_ranges(g, h, window.cells())
+    verts, index = window.vertex_table()
+    ranges = _level_ranges(_levels(g, h, verts), index)
     residual = residual_r(g, low, g.base_chamber_at_infinity())
     cert = {
         "epsilon": eps,
@@ -414,20 +434,19 @@ def upper_lower_certified(window, h, r):
     return up, low, cert
 
 
-def _level_ranges(geometry, h, cells):
-    """(min, max) of d * den * h over each closed cell: the levels of its
-    vertices, whose simple-root values are integers over den, each vertex
-    evaluated once."""
+def _levels(geometry, h, verts):
+    """d * den * h at each vertex (scaled root values): an integer, as the
+    vertex's simple-root values are integers over den."""
     idx = geometry._simple_idx
-    levels = {}
+    return [h.level([v[i] for i in idx]) for v in verts]
+
+
+def _level_ranges(levels, index):
+    """(min, max) of d * den * h over each closed cell, from the levels of
+    the window's vertices and the cell's tuple of their positions."""
     out = {}
-    for cell in cells:
-        hs = []
-        for v in geometry._face(cell):
-            x = levels.get(v)
-            if x is None:
-                x = levels[v] = h.level([v[i] for i in idx])
-            hs.append(x)
+    for cell, ix in index.items():
+        hs = [levels[j] for j in ix]
         out[cell] = min(hs), max(hs)
     return out
 
@@ -444,6 +463,7 @@ def _upper_lower(window, h, r):
     window's `special_groups`: a cell is in U iff the level of its ceiling
     is >= T, and in L iff the level of k + 1 is < T.
     """
+    _check_rank(h, window.datum.rank)
     ok, bad = h.is_generic_decreasing()
     if not ok:
         raise GeometryError(
@@ -457,7 +477,14 @@ def _upper_lower(window, h, r):
 
 
 def closed_sector_cells(window, tip, tau):
-    """Cells of the window inside the closed cone from tip toward tau."""
-    g = window.geometry
-    bounds = g._sector_bounds(tip, tau.signs)
-    return frozenset(c for c in window.cells() if g._in_closed_sector(bounds, c))
+    """Cells of the window inside the closed cone from tip toward tau: those
+    with no vertex outside the cone's bounds, each vertex of the window's
+    table tested once."""
+    lower, upper = window.geometry._sector_bounds(tip, tau.signs)
+    verts, index = window.vertex_table()
+    outside = {
+        j
+        for j, v in enumerate(verts)
+        if any(v[i] < b for i, b in lower) or any(v[i] > b for i, b in upper)
+    }
+    return frozenset(c for c, ix in index.items() if outside.isdisjoint(ix))

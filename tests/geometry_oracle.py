@@ -1,10 +1,11 @@
 """Chamber adjacency, face closures in a cell complex, gallery distances, a
 window's chambers by a search from a perturbed centre point, root values and
 the vertices of a cell as Fraction points, the cell of a point, sector bounds
-and chambers at infinity read from Fraction root values, special vertices,
-height values, lower faces, projections by a step from the barycenter,
-closures by a facet walk, the upper/lower complexes with their certificate
-in Fraction arithmetic,
+and chambers at infinity read from Fraction root values, closed-sector cells
+by a per-cell scan, special vertices, height values and per-cell height
+ranges, the epsilon of a height from its floor keys, lower faces,
+projections by a step from the barycenter, closures by a facet walk, the
+upper/lower complexes with their certificate in Fraction arithmetic,
 sigma-minimal galleries with the sigma-convexity and sigma-length they
 define, and the deconstruction that rescans its stage on every step and
 keeps a snapshot of each stage.
@@ -16,14 +17,14 @@ truncation tests.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import ceil, floor
 
 from sigmabuild.coxeter import FLOOR, GeometryError, _entry, _sign
-from sigmabuild.linalg import Q1, dot
+from sigmabuild.linalg import Q0, Q1, dot
 from sigmabuild.windows import (
     DeconstructionStep,
     _sigma_steps,
-    epsilon_for_height,
     residual_r,
     sigma_convex_check,
 )
@@ -118,6 +119,28 @@ def sector_bounds_by_values(geometry, tip, signs):
     return tuple(lower), tuple(upper)
 
 
+def in_closed_sector(geometry, bounds, cell):
+    """Whether the closed cell lies in the closed cone with these
+    `_sector_bounds`, read from the cell's own vertices."""
+    lower, upper = bounds
+    for vals in geometry._face(cell):
+        for i, b in lower:
+            if vals[i] < b:
+                return False
+        for i, b in upper:
+            if vals[i] > b:
+                return False
+    return True
+
+
+def closed_sector_cells_by_scan(window, tip, tau):
+    """The window's cells inside the closed cone from tip toward tau, each
+    cell's vertices tested on their own."""
+    g = window.geometry
+    bounds = g._sector_bounds(tip, tau.signs)
+    return frozenset(c for c in window.cells() if in_closed_sector(g, bounds, c))
+
+
 def signs_at_infinity_by_values(geometry, u):
     """The signs of the root values of a direction: its simplex at infinity."""
     return tuple(_sign(v) for v in root_values(geometry, u))
@@ -192,6 +215,46 @@ def closure_by_facets(geometry, cell):
     return seen
 
 
+def level_ranges_by_cell(geometry, h, cells):
+    """(min, max) of d * den * h over each closed cell: the levels of its
+    vertices, whose simple-root values are integers over den, each vertex
+    evaluated once."""
+    idx = geometry._simple_idx
+    levels = {}
+    out = {}
+    for cell in cells:
+        hs = []
+        for v in geometry._face(cell):
+            x = levels.get(v)
+            if x is None:
+                x = levels[v] = h.level([v[i] for i in idx])
+            hs.append(x)
+        out[cell] = min(hs), max(hs)
+    return out
+
+
+def range_on_cell(h, geometry, cell):
+    """(min, max) of the height over the closed cell."""
+    lo, hi = level_ranges_by_cell(geometry, h, (cell,))[cell]
+    scale = h.d * geometry._den
+    return Fraction(lo, scale), Fraction(hi, scale)
+
+
+def epsilon_by_floor_keys(geometry, h):
+    """`windows.epsilon_for_height` with d2 read from every key with floors
+    in {-1, 0}, the infeasible ones skipped: the alcoves whose closures hold
+    the origin."""
+    d1 = abs(h((1,) * geometry.datum.rank))
+    d2 = Q0
+    for flags in product((-1, 0), repeat=geometry.npos):
+        try:
+            lo, hi = range_on_cell(h, geometry, tuple((FLOOR, k) for k in flags))
+        except GeometryError:
+            continue
+        d2 = max(d2, -lo, hi)
+    return 2 * d1 + 2 * d2
+
+
 def upper_lower_by_fractions(window, h, r):
     """U_h(r) and L_h(r) from the Fraction heights of each cell's ceiling and
     extremal special dominator, evaluated once per level tuple."""
@@ -218,7 +281,7 @@ def certificate_by_fractions(window, h, r, low):
     """The certificate record of `upper_lower_certified` for the lower set,
     from the Fraction heights of every cell's vertices."""
     g = window.geometry
-    eps = epsilon_for_height(g, h)
+    eps = epsilon_by_floor_keys(g, h)
     ranges = {}
     for cell in window.cells():
         heights = [h(values) for values in simple_values(g, cell)]

@@ -54,7 +54,7 @@ def test_criterion_2_character_machinery():
 
 
 def test_criterion_3_coxeter_window_suite():
-    entry, dt, budget = _timed(lambda: criterion_coxeter(seed=42), 1)
+    entry, dt, budget = _timed(lambda: criterion_coxeter(seed=42), 0.25)
     assert entry["details"]["deconstructions_certified"] == 20
     assert _report(entry, dt, budget)
 

@@ -912,6 +912,21 @@ def height_truncation(n, p, radius):
     return grow_truncation(n, p, radius)
 
 
+def test_height_filtration_rejects_a_form_of_the_wrong_rank():
+    # one coefficient per simple root of SL_n: a form with too few or too
+    # many is refused when its filtration is built, before any query
+    trunc = height_truncation(3, 2, 2)
+    for coeffs in ((-1,), (-1, -2, -3)):
+        with pytest.raises(BuildingError, match="coefficient"):
+            superlevel_complex(trunc, HeightForm(coeffs), -1)
+        with pytest.raises(BuildingError, match="coefficient"):
+            height_eval(trunc, HeightForm(coeffs), trunc.complex.cells(0)[0])
+        assert HeightForm(coeffs) not in trunc._filtrations
+    assert superlevel_complex(trunc, HeightForm((-1, -2)), -1).cells()
+    with pytest.raises(BuildingError, match="coefficient"):
+        superlevel_complex(height_truncation(2, 2, 4), HeightForm((-1, -1)), 0)
+
+
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 nonzero_rationals = rationals.filter(bool)
 

@@ -12,6 +12,7 @@ from geometry_oracle import (
     cell_of_point_by_values,
     closure_by_facets,
     gallery_distances,
+    in_closed_sector,
     is_special_vertex,
     lower_face,
     project_to_cell_by_step,
@@ -491,7 +492,7 @@ def test_sector_predicates_match_their_definitions(family):
                     for v in vertices(g, cell)
                     for s, root in zip(tau.signs, datum.positive_roots)
                 )
-                assert g._in_closed_sector(g._sector_bounds(tip, tau.signs), cell) == expected
+                assert in_closed_sector(g, g._sector_bounds(tip, tau.signs), cell) == expected
             for _ in range(20):
                 y = datum.point([Fraction(rng.randint(-8, 8), 3) for _ in range(2)])
                 expected = y != tip and all(

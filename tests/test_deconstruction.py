@@ -14,12 +14,17 @@ from hypothesis import strategies as st
 from fm_oracle import cell_meets_open_sector
 from geometry_oracle import (
     certificate_by_fractions,
+    closed_sector_cells_by_scan,
     deconstruct_by_rescans,
     deconstruction_order_by_sigma_length,
+    epsilon_by_floor_keys,
     height_value,
+    in_closed_sector,
     is_special_vertex,
     galleries_leaving,
+    level_ranges_by_cell,
     lower_face,
+    range_on_cell,
     root_value,
     root_values,
     sigma_length,
@@ -29,12 +34,14 @@ from geometry_oracle import (
 )
 
 from sigmabuild import acceptance
-from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError
+from sigmabuild.coxeter import FLOOR, WALL, AlcoveGeometry, GeometryError, InfinitySimplex
 from sigmabuild.root_system import build_root_system
 from sigmabuild.windows import (
     Deconstruction,
     HeightForm,
     Window,
+    _level_ranges,
+    _levels,
     _upper_lower,
     closed_sector_cells,
     deconstruct,
@@ -429,7 +436,7 @@ def test_range_on_cell_matches_vertex_heights(case, coeffs):
     h = HeightForm(tuple(coeffs[: window.datum.rank]))
     for cell in window.cells():
         heights = [h(values) for values in simple_values(g, cell)]
-        assert h.range_on_cell(g, cell) == (min(heights), max(heights))
+        assert range_on_cell(h, g, cell) == (min(heights), max(heights))
 
 
 @given(
@@ -485,7 +492,7 @@ def upper_lower_by_sectors(window, h, r):
     upper = set()
     lower = set()
     for cell in window.cells():
-        if any(g._in_closed_sector(g._sector_bounds(w, sigma_op.signs), cell) for w in tips):
+        if any(in_closed_sector(g, g._sector_bounds(w, sigma_op.signs), cell) for w in tips):
             upper.add(cell)
         if not any(cell_meets_open_sector(g, w, sigma_op, cell) for w in tips):
             lower.add(cell)
@@ -536,6 +543,22 @@ def test_upper_lower_rejects_nongeneric(a2):
     window = Window.radius(datum, 2, g)
     with pytest.raises(GeometryError):
         upper_complex(window, HeightForm((Fraction(-1), Fraction(0))), 0)
+
+
+def test_upper_lower_rejects_a_height_of_the_wrong_rank(a2):
+    # a form with a coefficient too few or too many is no height on the
+    # window, whatever the signs of its coefficients
+    datum, g = a2
+    window = Window.radius(datum, 3, g)
+    for coeffs in ((-1,), (-1, -2, -3)):
+        with pytest.raises(GeometryError, match="coefficient"):
+            upper_lower_certified(window, HeightForm(coeffs), -1)
+        with pytest.raises(GeometryError, match="coefficient"):
+            upper_complex(window, HeightForm(coeffs), -1)
+        with pytest.raises(GeometryError, match="coefficient"):
+            epsilon_for_height(g, HeightForm(coeffs))
+    up, low, _ = upper_lower_certified(window, HeightForm((-1, -2)), -1)
+    assert up and low
 
 
 NEGATIVE_COEFFS = st.one_of(
@@ -606,6 +629,96 @@ def test_sector_covering_simplex_constant(a2):
         assert all(
             root_value(g, x, pi) < root_value(g, w, pi) for pi in g._simple_idx
         )
+
+
+# --- the window's vertex table -----------------------------------------------
+
+TABLE_WINDOWS = (("A", 2, 3), ("C", 2, 2), ("A", 3, 1))
+
+
+@pytest.mark.parametrize("family, rank, radius", TABLE_WINDOWS)
+def test_vertex_table_lists_each_cells_vertices(family, rank, radius):
+    window = range_window(family, rank, radius)
+    g = window.geometry
+    verts, index = window.vertex_table()
+    assert len(set(verts)) == len(verts)
+    assert set(index) == window.cells()
+    assert {j for ix in index.values() for j in ix} == set(range(len(verts)))
+    for cell, ix in index.items():
+        assert len(set(ix)) == len(ix) and {verts[j] for j in ix} == set(g._face(cell))
+    assert window.vertex_table() is window.vertex_table()
+
+
+@pytest.mark.parametrize("family, rank, radius", TABLE_WINDOWS)
+def test_closure_seeds_the_face_of_every_window_cell(family, rank, radius):
+    # the vertex subsets that closures enumerate are the faces that a
+    # geometry which never ran a closure finds by its own alcove search
+    datum = build_root_system(family, rank)
+    g = AlcoveGeometry(datum)
+    cells = Window.radius(datum, radius, g).cells()
+    assert cells <= g._face_cache.keys()
+    fresh = AlcoveGeometry(datum)
+    for cell in sorted(cells):
+        assert set(g._face(cell)) == set(fresh._face(cell))
+    assert not fresh._closure_cache
+
+
+def sector_tips(window, data):
+    """A rational point near the window: a vertex of one of its cells, or
+    a point with small denominators that is mostly no vertex."""
+    g, datum = window.geometry, window.datum
+    if data.draw(st.booleans()):
+        verts, _ = window.vertex_table()
+        v = data.draw(st.sampled_from(verts))
+        return datum.point(Fraction(v[i], g._den) for i in g._simple_idx)
+    coordinate = st.fractions(-4, 4, max_denominator=6)
+    return datum.point(data.draw(coordinate) for _ in range(datum.rank))
+
+
+def sector_signs(geometry, data):
+    """A simplex at infinity, a chamber or not, or any sign vector."""
+    if data.draw(st.booleans()):
+        u = data.draw(st.lists(st.integers(-3, 3), min_size=geometry.datum.rank, max_size=geometry.datum.rank))
+        if any(u):
+            return geometry.infinity_from_direction(geometry.datum.point(u))
+    signs = data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=geometry.npos, max_size=geometry.npos))
+    return InfinitySimplex(tuple(signs), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TABLE_WINDOWS), st.data())
+def test_closed_sector_cells_match_the_per_cell_scan(case, data):
+    window = range_window(*case)
+    tip = sector_tips(window, data)
+    tau = sector_signs(window.geometry, data)
+    assert closed_sector_cells(window, tip, tau) == closed_sector_cells_by_scan(window, tip, tau)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(TABLE_WINDOWS),
+    st.lists(
+        st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6)),
+        min_size=3,
+        max_size=3,
+    ),
+)
+def test_table_level_ranges_and_epsilon_match_the_per_cell_routes(case, coeffs):
+    # any rational coefficients, zero and positive ones too
+    window = range_window(*case)
+    g = window.geometry
+    h = HeightForm(tuple(coeffs[: window.datum.rank]))
+    verts, index = window.vertex_table()
+    assert _level_ranges(_levels(g, h, verts), index) == level_ranges_by_cell(g, h, window.cells())
+    eps = epsilon_for_height(g, h)
+    assert eps == epsilon_by_floor_keys(g, h) and type(eps) is Fraction
+
+
+@pytest.mark.parametrize("family, rank", [("A", 1), ("C", 3), ("D", 4), ("A", 4)])
+def test_epsilon_matches_the_floor_keys_in_higher_rank(family, rank):
+    g = AlcoveGeometry(build_root_system(family, rank))
+    h = HeightForm(tuple(Fraction(-1 - i, 1 + i % 2) for i in range(rank)))
+    assert epsilon_for_height(g, h) == epsilon_by_floor_keys(g, h)
 
 
 # --- horizontal (Coxeter-level) reduction ------------------------------------
