@@ -358,12 +358,8 @@ def cmd_homology(args):
         raise UsageError(f"cannot read {args.input}: {exc.strerror}")
     except ValueError as exc:
         raise UsageError(f"{args.input} is not JSON: {exc}")
-    cx = CellComplex()
     try:
-        for c in data["cells"]:
-            cx.add_cell(c["id"], c["dim"], c["faces"])
-        cx.freeze()
-        bv = betti_vector(cx)
+        bv = betti_vector(CellComplex((c["id"], c["dim"], c["faces"]) for c in data["cells"]))
     except KeyError as exc:
         raise UsageError(f"malformed complex JSON: missing key {exc}")
     except (TypeError, ValueError) as exc:

@@ -3,57 +3,46 @@
 The one carrier shared by Coxeter windows, flag buildings and Bruhat-Tits
 truncations.  Cells are indexed by caller-supplied canonical keys (hashable,
 totally ordered within one complex); faces are recorded one codimension down,
-which determines the whole face lattice since cells are polytopes.  Freezing
-validates the facets once and records the cofacets.  A subcomplex restricted
-from a frozen parent owns only its table of cell dimensions: it shares the
-parent's facet and cofacet tables (so a restriction of a restriction shares
-the root's), and its queries read them through its own cells, dropping the
-cofacets it does not keep.  A frozen complex sorts its cells once, and
-keys that do not compare make `cells()` raise ValueError.  The exports
-print a cell as `label(key)`, `str` by default.
+which determines the whole face lattice since cells are polytopes.  A complex
+is built once from its cells, which validates the facets and records the
+cofacets, and is not changed after.  A subcomplex restricted from it owns
+only its table of cell dimensions: it shares the parent's facet and cofacet
+tables (so a restriction of a restriction shares the root's), and its queries
+read them through its own cells, dropping the cofacets it does not keep.  A
+complex sorts its cells once, and keys that do not compare make `cells()`
+raise ValueError.  The exports print a cell as `label(key)`, `str` by
+default.
 """
 
 import json
 
 
 class CellComplex:
-    def __init__(self):
-        self._dim = {}
-        self._facets = {}
-        self._cofacets = None
-        self._sorted = None  # dim (None: all) -> sorted list of cells
-        self.frozen = False
+    def __init__(self, cells):
+        """The complex on `(key, dim, facets)` triples, each key listed once.
 
-    # --- construction ----------------------------------------------------
-
-    def add_cell(self, key, dim, facets=()):
-        if self.frozen:
-            raise RuntimeError("complex is frozen")
-        if key in self._dim:
-            if self._dim[key] != dim:
-                raise ValueError(f"cell {key!r} re-added with different dimension")
-            self._facets[key].update(facets)
-        else:
-            self._dim[key] = dim
-            self._facets[key] = set(facets)
-
-    def freeze(self):
-        if self.frozen:
-            return self
-        for key, fs in self._facets.items():
+        One pass over the cells stores the facets and collects the cofacets,
+        refusing a repeated key; then each facet must be a cell one dimension
+        down.  Both refusals are ValueErrors.
+        """
+        dims, facets, cofacets = {}, {}, {}
+        for key, dim, fs in cells:
+            if key in dims:
+                raise ValueError(f"cell {key!r} is listed twice")
+            dims[key] = dim
+            facets[key] = fs = frozenset(fs)
             for f in fs:
-                if f not in self._dim:
+                cofacets.setdefault(f, []).append(key)
+        for f, cs in cofacets.items():
+            d = dims.get(f)
+            for key in cs:
+                if d is None:
                     raise ValueError(f"missing facet {f!r} of {key!r}")
-                if self._dim[f] != self._dim[key] - 1:
+                if d != dims[key] - 1:
                     raise ValueError(f"facet {f!r} of {key!r} has wrong dimension")
-        self._facets = {k: frozenset(v) for k, v in self._facets.items()}
-        self._cofacets = {k: set() for k in self._dim}
-        for key, fs in self._facets.items():
-            for f in fs:
-                self._cofacets[f].add(key)
-        self._cofacets = {k: frozenset(v) for k, v in self._cofacets.items()}
-        self.frozen = True
-        return self
+        self._dim, self._facets = dims, facets
+        self._cofacets = {k: frozenset(cofacets.get(k, ())) for k in dims}
+        self._sorted = None  # dim (None: all) -> sorted list of cells
 
     # --- queries -----------------------------------------------------------
 
@@ -76,7 +65,7 @@ class CellComplex:
         Raises ValueError when the keys to be sorted do not compare.
         """
         by_dim = self._sorted
-        if by_dim is None or not self.frozen:
+        if by_dim is None:
             groups = {}
             for k, d in self._dim.items():
                 groups.setdefault(d, []).append(k)
@@ -98,10 +87,10 @@ class CellComplex:
         return cf if cf <= kept else frozenset(c for c in cf if c in kept)
 
     def restrict(self, keys):
-        """Frozen subcomplex of a frozen complex on a face-closed set of cells.
+        """The subcomplex on a face-closed set of cells.
 
-        The parent was validated when it froze, so the subcomplex checks only
-        closure, with one subset test per cell.
+        The parent was validated when it was built, so the subcomplex checks
+        only closure, with one subset test per cell.
         """
         sub = self._subcomplex(keys)
         facets, kept = self._facets, sub._dim.keys()
@@ -110,16 +99,13 @@ class CellComplex:
         return sub
 
     def _subcomplex(self, keys):
-        """The frozen subcomplex on cells known to be face-closed: it builds only
-        its table of cell dimensions and shares the parent's facet and cofacet
+        """The subcomplex on cells known to be face-closed: it builds only its
+        table of cell dimensions and shares the parent's facet and cofacet
         tables."""
-        if not self.frozen:
-            raise RuntimeError("freeze the complex first")
         dims = self._dim
-        sub = CellComplex()
+        sub = CellComplex(())
         sub._dim = {k: dims[k] for k in keys}
         sub._facets, sub._cofacets = self._facets, self._cofacets
-        sub.frozen = True
         return sub
 
     # --- export ---------------------------------------------------------
@@ -167,12 +153,14 @@ def _sorted_keys(keys):
 
 
 def simplicial_complex(cells):
-    """The frozen complex on face-closed vertex tuples, each listed once; a facet drops a vertex."""
-    cx = CellComplex()
-    for cell in cells:
-        m = len(cell)
-        cx.add_cell(cell, m - 1, [cell[:i] + cell[i + 1:] for i in range(m)] if m > 1 else ())
-    return cx.freeze()
+    """The complex on face-closed vertex tuples, each listed once; a facet drops a vertex."""
+
+    def triples():
+        for cell in cells:
+            m = len(cell)
+            yield cell, m - 1, [cell[:i] + cell[i + 1:] for i in range(m)] if m > 1 else ()
+
+    return CellComplex(triples())
 
 
 def dumps_json(obj):

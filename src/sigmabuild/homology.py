@@ -18,12 +18,13 @@ combo is the witness.
 
 Every query is a prefix query.  `record_prefix` marks a complex as a prefix
 of a filtration's chain complex; any other complex is recorded, on its first
-query, as the whole of its own sorted one.  The table is weakly keyed by the
-complex, so an entry goes with its complex, and a ChainComplexF2 holds only
-cell keys, never the complex.  A map between complexes that are not two
-prefixes of one chain complex reads big's chain complex numbered with small's
-cells first in each degree, both sorted: small is a prefix of it whose kernel
-combos are those of its own sorted reduction.
+query, as the whole of its own sorted one.  A complex does not change once
+built, so an entry stays valid; the table is weakly keyed by the complex, so
+an entry goes with its complex, and a ChainComplexF2 holds only cell keys,
+never the complex.  A map between complexes that are not two prefixes of
+one chain complex reads big's chain complex numbered with small's cells first
+in each degree, both sorted: small is a prefix of it whose kernel combos are
+those of its own sorted reduction.
 """
 
 import weakref
@@ -72,8 +73,6 @@ class ChainComplexF2:
     """
 
     def __init__(self, complex_, order=None):
-        if not complex_.frozen:
-            raise HomologyError("freeze the complex first")
         top = self.top = complex_.dim
         if order is None:
             order = [c for k in range(top + 1) for c in complex_.cells(k)]
@@ -253,7 +252,7 @@ _prefixes = weakref.WeakKeyDictionary()
 
 
 def record_prefix(complex_, filtration, lengths):
-    """Record a frozen complex as spanned by the first lengths[k] k-cells of
+    """Record a complex as spanned by the first lengths[k] k-cells of
     `filtration.chain_complex`, for each degree k up to its dimension.
 
     The filtration's chain complex is read on the first homology query, so
@@ -263,7 +262,7 @@ def record_prefix(complex_, filtration, lengths):
 
 
 def _prefix(complex_):
-    """(chain complex, lengths) of which a frozen complex is the prefix; an
+    """(chain complex, lengths) of which a complex is the prefix; an
     unrecorded complex is recorded as the whole of its own sorted one."""
     entry = _prefixes.get(complex_)
     if entry is None:
@@ -279,7 +278,7 @@ def betti_vector(complex_):
 
 
 def bounds(complex_, chain):
-    """Whether a cycle of a frozen complex bounds in it."""
+    """Whether a cycle of a complex bounds in it."""
     cc, lengths = _prefix(complex_)
     return cc.bounds(chain, lengths)
 
@@ -287,16 +286,14 @@ def bounds(complex_, chain):
 def induced_map_trivial(small, big, k):
     """Does every k-cycle of `small` bound in `big`?
 
-    Both are frozen CellComplexes sharing cell keys, small a subcomplex of
-    big (every cell of small is a cell of big with the same facets).  Returns
+    Both are CellComplexes sharing cell keys, small a subcomplex of big
+    (every cell of small is a cell of big with the same facets).  Returns
     (True, None) or (False, witness_cycle).  Degree 0 is reduced: 0-cycles
     are the even 0-chains.  Two prefixes of one filtration read its
     persistent reduction.  Any other pair reads big's chain complex with
     small's cells first in each degree, both sorted, so that small is a
     prefix of it.
     """
-    if not small.frozen:
-        raise HomologyError("freeze the complex first")
     s, b = _prefixes.get(small), _prefixes.get(big)
     if s is not None and b is not None and s[0] is b[0]:
         return s[0].chain_complex.prefix_map_trivial(s[1], b[1], k)

@@ -13,7 +13,8 @@ iff W has no non-zero non-negative vector of support at most k.  The least
 such support is reached by an elementary vector of W (one of inclusion-minimal
 support; Rockafellar 1969), so `minimal_bad_support` enumerates those: one
 small fraction-free elimination per choice of r-1 zero coordinates, C(d, r-1)
-in all for d = dim and r = dim W.  The search is integer throughout: the
+in all for d = dim and r = dim W; a search of more than `MAX_SEARCH_PRODUCTS`
+integer products is refused.  The search is integer throughout: the
 generators are scaled once to integer rows, each candidate is the integer
 combination of them given by an integer null vector, and supports are
 compared on integers.  Only the winner, the non-negative candidate of least
@@ -27,6 +28,7 @@ binary expansion is not the decimal it was written as.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import comb
 from operator import mul
 
 from .chevalley import is_prime
@@ -36,6 +38,11 @@ from .linalg import integer_null_space, scaled
 class SigmaError(ValueError):
     pass
 
+
+# _nonneg_vector_in_span gives up past this many integer products: C(d, r-1)
+# candidates, each an elimination of about r^3 and a combination of r d.
+# Every span in dimension 16 is admitted; rank 10 takes the most, 13,270,400
+MAX_SEARCH_PRODUCTS = 14_000_000
 
 CERTAIN_IN = "certain-in"
 CERTAIN_OUT = "certain-out"
@@ -168,11 +175,17 @@ def _nonneg_vector_in_span(ctx, generators):
     picked, _ = integer_null_space(tuple(zip(*gens)))
     if not picked:
         return None
-    d = ctx.dim
+    d, r = ctx.dim, len(picked)
+    products = comb(d, r - 1) * r * (r * r + d)
+    if products > MAX_SEARCH_PRODUCTS:
+        raise SigmaError(
+            f"the search over a span of rank {r} in dimension {d} takes about "
+            f"{products:,} products, more than {MAX_SEARCH_PRODUCTS:,}"
+        )
     nums, _ = scaled(chain.from_iterable(gens[j] for j in picked))
     cols = [nums[i::d] for i in range(d)]  # cols[i][j] = B[j][i]
     best_key, best = None, None
-    for zeros in combinations(range(d), len(picked) - 1):
+    for zeros in combinations(range(d), r - 1):
         if zeros:
             _, null = integer_null_space([cols[i] for i in zeros])
             if len(null) != 1:

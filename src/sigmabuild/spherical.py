@@ -75,18 +75,23 @@ def all_subspaces(n, q, d):
 # --- the building -------------------------------------------------------------
 
 
+# FlagComplex refuses more complete flags than this, the bound of a
+# Bruhat-Tits truncation: (4, 5) has 29,016, (5, 3) has 251,680
+MAX_FLAG_CHAMBERS = 10**5
+
+
 class FlagComplex:
     """The flag complex of F_q^n with its chamber structure."""
 
-    def __init__(self, n, q, max_chambers=10**7):
+    def __init__(self, n, q):
         if not is_prime(q):
             raise SphericalError("q must be prime in this realization")
         if n < 2:
             raise SphericalError("n must be at least 2")
         # complete flag count: prod over k of the number of hyperplanes of a k-space
         count = math.prod((q**k - 1) // (q - 1) for k in range(2, n + 1))
-        if count > max_chambers:
-            raise SphericalError(f"chamber count {count} exceeds the guard")
+        if count > MAX_FLAG_CHAMBERS:
+            raise SphericalError(f"chamber count {count:,} exceeds the guard of {MAX_FLAG_CHAMBERS:,}")
         self.n = n
         self.q = q
         self.subspaces = {d: all_subspaces(n, q, d) for d in range(1, n)}
@@ -222,5 +227,5 @@ def find_opposite_apartment(building, chamber):
     return apartment, guaranteed
 
 
-def build_flag_building(n, q, max_chambers=10**7):
-    return FlagComplex(n, q, max_chambers)
+def build_flag_building(n, q):
+    return FlagComplex(n, q)

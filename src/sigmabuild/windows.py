@@ -198,10 +198,7 @@ class Window:
         if self._complex is not None:
             return self._complex
         g = self.geometry
-        cx = CellComplex()
-        for c in self.cells():
-            cx.add_cell(c, g.dim(c), g.facets(c))
-        self._complex = cx.freeze()
+        self._complex = CellComplex((c, g.dim(c), g.facets(c)) for c in self.cells())
         return self._complex
 
     def special_groups(self):

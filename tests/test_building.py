@@ -1015,11 +1015,8 @@ def test_height_spec_is_negated_height_form(case, r):
 
 
 def rebuilt(parent, keys):
-    """The subcomplex on keys, added cell by cell and frozen."""
-    cx = CellComplex()
-    for c in keys:
-        cx.add_cell(c, parent.dim_of(c), parent.facets(c))
-    return cx.freeze()
+    """The subcomplex on keys, built and validated anew from the parent's cells."""
+    return CellComplex((c, parent.dim_of(c), parent.facets(c)) for c in keys)
 
 
 def assert_same_complex(a, b):
@@ -1047,12 +1044,9 @@ def test_superlevel_complex_is_the_bruteforce_filter(data):
 def test_height_filtration_checks_that_facets_come_first():
     # the edge (0, 1) is given the facets (2,) and (3,), which are not its
     # vertices; the filtration rejects them when they enter after the edge
-    cx = CellComplex()
-    cx.add_cell((2,), 0)
-    cx.add_cell((3,), 0)
-    cx.add_cell((0, 1), 1, [(2,), (3,)])
+    cx = CellComplex([((2,), 0, ()), ((3,), 0, ()), ((0, 1), 1, [(2,), (3,)])])
     h = HeightForm((1,))
-    early = SimpleNamespace(complex=cx.freeze(), exponents=[(0, 0), (0, 0), (0, 1), (0, 1)])
+    early = SimpleNamespace(complex=cx, exponents=[(0, 0), (0, 0), (0, 1), (0, 1)])
     assert HeightFiltration(early, h).cells == [(2,), (3,), (0, 1)]
     late = SimpleNamespace(complex=cx, exponents=[(0, 1), (0, 1), (0, 0), (0, 0)])
     with pytest.raises(BuildingError, match="comes after it"):
@@ -1067,8 +1061,7 @@ def test_restrict_is_the_rebuilt_subcomplex(data):
     seeds = data.draw(st.lists(st.sampled_from(cx.cells()), max_size=8))
     keys = face_closure(cx, seeds)
     sub = cx.restrict(keys)
-    # freezing it again keeps the tables it shares with its parent
-    assert sub.frozen and sub.freeze() is sub
+    assert sub._facets is cx._facets and sub._cofacets is cx._cofacets
     ref = rebuilt(cx, keys)
     assert_same_complex(sub, ref)
     # the exports read the shared tables through the subcomplex's own cells
@@ -1096,13 +1089,6 @@ def test_restrict_is_the_rebuilt_subcomplex(data):
         facet = data.draw(st.sampled_from(sorted(cx.facets(cell))))
         with pytest.raises(ValueError):
             cx.restrict(keys - {facet})
-
-
-def test_restrict_needs_a_frozen_parent():
-    cx = CellComplex()
-    cx.add_cell("a", 0)
-    with pytest.raises(RuntimeError):
-        cx.restrict(["a"])
 
 
 @settings(max_examples=30, deadline=None)

@@ -151,6 +151,13 @@ def test_coxeter_rank_16_window_is_rejected_by_its_size(capsys):
         (["building", "grow", "--p", "97", "--radius", "3"], "chamber guard exceeded"),
         # 131,069 chambers; radius 14 (65,533 chambers) still grows
         (["building", "grow", "--n", "2", "--p", "2", "--radius", "15"], "more than 100,000 chambers"),
+        # 251,680 and 1,050,906 complete flags
+        (["sphere", "opp", "--n", "5", "--q", "3"], "exceeds the guard of 100,000"),
+        (["sphere", "opp", "--n", "3", "--q", "101"], "exceeds the guard of 100,000"),
+        # six unit vectors in dimension 58: C(58, 5) = 4,582,116 zero sets
+        (["sigma", "fintype", "--n", "30", "--primes", "2,3", "--k", "1", "--kernel-of",
+          ";".join(",".join("1" if j == i else "0" for j in range(58)) for i in range(6))],
+         "more than 14,000,000"),
     ],
 )
 def test_size_guards_are_usage_errors(capsys, argv, fragment):
@@ -407,6 +414,10 @@ def test_homology_betti_missing_input(tmp_path, capsys):
     "text, fragment",
     [
         ('{"cells": [{"id": "e", "dim": 1, "faces": ["a", "b"]}]}', "missing facet"),
+        ('{"cells": [{"id": "a", "dim": 0, "faces": []}, {"id": "a", "dim": 0, "faces": []}]}',
+         "listed twice"),
+        ('{"cells": [{"id": "a", "dim": 0, "faces": []}, {"id": "f", "dim": 2, "faces": ["a"]}]}',
+         "wrong dimension"),
         ('{"complex": []}', "'cells'"),
         ('{"cells": [{"id": "a", "dim": 0}]}', "'faces'"),
         ("[1, 2]", "malformed"),

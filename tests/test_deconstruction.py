@@ -24,7 +24,6 @@ from geometry_oracle import (
     galleries_leaving,
     level_ranges_by_cell,
     lower_face,
-    range_on_cell,
     root_value,
     root_values,
     sigma_length,
@@ -419,26 +418,6 @@ def range_window(family, rank, radius):
     return Window.radius(build_root_system(family, rank), radius)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.sampled_from((("A", 2, 2), ("C", 2, 2), ("A", 3, 1))),
-    st.lists(
-        st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6)),
-        min_size=3,
-        max_size=3,
-    ),
-)
-def test_range_on_cell_matches_vertex_heights(case, coeffs):
-    # any rational coefficients, zero and positive ones too: the integer route
-    # against the height of each vertex's Fraction simple-root values
-    window = range_window(*case)
-    g = window.geometry
-    h = HeightForm(tuple(coeffs[: window.datum.rank]))
-    for cell in window.cells():
-        heights = [h(values) for values in simple_values(g, cell)]
-        assert range_on_cell(h, g, cell) == (min(heights), max(heights))
-
-
 @given(
     st.lists(st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=12)), min_size=1, max_size=4),
     st.lists(st.integers(-9, 9), min_size=4, max_size=4),
@@ -709,9 +688,34 @@ def test_table_level_ranges_and_epsilon_match_the_per_cell_routes(case, coeffs):
     g = window.geometry
     h = HeightForm(tuple(coeffs[: window.datum.rank]))
     verts, index = window.vertex_table()
-    assert _level_ranges(_levels(g, h, verts), index) == level_ranges_by_cell(g, h, window.cells())
+    ranges = _level_ranges(_levels(g, h, verts), index)
+    assert ranges == level_ranges_by_cell(g, h, window.cells())
     eps = epsilon_for_height(g, h)
     assert eps == epsilon_by_floor_keys(g, h) and type(eps) is Fraction
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(TABLE_WINDOWS),
+    st.lists(
+        st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6)),
+        min_size=3,
+        max_size=3,
+    ),
+)
+def test_range_on_cell_matches_vertex_heights(case, coeffs):
+    # any rational coefficients, zero and positive ones too: the per-window
+    # level table against the height of each vertex's Fraction simple-root values
+    window = range_window(*case)
+    g = window.geometry
+    h = HeightForm(tuple(coeffs[: window.datum.rank]))
+    verts, index = window.vertex_table()
+    ranges = _level_ranges(_levels(g, h, verts), index)
+    assert set(ranges) == set(window.cells())
+    scale = h.d * g._den
+    for cell, (lo, hi) in ranges.items():
+        heights = [h(values) * scale for values in simple_values(g, cell)]
+        assert (lo, hi) == (min(heights), max(heights))
 
 
 @pytest.mark.parametrize("family, rank", [("A", 1), ("C", 3), ("D", 4), ("A", 4)])

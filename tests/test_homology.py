@@ -24,32 +24,25 @@ from sigmabuild.root_system import build_root_system
 from sigmabuild.windows import HeightForm, Window, upper_complex
 
 
+def graph(n, edges, faces=()):
+    """Vertices 0..n-1, the edges ("e", i) on the given vertex pairs, then 2-cells on edge indices."""
+    return CellComplex(
+        [(("v", i), 0, ()) for i in range(n)]
+        + [(("e", i), 1, [("v", a), ("v", b)]) for i, (a, b) in enumerate(edges)]
+        + [(("f", j), 2, [("e", i) for i in face]) for j, face in enumerate(faces)]
+    )
+
+
 def path_graph(n):
-    cx = CellComplex()
-    for i in range(n + 1):
-        cx.add_cell(("v", i), 0)
-    for i in range(n):
-        cx.add_cell(("e", i), 1, [("v", i), ("v", i + 1)])
-    return cx.freeze()
+    return graph(n + 1, [(i, i + 1) for i in range(n)])
 
 
 def cycle_graph(n):
-    cx = CellComplex()
-    for i in range(n):
-        cx.add_cell(("v", i), 0)
-    for i in range(n):
-        cx.add_cell(("e", i), 1, [("v", i), ("v", (i + 1) % n)])
-    return cx.freeze()
+    return graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def filled_cycle(n):
-    cx = CellComplex()
-    for i in range(n):
-        cx.add_cell(("v", i), 0)
-    for i in range(n):
-        cx.add_cell(("e", i), 1, [("v", i), ("v", (i + 1) % n)])
-    cx.add_cell(("f", 0), 2, [("e", i) for i in range(n)])
-    return cx.freeze()
+    return graph(n, [(i, (i + 1) % n) for i in range(n)], [range(n)])
 
 
 def test_cells_lists_are_copies_of_one_sort():
@@ -62,35 +55,22 @@ def test_cells_lists_are_copies_of_one_sort():
     assert cx.cells(1) == [("e", i) for i in range(4)]
     assert cx.cells() == sorted(everything)
     assert cx.cells(3) == []
-    # an unfrozen complex sees the cells added after a query
-    open_cx = CellComplex()
-    open_cx.add_cell("a", 0)
-    assert open_cx.cells(0) == ["a"]
-    open_cx.add_cell("b", 0)
-    assert open_cx.cells(0) == ["a", "b"]
 
 
 def test_keys_that_do_not_compare_are_a_value_error():
     # each degree sorts, but a vertex "a" and the edge ("e", 0) do not compare
-    cx = CellComplex()
-    cx.add_cell("a", 0)
-    cx.add_cell("b", 0)
-    cx.add_cell(("e", 0), 1, ["a", "b"])
-    cx.freeze()
+    cx = CellComplex([("a", 0, ()), ("b", 0, ()), (("e", 0), 1, ["a", "b"])])
     assert (cx.cells(0), cx.cells(1)) == (["a", "b"], [("e", 0)])
     for query in (cx.cells, cx.to_json):
         with pytest.raises(ValueError, match="not totally ordered"):
             query()
-    mixed = CellComplex()
-    mixed.add_cell("a", 0)
-    mixed.add_cell(0, 0)
+    mixed = CellComplex([("a", 0, ()), (0, 0, ())])
     with pytest.raises(ValueError, match="not totally ordered"):
         mixed.cells(0)
 
 
 def test_simplicial_complex_facets_drop_one_vertex():
     cx = simplicial_complex([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
-    assert cx.frozen
     assert cx.dim_of((0, 1, 2)) == 2
     assert cx.facets((0, 1, 2)) == {(1, 2), (0, 2), (0, 1)}
     assert cx.facets((0,)) == frozenset()
@@ -114,10 +94,7 @@ def test_boundary_hexagon_cycle_vanishes():
 
 
 def test_betti_two_points():
-    cx = CellComplex()
-    cx.add_cell("a", 0)
-    cx.add_cell("b", 0)
-    cx.freeze()
+    cx = CellComplex([("a", 0, ()), ("b", 0, ())])
     assert betti_vector(cx)[0] == 1  # reduced
 
 
@@ -135,14 +112,7 @@ def test_betti_filled_hexagon():
 
 
 def test_boundary_of_boundary_checked():
-    cx = CellComplex()
-    for i in range(3):
-        cx.add_cell(("v", i), 0)
-    cx.add_cell(("e", 0), 1, [("v", 0), ("v", 1)])
-    cx.add_cell(("e", 1), 1, [("v", 1), ("v", 2)])
-    cx.add_cell(("e", 2), 1, [("v", 0), ("v", 2)])
-    cx.add_cell(("f", 0), 2, [("e", 0), ("e", 1), ("e", 2)])
-    cx.freeze()
+    cx = graph(3, [(0, 1), (1, 2), (0, 2)], [range(3)])
     ChainComplexF2(cx)  # no assertion error
     assert betti_vector(cx) == [0, 0, 0]
 
@@ -153,12 +123,9 @@ def test_betti_independent_of_insertion_order():
     for _ in range(5):
         perm = edges[:]
         rng.shuffle(perm)
-        cx = CellComplex()
-        for i in range(6):
-            cx.add_cell(("v", i), 0)
-        for j, (a, b) in enumerate(perm):
-            cx.add_cell(("e", a, b), 1, [("v", a), ("v", b)])
-        cx.freeze()
+        cx = CellComplex(
+            [(("v", i), 0, ()) for i in range(6)] + [(("e", a, b), 1, [("v", a), ("v", b)]) for a, b in perm]
+        )
         assert betti_vector(cx) == [0, 1]
 
 
@@ -183,10 +150,7 @@ def test_induced_map_hexagon_in_filled():
 def test_induced_map_degree0_components():
     # two points in a path: the difference cycle bounds once they are connected
     big = path_graph(3)
-    small = CellComplex()
-    small.add_cell(("v", 0), 0)
-    small.add_cell(("v", 3), 0)
-    small.freeze()
+    small = CellComplex([(("v", 0), 0, ()), (("v", 3), 0, ())])
     ok, _ = induced_map_trivial(small, big, 0)
     assert ok
     # but not inside the disconnected complex itself
@@ -199,12 +163,7 @@ def test_induced_map_monotone_under_enlargement():
     rng = random.Random(12)
     # nested triples: small cycle, cycle + chord, filled
     small = cycle_graph(4)
-    mid = CellComplex()
-    for i in range(4):
-        mid.add_cell(("v", i), 0)
-    for i in range(4):
-        mid.add_cell(("e", i), 1, [("v", i), ("v", (i + 1) % 4)])
-    mid.freeze()
+    mid = cycle_graph(4)
     big = filled_cycle(4)
     t_mid, _ = induced_map_trivial(small, mid, 1)
     t_big, _ = induced_map_trivial(small, big, 1)
@@ -213,11 +172,7 @@ def test_induced_map_monotone_under_enlargement():
 
 def other_edge():
     # the edge key ("e", 0) joins v0 and v2 here, but v0 and v1 in path_graph(2)
-    cx = CellComplex()
-    cx.add_cell(("v", 0), 0)
-    cx.add_cell(("v", 2), 0)
-    cx.add_cell(("e", 0), 1, [("v", 0), ("v", 2)])
-    return cx.freeze()
+    return CellComplex([(("v", 0), 0, ()), (("v", 2), 0, ()), (("e", 0), 1, [("v", 0), ("v", 2)])])
 
 
 @pytest.mark.parametrize("small", [other_edge, lambda: path_graph(3)], ids=["other-facets", "missing-cell"])
@@ -261,12 +216,7 @@ def test_unique_bounding_chain():
 
 
 def test_solve_boundary_no_solution():
-    cx = CellComplex()
-    cx.add_cell("a", 0)
-    cx.add_cell("b", 0)
-    cx.add_cell("c", 0)
-    cx.add_cell(("e", 0), 1, ["a", "b"])
-    cx.freeze()
+    cx = CellComplex([("a", 0, ()), ("b", 0, ()), ("c", 0, ()), (("e", 0), 1, ["a", "b"])])
     cc = ChainComplexF2(cx)
     assert cc.solve_boundary(1, F2Chain(0, {"a", "c"})) is None
 
