@@ -348,7 +348,8 @@ def criterion_building(seed=42):
         value = character_eval(chi, gamma)
         (v,) = rng.choice(cells0)
         moved = trunc3.act_on_vertex(gamma, v)
-        if h(trunc3.root_values(moved)) != h(trunc3.root_values(v)) + value:
+        at_moved, at_v = (Fraction(h.level(trunc3.root_values(x)), h.d) for x in (moved, v))
+        if at_moved != at_v + value:
             equi_ok = False
 
     passed = sphere_ok and idem_ok and bij_ok and equi_ok
@@ -374,7 +375,7 @@ def criterion_negative_direction():
     nonzero_ok = bool(cc.boundary)
     band_ok = True
     for v in cc.boundary.support:
-        val = h(trunc.root_values(v[0]))
+        val = Fraction(h.level(trunc.root_values(v[0])), h.d)
         if not (cc.band[0] <= val <= cc.band[1]):
             band_ok = False
     s, t = 1, 2

@@ -203,6 +203,10 @@ def _root_values(exps):
     return map(sub, exps[1:], exps)
 
 
+# Truncation refuses a ball of more chambers than this, counted before growth
+MAX_TRUNCATION_CHAMBERS = 10**5
+
+
 class Truncation:
     """All chambers within a gallery radius of the standard base chamber.
 
@@ -221,7 +225,7 @@ class Truncation:
     reached across.
     """
 
-    def __init__(self, n, p, radius, max_chambers=10**5):
+    def __init__(self, n, p, radius):
         if n not in (2, 3):
             raise BuildingError("only n in {2, 3} is supported")
         if not is_prime(p):
@@ -234,7 +238,7 @@ class Truncation:
         self.datum = build_root_system("A", n - 1)
         self.geometry = AlcoveGeometry(self.datum)
         self._filtrations = {}
-        self._check_ball(max_chambers)
+        self._check_ball()
         # made here, not in `_grow`, so that every growth route numbers its
         # vertices into them through `vertex_id`
         self.vertices = []
@@ -247,19 +251,19 @@ class Truncation:
 
     # --- growth ---------------------------------------------------------
 
-    def _check_ball(self, max_chambers):
-        """Raise if the ball holds more than max_chambers chambers: a_d p^d at
-        gallery distance d, a_d the alcoves at distance d in an apartment
-        (Abramenko-Brown 2008), counted by a breadth-first search of the
-        apartment until the radius or until the sum passes the bound."""
+    def _check_ball(self):
+        """Raise if the ball holds more than MAX_TRUNCATION_CHAMBERS chambers:
+        a_d p^d at gallery distance d, a_d the alcoves at distance d in an
+        apartment (Abramenko-Brown 2008), counted by a breadth-first search of
+        the apartment until the radius or until the sum passes the bound."""
         layers = self.geometry.gallery_layers(self.geometry._fundamental)
         total = 0
         for d, layer in zip(range(self.radius + 1), layers):
             total += len(layer) * self.p**d
-            if total > max_chambers:
+            if total > MAX_TRUNCATION_CHAMBERS:
                 raise BuildingError(
                     f"chamber guard exceeded: the ball of radius {self.radius} "
-                    f"holds more than {max_chambers:,} chambers"
+                    f"holds more than {MAX_TRUNCATION_CHAMBERS:,} chambers"
                 )
 
     def _grow(self):
@@ -589,6 +593,6 @@ def cone_chain(trunc, sector_elements, h, r):
     )
 
 
-def grow_truncation(n, p, radius, max_chambers=10**5):
+def grow_truncation(n, p, radius):
     """BFS ball of chambers around the standard base chamber."""
-    return Truncation(n, p, radius, max_chambers)
+    return Truncation(n, p, radius)

@@ -242,9 +242,15 @@ def cmd_sphere(args):
     return 0
 
 
+# `chevalley check-relations` takes about 0.2 ms a trial: 10,000 answer in 2 s
+CHEVALLEY_MAX_TRIALS = 10_000
+
+
 def cmd_chevalley(args):
     from .acceptance import criterion_steinberg
 
+    if args.trials > CHEVALLEY_MAX_TRIALS:
+        raise UsageError(f"--trials must be at most {CHEVALLEY_MAX_TRIALS:,}, got {args.trials:,}")
     report = criterion_steinberg(seed=args.seed, trials=args.trials)
     _emit(report, args.format)
     return 0 if report["passed"] else 1

@@ -3,15 +3,15 @@
 The one carrier shared by Coxeter windows, flag buildings and Bruhat-Tits
 truncations.  Cells are indexed by caller-supplied canonical keys (hashable,
 totally ordered within one complex); faces are recorded one codimension down,
-which determines the whole face lattice since cells are polytopes.  A complex
-is built once from its cells, which validates the facets and records the
-cofacets, and is not changed after.  A subcomplex restricted from it owns
-only its table of cell dimensions: it shares the parent's facet and cofacet
-tables (so a restriction of a restriction shares the root's), and its queries
-read them through its own cells, dropping the cofacets it does not keep.  A
-complex sorts its cells once, and keys that do not compare make `cells()`
-raise ValueError.  The exports print a cell as `label(key)`, `str` by
-default.
+which determines the whole face lattice since cells are polytopes, and is
+the one incidence table a complex keeps: a reader that needs cofaces (`to_dot`,
+`FlagComplex.thickness`) groups cells by their facets.  A complex is
+built once from its cells, which validates the facets, and is not changed
+after.  A subcomplex restricted from it owns only its table of cell
+dimensions and shares the parent's facet table (so a restriction of a
+restriction shares the root's).  A complex sorts its cells once, and keys
+that do not compare make `cells()` raise ValueError.  The exports print a
+cell as `label(key)`, `str` by default.
 """
 
 import json
@@ -21,27 +21,24 @@ class CellComplex:
     def __init__(self, cells):
         """The complex on `(key, dim, facets)` triples, each key listed once.
 
-        One pass over the cells stores the facets and collects the cofacets,
-        refusing a repeated key; then each facet must be a cell one dimension
-        down.  Both refusals are ValueErrors.
+        One pass over the cells stores the facets, refusing a repeated key;
+        then each facet in the table must be a cell one dimension down.  Both
+        refusals are ValueErrors.
         """
-        dims, facets, cofacets = {}, {}, {}
+        dims, facets = {}, {}
         for key, dim, fs in cells:
             if key in dims:
                 raise ValueError(f"cell {key!r} is listed twice")
             dims[key] = dim
-            facets[key] = fs = frozenset(fs)
+            facets[key] = frozenset(fs)
+        for key, fs in facets.items():
+            d = dims[key] - 1
             for f in fs:
-                cofacets.setdefault(f, []).append(key)
-        for f, cs in cofacets.items():
-            d = dims.get(f)
-            for key in cs:
-                if d is None:
-                    raise ValueError(f"missing facet {f!r} of {key!r}")
-                if d != dims[key] - 1:
+                if dims.get(f) != d:
+                    if f not in dims:
+                        raise ValueError(f"missing facet {f!r} of {key!r}")
                     raise ValueError(f"facet {f!r} of {key!r} has wrong dimension")
         self._dim, self._facets = dims, facets
-        self._cofacets = {k: frozenset(cofacets.get(k, ())) for k in dims}
         self._sorted = None  # dim (None: all) -> sorted list of cells
 
     # --- queries -----------------------------------------------------------
@@ -79,13 +76,6 @@ class CellComplex:
             raise KeyError(key)
         return self._facets[key]
 
-    def cofacets(self, key):
-        kept = self._dim.keys()
-        if key not in kept:
-            raise KeyError(key)
-        cf = self._cofacets[key]
-        return cf if cf <= kept else frozenset(c for c in cf if c in kept)
-
     def restrict(self, keys):
         """The subcomplex on a face-closed set of cells.
 
@@ -100,12 +90,11 @@ class CellComplex:
 
     def _subcomplex(self, keys):
         """The subcomplex on cells known to be face-closed: it builds only its
-        table of cell dimensions and shares the parent's facet and cofacet
-        tables."""
+        table of cell dimensions and shares the parent's facet table."""
         dims = self._dim
         sub = CellComplex(())
         sub._dim = {k: dims[k] for k in keys}
-        sub._facets, sub._cofacets = self._facets, self._cofacets
+        sub._facets = self._facets
         return sub
 
     # --- export ---------------------------------------------------------
@@ -127,15 +116,19 @@ class CellComplex:
         return {"cells": cells}
 
     def to_dot(self, chamber_dim=None, name="chambers", label=str):
+        """The chamber graph: an edge for each two chambers sharing a panel."""
         d = self.dim if chamber_dim is None else chamber_dim
         keys = self.cells(d)
         ids = {k: i for i, k in enumerate(keys)}
         lines = [f"graph {name} {{"]
+        by_panel = {}  # panel -> its chambers, in sorted order
         for k in keys:
             lines.append(f'  n{ids[k]} [label="{label(k)}"];')
+            for f in self._facets[k]:
+                by_panel.setdefault(f, []).append(k)
         seen = set()
         for panel in self.cells(d - 1):
-            cs = sorted(self.cofacets(panel))
+            cs = by_panel.get(panel, ())
             for i, c in enumerate(cs):
                 for e in cs[i + 1:]:
                     if (c, e) not in seen:

@@ -5,7 +5,7 @@ bit rows (bit i = coefficient of the i-th cell of its degree), so Gaussian
 elimination is a handful of xors.  A chain complex lists each degree's cells
 in the order it is given, sorted by default.  Each boundary map is
 column-reduced at most once, on first use, in that order; ranks, Betti
-numbers, cycle bases and bounding chains all read that reduction.  Betti
+numbers, induced maps and bounding tests all read that reduction.  Betti
 numbers are reduced: the degree-0 boundary is augmented by the empty cell.
 
 The reduction of a filtered complex is its persistent reduction
@@ -172,10 +172,6 @@ class ChainComplexF2:
             red = self._reductions[k] = (pivots, kernel, own)
         return red
 
-    def kernel_basis(self, k):
-        """Basis of the k-cycles (reduced: degree 0 uses the augmentation)."""
-        return [self.from_bits(k, combo) for combo in self._reduction(k)[1]]
-
     def rank(self, k, lengths=None):
         """Rank of bnd_k, or of its first lengths[k] columns (see `betti`)."""
         lengths = self.lengths if lengths is None else lengths
@@ -222,14 +218,6 @@ class ChainComplexF2:
             if death is None or death[1].bit_length() > m:
                 return False, self.from_bits(k, combo)
         return True, None
-
-    def solve_boundary(self, k, target):
-        """One k-chain with the given boundary, or None.
-
-        `target` is a (k-1)-chain (or an augmented 0-chain when k = 0).
-        """
-        t, combo = self._eliminate(self.to_bits(target), 0, self._reduction(k)[0])
-        return None if t else self.from_bits(k, combo)
 
     def bounds(self, chain, lengths=None):
         """Whether the cycle bounds (is in the image of the next boundary map).

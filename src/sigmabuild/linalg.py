@@ -31,10 +31,6 @@ def dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Q0)
 
 
-def mat(rows):
-    return tuple(tuple(Fraction(e) for e in row) for row in rows)
-
-
 def matvec(m, v):
     return tuple(dot(row, v) for row in m)
 
@@ -82,8 +78,8 @@ def scaled(entries):
     return [p * (den // q) for p, q in pairs], den
 
 
-def _gauss_jordan(rows, n_cols):
-    """Fraction-free Gauss-Jordan elimination, pivoting only in the first n_cols columns.
+def _gauss_jordan(rows):
+    """Fraction-free Gauss-Jordan elimination, pivoting in every column in turn.
 
     Returns (work, pivots, swaps, d, den).  The rows are scaled once to
     integer rows over den (`scaled`).  At pivot pv in row r, column c, every
@@ -91,9 +87,7 @@ def _gauss_jordan(rows, n_cols):
     previous pivot (1 at first), and every division is exact by Sylvester's
     identity (Bareiss 1968).  At the end row i < len(pivots) of `work` has
     the last pivot d in column pivots[i], every other row is zero there, and
-    the remaining rows are zero in the first n_cols columns; `swaps` counts
-    row exchanges.  Columns from n_cols on (the identity block of
-    `integer_inverse`) ride along but never pivot.
+    the remaining rows are zero; `swaps` counts row exchanges.
     """
     width = len(rows[0]) if rows else 0
     flat, den = scaled(chain.from_iterable(rows))
@@ -102,7 +96,7 @@ def _gauss_jordan(rows, n_cols):
     pivots = []
     swaps = 0
     d = 1
-    for c in range(n_cols):
+    for c in range(width):
         r = len(pivots)
         if r == n_rows:
             break
@@ -168,8 +162,9 @@ def integer_inverse(m):
     if 0 < n <= 3:
         return _cofactor_inverse(m)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    work, pivots, _, d, _ = _gauss_jordan(aug, n)
-    if len(pivots) < n:
+    work, pivots, _, d, _ = _gauss_jordan(aug)
+    # [M | I] has rank n, so its n pivots lie in M's columns iff M is invertible
+    if pivots[-1] >= n:
         raise LinalgError("singular matrix")
     if d < 0:
         return tuple(tuple(-x for x in row[n:]) for row in work), -d
@@ -183,7 +178,7 @@ def inverse(m):
 
 def det(m):
     n = len(m)
-    _, pivots, swaps, d, den = _gauss_jordan(m, n)
+    _, pivots, swaps, d, den = _gauss_jordan(m)
     if len(pivots) < n:
         return Q0
     return Fraction(-d if swaps % 2 else d, den**n)
@@ -200,7 +195,7 @@ def integer_null_space(rows):
     if not rows:
         raise LinalgError("empty system")
     n = len(rows[0])
-    work, pivots, _, d, _ = _gauss_jordan(rows, n)
+    work, pivots, _, d, _ = _gauss_jordan(rows)
     basis = []
     for fc in range(n):
         if fc in pivots:

@@ -13,6 +13,7 @@ the two span F_q^n.  Opp(C), the frame test and the apartment search use it.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
@@ -123,7 +124,7 @@ class FlagComplex:
             # rank-one building: chambers are points, the empty panel is shared
             return len(self.chambers), len(self.chambers)
         cx = self.complex()
-        counts = [len(cx.cofacets(p)) for p in cx.cells(self.n - 3)]
+        counts = Counter(p for c in cx.cells(self.n - 2) for p in cx.facets(c)).values()
         return min(counts), max(counts)
 
     # --- opposition ----------------------------------------------------

@@ -40,7 +40,7 @@ from operator import mul
 from .chevalley import CharacterVec
 from .complexes import CellComplex
 from .coxeter import FLOOR, AlcoveGeometry, GeometryError
-from .linalg import Q0, scaled
+from .linalg import scaled
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,6 @@ class HeightForm:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_scaled", tuple(nums))
 
-    def __call__(self, values):
-        """The height of the point whose simple-root values kappa(x, alpha_i) are given."""
-        return sum((c * v for c, v in zip(self.coeffs, values)), Q0)
-
     def level(self, values):
         """d * h at integer simple-root values: an integer."""
         return sum(map(mul, self._scaled, values))
@@ -73,17 +69,6 @@ class HeightForm:
         refined den times, for simple-root values in Z / den."""
         x = Fraction(r) * (self.d * den)
         return floor(x), ceil(x)
-
-    def is_generic_decreasing(self):
-        """Strictly decreasing along every ray into the base chamber at infinity.
-
-        Equivalent to all coefficients being negative; returns the index of an
-        offending boundary vertex direction otherwise.
-        """
-        for i, c in enumerate(self.coeffs):
-            if c >= 0:
-                return False, i
-        return True, None
 
     def equivariant_character(self, n, p):
         """The character chi with h(g x) = chi(g) + h(x) on the SL_n(Q_p) building.
@@ -384,7 +369,7 @@ def epsilon_for_height(geometry, h):
     over d * den.
     """
     _check_rank(h, geometry.datum.rank)
-    d1 = abs(h((1,) * geometry.datum.rank))
+    d1 = Fraction(abs(h.level((1,) * geometry.datum.rank)), h.d)
     d2 = max(map(abs, _levels(geometry, h, geometry._origin_vertices())))
     return 2 * d1 + 2 * Fraction(d2, h.d * geometry._den)
 
@@ -461,8 +446,10 @@ def _upper_lower(window, h, r):
     is >= T, and in L iff the level of k + 1 is < T.
     """
     _check_rank(h, window.datum.rank)
-    ok, bad = h.is_generic_decreasing()
-    if not ok:
+    # generic: strictly decreasing along every ray into the base chamber at
+    # infinity, i.e. every coefficient negative
+    bad = next((i for i, c in enumerate(h.coeffs) if c >= 0), None)
+    if bad is not None:
         raise GeometryError(
             f"height is not strictly decreasing toward the boundary vertex of sector ray {bad}"
         )

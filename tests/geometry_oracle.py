@@ -1,19 +1,20 @@
-"""Chamber adjacency, face closures in a cell complex, gallery distances, a
-window's chambers by a search from a perturbed centre point, root values and
-the vertices of a cell as Fraction points, the cell of a point, sector bounds
-and chambers at infinity read from Fraction root values, closed-sector cells
-by a per-cell scan, special vertices, height values and per-cell height
-ranges, the epsilon of a height from its floor keys, lower faces,
-projections by a step from the barycenter, closures by a facet walk, the
-upper/lower complexes with their certificate in Fraction arithmetic,
-sigma-minimal galleries with the sigma-convexity and sigma-length they
-define, and the deconstruction that rescans its stage on every step and
+"""Cofacets and chamber adjacency, face closures in a cell complex, gallery
+distances, a window's chambers by a search from a perturbed centre point,
+root values and the vertices of a cell as Fraction points, the cell of a
+point, sector bounds and chambers at infinity read from Fraction root values,
+closed-sector cells by a per-cell scan, special vertices, Fraction height
+values and per-cell height ranges, the epsilon of a height from its floor
+keys, lower faces, projections by a step from the barycenter, closures by a
+facet walk, the upper/lower complexes with their certificate in Fraction
+arithmetic, sigma-minimal galleries with the sigma-convexity and sigma-length
+they define, and the deconstruction that rescans its stage on every step and
 keeps a snapshot of each stage.
 
 Reference code that only tests use, shared by the alcove, flag-building and
 truncation tests.
 """
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -30,9 +31,26 @@ from sigmabuild.windows import (
 )
 
 
+_cofacet_tables = weakref.WeakKeyDictionary()
+
+
+def cofacets(complex_, key):
+    """The cells of a complex that have the cell as a facet, read from its
+    facet table once per complex; KeyError for a key that is not a cell."""
+    table = _cofacet_tables.get(complex_)
+    if table is None:
+        table = _cofacet_tables[complex_] = {}
+        for k in range(complex_.dim + 1):
+            for c in complex_.cells(k):
+                table.setdefault(c, set())
+                for f in complex_.facets(c):
+                    table[f].add(c)
+    return frozenset(table[key])
+
+
 def panel_neighbors(complex_, chamber):
-    """The chambers of a frozen complex that share a panel with the chamber."""
-    return {nb for panel in complex_.facets(chamber) for nb in complex_.cofacets(panel)} - {chamber}
+    """The chambers of a complex that share a panel with the chamber."""
+    return {nb for panel in complex_.facets(chamber) for nb in cofacets(complex_, panel)} - {chamber}
 
 
 def face_closure(complex_, keys):
@@ -167,9 +185,26 @@ def is_special_vertex(geometry, x):
     return all(v.denominator == 1 for v in root_values(geometry, x))
 
 
+def height_at(h, values):
+    """The height sum c_i v_i of a HeightForm at the given simple-root values,
+    a Fraction: the reference for `HeightForm.level`, which is d times it."""
+    return sum((c * v for c, v in zip(h.coeffs, values)), Q0)
+
+
 def height_value(h, geometry, x):
     """The height of an apartment point, read from its simple-root values."""
-    return h(root_value(geometry, x, i) for i in geometry._simple_idx)
+    return height_at(h, (root_value(geometry, x, i) for i in geometry._simple_idx))
+
+
+def require_generic(h):
+    """The GeometryError of `windows.upper_complex` unless h is generic:
+    strictly decreasing toward the base chamber at infinity, every
+    coefficient negative."""
+    bad = next((i for i, c in enumerate(h.coeffs) if c >= 0), None)
+    if bad is not None:
+        raise GeometryError(
+            f"height is not strictly decreasing toward the boundary vertex of sector ray {bad}"
+        )
 
 
 def project_dir(geometry, cell, u, limit=None):
@@ -244,7 +279,7 @@ def epsilon_by_floor_keys(geometry, h):
     """`windows.epsilon_for_height` with d2 read from every key with floors
     in {-1, 0}, the infeasible ones skipped: the alcoves whose closures hold
     the origin."""
-    d1 = abs(h((1,) * geometry.datum.rank))
+    d1 = abs(height_at(h, (1,) * geometry.datum.rank))
     d2 = Q0
     for flags in product((-1, 0), repeat=geometry.npos):
         try:
@@ -259,12 +294,12 @@ def upper_lower_by_fractions(window, h, r):
     """U_h(r) and L_h(r) from the Fraction heights of each cell's ceiling and
     extremal special dominator, evaluated once per level tuple."""
     g = window.geometry
-    ok, bad = h.is_generic_decreasing()
-    if not ok:
-        raise GeometryError(
-            f"height is not strictly decreasing toward the boundary vertex of sector ray {bad}"
-        )
-    height = cache(h)
+    require_generic(h)
+
+    @cache
+    def height(values):
+        return height_at(h, values)
+
     upper = set()
     lower = set()
     r = Fraction(r)
@@ -284,7 +319,7 @@ def certificate_by_fractions(window, h, r, low):
     eps = epsilon_by_floor_keys(g, h)
     ranges = {}
     for cell in window.cells():
-        heights = [h(values) for values in simple_values(g, cell)]
+        heights = [height_at(h, values) for values in simple_values(g, cell)]
         ranges[cell] = (min(heights), max(heights))
     residual = residual_r(g, low, g.base_chamber_at_infinity())
     return {

@@ -9,7 +9,8 @@ types: `det` and `inverse` with the library's, the adjugate pair of
 `affine_solve` with `linalg.integer_null_space`.  `affine_solve` and `rank`
 have no other counterpart in the library; `fm_oracle` and the tests use them
 as plain references.  `matrix_element` builds a group element of any square
-matrix, for tests that need one outside SL_n.
+matrix, for tests that need one outside SL_n, and `mat` the Fraction copy of
+a matrix.
 """
 
 from fractions import Fraction
@@ -22,6 +23,10 @@ from sigmabuild.linalg import Q0, Q1, LinalgError, scaled
 
 def identity(n):
     return tuple(tuple(Q1 if i == j else Q0 for j in range(n)) for i in range(n))
+
+
+def mat(rows):
+    return tuple(tuple(Fraction(e) for e in row) for row in rows)
 
 
 def matrix_element(rows):

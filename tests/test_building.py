@@ -5,15 +5,17 @@ import time
 from collections import Counter
 from types import SimpleNamespace
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import lcm
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from geometry_oracle import (
+    cofacets,
     face_closure,
     gallery_distances,
+    height_at,
     height_value,
     panel_neighbors,
     root_value,
@@ -295,16 +297,17 @@ def test_interior_panel_thickness():
         top = trunc.complex.dim
         interior = 0
         for panel in trunc.complex.cells(top - 1):
-            stars = trunc.complex.cofacets(panel)
+            stars = cofacets(trunc.complex, panel)
             assert len(stars) <= p + 1
             if len(stars) == p + 1:
                 interior += 1
         assert interior > 0
 
 
-def test_chamber_guard():
-    with pytest.raises(BuildingError):
-        grow_truncation(2, 2, 3, max_chambers=4)
+def test_chamber_guard(monkeypatch):
+    with monkeypatch.context() as m, pytest.raises(BuildingError):
+        m.setattr(building, "MAX_TRUNCATION_CHAMBERS", 4)
+        grow_truncation(2, 2, 3)
     with pytest.raises(BuildingError):
         grow_truncation(2, 4, 1)
     with pytest.raises(BuildingError):
@@ -313,16 +316,18 @@ def test_chamber_guard():
 
 @pytest.mark.parametrize("n, radius", [(2, 5), (3, 3)])
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_ball_size_is_checked_before_growth(n, p, radius):
+def test_ball_size_is_checked_before_growth(monkeypatch, n, p, radius):
     # a_d p^d chambers at gallery distance d, a_d the alcoves at distance d
     # in an apartment: 2 for n = 2 and 3d for n = 3 (d >= 1)
     trunc = Truncation(n, p, radius)
     a = [1] + [2 if n == 2 else 3 * d for d in range(1, radius + 1)]
     assert Counter(trunc.chambers.values()) == {d: a[d] * p**d for d in range(radius + 1)}
     size = len(trunc.chambers)
-    Truncation(n, p, radius, max_chambers=size)
+    monkeypatch.setattr(building, "MAX_TRUNCATION_CHAMBERS", size)
+    Truncation(n, p, radius)
+    monkeypatch.setattr(building, "MAX_TRUNCATION_CHAMBERS", size - 1)
     with pytest.raises(BuildingError, match="chamber guard exceeded"):
-        Truncation(n, p, radius, max_chambers=size - 1)
+        Truncation(n, p, radius)
 
 
 def test_oversized_ball_is_rejected_at_once():
@@ -333,12 +338,13 @@ def test_oversized_ball_is_rejected_at_once():
     assert time.perf_counter() - t0 < 0.5
 
 
-def test_negative_radius_rejected():
+def test_negative_radius_rejected(monkeypatch):
     # a negative radius used to grow toward the chamber guard instead
     with pytest.raises(BuildingError, match="radius"):
         Truncation(2, 2, -1)
+    monkeypatch.setattr(building, "MAX_TRUNCATION_CHAMBERS", 10)
     with pytest.raises(BuildingError, match="radius"):
-        Truncation(3, 2, -1, max_chambers=10)
+        Truncation(3, 2, -1)
 
 
 # --- integer growth against the Fraction chain route and against counting -------
@@ -857,7 +863,7 @@ def test_height_table_extends_to_vertices_numbered_later():
     moved = trunc.act_on_vertex(gamma, trunc.base_vertex)
     assert moved >= size
     value = character_eval(h.equivariant_character(2, p), gamma)
-    assert vertex_height(trunc, h, moved) == h(trunc.root_values(moved))
+    assert vertex_height(trunc, h, moved) == height_at(h, trunc.root_values(moved))
     assert vertex_height(trunc, h, moved) == vertex_height(trunc, h, trunc.base_vertex) + value
 
 
@@ -1025,7 +1031,7 @@ def assert_same_complex(a, b):
     for c in a.cells():
         assert a.dim_of(c) == b.dim_of(c)
         assert a.facets(c) == b.facets(c)
-        assert a.cofacets(c) == b.cofacets(c)
+        assert cofacets(a, c) == cofacets(b, c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1034,10 +1040,10 @@ def test_superlevel_complex_is_the_bruteforce_filter(data):
     n, p, radius = data.draw(st.sampled_from(HEIGHT_TRUNCATIONS))
     trunc = height_truncation(n, p, radius)
     h = HeightForm(tuple(data.draw(rationals) for _ in range(n - 1)))
-    levels = sorted({h(trunc.root_values(v)) for (v,) in trunc.complex.cells(0)})
+    levels = sorted({height_at(h, trunc.root_values(v)) for (v,) in trunc.complex.cells(0)})
     between = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
     r = data.draw(st.sampled_from(levels + between + [levels[0] - 1, levels[-1] + 1]))
-    keep = [c for c in trunc.complex.cells() if all(h(trunc.root_values(v)) >= r for v in c)]
+    keep = [c for c in trunc.complex.cells() if all(height_at(h, trunc.root_values(v)) >= r for v in c)]
     assert_same_complex(superlevel_complex(trunc, h, r), rebuilt(trunc.complex, keep))
 
 
@@ -1061,7 +1067,9 @@ def test_restrict_is_the_rebuilt_subcomplex(data):
     seeds = data.draw(st.lists(st.sampled_from(cx.cells()), max_size=8))
     keys = face_closure(cx, seeds)
     sub = cx.restrict(keys)
-    assert sub._facets is cx._facets and sub._cofacets is cx._cofacets
+    # a subcomplex owns its table of cell dimensions and shares its parent's facets
+    assert vars(sub).keys() == {"_dim", "_facets", "_sorted"}
+    assert sub._facets is cx._facets and sub._dim is not cx._dim
     ref = rebuilt(cx, keys)
     assert_same_complex(sub, ref)
     # the exports read the shared tables through the subcomplex's own cells
@@ -1077,9 +1085,10 @@ def test_restrict_is_the_rebuilt_subcomplex(data):
     outside = [c for c in cx.cells() if c not in keys]
     if outside:
         cell = data.draw(st.sampled_from(outside))
-        for query in (sub.facets, sub.cofacets, sub.dim_of, nested.facets, nested.cofacets, nested.dim_of):
-            with pytest.raises(KeyError):
-                query(cell)
+        for part in (sub, nested):
+            for query in (part.facets, partial(cofacets, part), part.dim_of):
+                with pytest.raises(KeyError):
+                    query(cell)
         with pytest.raises(KeyError):
             sub.restrict(keys | face_closure(cx, [cell]))
     # dropping one facet of a cell of positive dimension breaks face-closure

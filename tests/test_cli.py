@@ -158,6 +158,7 @@ def test_coxeter_rank_16_window_is_rejected_by_its_size(capsys):
         (["sigma", "fintype", "--n", "30", "--primes", "2,3", "--k", "1", "--kernel-of",
           ";".join(",".join("1" if j == i else "0" for j in range(58)) for i in range(6))],
          "more than 14,000,000"),
+        (["chevalley", "check-relations", "--trials", "10001"], "--trials must be at most 10,000"),
     ],
 )
 def test_size_guards_are_usage_errors(capsys, argv, fragment):
@@ -217,9 +218,9 @@ def test_sphere_opp(capsys):
 
 
 def test_sphere_opp_dot_is_pinned(capsys):
-    # Opp(C) is a restriction of the flag complex, and its drawing reads the
-    # cofacets of each panel through it; the digest is that of the drawing
-    # made when a restriction still copied its own cofacet sets
+    # Opp(C) is a restriction of the flag complex, and its drawing groups
+    # its chambers by panel from their facets; the digest is that of the
+    # drawing made when a restriction still copied its own cofacet sets
     code, out, _ = run(capsys, ["sphere", "opp", "--n", "3", "--q", "2", "--format", "dot"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -227,6 +228,22 @@ def test_sphere_opp_dot_is_pinned(capsys):
     )
     # the q^3 chambers opposite C, and the panels they share
     assert out.count("label=") == 8 and out.count(" -- ") == 8
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["coxeter", "export", "--family", "A", "--rank", "2", "--window=-2:1", "--format", "dot"],
+         "257c75ad72b54122f35494c0adeee6d0af016292062c67c7c549e8030dde6937"),
+        (["building", "grow", "--n", "3", "--p", "2", "--radius", "2", "--format", "dot"],
+         "1a99a991636a49cd4471983fbf4f56d4306c39021a36d50a227e17df99013368"),
+    ],
+)
+def test_chamber_graph_dot_is_pinned(capsys, argv, digest):
+    # the digests of the drawings made when a complex kept a cofacet table
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_homology_betti_roundtrip(tmp_path, capsys):

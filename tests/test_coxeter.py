@@ -11,6 +11,7 @@ import pytest
 from geometry_oracle import (
     cell_of_point_by_values,
     closure_by_facets,
+    cofacets,
     gallery_distances,
     in_closed_sector,
     is_special_vertex,
@@ -128,7 +129,7 @@ def test_panel_projections_give_both_chambers(a2):
     window = Window.radius(datum, 2, g)
     cx = window.complex()
     for panel in cx.cells(1):
-        star_chambers = {c for c in cx.cofacets(panel)}
+        star_chambers = cofacets(cx, panel)
         if len(star_chambers) != 2:
             continue  # rim panel of the window
         plus = g.project_toward(panel, sigma)

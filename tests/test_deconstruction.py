@@ -18,12 +18,14 @@ from geometry_oracle import (
     deconstruct_by_rescans,
     deconstruction_order_by_sigma_length,
     epsilon_by_floor_keys,
+    height_at,
     height_value,
     in_closed_sector,
     is_special_vertex,
     galleries_leaving,
     level_ranges_by_cell,
     lower_face,
+    require_generic,
     root_value,
     root_values,
     sigma_length,
@@ -428,7 +430,7 @@ def test_level_and_grid_are_the_height_on_its_integer_scale(coeffs, values, r, d
     h = HeightForm(tuple(coeffs))
     assert h.d == lcm(*(Fraction(c).denominator for c in coeffs))
     level = h.level(values)
-    assert type(level) is int and level == h(values) * h.d
+    assert type(level) is int and level == height_at(h, values) * h.d
     # the grid levels next to r on the scale d * den, equal iff r is on it
     lo, hi = h.grid(r, den)
     scale = h.d * den
@@ -453,7 +455,7 @@ def special_vertices_above(window, h, r):
         hi_c = bound.numerator // bound.denominator
         ranges.append(range(window.lo[i], hi_c + 1))
     for c in product(*ranges):
-        if h(c) >= r:
+        if height_at(h, c) >= r:
             out.append(datum.point(c))
     return out
 
@@ -461,11 +463,7 @@ def special_vertices_above(window, h, r):
 def upper_lower_by_sectors(window, h, r):
     """Oracle for upper_complex/lower_complex: sector membership over enumerated tips."""
     g = window.geometry
-    ok, bad = h.is_generic_decreasing()
-    if not ok:
-        raise GeometryError(
-            f"height is not strictly decreasing toward the boundary vertex of sector ray {bad}"
-        )
+    require_generic(h)
     sigma_op = g.base_chamber_at_infinity().opposite()
     tips = special_vertices_above(window, h, r)
     upper = set()
@@ -557,11 +555,11 @@ def test_integer_thresholds_match_fraction_route(case, coeffs, data):
     window = range_window(*case)
     g = window.geometry
     h = HeightForm(tuple(coeffs[: window.datum.rank]))
-    heights = {h(values) for cell in window.cells() for values in simple_values(g, cell)}
+    heights = {height_at(h, values) for cell in window.cells() for values in simple_values(g, cell)}
     for cell in window.cells():
         levels = [cell[pi] for pi in g._simple_idx]
-        heights.add(h(tuple(k + 1 if f == FLOOR else k for f, k in levels)))
-        heights.add(h(tuple(k + 1 for _, k in levels)))
+        heights.add(height_at(h, tuple(k + 1 if f == FLOOR else k for f, k in levels)))
+        heights.add(height_at(h, tuple(k + 1 for _, k in levels)))
     eps = epsilon_for_height(g, h)
     exact = sorted(heights | {x - eps for x in heights})
     between = [(a + b) / 2 for a, b in zip(exact, exact[1:])]
@@ -714,7 +712,7 @@ def test_range_on_cell_matches_vertex_heights(case, coeffs):
     assert set(ranges) == set(window.cells())
     scale = h.d * g._den
     for cell, (lo, hi) in ranges.items():
-        heights = [h(values) * scale for values in simple_values(g, cell)]
+        heights = [height_at(h, values) * scale for values in simple_values(g, cell)]
         assert (lo, hi) == (min(heights), max(heights))
 
 
