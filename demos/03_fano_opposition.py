@@ -8,9 +8,9 @@ any chamber must exist; the pruned frame search finds one.
 """
 
 from sigmabuild.homology import betti_vector
-from sigmabuild.spherical import build_flag_building, find_opposite_apartment
+from sigmabuild.spherical import FlagComplex, find_opposite_apartment
 
-fano = build_flag_building(3, 2)
+fano = FlagComplex(3, 2)
 print(f"Fano flag building: {len(fano.subspaces[1])} points, "
       f"{len(fano.subspaces[2])} lines, {len(fano.chambers)} chambers")
 print("thickness (min, max):", fano.thickness())
@@ -24,7 +24,7 @@ for bv, count in sorted(betti_profile.items()):
 
 print("\nopposite apartments:")
 for q in (2, 7):
-    b = build_flag_building(3, q)
+    b = FlagComplex(3, q)
     ap, guaranteed = find_opposite_apartment(b, b.chambers[0])
     print(f"  q = {q}: thickness {q + 1}, apartment chambers 6, "
           f"guaranteed = {guaranteed}, found = {ap is not None}")

@@ -9,13 +9,13 @@ not bound above its lowest chamber.
 
 from fractions import Fraction
 
-from sigmabuild.building import cone_chain, grow_truncation, superlevel_complex
+from sigmabuild.building import Truncation, cone_chain, superlevel_complex
 from sigmabuild.chevalley import identity_element, x_elem
 from sigmabuild.homology import bounds, induced_map_trivial
 from sigmabuild.windows import HeightForm
 
 p = 2
-trunc = grow_truncation(2, p, 6)
+trunc = Truncation(2, p, 6)
 print(f"tree ball of radius 6 at p = {p}: {len(trunc.chambers)} edges, "
       f"{len(trunc.complex.cells(0))} vertices")
 

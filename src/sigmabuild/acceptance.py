@@ -10,12 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from .building import (
-    cone_chain,
-    grow_truncation,
-    retraction_preimage,
-    superlevel_complex,
-)
+from .building import Truncation, cone_chain, retraction_preimage, superlevel_complex
 from .chevalley import (
     CharacterVec,
     character_eval,
@@ -29,7 +24,7 @@ from .coxeter import AlcoveGeometry, GeometryError
 from .homology import betti_vector, bounds, induced_map_trivial
 from .root_system import build_root_system, cartan_pairing
 from .sigma import CERTAIN_IN, CERTAIN_OUT, SigmaContext, finiteness_type
-from .spherical import build_flag_building, find_opposite_apartment
+from .spherical import FlagComplex, find_opposite_apartment
 from .windows import (
     HeightForm,
     Window,
@@ -104,15 +99,18 @@ def criterion_characters(seed=42):
     primes = (2, 5)
     positive_roots = build_root_system("A", 2).positive_roots
 
+    def s_rational():
+        """A random element of Z[1/10]: numerator at most 20, denominator dividing 100."""
+        den = 1
+        for p in primes:
+            den *= p ** rng.randint(0, 2)
+        return Fraction(rng.randint(-20, 20), den)
+
     def random_borel():
         """A random element of B(Z[1/10]) in SL_3: unipotent factors, then torus factors."""
         g = identity_element(3)
         for root in positive_roots:
-            num = rng.randint(-20, 20)
-            den = 1
-            for p in primes:
-                den *= p ** rng.randint(0, 2)
-            g = g * x_elem(3, root, Fraction(num, den))
+            g = g * x_elem(3, root, s_rational())
         for root in ((1, 0), (0, 1)):
             g = g * h_elem(3, root, Fraction(rng.choice(primes)) ** rng.randint(-2, 2))
         return g
@@ -129,12 +127,6 @@ def criterion_characters(seed=42):
         g1, g2 = random_borel(), random_borel()
         if character_eval(chi, g1 * g2) != character_eval(chi, g1) + character_eval(chi, g2):
             additive_ok = False
-        def s_rational():
-            den = 1
-            for p in primes:
-                den *= p ** rng.randint(0, 2)
-            return Fraction(rng.randint(-20, 20), den)
-
         u = x_elem(3, (1, 0), s_rational()) * x_elem(3, (0, 1), s_rational())
         if character_eval(chi, u) != 0:
             unipotent_ok = False
@@ -173,9 +165,7 @@ def criterion_coxeter(seed=42):
     # (ii) gate identity on a radius-3 ball
     base = g.cell_of_point(datum.point((Fraction(1, 3),) * datum.rank))
     ball = [c for c in chambers if g.wall_distance(c, base) <= 3]
-    ball_cells = set()
-    for c in ball:
-        ball_cells |= g.closure(c)
+    ball_cells = g.closure_of(ball)
     gate_ok = True
     checked = 0
     for a in sorted(ball_cells):
@@ -203,10 +193,7 @@ def criterion_coxeter(seed=42):
             (c for c in sector if g.is_chamber(c)),
             key=lambda c: (g.wall_distance(c, anchor), c),
         )[:depth]
-        z = set()
-        for c in chosen:
-            z |= g.closure(c)
-        instances.append(frozenset(z))
+        instances.append(g.closure_of(chosen))
     for i in range(8):
         lam = (-Fraction(rng.randint(1, 3)), -Fraction(rng.randint(1, 3)))
         h = HeightForm(lam)
@@ -234,15 +221,11 @@ def criterion_coxeter(seed=42):
     # (iv) residual of intersections on 50 random pairs
     residual_ok = True
     for _ in range(50):
-        y = set()
-        for c in rng.sample(chambers, 4):
-            y |= g.closure(c)
-        z = set()
-        for c in rng.sample(chambers, 4):
-            z |= g.closure(c)
-        inter = frozenset(y) & frozenset(z)
+        y = g.closure_of(rng.sample(chambers, 4))
+        z = g.closure_of(rng.sample(chambers, 4))
+        inter = y & z
         lhs = residual_r(g, inter, sigma)
-        rhs = inter & (residual_r(g, frozenset(y), sigma) | residual_r(g, frozenset(z), sigma))
+        rhs = inter & (residual_r(g, y, sigma) | residual_r(g, z, sigma))
         if lhs != rhs:
             residual_ok = False
 
@@ -263,7 +246,7 @@ def criterion_coxeter(seed=42):
 
 def criterion_spherical():
     """Flag-building counts, opposition homology, opposite-apartment search."""
-    fano = build_flag_building(3, 2)
+    fano = FlagComplex(3, 2)
     count_ok = len(fano.chambers) == (2**2 + 2 + 1) * (2 + 1)
     thickness_ok = fano.thickness() == (3, 3)
     opp_ok = True
@@ -271,7 +254,7 @@ def criterion_spherical():
         bv = betti_vector(fano.opposition_complex(chamber))
         if bv[0] != 0 or bv[1] < 1:
             opp_ok = False
-    b7 = build_flag_building(3, 7)
+    b7 = FlagComplex(3, 7)
     ap, guaranteed = find_opposite_apartment(b7, b7.chambers[0])
     search_ok = guaranteed and ap is not None and ap.chamber_count == 6
     passed = count_ok and thickness_ok and opp_ok and search_ok
@@ -293,30 +276,11 @@ def criterion_building(seed=42):
     rng = random.Random(seed)
     sphere_ok = True
     for p in (2, 3):
-        trunc = grow_truncation(2, p, 5)
-        adj = {}
-        for edge in trunc.complex.cells(1):
-            a, b = edge
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        dist = {trunc.base_vertex: 0}
-        frontier = [trunc.base_vertex]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj.get(v, ()):
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        sizes = {}
-        for v, d in dist.items():
-            sizes[d] = sizes.get(d, 0) + 1
-        for k in range(1, 5):
-            if sizes.get(k, 0) != (p + 1) * p ** (k - 1):
-                sphere_ok = False
+        sizes = [len(layer) for layer in Truncation(2, p, 5).vertex_layers()]
+        if sizes[1:5] != [(p + 1) * p ** (k - 1) for k in range(1, 5)]:
+            sphere_ok = False
 
-    trunc = grow_truncation(2, 2, 4)
+    trunc = Truncation(2, 2, 4)
     idem_ok = True
     for cell in trunc.complex.cells():
         img = trunc.retract_cell(cell)
@@ -338,7 +302,7 @@ def criterion_building(seed=42):
                 seen[img] = moved
 
     p = 3
-    trunc3 = grow_truncation(2, p, 4)
+    trunc3 = Truncation(2, p, 4)
     h = HeightForm((Fraction(-2),))
     chi = h.equivariant_character(2, p)
     equi_ok = True
@@ -368,7 +332,7 @@ def criterion_building(seed=42):
 def criterion_negative_direction():
     """The cone-chain certificate on the p = 2 tree at radius 6."""
     p = 2
-    trunc = grow_truncation(2, p, 6)
+    trunc = Truncation(2, p, 6)
     h = HeightForm((Fraction(-1),))
     r = 4
     cc = cone_chain(trunc, [identity_element(2), x_elem(2, (1,), 1)], h, r)
@@ -404,7 +368,7 @@ def criterion_negative_direction():
 def criterion_positive_direction():
     """Preimages of upper complexes: nonempty for the tree, connected for SL_3."""
     p = 2
-    trunc = grow_truncation(2, p, 5)
+    trunc = Truncation(2, p, 5)
     window = Window(trunc.datum, [-5], [4], trunc.geometry)
     tree_ok = True
     tree_checked = 0
@@ -418,7 +382,7 @@ def criterion_positive_direction():
                 tree_ok = False
     radius3 = 3
     margin = 1
-    trunc3 = grow_truncation(3, p, radius3)
+    trunc3 = Truncation(3, p, radius3)
     window3 = Window(trunc3.datum, [-radius3 - 1] * 2, [radius3] * 2, trunc3.geometry)
     sl3_ok = True
     sl3_checked = 0

@@ -319,6 +319,23 @@ class Truncation:
 
         self.complex = simplicial_complex(new_faces())
 
+    def vertex_layers(self):
+        """The sets of vertex ids at edge distance 0, 1, 2, ... from
+        `base_vertex` in the 1-skeleton, until the ball is exhausted.
+
+        A neighbour of a vertex at distance d may be at distance d too (the
+        SL_3 skeleton has triangles), so every layer found is kept as seen.
+        """
+        adj = {}
+        for a, b in self.complex.cells(1):
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        seen, layer = set(), {self.base_vertex}
+        while layer:
+            yield layer
+            seen |= layer
+            layer = {w for v in layer for w in adj[v]} - seen
+
     # --- vertex table --------------------------------------------------------
 
     def vertex_id(self, vertex):
@@ -594,5 +611,9 @@ def cone_chain(trunc, sector_elements, h, r):
 
 
 def grow_truncation(n, p, radius):
-    """BFS ball of chambers around the standard base chamber."""
+    """Truncation(n, p, radius), the older spelling.
+
+    Kept only because perfbench's tree workload grows its balls this way; it
+    goes with the next benchmark change, like `HeightSpec`.
+    """
     return Truncation(n, p, radius)

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .acceptance import SUITES, certify
-from .building import BuildingError, cone_chain, grow_truncation, superlevel_complex
+from .building import BuildingError, Truncation, cone_chain, superlevel_complex
 from .chevalley import ChevalleyError, identity_element, is_prime, x_elem
 from .complexes import dumps_json
 from .coxeter import GeometryError
@@ -22,7 +22,7 @@ from .homology import betti_vector
 from .linalg import fraction_str
 from .root_system import RootSystemError, build_root_system, rootsys_json
 from .sigma import SigmaContext, finiteness_type, sigma_verdict, verdict_json
-from .spherical import SphericalError, build_flag_building, find_opposite_apartment
+from .spherical import FlagComplex, SphericalError, find_opposite_apartment
 from .windows import HeightForm, Window, closed_sector_cells, deconstruct
 
 
@@ -212,7 +212,7 @@ def cmd_coxeter(args):
 
 def cmd_sphere(args):
     try:
-        building = build_flag_building(args.n, args.q)
+        building = FlagComplex(args.n, args.q)
     except SphericalError as exc:
         raise UsageError(str(exc))
     if not 0 <= args.chamber < len(building.chambers):
@@ -258,7 +258,7 @@ def cmd_chevalley(args):
 
 def cmd_building(args):
     try:
-        trunc = grow_truncation(args.n, args.p, args.radius)
+        trunc = Truncation(args.n, args.p, args.radius)
     except BuildingError as exc:
         raise UsageError(str(exc))
 
@@ -318,26 +318,15 @@ def _tree_dot(trunc, radius):
     """The vertex ball of the tree: nodes within edge distance `radius` of the base.
 
     Nodes are canonical forms, and the edge lines follow the iteration order
-    of their neighbour sets.
+    of their neighbour sets of forms.
     """
     adj = {}
     for edge in trunc.complex.cells(1):
         a, b = (trunc.form(v) for v in edge)
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    base = trunc.form(trunc.base_vertex)
-    dist = {base: 0}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            if dist[v] == radius:
-                continue
-            for w in adj.get(v, ()):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
+    layers = zip(range(radius + 1), trunc.vertex_layers())
+    dist = {trunc.form(v): d for d, layer in layers for v in layer}
     keys = sorted(dist)
     ids = {k: i for i, k in enumerate(keys)}
     lines = ["graph tree {"]

@@ -237,6 +237,10 @@ class AlcoveGeometry:
         out = self._closure_cache[cell] = frozenset(out)
         return out
 
+    def closure_of(self, cells):
+        """The union of the closures of the given cells, a frozenset."""
+        return frozenset().union(*map(self.closure, cells))
+
     def barycenter(self, cell):
         values = self._bary_values(cell)
         return self.datum.point(values[i] for i in self._simple_idx)

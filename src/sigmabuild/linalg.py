@@ -178,6 +178,8 @@ def inverse(m):
 
 def det(m):
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise LinalgError("non-square matrix")
     _, pivots, swaps, d, den = _gauss_jordan(m)
     if len(pivots) < n:
         return Q0

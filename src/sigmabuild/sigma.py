@@ -39,7 +39,7 @@ class SigmaError(ValueError):
     pass
 
 
-# _nonneg_vector_in_span gives up past this many integer products: C(d, r-1)
+# minimal_bad_support gives up past this many integer products: C(d, r-1)
 # candidates, each an elimination of about r^3 and a combination of r d.
 # Every span in dimension 16 is admitted; rank 10 takes the most, 13,270,400
 MAX_SEARCH_PRODUCTS = 14_000_000
@@ -132,6 +132,15 @@ def in_delta_k(ctx, chi, k):
     return sum(1 for c in v if c != 0) <= k
 
 
+def _threshold_verdict(ctx, reason, witness=None):
+    """The verdict of a class outside the forbidden cone but inside the
+    non-negative one: certain-in when the primes meet the threshold,
+    conjectural-in otherwise."""
+    if ctx.sol:
+        return Verdict(CERTAIN_IN, f"{reason}; prime threshold met", witness=witness)
+    return Verdict(CONJECTURAL_IN, f"{reason}; prime threshold not met", witness=witness)
+
+
 def sigma_verdict(ctx, chi, k):
     """Membership of the character class in the k-th invariant.
 
@@ -146,13 +155,12 @@ def sigma_verdict(ctx, chi, k):
         return Verdict(CERTAIN_OUT, "support-k cone obstruction", witness=v)
     if any(c < 0 for c in v):
         return Verdict(CERTAIN_IN, "mixed signs: outside the non-negative cone")
-    if ctx.sol:
-        return Verdict(CERTAIN_IN, "support exceeds k; prime threshold met")
-    return Verdict(CONJECTURAL_IN, "support exceeds k; prime threshold not met")
+    return _threshold_verdict(ctx, "support exceeds k")
 
 
-def _nonneg_vector_in_span(ctx, generators):
-    """The non-zero non-negative vector of the span with least support, or None.
+def minimal_bad_support(ctx, generators):
+    """(support, vector): the least support of a non-zero non-negative vector
+    of the span and that vector, or (None, None) if there is none.
 
     Such a vector is elementary: no non-zero vector of the span W has its
     support strictly inside that support (subtracting a multiple of one would
@@ -171,10 +179,10 @@ def _nonneg_vector_in_span(ctx, generators):
     """
     gens = [_as_vector(ctx, g) for g in generators]
     if not gens:
-        return None
+        return None, None
     picked, _ = integer_null_space(tuple(zip(*gens)))
     if not picked:
-        return None
+        return None, None
     d, r = ctx.dim, len(picked)
     products = comb(d, r - 1) * r * (r * r + d)
     if products > MAX_SEARCH_PRODUCTS:
@@ -201,19 +209,11 @@ def _nonneg_vector_in_span(ctx, generators):
         if best_key is None or key < best_key:
             best_key, best = key, x
     if best is None:
-        return None
-    lead = best[best_key[1][0]]
-    return tuple(Fraction(c, lead) for c in best)
-
-
-def minimal_bad_support(ctx, generators):
-    """The least support of a non-negative non-zero vector in the span, or None."""
-    found = _nonneg_vector_in_span(ctx, generators)
-    if found is None:
         return None, None
     # unique: two non-proportional non-negative vectors of least support
     # would combine into a non-negative one of smaller support
-    return sum(1 for c in found if c != 0), found
+    lead = best[best_key[1][0]]
+    return best_key[0], tuple(Fraction(c, lead) for c in best)
 
 
 def finiteness_type(ctx, generators, k):
@@ -233,17 +233,7 @@ def finiteness_type(ctx, generators, k):
             f"vanishing character with non-negative support {support}",
             witness=witness,
         )
-    if ctx.sol:
-        return Verdict(
-            CERTAIN_IN,
-            f"least bad support is {support} > k; prime threshold met",
-            witness=witness,
-        )
-    return Verdict(
-        CONJECTURAL_IN,
-        f"least bad support is {support} > k; prime threshold not met",
-        witness=witness,
-    )
+    return _threshold_verdict(ctx, f"least bad support is {support} > k", witness)
 
 
 def verdict_json(verdict):

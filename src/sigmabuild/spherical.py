@@ -9,7 +9,8 @@ product and no elimination.
 
 Opposition is one predicate, `FlagComplex.opposite_subspaces`: a k-space is
 opposite a chamber's member of dimension n - k (the zero space at k = n) when
-the two span F_q^n.  Opp(C), the frame test and the apartment search use it.
+the two span F_q^n.  Opp(C) uses it, and the frame test and the apartment
+search through `_lines_opposite`, its form for the span of k lines.
 """
 
 import math
@@ -89,10 +90,13 @@ class FlagComplex:
             raise SphericalError("q must be prime in this realization")
         if n < 2:
             raise SphericalError("n must be at least 2")
-        # complete flag count: prod over k of the number of hyperplanes of a k-space
-        count = math.prod((q**k - 1) // (q - 1) for k in range(2, n + 1))
-        if count > MAX_FLAG_CHAMBERS:
-            raise SphericalError(f"chamber count {count:,} exceeds the guard of {MAX_FLAG_CHAMBERS:,}")
+        # complete flag count: prod over k of the number of hyperplanes of a
+        # k-space, multiplied up only until it passes the guard
+        count = 1
+        for k in range(2, n + 1):
+            count *= (q**k - 1) // (q - 1)
+            if count > MAX_FLAG_CHAMBERS:
+                raise SphericalError(f"chamber count of F_{q}^{n} exceeds the guard of {MAX_FLAG_CHAMBERS:,}")
         self.n = n
         self.q = q
         self.subspaces = {d: all_subspaces(n, q, d) for d in range(1, n)}
@@ -172,18 +176,22 @@ def apartment_from_frame(building, frame):
     return SphericalApartment(tuple(sorted(frame)), tuple(sorted(chambers)))
 
 
+def _lines_opposite(building, lines, chamber):
+    """Do the k lines span a complement of the chamber's (n-k)-dimensional
+    member?  At k = n the member is the zero space: the lines are a basis."""
+    n, k = building.n, len(lines)
+    return building.opposite_subspaces(sum(lines, ()), chamber[n - k - 1] if k < n else ())
+
+
 def frame_is_opposite_chamber(building, frame, chamber):
     """Every chamber of the frame's apartment is opposite the chamber.
 
     Equivalent subset condition: each k-subset of the frame spans a complement
-    of the (n-k)-dimensional member of the flag, for k = 1..n; at k = n the
-    member is the zero space and the condition is that the frame is a basis.
+    of the (n-k)-dimensional member of the flag, for k = 1..n.
     """
-    n = building.n
-    members = ((),) + chamber  # members[d]: the chamber's d-dimensional member
     return all(
-        building.opposite_subspaces(sum(subset, ()), members[n - k])
-        for k in range(1, n + 1)
+        _lines_opposite(building, subset, chamber)
+        for k in range(1, building.n + 1)
         for subset in combinations(frame, k)
     )
 
@@ -202,7 +210,6 @@ def find_opposite_apartment(building, chamber):
     n = building.n
     guaranteed = building.q + 1 > math.factorial(n)
     lines = building.subspaces[1]
-    members = ((),) + chamber  # members[d]: the chamber's d-dimensional member
 
     def extend(frame, start):
         if len(frame) == n:
@@ -210,7 +217,7 @@ def find_opposite_apartment(building, chamber):
         for idx in range(start, len(lines)):
             line = lines[idx]
             if all(
-                building.opposite_subspaces(sum(subset, line), members[n - k - 1])
+                _lines_opposite(building, subset + (line,), chamber)
                 for k in range(len(frame) + 1)
                 for subset in combinations(frame, k)
             ):
@@ -226,7 +233,3 @@ def find_opposite_apartment(building, chamber):
     if not frame_is_opposite_chamber(building, list(frame), chamber):
         raise SphericalError(f"frame {frame} is not opposite the chamber {chamber}")
     return apartment, guaranteed
-
-
-def build_flag_building(n, q):
-    return FlagComplex(n, q)

@@ -158,13 +158,8 @@ class Window:
         return self._chambers
 
     def cells(self):
-        if self._cells is not None:
-            return self._cells
-        g = self.geometry
-        out = set()
-        for c in self.chambers():
-            out |= g.closure(c)
-        self._cells = frozenset(out)
+        if self._cells is None:
+            self._cells = self.geometry.closure_of(self.chambers())
         return self._cells
 
     def vertex_table(self):

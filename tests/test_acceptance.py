@@ -6,6 +6,7 @@ positive-direction certificate always runs its SL_3 instance; its connectivity
 check is compared with a union-find oracle on the same preimages.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -25,6 +26,7 @@ from sigmabuild.acceptance import (
     criterion_steinberg,
 )
 from sigmabuild.building import grow_truncation, retraction_preimage
+from sigmabuild.complexes import dumps_json
 from sigmabuild.windows import HeightForm, Window, upper_complex
 
 
@@ -150,3 +152,12 @@ def test_criterion_9_certify_determinism():
     assert b1 == b2
     assert first["passed"]
     print("[PASS] certify-determinism (byte-identical reports)")
+
+
+def test_certify_seed_42_report_is_pinned():
+    # the bytes `sigmabuild certify --seed 42` prints, unchanged since the
+    # first integer kernels
+    report = dumps_json(certify("all", 42)) + "\n"
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "f819c7619bb5a30972b88ed5694898c97966bdbd7da769581ab3b7fb5e0f399c"
+    )

@@ -245,8 +245,8 @@ def test_nondiagonal_class_with_fractional_entry():
 # --- truncations ---------------------------------------------------------------
 
 
-def vertex_sphere_sizes(trunc, max_k):
-    """BFS vertex distances from the base vertex in the 1-skeleton."""
+def vertex_distances(trunc):
+    """Plain BFS: each vertex's edge distance from the base vertex in the 1-skeleton."""
     base = trunc.base_vertex
     adj = {}
     for edge in trunc.complex.cells(1):
@@ -263,10 +263,12 @@ def vertex_sphere_sizes(trunc, max_k):
                     dist[w] = dist[v] + 1
                     nxt.append(w)
         frontier = nxt
-    sizes = {}
-    for v, d in dist.items():
-        sizes[d] = sizes.get(d, 0) + 1
-    return [sizes.get(k, 0) for k in range(max_k + 1)]
+    return dist
+
+
+def vertex_sphere_sizes(trunc, max_k):
+    sizes = Counter(vertex_distances(trunc).values())
+    return [sizes[k] for k in range(max_k + 1)]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -276,6 +278,19 @@ def test_tree_sphere_counts(p):
     assert sizes[0] == 1
     for k in range(1, 5):
         assert sizes[k] == (p + 1) * p ** (k - 1)
+
+
+@pytest.mark.parametrize(
+    "n, p, radius, sizes",
+    [(2, 3, 4, [1, 4, 12, 36, 108, 81]), (3, 2, 3, [1, 14, 50, 16]), (3, 3, 2, [1, 26, 39])],
+)
+def test_vertex_layers_are_the_breadth_first_spheres(n, p, radius, sizes):
+    # the SL_3 skeleton has triangles: a vertex's neighbours may share its layer
+    trunc = grow_truncation(n, p, radius)
+    dist = vertex_distances(trunc)
+    layers = list(trunc.vertex_layers())
+    assert layers == [{v for v, d in dist.items() if d == k} for k in range(len(layers))]
+    assert [len(layer) for layer in layers] == sizes
 
 
 def test_tree_radius1_p3():

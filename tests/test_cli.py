@@ -159,6 +159,10 @@ def test_coxeter_rank_16_window_is_rejected_by_its_size(capsys):
           ";".join(",".join("1" if j == i else "0" for j in range(58)) for i in range(6))],
          "more than 14,000,000"),
         (["chevalley", "check-relations", "--trials", "10001"], "--trials must be at most 10,000"),
+        # the flag count is multiplied up only until it passes the guard
+        (["sphere", "opp", "--n", "5000", "--q", "2"], "exceeds the guard of 100,000"),
+        (["sphere", "opp", "--n", "100000", "--q", "2"], "exceeds the guard of 100,000"),
+        (["sphere", "apartment", "--n", "3000", "--q", "99991"], "exceeds the guard of 100,000"),
     ],
 )
 def test_size_guards_are_usage_errors(capsys, argv, fragment):
@@ -237,10 +241,14 @@ def test_sphere_opp_dot_is_pinned(capsys):
          "257c75ad72b54122f35494c0adeee6d0af016292062c67c7c549e8030dde6937"),
         (["building", "grow", "--n", "3", "--p", "2", "--radius", "2", "--format", "dot"],
          "1a99a991636a49cd4471983fbf4f56d4306c39021a36d50a227e17df99013368"),
+        # the tree's vertex ball, the same under every PYTHONHASHSEED
+        (["building", "grow", "--n", "2", "--p", "2", "--radius", "2", "--format", "dot"],
+         "a0264248e9fda09b29bc021f68ed210f24adcb17a1f9ac5f378c44e2ac9ce98d"),
     ],
 )
 def test_chamber_graph_dot_is_pinned(capsys, argv, digest):
     # the digests of the drawings made when a complex kept a cofacet table
+    # and the tree's ball had a breadth-first search of its own
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

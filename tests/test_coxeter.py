@@ -104,6 +104,19 @@ def test_closure_is_the_facet_walk(family, rank, radius):
         assert g.closure(cell) == closure_by_facets(g, cell)
 
 
+@pytest.mark.parametrize("family, rank, radius", [("A", 2, 3), ("C", 2, 2), ("A", 3, 1)])
+def test_closure_of_is_the_union_of_closures(family, rank, radius):
+    datum = build_root_system(family, rank)
+    g = AlcoveGeometry(datum)
+    chambers = sorted(Window.radius(datum, radius, g).chambers())
+    for some in (chambers, chambers[::5], chambers[:1], []):
+        union = set()
+        for c in some:
+            union |= g.closure(c)
+        assert g.closure_of(some) == union
+        assert type(g.closure_of(some)) is frozenset
+
+
 def test_project_toward_a1(a1):
     datum, g = a1
     sigma = g.base_chamber_at_infinity()

@@ -152,6 +152,12 @@ def test_reader_edge_cases():
     assert inverse(mat([[2]])) == ((Fraction(1, 2),),)
 
 
+@pytest.mark.parametrize("m", [((1, 2, 3), (4, 5, 6)), ((1, 1, 0), (1, 1, 1)), ((1, 2), (3, 4), (5, 6))])
+def test_det_refuses_a_non_square_matrix(m):
+    with pytest.raises(LinalgError, match="non-square matrix"):
+        det(m)
+
+
 # integer entries, some near 10**17, where a float quotient would round
 INTS = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(lambda k: 10**17 + k))
 

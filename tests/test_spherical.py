@@ -10,10 +10,10 @@ from geometry_oracle import gallery_distances, panel_neighbors
 from sigmabuild.homology import betti_vector
 from sigmabuild.sigma import SigmaError, prime_threshold
 from sigmabuild.spherical import (
+    FlagComplex,
     SphericalError,
     all_subspaces,
     apartment_from_frame,
-    build_flag_building,
     find_opposite_apartment,
     frame_is_opposite_chamber,
     rref,
@@ -38,7 +38,7 @@ def test_subspace_counts():
 
 
 def test_rank_one_building():
-    b = build_flag_building(2, 2)
+    b = FlagComplex(2, 2)
     assert len(b.chambers) == 3  # points of the projective line
     assert b.thickness() == (3, 3)
 
@@ -52,7 +52,7 @@ def flag_count(n, q):
 
 
 def test_fano_building_counts():
-    b = build_flag_building(3, 2)
+    b = FlagComplex(3, 2)
     assert len(b.subspaces[1]) == 7
     assert len(b.subspaces[2]) == 7
     assert len(b.chambers) == flag_count(3, 2) == 21
@@ -60,7 +60,7 @@ def test_fano_building_counts():
 
 
 def test_q3_building_counts():
-    b = build_flag_building(3, 3)
+    b = FlagComplex(3, 3)
     assert len(b.subspaces[1]) == 13
     assert len(b.chambers) == flag_count(3, 3) == 52
     assert b.thickness() == (4, 4)
@@ -77,25 +77,25 @@ def bottom_up_chambers(n, q):
 
 @pytest.mark.parametrize("n, q", [(2, 2), (2, 5), (3, 2), (3, 3), (3, 5), (4, 2), (4, 3)])
 def test_top_down_flags_match_bottom_up_scan(n, q):
-    assert build_flag_building(n, q).chambers == bottom_up_chambers(n, q)
+    assert FlagComplex(n, q).chambers == bottom_up_chambers(n, q)
 
 
 def test_a3_q5_chamber_count():
     # complete flags of F_5^4: a hyperplane, a plane in it, a line in that
-    b = build_flag_building(4, 5)
+    b = FlagComplex(4, 5)
     expected = math.prod(gaussian_binomial(d, d - 1, 5) for d in range(2, 5))
     assert len(b.chambers) == expected == flag_count(4, 5) == 29016
 
 
 def test_chamber_guard():
     with pytest.raises(SphericalError):
-        build_flag_building(8, 7)
+        FlagComplex(8, 7)
     with pytest.raises(SphericalError):
-        build_flag_building(3, 4)  # prime powers not supported in v1
+        FlagComplex(3, 4)  # prime powers not supported in v1
 
 
 def test_opposition_complex_rank_one():
-    b = build_flag_building(2, 5)
+    b = FlagComplex(2, 5)
     c = b.chambers[0]
     opp = b.opposition_complex((c,) if not isinstance(c, tuple) else c)
     # all q points distinct from the chamber
@@ -103,7 +103,7 @@ def test_opposition_complex_rank_one():
 
 
 def test_fano_opposition_complex():
-    b = build_flag_building(3, 2)
+    b = FlagComplex(3, 2)
     cx = b.complex()
     for chamber in b.chambers:
         opp = b.opposition_complex(chamber)
@@ -116,7 +116,7 @@ def test_fano_opposition_complex():
 
 
 def test_opposition_symmetric_and_equivariant():
-    b = build_flag_building(3, 2)
+    b = FlagComplex(3, 2)
     rng = random.Random(21)
     lines = b.subspaces[1]
     planes = b.subspaces[2]
@@ -151,7 +151,7 @@ def _act(m, subspace, q):
 
 
 def test_apartment_has_factorial_many_chambers():
-    b = build_flag_building(3, 2)
+    b = FlagComplex(3, 2)
     frame = [((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),)]
     ap = apartment_from_frame(b, frame)
     assert ap.chamber_count == 6
@@ -167,7 +167,7 @@ def cell_opposite_to_face(b, cell, chamber):
 
 
 def test_gallery_distance_and_diameter():
-    b = build_flag_building(3, 2)
+    b = FlagComplex(3, 2)
     # opposite chambers realize the diameter n(n-1)/2 = 3
     c = b.chambers[0]
     far = [d for d in b.chambers if cell_opposite_to_face(b, d, c)]
@@ -179,7 +179,7 @@ def test_gallery_distance_and_diameter():
 
 
 def test_find_opposite_apartment_q2():
-    b = build_flag_building(3, 2)
+    b = FlagComplex(3, 2)
     c = b.chambers[0]
     ap, guaranteed = find_opposite_apartment(b, c)
     assert not guaranteed  # 3 is not larger than 6
@@ -190,7 +190,7 @@ def test_find_opposite_apartment_q2():
 
 
 def test_find_opposite_apartment_q7():
-    b = build_flag_building(3, 7)
+    b = FlagComplex(3, 7)
     c = b.chambers[0]
     ap, guaranteed = find_opposite_apartment(b, c)
     assert guaranteed  # thickness 8 > 6 chambers per apartment
@@ -205,7 +205,7 @@ def test_find_opposite_apartment_q7():
 def test_opposite_apartment_answers(n, q, found):
     # A_2 and A_3 below and at their thresholds; an exhaustive search, so
     # `found = False` is a proof that Opp(c) holds no apartment
-    b = build_flag_building(n, q)
+    b = FlagComplex(n, q)
     c = b.chambers[0]
     ap, _ = find_opposite_apartment(b, c)
     assert (ap is not None) == found
@@ -216,14 +216,14 @@ def test_opposite_apartment_answers(n, q, found):
 
 def test_dependent_frame_is_not_opposite():
     # two equal lines pass every proper subset test; the full frame must be a basis
-    b = build_flag_building(2, 3)
+    b = FlagComplex(2, 3)
     c = b.chambers[0]
     line = next(l for l in b.subspaces[1] if b.opposite_subspaces(l, c[0]))
     assert not frame_is_opposite_chamber(b, [line, line], c)
 
 
 def test_rank1_opposite_apartment():
-    b = build_flag_building(2, 2)
+    b = FlagComplex(2, 2)
     c = b.chambers[0]
     ap, guaranteed = find_opposite_apartment(b, c)
     assert ap is not None
@@ -234,7 +234,7 @@ def test_rank1_opposite_apartment():
 def test_existence_aps_sph_build_witness(q):
     # for opposite vertices A, B and an apartment Sigma containing A, there is
     # an apartment containing B and the star of A in Sigma
-    b = build_flag_building(3, q)
+    b = FlagComplex(3, q)
     e1, e2, e3 = ((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),)
     frame = [e1, e2, e3]
     sigma = apartment_from_frame(b, frame)
