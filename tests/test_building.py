@@ -286,7 +286,7 @@ def test_tree_sphere_counts(p):
 )
 def test_vertex_layers_are_the_breadth_first_spheres(n, p, radius, sizes):
     # the SL_3 skeleton has triangles: a vertex's neighbours may share its layer
-    trunc = grow_truncation(n, p, radius)
+    trunc = Truncation(n, p, radius)
     dist = vertex_distances(trunc)
     layers = list(trunc.vertex_layers())
     assert layers == [{v for v, d in dist.items() if d == k} for k in range(len(layers))]
