@@ -6,8 +6,8 @@ by whether that span meets the non-negative coordinate cone, and in which
 support.
 """
 
-from sigmabuild.chevalley import CharacterVec, GroupElement, character_eval
-from sigmabuild.sigma import SigmaContext, finiteness_type, sigma_verdict
+from sigmabuild.chevalley import GroupElement
+from sigmabuild.sigma import SigmaContext, character_eval, finiteness_type, sigma_verdict
 
 # the group of matrices diag(p^k, 1, p^-k) * unipotent: kernel of chi_1 - chi_2
 ctx = SigmaContext.for_sl(3, (5,))
@@ -15,9 +15,8 @@ v = finiteness_type(ctx, [(1, -1)], 100)
 print("kernel of chi_{1,p} - chi_{2,p}:", v.kind, "--", v.justification)
 
 # evaluating the character on an actual matrix
-chi = CharacterVec(3, (5,), {(1, 5): 1, (2, 5): -1})
 g = GroupElement([[5, 1, 0], [0, 1, 7], [0, 0, "1/5"]])
-print("  chi on diag(5, 1, 1/5) pattern:", character_eval(chi, g))
+print("  chi on diag(5, 1, 1/5) pattern:", character_eval(ctx, (1, -1), g))
 
 # the two-prime example: support 4, all positive
 ctx2 = SigmaContext.for_sl(3, (2, 3))

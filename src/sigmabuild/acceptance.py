@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from .building import Truncation, cone_chain, retraction_preimage, superlevel_complex
 from .chevalley import (
-    CharacterVec,
-    character_eval,
     h_elem,
     identity_element,
     torus_projection,
@@ -23,7 +21,7 @@ from .chevalley import (
 from .coxeter import AlcoveGeometry, GeometryError
 from .homology import betti_vector, bounds, induced_map_trivial
 from .root_system import build_root_system, cartan_pairing
-from .sigma import CERTAIN_IN, CERTAIN_OUT, SigmaContext, finiteness_type
+from .sigma import CERTAIN_IN, CERTAIN_OUT, SigmaContext, character_eval, finiteness_type
 from .spherical import FlagComplex, find_opposite_apartment
 from .windows import (
     HeightForm,
@@ -120,15 +118,17 @@ def criterion_characters(seed=42):
         g1, g2 = random_borel(), random_borel()
         if torus_projection(g1 * g2) != torus_projection(g1) * torus_projection(g2):
             delta_ok = False
-    chi = CharacterVec(3, primes, {(1, 2): 1, (2, 5): Fraction(3, 2)})
+    ctx = SigmaContext.for_sl(3, primes)
+    chi = (1, 0, 0, Fraction(3, 2))  # chi_{1,2} + 3/2 chi_{2,5}
     additive_ok = True
     unipotent_ok = True
     for _ in range(50):
         g1, g2 = random_borel(), random_borel()
-        if character_eval(chi, g1 * g2) != character_eval(chi, g1) + character_eval(chi, g2):
+        value = character_eval(ctx, chi, g1 * g2)
+        if value != character_eval(ctx, chi, g1) + character_eval(ctx, chi, g2):
             additive_ok = False
         u = x_elem(3, (1, 0), s_rational()) * x_elem(3, (0, 1), s_rational())
-        if character_eval(chi, u) != 0:
+        if character_eval(ctx, chi, u) != 0:
             unipotent_ok = False
     passed = power_ok and delta_ok and additive_ok and unipotent_ok
     return {
@@ -304,12 +304,12 @@ def criterion_building(seed=42):
     p = 3
     trunc3 = Truncation(2, p, 4)
     h = HeightForm((Fraction(-2),))
-    chi = h.equivariant_character(2, p)
+    ctx = SigmaContext.for_sl(2, (p,))
     equi_ok = True
     cells0 = trunc3.complex.cells(0)
     for _ in range(20):
         gamma = h_elem(2, (1,), Fraction(p) ** rng.randint(-1, 1))
-        value = character_eval(chi, gamma)
+        value = character_eval(ctx, h.coeffs, gamma)
         (v,) = rng.choice(cells0)
         moved = trunc3.act_on_vertex(gamma, v)
         at_moved, at_v = (Fraction(h.level(trunc3.root_values(x)), h.d) for x in (moved, v))

@@ -47,8 +47,8 @@ and `retraction_preimage` indexes every cell by its image once per truncation.
 Heights are `windows.HeightForm`s composed with the retraction: a vertex's
 simple-root values are the exponent differences a_{i+1} - a_i of its Hermite
 form, and the form reads them directly.  The height sum_i c_i kappa(., alpha_i)
-satisfies h(g x) = chi(g) + h(x) for the character chi with the same
-coefficients c_i over the basis chi_{i,p} (`HeightForm.equivariant_character`).
+satisfies h(g x) = chi(g) + h(x) for the character chi whose block at p is
+c itself: `sigma.character_eval(SigmaContext.for_sl(n, (p,)), h.coeffs, g)`.
 
 A truncation keeps one `HeightFiltration` per form: the levels `h.level` of
 its vertices, the integers d*h(v) over the form's denominator d, extended

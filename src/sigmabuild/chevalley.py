@@ -1,4 +1,4 @@
-"""Exact SL_n matrices: Steinberg generators, the torus projection, valuations, characters.
+"""Exact SL_n matrices: Steinberg generators, the torus projection, valuations, S-units.
 
 Only the standard matrix representation is realized; a root of A_{n-1} is an
 off-diagonal position (i, j) and the elementary generator is I + t E_ij.  The
@@ -12,9 +12,10 @@ one positive denominator, in canonical form.  Every generator is written in
 that form directly from t = a / b (x over b; w and h over b |a|), the torus
 projection is the reduced integer diagonal, and products and inverses (the
 integer adjugate of `linalg.integer_inverse`) end in one gcd; only the
-public constructor scales Fraction rows.  The characters read valuations of
-the integer diagonal, where den cancels, and the Steinberg relations and the
-character formulas are exact identities.
+public constructor scales Fraction rows.  The Steinberg relations are exact
+identities.  Characters of the Borel group are `sigma`'s coefficient tuples,
+evaluated by `sigma.character_eval` from the valuations of the integer
+diagonal and the Borel test `in_borel_o_s` here.
 """
 
 from fractions import Fraction
@@ -22,7 +23,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd
 
-from .linalg import Q0, det, integer_inverse, matmul, scaled
+from .linalg import det, integer_inverse, matmul, scaled
 
 
 class ChevalleyError(ValueError):
@@ -317,57 +318,3 @@ def in_borel_o_s(g, primes):
     if not g.is_upper_triangular() or not in_o_s(Fraction(1, g.den), primes):
         return False
     return all(is_s_unit(g.num[k][k], primes) for k in range(g.n))
-
-
-# --- characters ---------------------------------------------------------------
-
-
-class CharacterVec:
-    """A character of the Borel group as coefficients over the basis chi_{k,p}.
-
-    Keys are pairs (k, p) with 1 <= k <= n-1 and p in the declared prime set;
-    chi_{k,p} evaluates a matrix to v_p(a_{k+1,k+1}) - v_p(a_{k,k}).
-    """
-
-    def __init__(self, n, primes, coeffs):
-        self.n = int(n)
-        self.primes = tuple(sorted(set(int(p) for p in primes)))
-        for p in self.primes:
-            if not is_prime(p):
-                raise ChevalleyError(f"{p} is not a prime")
-        self.coeffs = {}
-        for (k, p), lam in coeffs.items():
-            lam = Fraction(lam)
-            if lam == 0:
-                continue
-            if not 1 <= k <= self.n - 1:
-                raise ChevalleyError(f"simple-root index {k} out of range")
-            if p not in self.primes:
-                raise ChevalleyError(f"prime {p} not in the declared set")
-            self.coeffs[(k, p)] = lam
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CharacterVec)
-            and (self.n, self.primes) == (other.n, other.primes)
-            and self.coeffs == other.coeffs
-        )
-
-
-def character_eval(chi, g):
-    """Evaluate the character on an upper-triangular S-arithmetic matrix.
-
-    chi_{k,p}((a_ij)) = v_p(a_{k+1,k+1}) - v_p(a_{k,k}); the value of a
-    general character is the coefficient-weighted sum.  Vanishes on the
-    unipotent subgroup and is additive on products.
-    """
-    if g.n != chi.n:
-        raise ChevalleyError("matrix size does not match the character")
-    if not in_borel_o_s(g, chi.primes):
-        raise ChevalleyError("matrix is not in the S-arithmetic Borel group")
-    # den cancels in v_p(a_{k+1,k+1}) - v_p(a_{k,k}): read the integer diagonal
-    num = g.num
-    total = Q0
-    for (k, p), lam in chi.coeffs.items():
-        total += lam * (valuation(num[k][k], p) - valuation(num[k - 1][k - 1], p))
-    return total

@@ -151,12 +151,13 @@ class ChainComplexF2:
     def _reduction(self, k):
         """The column reduction of bnd_k, computed once per degree.
 
-        Returns (pivots, kernel, columns): pivots maps the leading bit of
-        each reduced column to (row, combo), where combo is the set of
-        k-cells (as bits) whose boundaries sum to row; kernel lists, in
-        column order, the combos whose boundaries sum to zero; columns lists
-        the pivot columns in increasing order.  A combo's leading bit is its
-        own column, since a column is only reduced by earlier ones.
+        Returns (pivots, kernel): pivots maps the leading bit of each reduced
+        column to (row, combo), where combo is the set of k-cells (as bits)
+        whose boundaries sum to row; kernel lists, in increasing order, the
+        columns whose reduction reaches zero.  Every column is one or the
+        other, and a combo's leading bit is its own column, since a column is
+        only reduced by earlier ones.  A kernel column's combo is not kept:
+        in degree 0 there are n - 1 of up to n bits each.
         """
         red = self._reductions.get(k)
         if red is None:
@@ -166,26 +167,21 @@ class ChainComplexF2:
                 if row:
                     pivots[row.bit_length() - 1] = (row, combo)
                 else:
-                    kernel.append(combo)
-            # pivots are inserted in column order
-            own = [combo.bit_length() - 1 for _, combo in pivots.values()]
-            red = self._reductions[k] = (pivots, kernel, own)
+                    kernel.append(j)
+            red = self._reductions[k] = (pivots, kernel)
         return red
 
-    def rank(self, k, lengths=None):
-        """Rank of bnd_k, or of its first lengths[k] columns (see `betti`)."""
-        lengths = self.lengths if lengths is None else lengths
+    def rank(self, k, lengths):
+        """Rank of the first lengths[k] columns of bnd_k (see `betti`)."""
         n = lengths[k] if 0 <= k < len(lengths) else 0
-        return bisect_left(self._reduction(k)[2], n) if n else 0
+        return n - bisect_left(self._reduction(k)[1], n) if n else 0
 
-    def betti(self, k, lengths=None):
-        """Reduced F2 Betti number in degree k.
-
-        With `lengths`, that of the subcomplex spanned by the first
-        lengths[j] j-cells of each degree j: the pivots of a column reduction
-        whose own column lies in the prefix are those of the prefix's own.
+    def betti(self, k, lengths):
+        """Reduced F2 Betti number in degree k of the subcomplex spanned by
+        the first lengths[j] j-cells of each degree j (`self.lengths` for the
+        whole): the pivots of a column reduction whose own column lies in the
+        prefix are those of the prefix's own.
         """
-        lengths = self.lengths if lengths is None else lengths
         if not 0 <= k < len(lengths):
             return 0
         # cycles (reduced in degree 0) minus boundaries
@@ -194,11 +190,11 @@ class ChainComplexF2:
     def prefix_map_trivial(self, small, big, k):
         """Does H_k(small) -> H_k(big) vanish, for the prefixes with these lengths?
 
-        It vanishes iff every k-cell of small that starts a cycle (the own
-        column of a kernel combo) is the pivot of a reduced column of big.
-        The first combo whose cell is not is the witness: a cycle of small
-        whose leading cell no sum of big's boundaries reaches, since their
-        reduced columns have distinct leading cells.
+        It vanishes iff every k-cell of small that starts a cycle (a kernel
+        column, the own column of its combo) is the pivot of a reduced
+        column of big.  The combo of the first that is not is the witness: a
+        cycle of small whose leading cell no sum of big's boundaries
+        reaches, since their reduced columns have distinct leading cells.
         """
         for j, (s, b) in enumerate(zip_longest(small, big, fillvalue=0)):
             if s > b:
@@ -210,25 +206,26 @@ class ChainComplexF2:
             return True, None
         m = big[k + 1] if k + 1 < len(big) else 0
         deaths = self._reduction(k + 1)[0] if m else {}
-        for combo in self._reduction(k)[1]:
-            own = combo.bit_length() - 1
+        pivots, kernel = self._reduction(k)
+        for own in kernel:
             if own >= n:
                 break
             death = deaths.get(own)
             if death is None or death[1].bit_length() > m:
+                # pivots are never replaced: the reduction of column own
+                # takes the same steps again and rebuilds its combo
+                combo = self._eliminate(self.bnd[k][own], 1 << own, pivots)[1]
                 return False, self.from_bits(k, combo)
         return True, None
 
-    def bounds(self, chain, lengths=None):
-        """Whether the cycle bounds (is in the image of the next boundary map).
+    def bounds(self, chain, lengths):
+        """Whether the cycle bounds in the prefix subcomplex (see `betti`).
 
-        With `lengths`, whether it bounds in the prefix subcomplex (see
-        `betti`): the reduced columns inside the prefix span its boundaries
-        and have distinct pivots, and a combo's leading bit is the latest
-        column it uses, so the cycle bounds there iff the elimination
-        reaches zero with a combo inside the prefix.
+        The reduced columns inside the prefix span its boundaries and have
+        distinct pivots, and a combo's leading bit is the latest column it
+        uses, so the cycle bounds there iff the elimination reaches zero
+        with a combo inside the prefix.
         """
-        lengths = self.lengths if lengths is None else lengths
         k = chain.dim + 1
         if k >= len(lengths):
             return not chain

@@ -1,7 +1,10 @@
 """Finiteness-type verdicts for S-arithmetic Borel subgroups.
 
-Characters are coefficient vectors over the basis chi_{alpha,p} indexed by
-(simple root, prime).  The forbidden region for the k-th invariant consists of
+A character is a tuple of coefficients over a `SigmaContext`, the package's
+one character type: one block per prime, primes in increasing order, each
+block holding the coefficients of chi_{1,p} ... chi_{rank,p}, where
+chi_{k,p}((a_ij)) = v_p(a_{k+1,k+1}) - v_p(a_{k,k}) on the Borel group
+(`character_eval`).  The forbidden region for the k-th invariant consists of
 the classes with non-negative coefficients and support at most k; a character
 avoiding the whole non-negative cone is unconditionally good, and the positive
 statement for small support is conditional on the prime threshold (the
@@ -31,8 +34,8 @@ from itertools import chain, combinations
 from math import comb
 from operator import mul
 
-from .chevalley import is_prime
-from .linalg import integer_null_space, scaled
+from .chevalley import in_borel_o_s, is_prime, valuation
+from .linalg import Q0, integer_null_space, scaled
 
 
 class SigmaError(ValueError):
@@ -120,6 +123,31 @@ def _as_vector(ctx, chi):
     if any(isinstance(c, float) for c in chi):
         raise SigmaError(f"float coefficient in {tuple(chi)}: coefficients must be exact")
     return tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in chi)
+
+
+def character_eval(ctx, chi, g):
+    """chi(g) for g in the S-arithmetic Borel group of SL_{rank+1} (family A).
+
+    The sum of chi[j rank + k - 1] (v_p(a_{k+1,k+1}) - v_p(a_{k,k})) over
+    the j-th prime p (counted from 0) and 1 <= k <= rank.  It vanishes on
+    the unipotent subgroup and is additive on products.
+    """
+    v = _as_vector(ctx, chi)
+    if ctx.family != "A":
+        raise SigmaError(f"characters are evaluated on SL_n: family {ctx.family!r} is not A")
+    if g.n != ctx.rank + 1:
+        raise SigmaError("matrix size does not match the character")
+    if not in_borel_o_s(g, ctx.primes):
+        raise SigmaError("matrix is not in the S-arithmetic Borel group")
+    # den cancels in v_p(a_{k+1,k+1}) - v_p(a_{k,k}): read the integer diagonal
+    num, rank = g.num, ctx.rank
+    total = Q0
+    for j, p in enumerate(ctx.primes):
+        for k in range(1, rank + 1):
+            lam = v[j * rank + k - 1]
+            if lam:
+                total += lam * (valuation(num[k][k], p) - valuation(num[k - 1][k - 1], p))
+    return total
 
 
 def in_delta_k(ctx, chi, k):

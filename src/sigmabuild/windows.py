@@ -19,9 +19,10 @@ and R(Z), from which the stages of the filtration are rebuilt.
 `HeightForm` is the package's one height, h = sum_i c_i kappa(., alpha_i).
 It reads only the simple-root values of a point, so the same form measures
 apartment points here and, through the retraction from infinity, vertices of
-the Bruhat-Tits truncations in `building`.  Its coefficients c are those of
-the character chi with h(g x) = chi(g) + h(x) (`equivariant_character`), and
-it is generic (strictly decreasing toward the base chamber at infinity) iff
+the Bruhat-Tits truncations in `building`.  On the SL_n(Q_p) building
+h(g x) = chi(g) + h(x) for the character chi whose block at p (a `sigma`
+coefficient tuple over SigmaContext.for_sl(n, (p,))) is c itself, and h is
+generic (strictly decreasing toward the base chamber at infinity) iff
 every coefficient is negative.  The superlevel filtration of h speaks for the
 class of -c, not of c, in `sigma.sigma_verdict`: on the SL_2 tree the
 superlevel sets of h = (1) are connected and (-1) is certain-in for
@@ -37,7 +38,6 @@ from itertools import accumulate, chain
 from math import ceil, factorial, floor, prod
 from operator import mul
 
-from .chevalley import CharacterVec
 from .complexes import CellComplex
 from .coxeter import FLOOR, AlcoveGeometry, GeometryError
 from .linalg import scaled
@@ -69,16 +69,6 @@ class HeightForm:
         refined den times, for simple-root values in Z / den."""
         x = Fraction(r) * (self.d * den)
         return floor(x), ceil(x)
-
-    def equivariant_character(self, n, p):
-        """The character chi with h(g x) = chi(g) + h(x) on the SL_n(Q_p) building.
-
-        Over the basis chi_{k,p}(g) = v_p(g_{k+1,k+1}) - v_p(g_{k,k}) its
-        coefficients are the height's own, as the equivariance needs.  The
-        superlevel filtration of h decides the Sigma-class of -chi in
-        `sigma.sigma_verdict`, not that of chi.
-        """
-        return CharacterVec(n, (p,), {(i + 1, p): c for i, c in enumerate(self.coeffs)})
 
 
 # Window.chambers gives up past this many chambers: A_4 at -2:1 has 6,144,

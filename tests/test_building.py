@@ -42,7 +42,6 @@ from sigmabuild.building import (
 )
 from sigmabuild.chevalley import (
     GroupElement,
-    character_eval,
     h_elem,
     identity_element,
     valuation,
@@ -53,7 +52,7 @@ from sigmabuild.complexes import CellComplex
 from sigmabuild.coxeter import FLOOR
 from sigmabuild.homology import ChainComplexF2, betti_vector, induced_map_trivial
 from sigmabuild.linalg import det, matmul
-from sigmabuild.sigma import CERTAIN_IN, CERTAIN_OUT, SigmaContext, sigma_verdict
+from sigmabuild.sigma import CERTAIN_IN, CERTAIN_OUT, SigmaContext, character_eval, sigma_verdict
 from sigmabuild.windows import HeightForm
 
 
@@ -834,13 +833,13 @@ def test_height_equivariance_torus():
     p = 3
     trunc = grow_truncation(2, p, 4)
     h = HeightForm((Fraction(-2),))
-    chi = h.equivariant_character(2, p)
+    ctx = SigmaContext.for_sl(2, (p,))  # the character's block at p is h.coeffs
 
     cells = trunc.complex.cells(0)
     for _ in range(20):
         k = rng.randint(-1, 1)
         gamma = h_elem(2, (1,), Fraction(p) ** k)
-        value = character_eval(chi, gamma)
+        value = character_eval(ctx, h.coeffs, gamma)
         (v,) = rng.choice(cells)
         moved = trunc.act_on_vertex(gamma, v)
         assert vertex_height(trunc, h, moved) == vertex_height(trunc, h, v) + value
@@ -851,7 +850,7 @@ def test_height_equivariance_torus_sl3():
     p = 2
     trunc = grow_truncation(3, p, 1)
     h = HeightForm((Fraction(-1), Fraction(-3)))
-    chi = h.equivariant_character(3, p)
+    ctx = SigmaContext.for_sl(3, (p,))
 
     cells = trunc.complex.cells(0)
     roots = [(1, 0), (0, 1)]
@@ -859,7 +858,7 @@ def test_height_equivariance_torus_sl3():
         gamma = identity_element(3)
         for r in roots:
             gamma = gamma * h_elem(3, r, Fraction(p) ** rng.randint(-1, 1))
-        value = character_eval(chi, gamma)
+        value = character_eval(ctx, h.coeffs, gamma)
         (v,) = rng.choice(cells)
         moved = trunc.act_on_vertex(gamma, v)
         assert vertex_height(trunc, h, moved) == vertex_height(trunc, h, v) + value
@@ -877,7 +876,7 @@ def test_height_table_extends_to_vertices_numbered_later():
     gamma = h_elem(2, (1,), Fraction(p) ** 3)
     moved = trunc.act_on_vertex(gamma, trunc.base_vertex)
     assert moved >= size
-    value = character_eval(h.equivariant_character(2, p), gamma)
+    value = character_eval(SigmaContext.for_sl(2, (p,)), h.coeffs, gamma)
     assert vertex_height(trunc, h, moved) == height_at(h, trunc.root_values(moved))
     assert vertex_height(trunc, h, moved) == vertex_height(trunc, h, trunc.base_vertex) + value
 
@@ -890,6 +889,9 @@ def test_superlevel_filtration_of_h_speaks_for_minus_its_character(p):
     # the levels of c = (-1) on the tree of radius 6, where -c is certain-out
     trunc = grow_truncation(2, p, 6)
     ctx = SigmaContext.for_sl(2, (p,))
+    gamma = h_elem(2, (1,), Fraction(p))
+    base = trunc.base_vertex
+    moved = trunc.act_on_vertex(gamma, base)
     for c, b0, kind in (
         ((1,), [0] * 14, CERTAIN_IN),
         ((-1,), [p ** (i // 2) - 1 for i in range(14)], CERTAIN_OUT),
@@ -897,10 +899,10 @@ def test_superlevel_filtration_of_h_speaks_for_minus_its_character(p):
         h = HeightForm(c)
         levels = sorted({height_eval(trunc, h, v)[0] for v in trunc.complex.cells(0)})
         assert [betti_vector(superlevel_complex(trunc, h, r))[0] for r in levels] == b0
-        (coeff,) = h.equivariant_character(2, p).coeffs.values()
-        assert (coeff,) == c
-        assert sigma_verdict(ctx, (-coeff,), 1).kind == kind
-        assert sigma_verdict(ctx, (coeff,), 1).kind != kind
+        step = vertex_height(trunc, h, moved) - vertex_height(trunc, h, base)
+        assert step == character_eval(ctx, c, gamma) != 0
+        assert sigma_verdict(ctx, tuple(-x for x in c), 1).kind == kind
+        assert sigma_verdict(ctx, c, 1).kind != kind
 
 
 def test_superlevel_monotone_and_bruteforce():
@@ -979,10 +981,10 @@ def borel_element(draw, n, p, torus=True):
 def test_height_equivariance_property(data):
     trunc, h = data.draw(truncation_and_height())
     g = data.draw(borel_element(trunc.n, trunc.p))
-    chi = h.equivariant_character(trunc.n, trunc.p)
+    value = character_eval(SigmaContext.for_sl(trunc.n, (trunc.p,)), h.coeffs, g)
     (v,) = data.draw(st.sampled_from(trunc.complex.cells(0)))
     moved = trunc.act_on_vertex(g, v)
-    assert vertex_height(trunc, h, moved) == vertex_height(trunc, h, v) + character_eval(chi, g)
+    assert vertex_height(trunc, h, moved) == vertex_height(trunc, h, v) + value
 
 
 @settings(max_examples=20, deadline=None)
@@ -1341,7 +1343,7 @@ def test_negative_direction_certificate():
     for v in cc.boundary.support:
         assert v in small
     big_cc = ChainComplexF2(big)
-    assert not big_cc.bounds(cc.boundary)
+    assert not big_cc.bounds(cc.boundary, big_cc.lengths)
     ok, witness = induced_map_trivial(small, big, 0)
     assert not ok
     assert witness is not None

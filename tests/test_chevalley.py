@@ -1,4 +1,7 @@
-"""Steinberg relations, Borel splitting, valuations and characters for SL_n."""
+"""Steinberg relations, Borel splitting, valuations and characters for SL_n.
+
+Characters are `sigma` coefficient tuples, evaluated by `sigma.character_eval`.
+"""
 
 import random
 from dataclasses import dataclass
@@ -13,12 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from linalg_oracle import matrix_element
 
-from sigmabuild import chevalley, linalg
+from sigmabuild import chevalley, linalg, sigma
 from sigmabuild.chevalley import (
-    CharacterVec,
     ChevalleyError,
     GroupElement,
-    character_eval,
     h_elem,
     identity_element,
     in_o_s,
@@ -32,6 +33,7 @@ from sigmabuild.chevalley import (
 )
 from sigmabuild.linalg import LinalgError, det, inverse, matmul
 from sigmabuild.root_system import build_root_system
+from sigmabuild.sigma import SigmaContext, SigmaError, character_eval
 
 
 def diagonal(g):
@@ -420,8 +422,8 @@ def test_valuation():
 
 def test_prime_arguments_below_two_raise_instead_of_looping():
     # dividing out p = 1 or -1 never ends: each of these calls used to hang
-    with pytest.raises(ChevalleyError, match="not a prime"):
-        character_eval(CharacterVec(2, (1,), {(1, 1): 1}), identity_element(2))
+    with pytest.raises(SigmaError, match="not a prime"):
+        SigmaContext.for_sl(2, (1,))
     with pytest.raises(ChevalleyError, match="not a prime"):
         valuation(6, 1)
     with pytest.raises(ChevalleyError, match="not a prime"):
@@ -431,8 +433,8 @@ def test_prime_arguments_below_two_raise_instead_of_looping():
             valuation(Fraction(6, 5), p)
         with pytest.raises(ChevalleyError, match="not a prime"):
             is_s_unit(6, (2, p))
-    with pytest.raises(ChevalleyError, match="4 is not a prime"):
-        CharacterVec(3, (2, 4), {(1, 2): 1})
+    with pytest.raises(SigmaError, match="4 is not a prime"):
+        SigmaContext.for_sl(3, (2, 4))
 
 
 def test_is_prime_agrees_with_trial_division():
@@ -470,31 +472,35 @@ def test_s_arithmetic_predicates():
 
 def test_character_eval_examples():
     p = 5
-    chi = CharacterVec(3, (p,), {(1, p): 1})
+    ctx, chi = SigmaContext.for_sl(3, (p,)), (1, 0)  # chi_{1,p}
     g = GroupElement([[p, 0, 0], [0, 1, 0], [0, 0, Fraction(1, p)]])
-    assert character_eval(chi, g) == -1  # v_p(1) - v_p(p)
+    assert character_eval(ctx, chi, g) == -1  # v_p(1) - v_p(p)
     # vanishes on unipotents
     u = x_elem(3, (1, 0), Fraction(7, 5))
-    assert character_eval(chi, u) == 0
+    assert character_eval(ctx, chi, u) == 0
     # additivity on products
     rng = random.Random(15)
     for _ in range(50):
         g1 = random_borel(rng, 3, (p,))
         g2 = random_borel(rng, 3, (p,))
-        assert character_eval(chi, g1 * g2) == character_eval(chi, g1) + character_eval(
-            chi, g2
+        assert character_eval(ctx, chi, g1 * g2) == character_eval(ctx, chi, g1) + character_eval(
+            ctx, chi, g2
         )
 
 
 def test_characters_read_the_integer_diagonal(monkeypatch):
     # den cancels in v_p(a_{k+1,k+1}) - v_p(a_{k,k}), and a diagonal entry is an
-    # S-unit iff its integer numerator is once den is: no Fraction rows are built
+    # S-unit iff its integer numerator is once den is: no Fraction rows are built.
+    # The coefficient of chi_{k,p} is entry j * rank + k - 1 of the tuple, for
+    # the j-th prime: one block per prime, in increasing order
     primes = (2, 5)
-    chi = CharacterVec(3, primes, {(1, 2): 1, (2, 5): Fraction(3, 2)})
+    ctx = SigmaContext.for_sl(3, primes)
+    table = {(1, 2): 1, (2, 2): -3, (1, 5): Fraction(1, 2), (2, 5): Fraction(3, 2)}
+    chi = (1, -3, Fraction(1, 2), Fraction(3, 2))
     rng = random.Random(21)
     elements = [random_borel(rng, 3, primes) for _ in range(20)]
     expected = [
-        sum(lam * (valuation(d[k], p) - valuation(d[k - 1], p)) for (k, p), lam in chi.coeffs.items())
+        sum(lam * (valuation(d[k], p) - valuation(d[k - 1], p)) for (k, p), lam in table.items())
         for d in map(diagonal, elements)
     ]
     bad = GroupElement([[Fraction(3), 0, 0], [0, 1, 0], [0, 0, Fraction(1, 3)]])
@@ -507,28 +513,27 @@ def test_characters_read_the_integer_diagonal(monkeypatch):
     def fail(*args):
         raise AssertionError("Fraction rows built")
 
-    monkeypatch.setattr(chevalley, "valuation", integer_valuation)
+    monkeypatch.setattr(sigma, "valuation", integer_valuation)
     monkeypatch.setattr(GroupElement, "rows", property(fail))
-    assert [character_eval(chi, g) for g in elements] == expected
+    assert [character_eval(ctx, chi, g) for g in elements] == expected
     assert seen == {int}
-    with pytest.raises(ChevalleyError, match="Borel"):
-        character_eval(chi, bad)
+    with pytest.raises(SigmaError, match="Borel"):
+        character_eval(ctx, chi, bad)
 
 
 def test_character_eval_rejects_non_s_arithmetic():
-    chi = CharacterVec(2, (2,), {(1, 2): 1})
     g = GroupElement([[Fraction(3), 0], [0, Fraction(1, 3)]])
-    with pytest.raises(ChevalleyError):
-        character_eval(chi, g)
+    with pytest.raises(SigmaError, match="Borel"):
+        character_eval(SigmaContext.for_sl(2, (2,)), (1,), g)
 
 
 def test_kernel_membership_example():
     # (a_ij) is killed by chi_{1,p} - chi_{2,p} iff v_p(a11) = -v_p(a33), v_p(a22) = 0
     p = 3
-    chi = CharacterVec(3, (p,), {(1, p): 1, (2, p): -1})
+    ctx, chi = SigmaContext.for_sl(3, (p,)), (1, -1)
     rng = random.Random(8)
     for _ in range(100):
         g = random_borel(rng, 3, (p,))
         d = diagonal(g)
         expected = valuation(d[0], p) == -valuation(d[2], p) and valuation(d[1], p) == 0
-        assert (character_eval(chi, g) == 0) == expected
+        assert (character_eval(ctx, chi, g) == 0) == expected

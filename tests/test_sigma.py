@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fm_oracle import feasible_point
 from linalg_oracle import rank
+from sigmabuild.chevalley import GroupElement, h_elem, x_elem
 from sigmabuild.linalg import Q0, Q1
 from sigmabuild.sigma import (
     CERTAIN_IN,
@@ -19,6 +20,7 @@ from sigmabuild.sigma import (
     SigmaContext,
     SigmaError,
     _as_vector,
+    character_eval,
     finiteness_type,
     in_delta_k,
     minimal_bad_support,
@@ -29,11 +31,6 @@ from sigmabuild.sigma import (
 
 def ctx_sl(n, primes):
     return SigmaContext.for_sl(n, primes)
-
-
-def dense_vector(chi):
-    """Dense coefficient tuple of a CharacterVec, ordered by (p, k)."""
-    return tuple(chi.coeffs.get((k, p), Q0) for p in chi.primes for k in range(1, chi.n))
 
 
 def basis(ctx):
@@ -182,34 +179,6 @@ def test_finiteness_consistency_with_sigma_verdict():
             assert (ft.kind != CERTAIN_OUT) == both_in
 
 
-def test_coefficient_round_trip():
-    # extracting the dense coefficient vector and rebuilding the character
-    # over the basis index set is the identity
-    from sigmabuild.chevalley import CharacterVec
-
-    ctx = ctx_sl(4, (2, 7))
-    rng = random.Random(9)
-    for _ in range(100):
-        coeffs = {
-            (k, p): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            for p in ctx.primes
-            for k in range(1, 4)
-        }
-        chi = CharacterVec(4, ctx.primes, coeffs)
-        vec = dense_vector(chi)
-        rebuilt = CharacterVec(
-            4,
-            ctx.primes,
-            {
-                (k, p): vec[j * 3 + (k - 1)]
-                for j, p in enumerate(ctx.primes)
-                for k in range(1, 4)
-            },
-        )
-        assert rebuilt == chi
-        assert dense_vector(rebuilt) == vec
-
-
 def test_degenerate_whole_space():
     ctx = ctx_sl(3, (2,))
     gens = [(1, 0), (0, 1)]
@@ -338,6 +307,26 @@ def test_float_coefficients_are_refused():
         with pytest.raises(SigmaError, match="float"):
             call()
     assert finiteness_type(ctx, [(Fraction(1, 10), Fraction(1, 5))], 1).witness == (1, 2)
+
+
+def test_character_eval_refuses_what_is_not_a_borel_character():
+    # a character of B(Z[1/10]) in SL_3 is a tuple of ctx.dim exact
+    # coefficients, blocks (chi_{1,2}, chi_{2,2}), (chi_{1,5}, chi_{2,5})
+    ctx = ctx_sl(3, (2, 5))
+    g = h_elem(3, (1, 0), Fraction(2)) * x_elem(3, (0, 1), Fraction(3, 5))  # diagonal (2, 1/2, 1)
+    assert character_eval(ctx, (1, 0, 0, 0), g) == -2
+    assert character_eval(ctx, (0, 1, 0, 0), g) == 1
+    assert character_eval(ctx, (0, 0, 1, 1), g) == 0
+    for context, chi, matrix, match in (
+        (ctx, (0.5, 0, 0, 0), g, "float"),
+        (ctx, (1, 0), g, "length"),
+        (SigmaContext("C", 2, (2, 5)), (1, 0, 0, 0), g, "family"),
+        (ctx, (1, 0, 0, 0), h_elem(2, (1,), Fraction(2)), "size"),
+        (ctx, (1, 0, 0, 0), h_elem(3, (1, 0), Fraction(3)), "Borel"),
+        (ctx, (1, 0, 0, 0), GroupElement([[1, 0, 0], [1, 1, 0], [0, 0, 1]]), "Borel"),
+    ):
+        with pytest.raises(SigmaError, match=match):
+            character_eval(context, chi, matrix)
 
 
 def _orthogonal(rng, u):
