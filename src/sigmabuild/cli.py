@@ -6,6 +6,10 @@ option values found by a handler, reported as one `error:` line.  Every
 subcommand supports --format json; exact rationals are serialized as "p/q"
 strings.  Reports are deterministic for a fixed seed; timings are attached
 only on request.
+
+At module level this imports only the standard library and the two modules
+its option checks use, `chevalley` and `root_system`; each handler imports
+the modules it runs when it runs, so no command compiles the whole library.
 """
 
 import argparse
@@ -13,17 +17,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .acceptance import SUITES, certify
-from .building import BuildingError, Truncation, cone_chain, superlevel_complex
 from .chevalley import ChevalleyError, identity_element, is_prime, x_elem
-from .complexes import dumps_json
-from .coxeter import GeometryError
-from .homology import betti_vector
-from .linalg import fraction_str
 from .root_system import RootSystemError, build_root_system, rootsys_json
-from .sigma import SigmaContext, finiteness_type, sigma_verdict, verdict_json
-from .spherical import FlagComplex, SphericalError, find_opposite_apartment
-from .windows import HeightForm, Window, closed_sector_cells, deconstruct
 
 
 class PreconditionFailure(Exception):
@@ -76,6 +71,8 @@ def _parse_fractions(text):
 
 def _parse_height(text, n):
     """HeightForm coefficients, one per simple root of SL_n."""
+    from .windows import HeightForm
+
     coeffs = _parse_fractions(text)
     if len(coeffs) != n - 1:
         raise UsageError(f"--height needs {n - 1} coefficient(s) for n = {n}, got {text!r}")
@@ -101,6 +98,8 @@ def _parse_window(text, rank):
 
 def _emit(payload, fmt):
     if fmt == "json":
+        from .complexes import dumps_json
+
         print(dumps_json(payload))
     else:
         _emit_text(payload)
@@ -151,6 +150,9 @@ def cmd_rootsys(args):
 
 
 def cmd_coxeter(args):
+    from .coxeter import GeometryError
+    from .windows import Window, closed_sector_cells, deconstruct
+
     datum = _root_system(args.family, args.rank)
     lo, hi = _parse_window(args.window, datum.rank)
     try:
@@ -211,6 +213,9 @@ def cmd_coxeter(args):
 
 
 def cmd_sphere(args):
+    from .homology import betti_vector
+    from .spherical import FlagComplex, SphericalError, find_opposite_apartment
+
     try:
         building = FlagComplex(args.n, args.q)
     except SphericalError as exc:
@@ -257,6 +262,10 @@ def cmd_chevalley(args):
 
 
 def cmd_building(args):
+    from .building import BuildingError, Truncation, cone_chain, superlevel_complex
+    from .homology import betti_vector
+    from .linalg import fraction_str
+
     try:
         trunc = Truncation(args.n, args.p, args.radius)
     except BuildingError as exc:
@@ -342,6 +351,7 @@ def _tree_dot(trunc, radius):
 
 def cmd_homology(args):
     from .complexes import CellComplex
+    from .homology import betti_vector
 
     try:
         if args.input == "-":
@@ -369,8 +379,16 @@ def cmd_homology(args):
 
 
 def cmd_sigma(args):
+    from .sigma import SigmaContext, finiteness_type, sigma_verdict, verdict_json
+
     try:
-        ctx = SigmaContext.for_sl(args.n, tuple(int(p) for p in args.primes.split(",")))
+        primes = tuple(int(p) for p in args.primes.split(","))
+        # SigmaContext drops a repeated prime, which would change the length
+        # the characters must have
+        repeated = sorted({p for p in primes if primes.count(p) > 1})
+        if repeated:
+            raise UsageError(f"--primes repeats {', '.join(map(str, repeated))}")
+        ctx = SigmaContext.for_sl(args.n, primes)
         if args.command2 == "verdict":
             verdict = sigma_verdict(ctx, _parse_fractions(args.chi), args.k)
         else:
@@ -385,12 +403,19 @@ def cmd_sigma(args):
 
 
 def cmd_certify(args):
+    from .acceptance import certify
+
     report = certify(suite=args.suite, seed=args.seed, with_timings=args.timings)
     _emit(report, args.format)
     return 0 if report["passed"] else 1
 
 
 # --- parser ---------------------------------------------------------------------
+
+
+# sorted(acceptance.SUITES), written out so that building the parser imports no
+# suite; a test keeps the two equal
+CERTIFY_SUITES = ("all", "building", "coxeter", "relations", "sigma", "spherical")
 
 
 def _formats(draws):
@@ -501,7 +526,7 @@ def build_parser():
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("certify", help="run a certification suite")
-    p.add_argument("--suite", choices=sorted(SUITES), default="all")
+    p.add_argument("--suite", choices=CERTIFY_SUITES, default="all")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--timings", action="store_true", help="attach wall-clock timings")
     p.add_argument("--format", choices=("json", "text"), default="json")

@@ -334,7 +334,7 @@ def test_cone_chain_internal_error_is_not_a_precondition_failure(monkeypatch, ca
     def broken(*args):
         raise RuntimeError("internal bug")
 
-    monkeypatch.setattr("sigmabuild.cli.cone_chain", broken)
+    monkeypatch.setattr("sigmabuild.building.cone_chain", broken)
     with pytest.raises(RuntimeError, match="internal bug"):
         main(["building", "cone-chain", "--n", "2", "--p", "2", "--radius", "2",
               "--height", "-1", "--r", "1"])
@@ -358,6 +358,23 @@ def test_certify_relations_suite(capsys):
         "steinberg-relations",
         "character-machinery",
     ]
+
+
+def test_certify_suite_choices_are_the_suites():
+    from sigmabuild import acceptance
+    from sigmabuild.cli import CERTIFY_SUITES
+
+    assert CERTIFY_SUITES == tuple(sorted(acceptance.SUITES))
+
+
+def test_certify_unknown_suite_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--suite", "nope"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "sigmabuild certify: error: argument --suite: invalid choice: 'nope' "
+        "(choose from 'all', 'building', 'coxeter', 'relations', 'sigma', 'spherical')"
+    )
 
 
 def test_certify_rejects_threads_flag(capsys):
@@ -393,6 +410,10 @@ def assert_usage_error(code, err, *fragments):
         (["verdict", "--primes", "2,y", "--chi", "1,1"], "'y'"),
         (["verdict", "--chi", "0,0"], "zero vector"),
         (["verdict", "--n", "1", "--chi", "1"], "rank"),
+        # a context keeps one copy of a repeated prime: neither length may pass
+        (["verdict", "--primes", "2,2", "--chi", "1,-1"], "--primes repeats 2"),
+        (["verdict", "--primes", "2,2", "--chi", "1,-1,1,1"], "--primes repeats 2"),
+        (["fintype", "--primes", "3,2,3", "--kernel-of", "1,1,1,1,1,1"], "--primes repeats 3"),
     ],
 )
 def test_sigma_bad_input_is_usage_error(capsys, argv, fragment):
@@ -565,3 +586,25 @@ def test_python_dash_m_sigmabuild_runs_the_cli():
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["passed"] is True
+
+
+CLI_MODULES = ["sigmabuild", "sigmabuild.chevalley", "sigmabuild.cli", "sigmabuild.linalg",
+               "sigmabuild.root_system"]
+
+
+def _loaded_modules(code):
+    """The sigmabuild modules loaded after running `code` in a fresh interpreter."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if 'sigmabuild' in m)))"
+    run_ = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_env_with_src(), text=True)
+    assert run_.returncode == 0, run_.stderr
+    return json.loads(run_.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_only_its_option_checks():
+    assert _loaded_modules("import sigmabuild.cli") == CLI_MODULES
+
+
+def test_sigma_verdict_loads_only_sigma_besides_the_cli():
+    code = ("from sigmabuild.cli import main\n"
+            "main(['sigma', 'verdict', '--n', '3', '--primes', '2,3', '--chi', '1,0,0,1', '--k', '1'])")
+    assert _loaded_modules(code) == sorted(CLI_MODULES + ["sigmabuild.sigma"])
