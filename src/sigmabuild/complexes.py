@@ -4,8 +4,8 @@ The one carrier shared by Coxeter windows, flag buildings and Bruhat-Tits
 truncations.  Cells are indexed by caller-supplied canonical keys (hashable,
 totally ordered within one complex); faces are recorded one codimension down,
 which determines the whole face lattice since cells are polytopes, and is
-the one incidence table a complex keeps: a reader that needs cofaces (`to_dot`,
-`FlagComplex.thickness`) groups cells by their facets.  A complex is
+the one incidence table a complex keeps: a reader that needs cofaces
+(`to_dot`) groups cells by their facets.  A complex is
 built once from its cells, which validates the facets, and is not changed
 after.  A subcomplex restricted from it owns only its table of cell
 dimensions and shares the parent's facet table (so a restriction of a
@@ -21,16 +21,21 @@ class CellComplex:
     def __init__(self, cells):
         """The complex on `(key, dim, facets)` triples, each key listed once.
 
-        One pass over the cells stores the facets, refusing a repeated key;
-        then each facet in the table must be a cell one dimension down.  Both
-        refusals are ValueErrors.
+        One pass over the cells stores the facets, refusing a repeated key, a
+        negative dimension and a cell of positive dimension with no facet; then
+        each facet in the table must be a cell one dimension down, so no
+        dimension exceeds the number of cells.  Every refusal is a ValueError.
         """
         dims, facets = {}, {}
         for key, dim, fs in cells:
             if key in dims:
                 raise ValueError(f"cell {key!r} is listed twice")
             dims[key] = dim
-            facets[key] = frozenset(fs)
+            facets[key] = fs = frozenset(fs)
+            if dim < 0:
+                raise ValueError(f"cell {key!r} has negative dimension {dim}")
+            if dim > 0 and not fs:
+                raise ValueError(f"cell {key!r} of dimension {dim} has no facet")
         for key, fs in facets.items():
             d = dims[key] - 1
             for f in fs:

@@ -1,11 +1,12 @@
 """Finite thick spherical buildings of type A: flag complexes of F_q^n.
 
 Vertices are proper non-zero subspaces in reduced row-echelon form, cells are
-chains of subspaces, chambers are complete flags.  Flags grow from the top:
-the hyperplanes of a d-space W are the products S·W mod q over the RREF
-(d-1)-subspaces S of F_q^d, and S·W is already in RREF (W's pivots at S's
-pivot columns, the others cleared by S's zeros), so a chamber costs one small
-product and no elimination.
+chains of subspaces, chambers are complete flags.  One table lists the proper
+non-zero subspaces of F_q^n and of each subspace W of dimension d >= 2 as the
+products S·W mod q over the RREF subspaces S of F_q^d, already in RREF (W's
+pivots at S's pivot columns, the others cleared by S's zeros).  One builder
+walks it down from a chain's top member and lists each chain once; the
+chambers, the complex and Opp(C) are what it lists.
 
 Opposition is one predicate, `FlagComplex.opposite_subspaces`: a k-space is
 opposite a chamber's member of dimension n - k (the zero space at k = n) when
@@ -16,7 +17,7 @@ search through `_lines_opposite`, its form for the span of k lines.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 from .chevalley import is_prime
 from .complexes import simplicial_complex
@@ -100,35 +101,39 @@ class FlagComplex:
         self.n = n
         self.q = q
         self.subspaces = {d: all_subspaces(n, q, d) for d in range(1, n)}
-        self.chambers = self._build_chambers()
+        # W -> its proper non-zero subspaces S·W, for F_q^n (the identity) and
+        # each proper W of dimension d >= 2: one product of the stacked S by W
+        self._space = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        self._below = {}
+        for d in range(2, n + 1):
+            inner = [s for k in range(1, d) for s in all_subspaces(d, q, k)]
+            stacked = [row for s in inner for row in s]
+            for w in self.subspaces.get(d, [self._space]):
+                rows = iter([tuple(x % q for x in row) for row in matmul(stacked, w)])
+                self._below[w] = [tuple(islice(rows, len(s))) for s in inner]
+        self.chambers = sorted(c for c in self._chains() if len(c) == n - 1)
         self._complex = None
 
-    def _build_chambers(self):
-        """Complete flags, each member a hyperplane S·W of the member W above it."""
-        q = self.q
-        flags = [(w,) for w in self.subspaces[self.n - 1]]
-        for d in range(self.n - 1, 1, -1):
-            hyperplanes = all_subspaces(d, q, d - 1)
-            flags = [
-                (tuple(tuple(x % q for x in row) for row in matmul(s, flag[0])),) + flag
-                for flag in flags
-                for s in hyperplanes
-            ]
-        return sorted(flags)
+    def _chains(self, admit=None):
+        """Each chain of proper subspaces whose members all pass `admit`, once, as
+        a tuple increasing in dimension, grown down from its top member by the table."""
+        below = self._below
+        stack = [()]
+        while stack:
+            chain = stack.pop()
+            if chain:
+                yield chain
+            bottom = chain[0] if chain else self._space
+            stack.extend((s,) + chain for s in below.get(bottom, ()) if admit is None or admit(s))
 
     def complex(self):
         if self._complex is None:
-            faces = {f for flag in self.chambers for k in range(1, self.n) for f in combinations(flag, k)}
-            self._complex = simplicial_complex(faces)
+            self._complex = simplicial_complex(self._chains())
         return self._complex
 
     def thickness(self):
-        """Min/max number of chambers per panel; q+1 at every panel for flags."""
-        if self.n == 2:
-            # rank-one building: chambers are points, the empty panel is shared
-            return len(self.chambers), len(self.chambers)
-        cx = self.complex()
-        counts = Counter(p for c in cx.cells(self.n - 2) for p in cx.facets(c)).values()
+        """Min/max number of chambers per panel (a chamber less one member); q+1 for flags."""
+        counts = Counter(c[:i] + c[i + 1:] for c in self.chambers for i in range(self.n - 1)).values()
         return min(counts), max(counts)
 
     # --- opposition ----------------------------------------------------
@@ -146,8 +151,7 @@ class FlagComplex:
         good_vertices = {
             s for d in range(1, n) for s in self.subspaces[d] if self.opposite_subspaces(s, members[n - d])
         }
-        cx = self.complex()
-        return cx.restrict(cell for cell in cx.cells() if all(s in good_vertices for s in cell))
+        return simplicial_complex(self._chains(good_vertices.__contains__))
 
 
 @dataclass

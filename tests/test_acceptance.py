@@ -27,6 +27,7 @@ from sigmabuild.acceptance import (
 )
 from sigmabuild.building import grow_truncation, retraction_preimage
 from sigmabuild.complexes import dumps_json
+from sigmabuild.spherical import FlagComplex
 from sigmabuild.windows import HeightForm, Window, upper_complex
 
 
@@ -62,11 +63,26 @@ def test_criterion_3_coxeter_window_suite():
 
 
 def test_criterion_4_spherical_suite():
-    entry, dt, budget = _timed(criterion_spherical, 2)
+    # 0.008 s in `certify --timings`: the Fano thickness is counted from the
+    # chambers and its 21 Opp(C) are built without the whole flag complex
+    entry, dt, budget = _timed(criterion_spherical, 0.25)
     # chamber count equals the closed form (q^2+q+1)(q+1) for q = 2
     assert entry["details"]["fano_chambers"] == 21
     assert entry["details"]["thickness"] == [3, 3]
     assert _report(entry, dt, budget)
+
+
+def test_opposition_complex_a3_q5_budget():
+    # FlagComplex(4, 5), 29,016 chambers, then Opp(C) of its first chamber:
+    # 0.33-0.36 s from the chains on the opposite vertices, 1.0-1.25 s as a
+    # restriction of the whole flag complex (2-vCPU VM)
+    t0 = time.perf_counter()
+    building = FlagComplex(4, 5)
+    opp = building.opposition_complex(building.chambers[0])
+    dt = time.perf_counter() - t0
+    print(f"[{'PASS' if dt <= 0.6 else 'FAIL'}] opposition-a3-q5  ({dt:.2f}s / budget 0.6s)")
+    assert len(opp) == 25875
+    assert dt <= 0.6, "Opp(C) at (4, 5) exceeded its runtime budget"
 
 
 def test_criterion_5_building_suite():

@@ -222,9 +222,10 @@ def test_sphere_opp(capsys):
 
 
 def test_sphere_opp_dot_is_pinned(capsys):
-    # Opp(C) is a restriction of the flag complex, and its drawing groups
-    # its chambers by panel from their facets; the digest is that of the
-    # drawing made when a restriction still copied its own cofacet sets
+    # Opp(C) is built from the chains on the vertices opposite C, and its
+    # drawing groups its chambers by panel from their facets; the digest is
+    # that of the drawing made when Opp(C) was a restriction of the whole
+    # flag complex that still copied its own cofacet sets
     code, out, _ = run(capsys, ["sphere", "opp", "--n", "3", "--q", "2", "--format", "dot"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -244,11 +245,16 @@ def test_sphere_opp_dot_is_pinned(capsys):
         # the tree's vertex ball, the same under every PYTHONHASHSEED
         (["building", "grow", "--n", "2", "--p", "2", "--radius", "2", "--format", "dot"],
          "a0264248e9fda09b29bc021f68ed210f24adcb17a1f9ac5f378c44e2ac9ce98d"),
+        (["sphere", "opp", "--n", "4", "--q", "2", "--chamber", "7", "--format", "dot"],
+         "55246dc696e609edb5ac1492360e3f657c1357c54850998bc2247d84245afd22"),
+        (["sphere", "opp", "--n", "3", "--q", "3", "--chamber", "5", "--format", "dot"],
+         "4da3ea05c5efdfc0fe9d72e9068ff3b98d88b82c95cc08b991550fb816e9d537"),
     ],
 )
 def test_chamber_graph_dot_is_pinned(capsys, argv, digest):
-    # the digests of the drawings made when a complex kept a cofacet table
-    # and the tree's ball had a breadth-first search of its own
+    # the digests of the drawings made when a complex kept a cofacet table,
+    # the tree's ball had a breadth-first search of its own and Opp(C) was a
+    # restriction of the whole flag complex
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -475,12 +481,20 @@ def test_homology_betti_missing_input(tmp_path, capsys):
         # an edge with one vertex: the augmentation of its boundary is non-zero
         ('{"cells": [{"id": "a", "dim": 0, "faces": []}, {"id": "e", "dim": 1, "faces": ["a"]}]}',
          "boundary of boundary"),
+        # a cell of positive dimension needs a facet, and no dimension is negative
+        ('{"cells": [{"id": "a", "dim": 0, "faces": []}, {"id": "f", "dim": 2, "faces": []}]}',
+         "has no facet"),
+        ('{"cells": [{"id": "a", "dim": -1, "faces": []}]}', "negative dimension"),
+        # refused before a chain group is allocated for every degree up to 10^9
+        ('{"cells": [{"id": 0, "dim": 1000000000, "faces": []}]}', "has no facet"),
     ],
 )
 def test_homology_betti_malformed_json(tmp_path, capsys, text, fragment):
     path = tmp_path / "complex.json"
     path.write_text(text)
+    t0 = time.perf_counter()
     code, _, err = run(capsys, ["homology", "betti", "--input", str(path)])
+    assert time.perf_counter() - t0 < 1
     assert_usage_error(code, err, fragment)
 
 

@@ -1,5 +1,6 @@
 """Flag buildings over F_q: counts, thickness, opposition, apartment search."""
 
+import functools
 import math
 import random
 from itertools import combinations
@@ -7,6 +8,7 @@ from itertools import combinations
 import pytest
 from geometry_oracle import gallery_distances, panel_neighbors
 
+from sigmabuild.complexes import simplicial_complex
 from sigmabuild.homology import betti_vector
 from sigmabuild.sigma import SigmaError, prime_threshold
 from sigmabuild.spherical import (
@@ -75,9 +77,67 @@ def bottom_up_chambers(n, q):
     return sorted(chains)
 
 
-@pytest.mark.parametrize("n, q", [(2, 2), (2, 5), (3, 2), (3, 3), (3, 5), (4, 2), (4, 3)])
+REFERENCE_SIZES = [(2, 2), (2, 5), (3, 2), (3, 3), (3, 5), (4, 2), (4, 3)]
+
+
+@functools.cache
+def reference_flag_complex(n, q):
+    """The faces of the bottom-up flags: the reference flag complex."""
+    flags = bottom_up_chambers(n, q)
+    return flags, simplicial_complex({f for flag in flags for k in range(1, n) for f in combinations(flag, k)})
+
+
+def reference_opposition_complex(n, q, chamber):
+    """The restriction of the reference flag complex to the vertices opposite
+    the chamber: a d-space spanning F_q^n with its (n - d)-dimensional member."""
+    members = ((),) + chamber
+    cx = reference_flag_complex(n, q)[1]
+    opposite = {v for (v,) in cx.cells(0) if span_rank(v + members[n - len(v)], q) == n}
+    return cx.restrict(cell for cell in cx.cells() if set(cell) <= opposite)
+
+
+def assert_same_complex(cx, ref):
+    """Cell for cell and facet for facet."""
+    assert cx.cells() == ref.cells()
+    for cell in ref.cells():
+        assert cx.dim_of(cell) == ref.dim_of(cell)
+        assert cx.facets(cell) == ref.facets(cell)
+
+
+def seeded_chambers(b, seed, k):
+    """Chamber 0 and k more, drawn with a fixed seed."""
+    rng = random.Random(seed)
+    return [b.chambers[0]] + rng.sample(b.chambers[1:], k)
+
+
+@pytest.mark.parametrize("n, q", REFERENCE_SIZES)
 def test_top_down_flags_match_bottom_up_scan(n, q):
-    assert FlagComplex(n, q).chambers == bottom_up_chambers(n, q)
+    assert FlagComplex(n, q).chambers == reference_flag_complex(n, q)[0]
+
+
+@pytest.mark.parametrize("n, q", REFERENCE_SIZES)
+def test_chain_builder_matches_the_faces_of_the_flags(n, q):
+    b = FlagComplex(n, q)
+    assert_same_complex(b.complex(), reference_flag_complex(n, q)[1])
+    for chamber in seeded_chambers(b, 10 * n + q, 2):
+        opp = b.opposition_complex(chamber)
+        assert_same_complex(opp, reference_opposition_complex(n, q, chamber))
+        # Opp(C) is the closure of the chambers opposite C, q^(n(n-1)/2) of them
+        far = [d for d in b.chambers if cell_opposite_to_face(b, d, chamber)]
+        assert len(far) == q ** (n * (n - 1) // 2)
+        assert opp.cells(n - 2) == far
+        assert set(opp.cells()) == {f for d in far for k in range(1, n) for f in combinations(d, k)}
+
+
+@pytest.mark.parametrize(
+    "n, q, betti",
+    [(3, 2, [0, 1]), (4, 2, [0, 2, 1]), (4, 3, [0, 0, 134]), (5, 2, [0, 0, 32, 1])],
+)
+def test_opposition_complex_homology(n, q, betti):
+    # reduced F_2 Betti vectors of Opp(C), the same on every chamber checked
+    b = FlagComplex(n, q)
+    for chamber in seeded_chambers(b, 7 * n + q, 3):
+        assert betti_vector(b.opposition_complex(chamber)) == betti
 
 
 def test_a3_q5_chamber_count():
@@ -104,7 +164,6 @@ def test_opposition_complex_rank_one():
 
 def test_fano_opposition_complex():
     b = FlagComplex(3, 2)
-    cx = b.complex()
     for chamber in b.chambers:
         opp = b.opposition_complex(chamber)
         bv = betti_vector(opp)
